@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -160,6 +161,11 @@ type slot struct {
 	size     int64 // logical content length
 	lastUsed int64
 	pins     int
+	// split marks a manifest the cache computed itself (Put, PutFromBase):
+	// chunk.Split of the content, every Len the length of its chunk. A
+	// manifest a client or peer described (PutManifest) is checked only for
+	// what its chunks hash and sum to, so nothing is derived from it.
+	split bool
 }
 
 // shardOf mixes the id (sequential intern order would otherwise map
@@ -217,6 +223,14 @@ func (c *Cache) Params() chunk.Params { return c.params }
 // recency. The content is assembled from the chunk store into a fresh
 // buffer the caller owns.
 func (c *Cache) Get(id naming.ShadowID) (Entry, bool) {
+	return c.GetInto(nil, id)
+}
+
+// GetInto is Get assembling the content into dst's backing array (from its
+// start; a larger one is allocated if it is too small) instead of a fresh
+// buffer, for callers that only read the content and recycle the buffer —
+// the delta arrival path drops its base as soon as the delta is applied.
+func (c *Cache) GetInto(dst []byte, id naming.ShadowID) (Entry, bool) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
 	s, ok := sh.entries[id]
@@ -226,7 +240,7 @@ func (c *Cache) Get(id naming.ShadowID) (Entry, bool) {
 		return Entry{}, false
 	}
 	s.lastUsed = c.seq.Add(1)
-	e := c.assembleLocked(id, s)
+	e := c.assembleLocked(dst, id, s)
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	return e, true
@@ -241,7 +255,7 @@ func (c *Cache) Peek(id naming.ShadowID) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return c.assembleLocked(id, s), true
+	return c.assembleLocked(nil, id, s), true
 }
 
 // Version returns the cached version number of id without assembling its
@@ -293,8 +307,8 @@ func (c *Cache) Fingerprint(id naming.ShadowID) (uint64, chunk.Hash, bool) {
 // manifest (eviction takes the same lock, so the chunks cannot be released
 // mid-assembly). A failed assembly is a refcounting bug; the cache treats it
 // as a miss rather than serving corrupt content.
-func (c *Cache) assembleLocked(id naming.ShadowID, s *slot) Entry {
-	content, ok := c.store.Assemble(s.manifest)
+func (c *Cache) assembleLocked(dst []byte, id naming.ShadowID, s *slot) Entry {
+	content, ok := c.store.AppendAssemble(slices.Grow(dst[:0], int(s.size)), s.manifest)
 	if !ok {
 		// Unreachable unless refcounts are broken; fail loudly in tests.
 		panic(fmt.Sprintf("cache: entry %d lost chunks", id))
@@ -320,15 +334,62 @@ func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
 		return ErrTooLarge
 	}
 	m := c.store.AddManifest(content, c.params)
-	c.install(id, version, m, size)
+	c.install(id, version, m, size, true)
 	return nil
 }
 
-// PutOwned is Put for callers handing over a buffer they no longer need.
-// Chunk data is copied into the store either way, so the two are equivalent
-// now; the name survives for the arrival path's call sites.
+// PutOwned is Put; the cache copies chunk data into the store and never
+// retains content, so there is nothing for it to take ownership of. The name
+// survives for the full-transfer arrival path and the benchmark's replay.
 func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) error {
 	return c.Put(id, version, content)
+}
+
+// PutFromBase is Put for content that is the resident version base of id with
+// the given spans rewritten (what applying an edit-script delta reports). The
+// new manifest is derived from the resident one — unchanged chunks keep their
+// refs, only what an edit touched is cut and hashed again (chunk.Resplit) —
+// and is identical to the one Put would compute, as are the chunk store's
+// put/dup counts. Anything else is stored by a full split exactly as Put
+// does: nil spans (the delta gave no account of its edits), a resident
+// version that is no longer base (evicted or replaced since the caller read
+// it), a resident manifest the cache did not split itself (PutManifest took
+// a client's or a peer's word for the boundaries and lengths, and Resplit
+// would copy them unchecked), spans that do not fit.
+//
+// The derivation runs outside the shard lock on the resident manifest, which
+// is immutable once installed. Should that entry be released meanwhile, its
+// chunks are simply stored again from content: PutChunks references a
+// resident chunk and re-creates a missing one, so the references the new
+// manifest holds never depend on the old entry surviving.
+func (c *Cache) PutFromBase(id naming.ShadowID, base, version uint64, content []byte, spans []chunk.Span) error {
+	size := int64(len(content))
+	if spans != nil && (c.capacity <= 0 || size <= c.capacity) {
+		if resident, ok := c.splitManifest(id, base); ok {
+			if m, ok := chunk.Resplit(resident, content, spans, c.params); ok {
+				if raceEnabled && !slices.Equal(m, chunk.Split(content, c.params)) {
+					panic(fmt.Sprintf("cache: entry %d: manifest derived from v%d differs from a full split", id, base))
+				}
+				c.store.PutChunks(m, content)
+				c.install(id, version, m, size, true)
+				return nil
+			}
+		}
+	}
+	return c.Put(id, version, content)
+}
+
+// splitManifest returns the resident manifest of id if it is version base and
+// the cache's own split of that version's content — the only kind PutFromBase
+// may derive from. The manifest is immutable once installed.
+func (c *Cache) splitManifest(id naming.ShadowID, base uint64) (chunk.Manifest, bool) {
+	sh := c.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if s, ok := sh.entries[id]; ok && s.version == base && s.split {
+		return s.manifest, true
+	}
+	return nil, false
 }
 
 // PutManifest stores an entry whose chunks are already resident: the caller
@@ -336,16 +397,17 @@ func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) err
 // arrival path holds those refs from resolving and receiving the transfer).
 // The manifest must not be used by the caller afterwards.
 func (c *Cache) PutManifest(id naming.ShadowID, version uint64, m chunk.Manifest) {
-	c.install(id, version, m, m.TotalLen())
+	c.install(id, version, m, m.TotalLen(), false)
 }
 
-// install replaces the entry for id and enforces the capacity bound.
-func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, size int64) {
+// install replaces the entry for id and enforces the capacity bound. split
+// says the cache computed m itself (see slot.split).
+func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, size int64, split bool) {
 	sh := c.shardOf(id)
 	if c.capacity <= 0 {
 		// Unbounded: fully shard-local.
 		sh.mu.Lock()
-		old := c.storeLocked(sh, id, version, m, size)
+		old := c.storeLocked(sh, id, version, m, size, split)
 		sh.mu.Unlock()
 		c.store.ReleaseManifest(old)
 		return
@@ -353,7 +415,7 @@ func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, si
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
 	sh.mu.Lock()
-	old := c.storeLocked(sh, id, version, m, size)
+	old := c.storeLocked(sh, id, version, m, size, split)
 	sh.mu.Unlock()
 	c.store.ReleaseManifest(old)
 	// Only install (under evictMu) grows unique bytes, so the loop cannot
@@ -388,7 +450,7 @@ func (c *Cache) reject(id naming.ShadowID) {
 // storeLocked installs the manifest under sh.mu, which must be held, and
 // returns the replaced entry's manifest for the caller to release once the
 // shard lock is dropped.
-func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, version uint64, m chunk.Manifest, size int64) chunk.Manifest {
+func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, version uint64, m chunk.Manifest, size int64, split bool) chunk.Manifest {
 	seq := c.seq.Add(1)
 	if old, ok := sh.entries[id]; ok {
 		c.logicalBytes.Add(size - old.size)
@@ -397,6 +459,7 @@ func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, version uint64, m chu
 		old.manifest = m
 		old.size = size
 		old.lastUsed = seq
+		old.split = split
 		return prev
 	}
 	sh.entries[id] = &slot{
@@ -404,6 +467,7 @@ func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, version uint64, m chu
 		manifest: m,
 		size:     size,
 		lastUsed: seq,
+		split:    split,
 	}
 	c.logicalBytes.Add(size)
 	return nil

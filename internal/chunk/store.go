@@ -146,12 +146,21 @@ func (s *Store) Release(h Hash) {
 // unit with ReleaseManifest.
 func (s *Store) AddManifest(content []byte, p Params) Manifest {
 	m := Split(content, p)
+	s.PutChunks(m, content)
+	return m
+}
+
+// PutChunks takes one reference per entry of m, a chunking of content,
+// storing the chunks that are not yet resident. It is AddManifest for a
+// caller that already has the manifest (Resplit derives one without
+// re-hashing the unchanged chunks); an entry whose chunk is resident costs a
+// refcount increment and is counted as a dup, exactly as AddManifest counts it.
+func (s *Store) PutChunks(m Manifest, content []byte) {
 	off := 0
 	for _, r := range m {
 		s.Put(r.Hash, content[off:off+int(r.Len)])
 		off += int(r.Len)
 	}
-	return m
 }
 
 // ReleaseManifest drops the one-reference-per-entry a manifest holds.
@@ -165,11 +174,13 @@ func (s *Store) ReleaseManifest(m Manifest) {
 // the extended slice. The caller must hold references on every chunk (a
 // cache entry's manifest qualifies). It reports ok=false — with dst
 // untouched in length beyond what was appended — if a chunk is missing,
-// which indicates a refcounting bug or an incomplete assembly.
+// which indicates a refcounting bug or an incomplete assembly, or is not as
+// long as its ref says: a manifest that arrived over the wire and misstates
+// a length must not pass for a description of the content it hashes to.
 func (s *Store) AppendAssemble(dst []byte, m Manifest) ([]byte, bool) {
 	for _, r := range m {
 		data, ok := s.Get(r.Hash)
-		if !ok {
+		if !ok || len(data) != int(r.Len) {
 			return dst, false
 		}
 		dst = append(dst, data...)

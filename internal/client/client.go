@@ -405,7 +405,8 @@ func (c *Client) commitAndNotify(filePath string, tc wire.TraceContext, mint boo
 	if err != nil {
 		return NotifyResult{}, err
 	}
-	version, changed := c.store.Commit(ref, content)
+	// readFile made this buffer for us, so the store takes it as is.
+	version, changed := c.store.CommitOwned(ref, content)
 	if !changed {
 		return NotifyResult{File: ref, Version: version}, nil
 	}
@@ -527,13 +528,7 @@ func (c *Client) submitOnce(ctx context.Context, script []byte, dataPaths []stri
 		cycleTimed: c.cfg.Obs != nil,
 		span:       root,
 	}
-	c.mu.Lock()
-	c.pending = p
-	c.mu.Unlock()
-	reply, err := c.attempt(ctx, req, root.Context())
-	c.mu.Lock()
-	c.pending = nil
-	c.mu.Unlock()
+	reply, err := c.attempt(ctx, req, root.Context(), p)
 	if err != nil {
 		return 0, err
 	}
@@ -542,25 +537,11 @@ func (c *Client) submitOnce(ctx context.Context, script []byte, dataPaths []stri
 		return 0, replyError(reply)
 	}
 
+	// routeReply registered the job (metadata, timing stamp, root span)
+	// before handing over the reply; by now its output may already have
+	// been delivered, so nothing is parked from here.
 	c.mu.Lock()
-	meta, known := c.jobMeta[ok.Job]
-	if !known {
-		meta = p.expand(c.cfg.Env, ok.Job)
-		c.jobMeta[ok.Job] = meta
-	}
-	if _, exists := c.jobDone[ok.Job]; !exists {
-		c.jobDone[ok.Job] = make(chan struct{})
-	}
-	if p.cycleTimed {
-		if _, stamped := c.cycleStart[ok.Job]; !stamped {
-			c.cycleStart[ok.Job] = p.cycleStart
-		}
-	}
-	if root != nil {
-		if _, parked := c.cycleSpan[ok.Job]; !parked {
-			c.cycleSpan[ok.Job] = root.SetJob(ok.Job)
-		}
-	}
+	meta := c.jobMeta[ok.Job]
 	c.mu.Unlock()
 	c.jobdb.Record(env.JobRecord{
 		Server:     c.serverName,
@@ -846,7 +827,7 @@ func (c *Client) waitConnected(ctx context.Context) (wire.Conn, chan struct{}, e
 // the read loop without disturbing the pending request.
 func (c *Client) roundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
 	for attempt := 1; ; attempt++ {
-		reply, err := c.attempt(ctx, req, wire.TraceContext{})
+		reply, err := c.attempt(ctx, req, wire.TraceContext{}, nil)
 		if err == nil {
 			return reply, nil
 		}
@@ -868,8 +849,11 @@ func (c *Client) roundTrip(ctx context.Context, req wire.Message) (wire.Message,
 // attempt performs a single request/response exchange over the current
 // connection, bounded by the per-RPC timeout. Connection loss and timeout
 // surface as transientErr; the caller decides whether to retry. tc, when
-// valid, rides the request frame (submits propagate their cycle trace).
-func (c *Client) attempt(ctx context.Context, req wire.Message, tc wire.TraceContext) (wire.Message, error) {
+// valid, rides the request frame (submits propagate their cycle trace). A
+// submit passes its metadata as p: it is the pending submit for exactly as
+// long as this exchange holds reqMu, so the read loop can never register one
+// caller's SUBMIT_OK under another's metadata.
+func (c *Client) attempt(ctx context.Context, req wire.Message, tc wire.TraceContext, p *pendingSubmit) (wire.Message, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 
@@ -897,12 +881,14 @@ func (c *Client) attempt(ctx context.Context, req wire.Message, tc wire.TraceCon
 	default:
 	}
 	c.awaiting = ch
+	c.pending = p
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		if c.awaiting == ch {
 			c.awaiting = nil
 		}
+		c.pending = nil
 		c.mu.Unlock()
 	}()
 

@@ -5,6 +5,7 @@ import (
 
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"shadowedit/internal/naming"
 	"shadowedit/internal/netsim"
 	"shadowedit/internal/obs"
+	"shadowedit/internal/trace"
 	"shadowedit/internal/wire"
 )
 
@@ -23,6 +25,13 @@ type fakeServer struct {
 }
 
 func newPair(t *testing.T) (*Client, *fakeServer, *naming.Universe) {
+	t.Helper()
+	// Every test runs with an observer attached, so the instrumented
+	// paths (cycle stamping in particular) are exercised throughout.
+	return newPairObserved(t, obs.New(nil, nil))
+}
+
+func newPairObserved(t *testing.T, o *obs.Observer) (*Client, *fakeServer, *naming.Universe) {
 	t.Helper()
 	nw := netsim.New()
 	wsHost := nw.Host("ws")
@@ -54,10 +63,8 @@ func newPair(t *testing.T) (*Client, *fakeServer, *naming.Universe) {
 	done := make(chan *Client, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		// Every test runs with an observer attached, so the instrumented
-		// paths (cycle stamping in particular) are exercised throughout.
 		cl, err := Connect(context.Background(), conn, Config{
-			User: "u", Universe: universe, Host: "ws", Obs: obs.New(nil, nil),
+			User: "u", Universe: universe, Host: "ws", Obs: o,
 		})
 		if err != nil {
 			errCh <- err
@@ -483,5 +490,52 @@ func TestCycleHistogramRecords(t *testing.T) {
 	deliver() // duplicate: acked, not re-surfaced, not re-timed
 	if n := cl.cfg.Obs.Cycle.Snapshot().Count; n != 1 {
 		t.Fatalf("cycle histogram count = %d after duplicate, want 1", n)
+	}
+}
+
+// TestTracedCycleSpanNotReparked runs traced cycles whose OUTPUT is on the
+// wire right behind SUBMIT_OK, so the read loop delivers it — finishing and
+// removing the cycle's root span — before Submit's caller resumes. The
+// caller used to park the span again (and SetJob it while the read loop was
+// finishing it); the map entry then never left. Run with -race.
+func TestTracedCycleSpanNotReparked(t *testing.T) {
+	o := obs.New(nil, nil)
+	o.SetTracer(trace.New(trace.Config{}))
+	cl, fs, universe := newPairObserved(t, o)
+	if err := universe.WriteFile("ws", "/run.job", []byte("echo hi\n")); err != nil {
+		t.Fatal(err)
+	}
+	for job := uint64(1); job <= 200; job++ {
+		submitted := make(chan error, 1)
+		go func() {
+			got, err := cl.Submit(context.Background(), "/run.job", nil, SubmitOptions{})
+			if err == nil && got != job {
+				err = fmt.Errorf("submit returned job %d, want %d", got, job)
+			}
+			submitted <- err
+		}()
+		if _, ok := fs.recv().(*wire.Submit); !ok {
+			t.Fatal("expected submit")
+		}
+		fs.send(&wire.SubmitOK{Job: job})
+		fs.send(&wire.Output{Job: job, State: wire.JobDone, Mode: wire.OutputFull, Stdout: []byte("hi\n")})
+		if ack, ok := fs.recv().(*wire.OutputAck); !ok || ack.Job != job {
+			t.Fatalf("expected output ack for job %d, got %#v", job, ack)
+		}
+		if err := <-submitted; err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Wait(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.mu.Lock()
+	spans, stamps := len(cl.cycleSpan), len(cl.cycleStart)
+	cl.mu.Unlock()
+	if spans != 0 || stamps != 0 {
+		t.Fatalf("after every output was delivered: %d root spans and %d cycle stamps still parked", spans, stamps)
+	}
+	if n := cl.cfg.Obs.Cycle.Snapshot().Count; n != 200 {
+		t.Fatalf("cycle histogram count = %d, want 200", n)
 	}
 }

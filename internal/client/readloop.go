@@ -60,21 +60,23 @@ func (c *Client) readLoop(conn wire.Conn) {
 func (c *Client) routeReply(msg wire.Message) {
 	c.mu.Lock()
 	if ok, isOK := msg.(*wire.SubmitOK); isOK && c.pending != nil {
+		// Everything keyed by the job id is registered here and only
+		// here, once per job: handleOutput removes the timing stamp and
+		// the root span when the output lands, which can be before Submit
+		// even returns, so registering again later (a retried submit's
+		// second SUBMIT_OK, or the caller resuming) would re-park a span
+		// the read loop has already finished.
 		if _, known := c.jobMeta[ok.Job]; !known {
 			c.jobMeta[ok.Job] = c.pending.expand(c.cfg.Env, ok.Job)
+			if c.pending.cycleTimed {
+				c.cycleStart[ok.Job] = c.pending.cycleStart
+			}
+			if c.pending.span != nil {
+				c.cycleSpan[ok.Job] = c.pending.span.SetJob(ok.Job)
+			}
 		}
 		if _, exists := c.jobDone[ok.Job]; !exists {
 			c.jobDone[ok.Job] = make(chan struct{})
-		}
-		if c.pending.cycleTimed {
-			if _, stamped := c.cycleStart[ok.Job]; !stamped {
-				c.cycleStart[ok.Job] = c.pending.cycleStart
-			}
-		}
-		if c.pending.span != nil {
-			if _, parked := c.cycleSpan[ok.Job]; !parked {
-				c.cycleSpan[ok.Job] = c.pending.span.SetJob(ok.Job)
-			}
 		}
 		c.pending = nil
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"shadowedit/internal/chunk"
 	"shadowedit/internal/compress"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/vcs"
@@ -126,26 +127,35 @@ func AnswerPull(store *vcs.Store, pull *wire.Pull, algorithm diff.Algorithm, com
 // checksums end to end. ErrStaleBase signals the receiver to request a full
 // transfer instead (its cached base no longer matches).
 func ApplyDelta(base []byte, fd *wire.FileDelta) ([]byte, error) {
+	out, _, err := ApplyDeltaSpans(base, fd)
+	return out, err
+}
+
+// ApplyDeltaSpans is ApplyDelta that also reports the byte spans the delta
+// rewrote (see diff.Delta.ApplySpans; nil when the delta gives no account of
+// them). The output is a fresh buffer that aliases neither base nor fd, so
+// the caller may recycle base as soon as this returns.
+func ApplyDeltaSpans(base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, error) {
 	encoded := fd.Encoded
 	if fd.Compressed {
 		var err error
 		encoded, err = compress.Decode(encoded)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
+			return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
 		}
 	}
 	d, err := diff.Decode(encoded)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
 	}
-	out, err := d.Apply(base)
+	out, spans, err := d.ApplySpans(base)
 	switch {
 	case errors.Is(err, diff.ErrBaseMismatch):
-		return nil, fmt.Errorf("%w: %s base v%d", ErrStaleBase, fd.File, fd.BaseVersion)
+		return nil, nil, fmt.Errorf("%w: %s base v%d", ErrStaleBase, fd.File, fd.BaseVersion)
 	case err != nil:
-		return nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
 	}
-	return out, nil
+	return out, spans, nil
 }
 
 // ApplyFull unwraps an arriving FileFull and verifies its checksum.

@@ -28,7 +28,7 @@ func TestApplyFastMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: Compute: %v", trial, alg, err)
 			}
-			fast, ok := applyEditsFast(d.Ops, lines)
+			fast, _, ok := applyEditsFast(d.Ops, base)
 			if !ok {
 				t.Fatalf("trial %d %v: fast path rejected a Compute delta\nops=%v",
 					trial, alg, d.Ops)
@@ -47,12 +47,60 @@ func TestApplyFastMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestApplySpansDescribeEdit pins what the receiver's re-chunking relies on:
+// the spans ApplySpans reports are ascending and disjoint, and splicing the
+// target's span bytes into the base's unchanged stretches rebuilds the target
+// exactly — so every byte outside a span is the base's byte, shifted.
+// Block-move deltas report none.
+func TestApplySpansDescribeEdit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 500; trial++ {
+		base := randomDoc(rng, 40)
+		target := mutateDoc(rng, base)
+		if trial%5 == 0 {
+			target = randomDoc(rng, 40)
+		}
+		for _, alg := range allAlgorithms {
+			d, err := Compute(alg, base, target)
+			if err != nil {
+				t.Fatalf("trial %d %v: Compute: %v", trial, alg, err)
+			}
+			out, spans, err := d.ApplySpans(base)
+			if err != nil || !bytes.Equal(out, target) {
+				t.Fatalf("trial %d %v: ApplySpans = %q, %v; want %q", trial, alg, out, err, target)
+			}
+			if alg == TichyBlockMove {
+				if spans != nil {
+					t.Fatalf("trial %d: block-move delta reported spans %v", trial, spans)
+				}
+				continue
+			}
+			if spans == nil {
+				t.Fatalf("trial %d %v: edit delta reported no spans", trial, alg)
+			}
+			var rebuilt []byte
+			at := 0
+			for i, s := range spans {
+				if s.BaseStart < at || s.BaseEnd < s.BaseStart || s.TargetStart != len(rebuilt)+s.BaseStart-at {
+					t.Fatalf("trial %d %v: span %d %+v out of order (spans %v)", trial, alg, i, s, spans)
+				}
+				rebuilt = append(rebuilt, base[at:s.BaseStart]...)
+				rebuilt = append(rebuilt, target[s.TargetStart:s.TargetEnd]...)
+				at = s.BaseEnd
+			}
+			rebuilt = append(rebuilt, base[at:]...)
+			if !bytes.Equal(rebuilt, target) {
+				t.Fatalf("trial %d %v: spans %v rebuild %q, want %q", trial, alg, spans, rebuilt, target)
+			}
+		}
+	}
+}
+
 // TestApplyFastRejectsDisorderedOps feeds op sequences that are valid under
 // sequential ed semantics but not strictly descending; the fast path must
 // bail out and ApplyOps must keep the historical behavior.
 func TestApplyFastRejectsDisorderedOps(t *testing.T) {
 	base := []byte("a\nb\nc\nd\ne\n")
-	lines := SplitLines(base)
 	tests := []struct {
 		name string
 		ops  []Op
@@ -91,7 +139,7 @@ func TestApplyFastRejectsDisorderedOps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, ok := applyEditsFast(tt.ops, lines); ok {
+			if _, _, ok := applyEditsFast(tt.ops, base); ok {
 				t.Fatal("fast path accepted disordered ops")
 			}
 			got, err := ApplyOps(tt.ops, base)
@@ -159,7 +207,7 @@ func TestApplyFastBoundaryAdjacency(t *testing.T) {
 			if string(seq) != tt.want {
 				t.Fatalf("sequential = %q, want %q (bad test expectation)", seq, tt.want)
 			}
-			fast, ok := applyEditsFast(tt.ops, lines)
+			fast, _, ok := applyEditsFast(tt.ops, base)
 			if !ok {
 				t.Skip("fast path declined; sequential fallback covers it")
 			}

@@ -13,9 +13,12 @@
 package diff
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"shadowedit/internal/chunk"
 )
 
 // Algorithm selects which differential comparison algorithm computes a Delta.
@@ -159,7 +162,14 @@ func Compute(algorithm Algorithm, base, target []byte) (*Delta, error) {
 		BaseSum:   Checksum(base),
 		TargetSum: Checksum(target),
 	}
-	a, b := SplitLines(base), SplitLines(target)
+	table := baseLinesPool.Get().(*[][]byte)
+	a := appendSplitLines((*table)[:0], base)
+	defer func() {
+		clear(a)
+		*table = a[:0]
+		baseLinesPool.Put(table)
+	}()
+	b := SplitLines(target)
 	switch algorithm {
 	case HuntMcIlroy:
 		d.Ops = opsFromMatches(huntMcIlroyMatches(a, b), a, b)
@@ -180,25 +190,36 @@ func Compute(algorithm Algorithm, base, target []byte) (*Delta, error) {
 // the base checksum before applying and the target checksum afterwards, so a
 // non-nil error means the result must be discarded.
 func (d *Delta) Apply(base []byte) ([]byte, error) {
+	out, _, err := d.ApplySpans(base)
+	return out, err
+}
+
+// ApplySpans is Apply that also reports where the target differs from the
+// base: the ascending, non-overlapping byte spans the ops rewrote (a
+// same-length replacement is reported too — spans say where ops wrote, not
+// whether the bytes differ). The receiver uses them to re-chunk only what an
+// edit touched (chunk.Resplit).
+//
+// spans is nil when the delta gives no such account — a block-move delta
+// rebuilds the target from scattered copies, and an irregular edit script
+// takes the sequential fallback. A well-formed edit script always yields a
+// non-nil slice, empty when it has no ops. The output never aliases base.
+func (d *Delta) ApplySpans(base []byte) (out []byte, spans []chunk.Span, err error) {
 	if len(base) != d.BaseLen || Checksum(base) != d.BaseSum {
-		return nil, ErrBaseMismatch
+		return nil, nil, ErrBaseMismatch
 	}
-	lines := SplitLines(base)
-	var out []byte
-	var err error
-	switch {
-	case d.isBlockMove():
-		out, err = applyBlockMove(d.Ops, lines)
-	default:
-		out, err = applyEdits(d.Ops, lines)
+	if d.isBlockMove() {
+		out, err = applyBlockMove(d.Ops, SplitLines(base))
+	} else {
+		out, spans, err = applyEdits(d.Ops, base)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(out) != d.TargetLen || Checksum(out) != d.TargetSum {
-		return nil, ErrVerifyFailed
+		return nil, nil, ErrVerifyFailed
 	}
-	return out, nil
+	return out, spans, nil
 }
 
 // WireSize returns the encoded size of the delta in bytes, the quantity the
@@ -264,76 +285,91 @@ func (d *Delta) isBlockMove() bool {
 //
 // Well-formed deltas — ops strictly descending over disjoint base regions,
 // every address in bounds, exactly what Compute and Decode produce — take a
-// single forward pass that emits straight into one pre-sized output buffer.
-// Anything else (hand-built or corrupt ops) falls back to the literal
-// op-by-op ed semantics, which rebuilds the line slice per op but preserves
-// the historical behavior exactly.
-func applyEdits(ops []Op, lines [][]byte) ([]byte, error) {
-	if out, ok := applyEditsFast(ops, lines); ok {
-		return out, nil
+// single forward pass that emits straight into one pre-sized output buffer
+// and reports the spans it rewrote. Anything else (hand-built or corrupt ops)
+// falls back to the literal op-by-op ed semantics, which rebuilds the line
+// slice per op but preserves the historical behavior exactly; it reports no
+// spans.
+func applyEdits(ops []Op, base []byte) ([]byte, []chunk.Span, error) {
+	if out, spans, ok := applyEditsFast(ops, base); ok {
+		return out, spans, nil
 	}
-	return applyEditsSequential(ops, lines)
+	out, err := applyEditsSequential(ops, SplitLines(base))
+	return out, nil, err
 }
 
-// applyEditsFast validates and sizes the output in one reverse scan
-// (ascending base order), then emits base spans and op lines directly into a
-// single buffer. ok is false when the ops are not strictly descending,
-// overlap, or address out-of-bounds lines — those cases belong to the
-// sequential path.
-func applyEditsFast(ops []Op, lines [][]byte) ([]byte, bool) {
-	total := 0
-	for _, l := range lines {
-		total += len(l)
+// lineCursor finds line starts in ascending order by scanning for newlines
+// as it goes, so addressing the k lines an edit script names costs one pass
+// over the base and no line table.
+type lineCursor struct {
+	base      []byte
+	line, off int // 0-based line `line` starts at byte off
+}
+
+// seek returns the byte offset at which 0-based line `to` starts; to must be
+// at least the line of the previous call and at most the line count (where
+// it yields len(base), also for a last line that has no newline).
+func (c *lineCursor) seek(to int) int {
+	for c.line < to {
+		if i := bytes.IndexByte(c.base[c.off:], '\n'); i >= 0 {
+			c.off += i + 1
+		} else {
+			c.off = len(c.base)
+		}
+		c.line++
 	}
-	cursor := 0 // 0-based index of the next unconsumed base line
+	return c.off
+}
+
+// applyEditsFast validates the ops and resolves them to byte spans in one
+// reverse scan (ascending base order), then emits the base stretches between
+// spans and the op lines into a single exactly-sized buffer. ok is false when
+// the ops are not strictly descending, overlap, or address out-of-bounds
+// lines — those cases belong to the sequential path.
+func applyEditsFast(ops []Op, base []byte) (out []byte, spans []chunk.Span, ok bool) {
+	nlines := countLines(base)
+	spans = make([]chunk.Span, 0, len(ops))
+	cur := lineCursor{base: base}
+	shift := 0 // target minus base offset of the bytes after the last span
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := &ops[i]
+		var s chunk.Span
 		switch op.Kind {
 		case OpDelete, OpChange:
 			if op.BaseStart < 1 || op.BaseEnd < op.BaseStart ||
-				op.BaseEnd > len(lines) || op.BaseStart-1 < cursor {
-				return nil, false
+				op.BaseEnd > nlines || op.BaseStart-1 < cur.line {
+				return nil, nil, false
 			}
-			for _, l := range lines[op.BaseStart-1 : op.BaseEnd] {
-				total -= len(l)
-			}
-			if op.Kind == OpChange {
-				for _, l := range op.Lines {
-					total += len(l)
-				}
-			}
-			cursor = op.BaseEnd
+			s.BaseStart, s.BaseEnd = cur.seek(op.BaseStart-1), cur.seek(op.BaseEnd)
 		case OpInsert:
-			if op.BaseStart < 0 || op.BaseStart > len(lines) || op.BaseStart < cursor {
-				return nil, false
+			if op.BaseStart < 0 || op.BaseStart > nlines || op.BaseStart < cur.line {
+				return nil, nil, false
 			}
-			for _, l := range op.Lines {
-				total += len(l)
-			}
-			cursor = op.BaseStart
+			s.BaseStart = cur.seek(op.BaseStart)
+			s.BaseEnd = s.BaseStart
 		default:
-			return nil, false
+			return nil, nil, false
 		}
-	}
-	out := make([]byte, 0, total)
-	cursor = 0
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := &ops[i]
-		switch op.Kind {
-		case OpDelete, OpChange:
-			out = appendLines(out, lines[cursor:op.BaseStart-1])
-			if op.Kind == OpChange {
-				out = appendLines(out, op.Lines)
+		s.TargetStart = s.BaseStart + shift
+		s.TargetEnd = s.TargetStart
+		if op.Kind != OpDelete {
+			for _, l := range op.Lines {
+				s.TargetEnd += len(l)
 			}
-			cursor = op.BaseEnd
-		case OpInsert:
-			out = appendLines(out, lines[cursor:op.BaseStart])
-			out = appendLines(out, op.Lines)
-			cursor = op.BaseStart
 		}
+		shift = s.TargetEnd - s.BaseEnd
+		spans = append(spans, s)
 	}
-	out = appendLines(out, lines[cursor:])
-	return out, true
+	out = make([]byte, 0, len(base)+shift)
+	copied := 0 // base bytes consumed
+	for i, s := range spans {
+		out = append(out, base[copied:s.BaseStart]...)
+		if op := &ops[len(ops)-1-i]; op.Kind != OpDelete {
+			out = appendLines(out, op.Lines)
+		}
+		copied = s.BaseEnd
+	}
+	return append(out, base[copied:]...), spans, true
 }
 
 // applyEditsSequential is the reference ed semantics: each op addresses the

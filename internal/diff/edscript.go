@@ -146,11 +146,11 @@ func parseEdAddr(addr string) (start, end int, err error) {
 // base content without checksum verification. Prefer Delta.Apply when the
 // full delta is available.
 func ApplyOps(ops []Op, base []byte) ([]byte, error) {
-	lines := SplitLines(base)
 	for _, op := range ops {
 		if op.Kind == OpCopy {
-			return applyBlockMove(ops, lines)
+			return applyBlockMove(ops, SplitLines(base))
 		}
 	}
-	return applyEdits(ops, lines)
+	out, _, err := applyEdits(ops, base)
+	return out, err
 }

@@ -3,6 +3,7 @@ package diff
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 )
 
 // SplitLines splits content into lines, each retaining its trailing newline.
@@ -14,22 +15,37 @@ func SplitLines(content []byte) [][]byte {
 		return nil
 	}
 	// Count lines first so one allocation fits.
+	return appendSplitLines(make([][]byte, 0, countLines(content)), content)
+}
+
+// countLines returns len(SplitLines(content)) without building the table.
+func countLines(content []byte) int {
 	n := bytes.Count(content, nlByte)
-	if content[len(content)-1] != '\n' {
+	if len(content) > 0 && content[len(content)-1] != '\n' {
 		n++
 	}
-	lines := make([][]byte, 0, n)
+	return n
+}
+
+// appendSplitLines appends content's lines to dst.
+func appendSplitLines(dst [][]byte, content []byte) [][]byte {
 	for len(content) > 0 {
 		i := bytes.IndexByte(content, '\n')
 		if i < 0 {
-			lines = append(lines, content)
+			dst = append(dst, content)
 			break
 		}
-		lines = append(lines, content[:i+1])
+		dst = append(dst, content[:i+1])
 		content = content[i+1:]
 	}
-	return lines
+	return dst
 }
+
+// baseLinesPool recycles Compute's base-side line table. Nothing a Compute
+// returns points into it — ops alias only the target's table — so it is
+// cleared (it would otherwise pin the base content) and reused, where the
+// target's table must stay a fresh allocation per call.
+var baseLinesPool = sync.Pool{New: func() any { return new([][]byte) }}
 
 var nlByte = []byte{'\n'}
 

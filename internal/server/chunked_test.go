@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -386,5 +387,71 @@ func TestChunkedBadInlineHashRejected(t *testing.T) {
 	r.srv.cache.Flush()
 	if got := r.srv.cache.Bytes(); got != 0 {
 		t.Fatalf("chunk store holds %d bytes after rejected manifest", got)
+	}
+}
+
+// TestChunkedManifestLyingLengthsRefused: a manifest whose chunks hash and sum
+// correctly but whose refs misstate the chunk lengths (here an empty first
+// ref, its bytes credited to the second) must not be installed — everything
+// that reads a manifest's Len afterwards takes it for the chunk's length.
+func TestChunkedManifestLyingLengthsRefused(t *testing.T) {
+	r := newRig(t, Config{})
+	r.hello(t)
+	content := chunkContent(10, 8192)
+	fm, payload := manifestFor(testRef, 1, content)
+	if len(fm.Chunks) < 2 {
+		t.Fatalf("content splits into %d chunks; the test needs two", len(fm.Chunks))
+	}
+	inlineAll(fm, payload)
+	fm.Chunks[1].Len += fm.Chunks[0].Len
+	fm.Chunks[0].Len = 0
+	r.send(t, fm)
+	pull, ok := r.recv(t).(*wire.Pull)
+	if !ok || pull.HaveVersion != 0 || pull.WantVersion != 1 {
+		t.Fatalf("reply = %#v, want full Pull of v1", pull)
+	}
+	if _, ok := r.srv.cache.Version(r.srv.dir.Intern(testRef)); ok {
+		t.Fatal("the lying manifest was installed")
+	}
+	if got := r.srv.cache.Bytes(); got != 0 {
+		t.Fatalf("chunk store holds %d bytes after the refused manifest", got)
+	}
+}
+
+// TestDeltaOnClientManifestSplitsInFull: a client's manifest may be honest
+// about lengths and still not be the split the server would make. A delta
+// arriving on such a base must not derive the new manifest from it: the
+// server stores the result under its own full split (in -race builds the
+// cache would otherwise panic on the mismatch).
+func TestDeltaOnClientManifestSplitsInFull(t *testing.T) {
+	r := newRig(t, Config{})
+	r.hello(t)
+	base := bytes.Repeat([]byte("one line of a file that is edited later\n"), 400)
+	fm := &wire.FileManifest{File: testRef, Version: 1, Sum: diff.Checksum(base)}
+	for off := 0; off < len(base); off += 1000 { // fixed-size pieces, not content-defined
+		piece := base[off:min(off+1000, len(base))]
+		fm.Inline = append(fm.Inline, wire.InlineChunk{Index: uint32(len(fm.Chunks)), Data: piece})
+		fm.Chunks = append(fm.Chunks, wire.ChunkRef{Hash: chunk.HashOf(piece), Len: uint32(len(piece))})
+	}
+	r.send(t, fm)
+	if ack, ok := r.recv(t).(*wire.FileAck); !ok || ack.Version != 1 {
+		t.Fatalf("reply = %#v, want ack v1", ack)
+	}
+	target := append([]byte(nil), base...)
+	copy(target[5000:], "EDITED")
+	d, err := diff.Compute(diff.HuntMcIlroy, base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.send(t, &wire.FileDelta{File: testRef, BaseVersion: 1, Version: 2, Encoded: d.Encode()})
+	if ack, ok := r.recv(t).(*wire.FileAck); !ok || ack.Version != 2 {
+		t.Fatalf("reply = %#v, want ack v2", ack)
+	}
+	id := r.srv.dir.Intern(testRef)
+	if e, ok := r.srv.cache.Get(id); !ok || !bytes.Equal(e.Content, target) {
+		t.Fatal("cache does not hold the applied content")
+	}
+	if _, m, _ := r.srv.cache.Manifest(id); !slices.Equal(m, chunk.Split(target, chunk.DefaultParams)) {
+		t.Fatal("v2's manifest is not the server's own split")
 	}
 }

@@ -51,7 +51,6 @@ import (
 	"shadowedit/internal/cache"
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/cluster"
-	"shadowedit/internal/core"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/naming"
 	"shadowedit/internal/trace"
@@ -778,30 +777,28 @@ func (l *peerLink) handleDelta(m *wire.PeerDelta, tc wire.TraceContext) {
 		return
 	}
 	l.deltasIn.Add(1)
-	entry, ok := s.cache.Get(id)
-	if ok && entry.Version >= m.Version {
+	have, ok := s.cache.Version(id)
+	if ok && have >= m.Version {
 		l.takeSpan(id).Annotate("already current").Finish()
 		s.flights.Done(id, m.Version)
-		s.feedWaitingJobs(id, entry.Version, entry.Content)
+		if entry, ok := s.cache.Get(id); ok {
+			s.feedWaitingJobs(id, entry.Version, entry.Content)
+		}
 		return
 	}
-	if !ok || entry.Version != m.BaseVersion {
+	if !ok || have != m.BaseVersion {
 		s.fallbackToClient(l, id, m.File, tc, "base not cached")
 		return
 	}
-	content, err := core.ApplyDelta(entry.Content, &wire.FileDelta{
+	content, err := s.applyDelta(id, &wire.FileDelta{
 		File:        m.File,
 		BaseVersion: m.BaseVersion,
 		Version:     m.Version,
 		Encoded:     m.Encoded,
 		Compressed:  m.Compressed,
-	})
+	}, false)
 	if err != nil {
 		s.fallbackToClient(l, id, m.File, tc, "delta did not apply")
-		return
-	}
-	if err := s.cache.PutOwned(id, m.Version, content); err != nil && !errors.Is(err, cache.ErrTooLarge) {
-		s.fallbackToClient(l, id, m.File, tc, err.Error())
 		return
 	}
 	l.takeSpan(id).Annotate("delta").Finish()

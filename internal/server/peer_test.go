@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -223,5 +224,35 @@ func TestPeerDeltaDroppedWithCacheEntry(t *testing.T) {
 	}
 	if srv.peerDeltaFor(id) != nil {
 		t.Fatal("retained peer delta survived its cache entry's eviction")
+	}
+}
+
+// TestPeerDeltaDroppedWhenResultDoesNotFit: a client delta whose result is
+// over the cache's capacity is rejected by the cache, which drops the stale
+// base too. The delta is recorded before that write, so the evict hook takes
+// it along; recorded after, it would be retained for a file no longer cached.
+func TestPeerDeltaDroppedWhenResultDoesNotFit(t *testing.T) {
+	cfg := Defaults("super")
+	cfg.CacheCapacity = 64
+	r := newRig(t, cfg)
+	joinTestCluster(r.srv)
+	r.hello(t)
+	base := []byte("short\n")
+	target := bytes.Repeat([]byte("this version does not fit\n"), 8)
+	r.sendFull(t, testRef, 1, base)
+	d, err := diff.Compute(diff.HuntMcIlroy, base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.send(t, &wire.FileDelta{File: testRef, BaseVersion: 1, Version: 2, Encoded: d.Encode()})
+	if ack, ok := r.recv(t).(*wire.FileAck); !ok || ack.Version != 2 {
+		t.Fatalf("ack = %#v", ack)
+	}
+	id := r.srv.dir.Intern(testRef)
+	if _, ok := r.srv.cache.Version(id); ok {
+		t.Fatal("test premise: the over-capacity put should have emptied the entry")
+	}
+	if r.srv.peerDeltaFor(id) != nil {
+		t.Fatal("retained peer delta outlived the cache entry it shadows")
 	}
 }

@@ -670,20 +670,20 @@ func (ss *session) handleFileDelta(m *wire.FileDelta, tc wire.TraceContext) erro
 	}
 	defer sp.Finish()
 	id := ss.srv.dir.Intern(m.File)
-	entry, ok := ss.srv.cache.Get(id)
-	if ok && entry.Version >= m.Version {
+	have, ok := ss.srv.cache.Version(id)
+	if ok && have >= m.Version {
 		// A duplicate or overtaken transfer; what we have is already
 		// at least as new. Re-acknowledge idempotently.
 		sp.Annotate("duplicate")
-		return ss.sendTraced(&wire.FileAck{File: m.File, Version: entry.Version}, tc)
+		return ss.sendTraced(&wire.FileAck{File: m.File, Version: have}, tc)
 	}
-	if !ok || entry.Version != m.BaseVersion {
+	if !ok || have != m.BaseVersion {
 		// Our base is gone or different — the best-effort cache at
 		// work. Ask for the whole file.
 		sp.Annotate("base-evicted")
 		return ss.forcePullFull(m.File, m.Version, tc)
 	}
-	content, err := core.ApplyDelta(entry.Content, m)
+	content, err := ss.srv.applyDelta(id, m, true)
 	if errors.Is(err, core.ErrStaleBase) {
 		sp.Annotate("stale-base")
 		return ss.forcePullFull(m.File, m.Version, tc)
@@ -692,11 +692,49 @@ func (ss *session) handleFileDelta(m *wire.FileDelta, tc wire.TraceContext) erro
 		return fmt.Errorf("apply delta for %s: %w", m.File, err)
 	}
 	sp.Annotate("delta-applied")
-	// Remember the client's delta for verbatim peer forwarding (a no-op
-	// outside a cluster): the decoded message owns its bytes, so the
-	// retained slice cannot be clobbered by the next frame.
-	ss.srv.notePeerDelta(id, m, len(content))
-	return ss.storeArrived(m.File, id, m.Version, content, tc)
+	return ss.arrived(m.File, id, m.Version, content, tc)
+}
+
+// deltaBases recycles the buffers delta bases are assembled into: a base is
+// read once, by the apply, whose output aliases nothing — so it goes back as
+// soon as the apply returns instead of costing a file-sized allocation per
+// arrival.
+var deltaBases = sync.Pool{New: func() any { return new([]byte) }}
+
+// applyDelta upgrades the cached copy of id from fd.BaseVersion to
+// fd.Version and returns the new content, a fresh buffer the caller owns.
+// Both delta ingests — a client's FILE_DELTA and a peer's PEER_DELTA — end
+// here, so both do work proportional to the edit: the spans the delta
+// rewrote let the cache derive the new chunk manifest from the base's
+// instead of splitting and hashing the whole file (cache.PutFromBase).
+// core.ErrStaleBase means the cache no longer holds the base (or holds
+// different bytes under its version); caching the result is best effort.
+//
+// forward is set for a client's delta, which is remembered for verbatim peer
+// forwarding (a no-op outside a cluster; the decoded message owns its bytes,
+// so the retained slice cannot be clobbered by the next frame). It is
+// recorded before the cache write: a write that evicts id — content over
+// capacity drops the stale entry — fires the evict hook, which must find the
+// delta there to drop, or it would outlive the entry it shadows.
+func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool) ([]byte, error) {
+	buf := deltaBases.Get().(*[]byte)
+	defer deltaBases.Put(buf)
+	base, ok := s.cache.GetInto(*buf, id)
+	if !ok || base.Version != fd.BaseVersion {
+		return nil, fmt.Errorf("%w: %s base v%d", core.ErrStaleBase, fd.File, fd.BaseVersion)
+	}
+	*buf = base.Content
+	content, spans, err := core.ApplyDeltaSpans(base.Content, fd)
+	if err != nil {
+		return nil, err
+	}
+	if forward {
+		s.notePeerDelta(id, fd, len(content))
+	}
+	if err := s.cache.PutFromBase(id, fd.BaseVersion, fd.Version, content, spans); err != nil && !errors.Is(err, cache.ErrTooLarge) {
+		return nil, err
+	}
+	return content, nil
 }
 
 // forcePullFull requests a complete copy, bypassing the duplicate-pull
@@ -745,11 +783,9 @@ func (ss *session) handleFileFull(m *wire.FileFull, tc wire.TraceContext) error 
 	return ss.storeArrived(m.File, id, m.Version, content, tc)
 }
 
-// storeArrived caches an arrived version (best effort), acknowledges it, and
-// feeds any jobs waiting for the file.
+// storeArrived caches a version that arrived whole (best effort),
+// acknowledges it, and feeds any jobs waiting for the file.
 func (ss *session) storeArrived(ref wire.FileRef, id naming.ShadowID, version uint64, content []byte, tc wire.TraceContext) error {
-	// The applied content is a freshly built buffer, so the cache can own
-	// it without the defensive copy.
 	if err := ss.srv.cache.PutOwned(id, version, content); err != nil && !errors.Is(err, cache.ErrTooLarge) {
 		return err
 	}

@@ -99,8 +99,20 @@ func (s *Store) SetRetain(n int) {
 
 // Commit records content as the newest version of ref, returning its version
 // number. Committing bytes identical to the current head creates no new
-// version and reports changed=false.
+// version and reports changed=false. The store keeps a private copy.
 func (s *Store) Commit(ref wire.FileRef, content []byte) (version uint64, changed bool) {
+	return s.commit(ref, content, false)
+}
+
+// CommitOwned is Commit for a caller handing over a buffer nothing else
+// references or will write — a file just read for this commit: the store
+// keeps content itself as the version's immutable bytes instead of copying
+// it.
+func (s *Store) CommitOwned(ref wire.FileRef, content []byte) (version uint64, changed bool) {
+	return s.commit(ref, content, true)
+}
+
+func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version uint64, changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.files[ref]
@@ -119,11 +131,10 @@ func (s *Store) Commit(ref wire.FileRef, content []byte) (version uint64, change
 	if n := len(h.versions); n > 0 {
 		next = h.versions[n-1].Number + 1
 	}
-	h.versions = append(h.versions, Version{
-		Number:  next,
-		Content: append([]byte(nil), content...),
-		Sum:     sum,
-	})
+	if !owned {
+		content = append([]byte(nil), content...)
+	}
+	h.versions = append(h.versions, Version{Number: next, Content: content, Sum: sum})
 	s.committed++
 	s.pruneLocked(h)
 	return next, true
