@@ -11,7 +11,7 @@
 //	        [-peers super1=h1:4217,super2=h2:4217] [-instance super1]
 //	        [-peer-admin super1=h1:9090,super2=h2:9090]
 //
-// With -peers set, the instance joins a shadow-cache cluster (protocol v5):
+// With -peers set, the instance joins a shadow-cache cluster:
 // files are owned by consistent-hash placement, non-owned inputs are
 // fetched instance-to-instance as deltas or chunk manifests, and every
 // member must be started with the identical -peers list. See DESIGN.md's

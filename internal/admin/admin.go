@@ -13,13 +13,12 @@
 //   - /tracez    — completed cycle traces, slowest first; ?id=N shows one
 //     trace's span timeline, and ?id=N&format=chrome exports it as Chrome
 //     trace-event JSON (loadable in Perfetto)
-//   - /flightz   — per-session and per-peer-link flight recorders (recent
-//     protocol events) and the dumps retained from sessions that
-//     disconnected, faulted, or had a job fail — and from peer links that
-//     died or fell back to the client path
-//   - /peerz     — this member's peer mesh: outbound links with protocol
-//     version and per-link fetch counters, inbound peer sessions with
-//     served/declined counts
+//   - /flightz   — per-session flight recorders (recent protocol events;
+//     a peer link is a session, user "peer" at host = member) and the
+//     dumps retained from sessions that disconnected, faulted, had a job
+//     fail, or — links — fell back to the client path
+//   - /peerz     — this member's peer mesh: outbound links with per-link
+//     fetch counters, inbound peer sessions with served/declined counts
 //   - /clusterz  — the whole fleet: every member's health, merged counters
 //     and latency histograms, the hash ring with per-owner heat and the
 //     imbalance gauge; /clusterz.json is the JSON alias, and
@@ -31,7 +30,7 @@
 // for eyes and, with ?format=json, JSON for tooling. The package depends
 // only on the server's read-side accessors (Sessions, JobCounts, Metrics,
 // Cache, Directory, Observer, SessionFlights, FlightDumps, PeerLinks,
-// PeerSessions, PeerFlights, HeatStats), so serving it never perturbs the
+// PeerSessions, HeatStats), so serving it never perturbs the
 // message hot paths beyond the cost of those snapshots.
 package admin
 
@@ -574,15 +573,15 @@ func renderTrace(rec trace.Record) string {
 // flightzView is /flightz's JSON shape.
 type flightzView struct {
 	Live  []server.SessionFlight `json:"live"`
-	Peers []server.SessionFlight `json:"peer_links"`
 	Dumps []server.FlightDump    `json:"dumps"`
 }
 
-// flightz shows each live session's flight recorder, each live peer link's
-// recorder, and the dumps retained from sessions or links that died,
-// faulted, or fell back to the client path.
+// flightz shows each live session's flight recorder — peer links are
+// sessions too, user "peer" at host = the member dialed — and the dumps
+// retained from sessions that died, faulted, had a job fail, or (links) fell
+// back to the client path.
 func (h *handler) flightz(w http.ResponseWriter, r *http.Request) {
-	v := flightzView{Live: h.srv.SessionFlights(), Peers: h.srv.PeerFlights(), Dumps: h.srv.FlightDumps()}
+	v := flightzView{Live: h.srv.SessionFlights(), Dumps: h.srv.FlightDumps()}
 	if wantJSON(r) {
 		writeJSON(w, v)
 		return
@@ -591,13 +590,9 @@ func (h *handler) flightz(w http.ResponseWriter, r *http.Request) {
 	if h.tracer() == nil {
 		b.WriteString("flight recorders off (tracing disabled)\n")
 	}
-	fmt.Fprintf(&b, "%d live session recorders, %d retained dumps, %d peer-link recorders\n", len(v.Live), len(v.Dumps), len(v.Peers))
+	fmt.Fprintf(&b, "%d live session recorders, %d retained dumps\n", len(v.Live), len(v.Dumps))
 	for _, f := range v.Live {
 		fmt.Fprintf(&b, "\nsession %d (%s@%s): %d events\n", f.Session, f.User, f.Host, len(f.Events))
-		writeFlightEvents(&b, f.Events)
-	}
-	for _, f := range v.Peers {
-		fmt.Fprintf(&b, "\npeer link %d -> %s: %d events\n", f.Session, f.Host, len(f.Events))
 		writeFlightEvents(&b, f.Events)
 	}
 	for _, d := range v.Dumps {

@@ -289,7 +289,7 @@ type peerzView struct {
 }
 
 // peerz shows this member's side of the peer mesh: outbound links with
-// their protocol version and per-link fetch counters, and inbound peer
+// their per-link fetch counters, and inbound peer
 // sessions with what this member served or declined for them.
 func (h *handler) peerz(w http.ResponseWriter, r *http.Request) {
 	v := peerzView{Links: h.srv.PeerLinks(), Sessions: h.srv.PeerSessions()}
@@ -304,8 +304,8 @@ func (h *handler) peerz(w http.ResponseWriter, r *http.Request) {
 	if len(v.Links) > 0 {
 		fmt.Fprintf(&b, "outbound peer links (%d):\n", len(v.Links))
 		for _, l := range v.Links {
-			fmt.Fprintf(&b, "  %-12s %-4s proto=v%d fetching=%d deltas-in=%d chunks-in=%d negatives-in=%d fallbacks=%d\n",
-				l.Member, l.State, l.Protocol, l.Fetching, l.DeltasIn, l.ChunksIn, l.NegativesIn, l.Fallbacks)
+			fmt.Fprintf(&b, "  %-12s %-4s fetching=%d deltas-in=%d chunks-in=%d negatives-in=%d fallbacks=%d\n",
+				l.Member, l.State, l.Fetching, l.DeltasIn, l.ChunksIn, l.NegativesIn, l.Fallbacks)
 		}
 	}
 	if len(v.Sessions) > 0 {

@@ -1,6 +1,6 @@
 package client
 
-// Protocol v3 pull answering: instead of a line delta or a whole file, the
+// Chunked pull answering: instead of a line delta or a whole file, the
 // client describes the wanted version as a manifest of content-addressed
 // chunk refs. When the server's base version is retained here, the chunks
 // absent from that base — the only ones the server can be missing — are

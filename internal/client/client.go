@@ -100,16 +100,15 @@ type Config struct {
 	Jobs *env.JobDB
 	// Clock receives local compute charges (diff runs) in simulations.
 	Clock core.Clock
-	// Chunked opts this client into protocol v3 chunk transfers when the
-	// server confirms the version: pulls are answered with content-addressed
-	// chunk manifests (inlining only the chunks new against the server's
-	// base) instead of line deltas, and the server fetches missing chunks
-	// individually instead of whole files. Off, the classic delta/full
-	// protocol is spoken regardless of what the server supports.
+	// Chunked makes this client answer pulls with content-addressed chunk
+	// manifests (inlining only the chunks new against the server's base)
+	// instead of line deltas, and lets the server fetch missing chunks
+	// individually instead of whole files. Off, pulls are answered with
+	// deltas and full copies.
 	Chunked bool
-	// PerFileSync forces Workspace.Sync onto the classic one-notify-per-
-	// file path even against a v4 server — the degraded mode spoken to
-	// older servers, kept reachable for comparison and diagnosis.
+	// PerFileSync forces Workspace.Sync onto the one-notify-per-file path
+	// instead of the tree walk — the baseline the walk is measured against
+	// (`shadow-bench -fig treesync`).
 	PerFileSync bool
 
 	// Dial, when set, enables the fault-tolerant session layer: a lost
@@ -163,10 +162,6 @@ type Client struct {
 	// serverName is written once during the initial handshake (before any
 	// other goroutine exists) and read-only afterwards.
 	serverName string
-	// serverProto is the protocol version the server confirmed on HELLO_OK
-	// (0 = a classic server that never echoes one). Guarded by mu: each
-	// reconnect renegotiates it.
-	serverProto uint32
 
 	retry RetryPolicy
 
@@ -352,17 +347,10 @@ func (c *Client) jitterSeed() int64 {
 // ServerName returns the connected server's advertised name.
 func (c *Client) ServerName() string { return c.serverName }
 
-// chunkedActive reports whether chunk transfers are negotiated on the
-// current session: the client opted in and the server confirmed v3+.
-func (c *Client) chunkedActive() bool {
-	if !c.cfg.Chunked {
-		return false
-	}
-	c.mu.Lock()
-	proto := c.serverProto
-	c.mu.Unlock()
-	return proto >= wire.ChunkProtocolVersion
-}
+// chunkedActive reports whether pulls are answered with chunk manifests
+// (bench/'s chunk-pressure workload) rather than deltas and full copies
+// (every other workload).
+func (c *Client) chunkedActive() bool { return c.cfg.Chunked }
 
 // Store exposes the version store (tests and the editor integration).
 func (c *Client) Store() *vcs.Store { return c.store }
@@ -758,7 +746,7 @@ func (c *Client) send(m wire.Message) error {
 }
 
 // sendTraced is send with a trace context stamped into the frame header
-// (zero contexts produce the untraced v1 encoding, byte for byte).
+// (zero contexts produce the plain untraced encoding, byte for byte).
 func (c *Client) sendTraced(m wire.Message, tc wire.TraceContext) error {
 	c.mu.Lock()
 	conn, closed := c.conn, c.closed

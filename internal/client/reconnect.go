@@ -140,9 +140,6 @@ func (c *Client) handshake(conn wire.Conn) error {
 	case *wire.HelloOK:
 		c.mu.Lock()
 		c.session = m.Session
-		// The confirmed protocol version (0 from classic servers) gates
-		// chunk transfers per session — renegotiated on every reconnect.
-		c.serverProto = m.Protocol
 		if c.tagBase == 0 {
 			// First session id keys this client's idempotency-tag space.
 			c.tagBase = m.Session << 20

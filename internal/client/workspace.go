@@ -1,6 +1,6 @@
 package client
 
-// Workspace-scale synchronization (protocol v4). A Workspace is a directory
+// Workspace-scale synchronization. A Workspace is a directory
 // handle on the client: Sync reconciles everything beneath it with the
 // server in O(difference) communication by exchanging Merkle-style tree
 // summaries, and Submit resolves job paths relative to the synced root. The
@@ -37,8 +37,8 @@ type SyncMode string
 const (
 	// SyncTree is Merkle-tree reconciliation: O(difference) messages.
 	SyncTree SyncMode = "tree"
-	// SyncPerFile is the classic fallback — one notify per file — used
-	// against pre-v4 servers or when Config.PerFileSync forces it.
+	// SyncPerFile is one notify per file, used when Config.PerFileSync
+	// asks for it.
 	SyncPerFile SyncMode = "per-file"
 )
 
@@ -80,18 +80,10 @@ func (c *Client) Workspace(root string) *Workspace {
 // Root returns the workspace's root path as given.
 func (w *Workspace) Root() string { return w.root }
 
-// treeActive reports whether tree reconciliation is negotiated on the
-// current session: the server confirmed v4+ and the client did not force
-// the per-file path.
-func (c *Client) treeActive() bool {
-	if c.cfg.PerFileSync {
-		return false
-	}
-	c.mu.Lock()
-	proto := c.serverProto
-	c.mu.Unlock()
-	return proto >= wire.TreeProtocolVersion
-}
+// treeActive reports whether Sync reconciles by tree walk rather than by
+// announcing every head (the baseline `shadow-bench -fig treesync` measures
+// the walk against).
+func (c *Client) treeActive() bool { return !c.cfg.PerFileSync }
 
 // syncFile is one workspace file's commit outcome, keyed by relative path.
 type syncFile struct {
@@ -104,14 +96,13 @@ type syncFile struct {
 
 // Sync reconciles the workspace with the server. Every file under the root
 // is committed to the version store first (the local tree is always the
-// truth); then, on a v4 session, client and server compare Merkle summaries
-// and walk only divergent subtrees, so a 10k-file workspace with a handful
-// of edits costs a handful of frames. The call returns once the server has
-// acknowledged every file it was told about — afterwards a Submit's inputs
-// are already cached server-side. Against an older server (or with
-// Config.PerFileSync) it degrades to the classic resync: one notify per
-// file, the server pulling what it is missing; acknowledgements are then
-// awaited only for files this call recommitted.
+// truth); then client and server compare Merkle summaries and walk only
+// divergent subtrees, so a 10k-file workspace with a handful of edits costs
+// a handful of frames. The call returns once the server has acknowledged
+// every file it was told about — afterwards a Submit's inputs are already
+// cached server-side. With Config.PerFileSync it is the classic resync
+// instead: one notify per file, the server pulling what it is missing;
+// acknowledgements are then awaited only for files this call recommitted.
 //
 // Sync runs until done or ctx expires; on a slow link bound it with a
 // deadline. Files deleted locally are announced for server-side eviction
@@ -156,7 +147,7 @@ func (w *Workspace) Sync(ctx context.Context) (SyncStats, error) {
 	return c.syncTree(ctx, rootID, tree.Build(leaves), files, stats)
 }
 
-// syncTree is the v4 path: head exchange, divergence walk, one batched
+// syncTree is the tree walk: head exchange, divergence walk, one batched
 // notify, then ack completion.
 func (c *Client) syncTree(ctx context.Context, rootID string, t *tree.Tree, files map[string]syncFile, stats SyncStats) (SyncStats, error) {
 	stats.Mode = SyncTree
@@ -251,7 +242,7 @@ func (c *Client) syncTree(ctx context.Context, rootID string, t *tree.Tree, file
 	return stats, c.awaitAcks(ctx, await)
 }
 
-// syncPerFile is the pre-v4 fallback: announce every head (the server pulls
+// syncPerFile is the baseline: announce every head (the server pulls
 // whatever it is missing, exactly as after a reconnect), then wait for the
 // files this call recommitted — the only ones the server is guaranteed to
 // pull and acknowledge.

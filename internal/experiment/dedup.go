@@ -6,7 +6,7 @@
 //   - baseline:  chunk transfers off — each variant rides the classic
 //     delta/full path, and since successive commons are unrelated, deltas
 //     degrade to near-full payloads. This is the whole-file cost.
-//   - chunked:   protocol v3 — the first session to upload a common block's
+//   - chunked:   chunk transfers — the first session to upload a common block's
 //     chunks pays for them, every other session's manifest just references
 //     them.
 //   - pressure:  chunked, with the server cache capped below the working

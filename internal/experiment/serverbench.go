@@ -49,7 +49,7 @@ type ServerBenchConfig struct {
 	Jobs int
 	// Seed makes the workload reproducible.
 	Seed int64
-	// Chunked opts every client into protocol v3 chunk transfers; off, the
+	// Chunked opts every client into chunk transfers; off, the
 	// same workload rides the classic delta/full path — the dedup figure's
 	// baseline.
 	Chunked bool

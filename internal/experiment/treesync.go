@@ -6,7 +6,7 @@
 //   - perfile: the classic path (Config.PerFileSync) — Sync announces every
 //     file's head, one NOTIFY per file, so the wire cost scales with the
 //     tree, not the change.
-//   - tree:    protocol v4 — TREE_HEAD/TREE_DIFF walk the summary down only
+//   - tree:    TREE_HEAD/TREE_DIFF walk the summary down only
 //     divergent subtrees, then one BATCH_NOTIFY carries the sparse edits.
 //     Messages and time scale with what changed.
 //
@@ -134,7 +134,7 @@ func (c *countingConn) Close() error { return c.inner.Close() }
 
 // runTreeSyncCell primes a monorepo onto a fresh server, edits a sparse
 // subset, and measures the reconciling Sync. perFile selects the classic
-// one-notify-per-file strategy; otherwise the v4 tree walk runs.
+// one-notify-per-file strategy; otherwise the tree walk runs.
 func runTreeSyncCell(cfg TreeSyncConfig, perFile bool) (ServerBenchResult, error) {
 	res := ServerBenchResult{
 		Transport: "netsim",

@@ -1,25 +1,45 @@
 package server
 
-// Protocol v3 arrivals: a client answers a pull with a FileManifest — the
-// wanted version as content-addressed chunk refs, inlining the chunks it
-// believes the server lacks. The server resolves every ref already resident
-// in the shared chunk store (taking a reference, which pins the chunk against
-// cache eviction for the life of the assembly), stores the inline chunks, and
-// requests only the remaining gaps with a ChunkReq. A version therefore never
-// travels wholesale: after eviction, re-fetching a file costs exactly the
-// chunks that are actually gone.
+// Chunked arrivals, the one assembly. A version described as content-
+// addressed chunk refs reaches a session two ways: a client answers a pull
+// with a FILE_MANIFEST, inlining the chunks it believes the server lacks, and
+// an owner answers a link's PEER_NOTIFY with a PEER_CHUNK, which inlines
+// nothing. Either way the server resolves every ref already resident in the
+// shared chunk store (taking a reference, which pins the chunk against cache
+// eviction for the life of the assembly), stores the inline chunks, and
+// requests only the remaining gaps with a CHUNK_REQ on the same session. A
+// version therefore never travels wholesale: after eviction, re-fetching a
+// file costs exactly the chunks that are actually gone.
 //
-// Gap fetches coalesce across sessions through srv.chunkFl: when many users
-// upload near-identical fresh content at once, the first assembly to miss a
-// chunk claims its fetch and the rest wait; one ChunkData answer completes
-// every waiting assembly.
+// Gap fetches coalesce across sessions and links through srv.chunkFl: when
+// many users upload near-identical fresh content at once, the first assembly
+// to miss a chunk claims its fetch and the rest wait; one CHUNK_DATA answer
+// completes every waiting assembly.
 //
-// Locking discipline, since chunk arrivals cross session boundaries:
+// Server lock order, outermost first — as the code has it, checked against
+// every acquisition in the package:
+//
+//	waitMu → j.mu
+//	a jobs-table shard (read; JobCounts) → j.mu
+//	peerWaitMu → a flights shard
+//	ss.mu → chunkFl.mu, a chunk-store shard, a flights shard
+//	deliverMu → a sessions-table shard (read)
+//	tagMu → a jobs-table shard
+//	peerMu → startMu (read) → a sessions-table shard
+//
+// Nothing else nests. j.mu, deltaMu, flightMu, scriptMu, chunkFl.mu and the
+// flights, chunk-store and table shards are leaves (deltaMu is also taken
+// from the cache's evict hook, which the cache calls with none of its own
+// locks held and the server calls into with none of these held); startMu's
+// write side (Close) is held alone; the tracer's own mutex, outside this
+// package, is a leaf under ss.mu and j.mu where spans start and finish.
+// peerMu is the one lock held across blocking I/O — a first-use dial and
+// handshake — so nothing is ever acquired before it. Two rules carry the
+// rest:
 //   - a pendingAssembly is mutated only under its session's ss.mu once it is
 //     registered in ss.assembling (before registration it is goroutine-local);
-//   - chunkFlights.mu and the chunk store's locks are interior to ss.mu —
-//     they may be taken while holding one session mutex, never the reverse;
-//   - no goroutine ever holds two session mutexes: waiter notifications
+//   - no goroutine ever holds two session mutexes, and no send, feed, repull
+//     or teardown runs under any mutex above: waiter notifications
 //     (resolveChunk on another session) run only with no mutex held.
 
 import (
@@ -31,8 +51,9 @@ import (
 	"shadowedit/internal/wire"
 )
 
-// pendingAssembly is one in-progress chunked arrival: the manifest of the
-// incoming version plus the references already acquired on its chunks. The
+// pendingAssembly is one in-progress chunked arrival, on a client session or
+// a link: the manifest of the incoming version plus the references already
+// acquired on its chunks. The
 // references are pins — cache pressure cannot free these chunks while the
 // transfer is in flight — and are either transferred to the cache entry on
 // completion or released on abort (incomplete answer, checksum mismatch,
@@ -63,6 +84,19 @@ type pendingAssembly struct {
 	tc      wire.TraceContext
 }
 
+// hold marks h resolved: the caller has just taken one reference on it (a
+// successful store.Ref, or the Put that admitted it); hold takes the rest, so
+// that the assembly ends up holding one per manifest slot that needs h.
+func (pa *pendingAssembly) hold(store *chunk.Store, h chunk.Hash) {
+	for k := pa.missing[h]; k > 0; k-- {
+		if k > 1 {
+			store.Ref(h)
+		}
+		pa.held = append(pa.held, h)
+	}
+	delete(pa.missing, h)
+}
+
 // ownedMissing reports whether a hash this assembly claimed the fetch for is
 // still missing.
 func (pa *pendingAssembly) ownedMissing() bool {
@@ -91,8 +125,10 @@ func notifyWaiters(notices []chunkNotice) {
 	}
 }
 
-func (ss *session) handleFileManifest(m *wire.FileManifest, tc wire.TraceContext) error {
-	ss.srv.counters.AddManifest(m.PayloadLen())
+// ingestManifest starts (and, when nothing is missing, finishes) the assembly
+// of a version described as chunk refs: a client's FILE_MANIFEST, or an
+// owner's PEER_CHUNK rewritten as a manifest with no inline chunks.
+func (ss *session) ingestManifest(m *wire.FileManifest, tc wire.TraceContext) error {
 	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.apply-manifest").SetSession(ss.id)
 	if sp != nil {
 		sp.SetFile(m.File.String())
@@ -103,7 +139,8 @@ func (ss *session) handleFileManifest(m *wire.FileManifest, tc wire.TraceContext
 		// Duplicate or overtaken transfer; re-acknowledge idempotently.
 		sp.Annotate("duplicate")
 		ss.abortAssembly(id, 0) // drop any older in-progress assembly too
-		return ss.sendTraced(&wire.FileAck{File: m.File, Version: have}, tc)
+		ss.closePull(id, have)
+		return ss.ack(m.File, have, tc)
 	}
 	// A newer manifest supersedes any assembly still in flight for the file.
 	ss.abortAssembly(id, m.Version)
@@ -170,13 +207,7 @@ func (ss *session) handleFileManifest(m *wire.FileManifest, tc wire.TraceContext
 		// A waited-on chunk may have landed between the first pass and
 		// registration; pin it now rather than wait on a retired flight.
 		if store.Ref(h) {
-			for k := pa.missing[h]; k > 1; k-- {
-				store.Ref(h)
-			}
-			for k := pa.missing[h]; k > 0; k-- {
-				pa.held = append(pa.held, h)
-			}
-			delete(pa.missing, h)
+			pa.hold(store, h)
 			continue
 		}
 		if ss.srv.chunkFl.claim(h, ss, id) {
@@ -208,7 +239,6 @@ func (ss *session) handleFileManifest(m *wire.FileManifest, tc wire.TraceContext
 }
 
 func (ss *session) handleChunkData(m *wire.ChunkData, tc wire.TraceContext) error {
-	ss.srv.counters.AddChunkData(m.PayloadLen())
 	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.apply-chunks").SetSession(ss.id)
 	if sp != nil {
 		sp.SetFile(m.File.String())
@@ -250,9 +280,9 @@ func (ss *session) handleChunkData(m *wire.ChunkData, tc wire.TraceContext) erro
 		done = true
 	case pa.awaiting == 0 && pa.ownedMissing():
 		// Every request of ours is answered, yet chunks we asked for did
-		// not come: the client no longer has them (its version store moved
-		// on). Gaps riding other sessions' flights alone would keep the
-		// assembly waiting instead.
+		// not come: the source no longer has them (a client's version store
+		// moved on, an owner's cache evicted them). Gaps riding other
+		// sessions' flights alone would keep the assembly waiting instead.
 		delete(ss.assembling, id)
 		incomplete = true
 	}
@@ -271,7 +301,7 @@ func (ss *session) handleChunkData(m *wire.ChunkData, tc wire.TraceContext) erro
 		sp.Annotate("incomplete")
 		ss.failAssembly(pa)
 		ss.srv.counters.AddFullFallback()
-		return ss.forcePullFull(m.File, m.Version, tc)
+		return ss.refetch(m.File, m.Version, tc, "incomplete chunk answer")
 	}
 	sp.Annotate("waiting") // remaining gaps ride other sessions' flights
 	return nil
@@ -280,7 +310,7 @@ func (ss *session) handleChunkData(m *wire.ChunkData, tc wire.TraceContext) erro
 // resolveChunk is the cross-session poke: the flight for h retired (the
 // chunk arrived somewhere, or its fetch died) and this session's assembly
 // for id was waiting on it. Resolve against the store first; if the chunk is
-// not there after all, claim a fresh fetch from this session's own client —
+// not there after all, claim a fresh fetch from this session's own source —
 // its manifest advertised the hash, so it can supply it.
 func (ss *session) resolveChunk(id naming.ShadowID, h chunk.Hash) {
 	store := ss.srv.cache.ChunkStore()
@@ -304,13 +334,7 @@ func (ss *session) resolveChunk(id naming.ShadowID, h chunk.Hash) {
 		}
 		return
 	}
-	for k := pa.missing[h]; k > 1; k-- {
-		store.Ref(h)
-	}
-	for k := pa.missing[h]; k > 0; k-- {
-		pa.held = append(pa.held, h)
-	}
-	delete(pa.missing, h)
+	pa.hold(store, h)
 	done := len(pa.missing) == 0
 	if done {
 		delete(ss.assembling, id)
@@ -334,12 +358,7 @@ func (ss *session) admitChunk(pa *pendingAssembly, h chunk.Hash, data []byte) ([
 	}
 	store := ss.srv.cache.ChunkStore()
 	store.Put(h, data)
-	pa.held = append(pa.held, h)
-	for k := pa.missing[h]; k > 1; k-- {
-		store.Ref(h)
-		pa.held = append(pa.held, h)
-	}
-	delete(pa.missing, h)
+	pa.hold(store, h)
 	return ss.srv.chunkFl.arrived(h), nil
 }
 
@@ -352,11 +371,11 @@ func (ss *session) finishAssembly(id naming.ShadowID, pa *pendingAssembly) error
 	content, ok := store.Assemble(pa.manifest)
 	if !ok || diff.Checksum(content) != pa.sum {
 		// Lost a chunk we hold a reference on (a refcounting bug) or the
-		// client's manifest did not describe the content it claimed;
-		// either way the classic whole-file path repairs it.
+		// manifest did not describe the content it claimed (bytes or
+		// lengths); either way the classic whole-file path repairs it.
 		ss.releaseAssembly(pa)
 		ss.srv.counters.AddFullFallback()
-		return ss.forcePullFull(pa.ref, pa.version, pa.tc)
+		return ss.refetch(pa.ref, pa.version, pa.tc, "checksum mismatch")
 	}
 	if pa.fetched {
 		ss.srv.counters.AddRehydration()
@@ -383,7 +402,7 @@ func (ss *session) abortAssembly(id naming.ShadowID, newer uint64) {
 
 // failAssembly disposes of a dead, already-deregistered assembly: chunk
 // fetches it owned that never arrived are failed so their waiters can claim
-// fresh fetches from their own clients, then its references are released.
+// fresh fetches from their own sources, then its references are released.
 // Callers must hold no session mutex.
 func (ss *session) failAssembly(pa *pendingAssembly) {
 	for _, h := range pa.owned {

@@ -11,7 +11,7 @@ import (
 	"shadowedit/internal/wire"
 )
 
-// manifestFor splits content and builds the v3 wire frames for it: the
+// manifestFor splits content and builds the chunked wire frames for it: the
 // manifest (without inline chunks) and the per-chunk payloads by hash.
 func manifestFor(ref wire.FileRef, version uint64, content []byte) (*wire.FileManifest, map[chunk.Hash][]byte) {
 	m := chunk.Split(content, chunk.DefaultParams)
@@ -57,18 +57,6 @@ func TestHelloEchoesNegotiatedProtocol(t *testing.T) {
 	}
 	if ok.Protocol != wire.ProtocolVersion {
 		t.Fatalf("HelloOK.Protocol = %d, want %d", ok.Protocol, wire.ProtocolVersion)
-	}
-}
-
-func TestHelloClassicClientGetsNoProtocolField(t *testing.T) {
-	r := newRig(t, Config{})
-	r.send(t, &wire.Hello{Protocol: 2, User: "u", Domain: "d", ClientHost: "ws"})
-	ok, isOK := r.recv(t).(*wire.HelloOK)
-	if !isOK {
-		t.Fatalf("hello reply = %#v", ok)
-	}
-	if ok.Protocol != 0 {
-		t.Fatalf("HelloOK.Protocol = %d, want 0 for a v2 client", ok.Protocol)
 	}
 }
 

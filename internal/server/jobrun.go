@@ -203,7 +203,7 @@ func (s *Server) deliverOrHold(j *job, match func(*session) bool, hold func(), h
 		s.deliverMu.Lock()
 		var target *session
 		for _, sess := range s.sessions.snapshot() {
-			if !match(sess) {
+			if !sess.servesClient() || !match(sess) {
 				continue
 			}
 			if target == nil || sess.id > target.id {
@@ -275,8 +275,8 @@ func (s *Server) repullWaitingInputs(ss *session) {
 	}
 }
 
-// repullPending re-homes fetches that a dying session (or peer link — both
-// own flights by id) owned: any job still waiting for one of the released
+// repullPending re-homes fetches that a dying session (a client's, or a link
+// to another member) owned: any job still waiting for one of the released
 // files gets the pull re-issued through its own (surviving) session, so
 // pulls that coalesced behind the dead session do not strand live jobs.
 func (s *Server) repullPending(deadID uint64, pending []cache.PendingFetch) {
@@ -366,7 +366,7 @@ func (s *Server) liveSessionOf(owners []identity, skip map[uint64]bool) *session
 	defer s.deliverMu.Unlock()
 	var target *session
 	for _, sess := range s.sessions.snapshot() {
-		if skip[sess.id] || sess.dead.Load() || !want[sess.identity()] {
+		if skip[sess.id] || sess.dead.Load() || !sess.servesClient() || !want[sess.identity()] {
 			continue
 		}
 		if target == nil || sess.id > target.id {

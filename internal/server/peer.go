@@ -1,54 +1,52 @@
 package server
 
-// Cluster peering (protocol v5). A shadow-cache cluster is N servers, each
-// running the unchanged single-server core, joined by a consistent-hash ring
+// Cluster peering. A shadow-cache cluster is N servers, each running the
+// unchanged single-server core, joined by a consistent-hash ring
 // (internal/cluster) that names one instance as every (domain, file)'s
 // owner. Clients route each file's traffic to its owner, so the owner's
 // cache sees the client's deltas first; any other instance that needs the
 // file — a job submitted there references it — fetches it from the owner
 // over a peer session instead of pulling it from the client a second time.
 //
-// Peer sessions are ordinary protocol sessions: the dialing server sends a
-// normal HELLO (negotiating v5 on the HelloOK trailing-optional field),
-// then marks the session server-to-server with a PEER_HELLO. The owner
-// answers a PEER_NOTIFY with the smallest thing that works:
+// A peer link is a session in the dialing role: the dialing server sends a
+// normal HELLO, marks the connection server-to-server with a PEER_HELLO, and
+// from then on runs it as a session like any accepted one — same receive
+// loop, writer, flight recorder, pull bookkeeping, chunk assembly and
+// teardown. PEER_NOTIFY is its PULL. The owner (this file's other half)
+// answers with the smallest thing that works:
 //
 //   - a PeerDelta forwarding the very FILE_DELTA body the client sent it,
-//     verbatim, when its base is exactly what the requester holds;
-//   - a PeerChunk manifest otherwise, which the requester resolves against
-//     its own chunk store, fetching only the gaps with CHUNK_REQ/CHUNK_DATA
-//     on the same session;
+//     verbatim, when its base is exactly what the requester holds — ingested
+//     as a FILE_DELTA is;
+//   - a PeerChunk manifest otherwise, ingested as a FILE_MANIFEST with no
+//     inline chunks is: resolved against the requester's own chunk store,
+//     only the gaps fetched with CHUNK_REQ/CHUNK_DATA on the same session;
 //   - a negative PeerDelta (Version 0) when it cannot serve — the requester
 //     falls back to pulling from the client. Full file bodies never cross a
 //     peer link; there is no peer full-file frame at all.
 //
 // The flight table extends single-winner coalescing across the cluster: a
-// peer fetch is a flight owned by the peer link's pseudo-session id, so
-// local demand coalesces onto one PEER_NOTIFY exactly as client pulls
-// coalesce onto one PULL, and a dying link re-homes its flights through
-// repullPending like a dying session does. An owner that is itself still
-// pulling the wanted version parks the peer's request (peerWaiters) and
-// answers on arrival — a file hot on many instances crosses the
-// client-server edge exactly once.
-
+// peer fetch is a flight owned by the link's session id, so local demand
+// coalesces onto one PEER_NOTIFY exactly as client pulls coalesce onto one
+// PULL, and a dying link re-homes its flights through dropSession like any
+// dying session does. An owner that is itself still pulling the wanted
+// version parks the peer's request (peerWaiters) and answers on arrival — a
+// file hot on many instances crosses the client-server edge exactly once.
+//
 // Peer traffic is traced like client traffic: PEER_NOTIFY, PEER_DELTA,
-// PEER_CHUNK and the gap-fill CHUNK_REQ/CHUNK_DATA frames all carry the v2
-// trace-context header when the triggering cycle is traced, so a cycle
-// whose input lives on another member renders as one causal trace — the
+// PEER_CHUNK and the gap-fill CHUNK_REQ/CHUNK_DATA frames all carry the
+// trace-context header when the triggering cycle is traced, so a cycle whose
+// input lives on another member renders as one causal trace — the
 // requester's peer.fetch span parenting the owner's peer.serve (and
-// peer.chunks) spans. Untraced cycles carry a zero context, which encodes
-// to the exact pre-trace bytes. Each link also keeps a session-style
-// flight-recorder ring, dumped when the link dies or a fetch degrades to
-// the client-pull path.
+// peer.chunks) spans. Untraced cycles carry a zero context, which encodes to
+// the plain frame.
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"shadowedit/internal/cache"
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/cluster"
 	"shadowedit/internal/diff"
@@ -110,7 +108,7 @@ func (s *Server) Instance() string {
 }
 
 // ownsFile reports whether this instance is ref's placement owner. A server
-// outside any cluster owns everything — the pre-v5 behavior.
+// outside any cluster owns everything.
 func (s *Server) ownsFile(ref wire.FileRef) bool {
 	cs := s.clusterCfg.Load()
 	return cs == nil || cs.ring.Owner(ref.String()) == cs.instance
@@ -293,13 +291,12 @@ func (s *Server) purgePeerWaiters(dead *session) {
 	}
 }
 
-// handlePeerHello marks the session server-to-server. The protocol version
-// was already negotiated by the ordinary HELLO exchange.
+// handlePeerHello marks the session server-to-server.
 func (ss *session) handlePeerHello(m *wire.PeerHello) error {
 	ss.srv.counters.AddControl(0)
 	if !ss.srv.Clustered() {
 		// A server that never joined a cluster has no ring and no peers.
-		// Refuse the handshake (any v5 client can emit the frame) so the
+		// Refuse the handshake (any client can emit the frame) so the
 		// session never gains peer standing and the peer-only handlers
 		// below keep rejecting its frames.
 		return fmt.Errorf("PEER_HELLO on an unclustered server")
@@ -353,12 +350,8 @@ func (ss *session) handlePeerNotify(m *wire.PeerNotify, tc wire.TraceContext) er
 		}
 		return nil
 	}
-	s.counters.AddPeerNegative()
-	ss.peerDeclined.Add(1)
-	sp.Annotate("declined").Finish()
-	err := ss.sendTraced(&wire.PeerDelta{File: m.File}, ctxOr(sp, tc))
-	s.cfg.Obs.EndTrace(tc)
-	return err
+	s.declinePeer(ss, m.File, tc, sp)
+	return nil
 }
 
 // answerPeer tries to serve (have → want-or-newer) of id to a peer session
@@ -437,147 +430,42 @@ func (ss *session) handlePeerChunkReq(m *wire.ChunkReq, tc wire.TraceContext) er
 	return err
 }
 
-// fetchInput retrieves a job input: from the file's ring owner over a peer
-// link when another instance owns it, otherwise from the client (the
-// classic pull). Peer sessions always pull locally — peer requests must
-// never cascade instance-to-instance.
+// fetchInput retrieves a job input: from the file's ring owner over a link
+// when another instance owns it, otherwise from the client (the classic
+// pull). Peer sessions always pull locally — peer requests must never
+// cascade instance-to-instance. Any failure to reach the owner degrades to a
+// client pull — correctness never depends on the cluster.
 func (ss *session) fetchInput(ref wire.FileRef, want uint64, tc wire.TraceContext) error {
-	if !ss.srv.ownsFile(ref) && !ss.peer.Load() {
-		return ss.srv.peerFetch(ss, ref, want, tc)
+	s := ss.srv
+	if s.ownsFile(ref) || ss.peer.Load() {
+		return ss.pullFile(ref, want, tc)
 	}
+	owner := s.clusterCfg.Load().ring.Owner(ref.String())
+	link, err := s.peerLinkTo(owner)
+	if err == nil {
+		if err = link.pullFile(ref, want, tc); err == nil {
+			return nil
+		}
+		// The link died under the request. Its own teardown may already have
+		// swept the flight table and missed the flight this pull just
+		// registered, so undo that registration here.
+		s.flights.Release(s.dir.Intern(ref), link.id)
+	}
+	s.counters.AddOwnerMiss()
+	s.logf("peer fetch %s v%d: owner %s unreachable (%v); pulling from client", ref, want, owner, err)
 	return ss.pullFile(ref, want, tc)
 }
 
-// peerFetch asks ref's owner instance for a version, coalescing local
-// demand through the flight table (the link's pseudo-session id owns the
-// flight). Any failure to reach the owner degrades to a client pull through
-// fallback — correctness never depends on the cluster.
-func (s *Server) peerFetch(fallback *session, ref wire.FileRef, want uint64, tc wire.TraceContext) error {
-	id := s.dir.Intern(ref)
-	var have uint64
-	if v, ok := s.cache.Version(id); ok {
-		have = v
-		if have >= want {
-			if e, ok := s.cache.Peek(id); ok {
-				s.feedWaitingJobs(id, e.Version, e.Content)
-			}
-			return nil
-		}
-	}
-	cs := s.clusterCfg.Load()
-	owner := cs.ring.Owner(ref.String())
-	link, err := s.peerLinkTo(owner)
-	if err != nil {
-		s.counters.AddOwnerMiss()
-		s.logf("peer fetch %s v%d: owner %s unreachable (%v); pulling from client", ref, want, owner, err)
-		return fallback.pullFile(ref, want, tc)
-	}
-	if !s.flights.Begin(id, ref, want, link.id, tc) {
-		// A fetch covering this version is in flight (peer or client);
-		// its arrival feeds every waiting job.
-		s.pullsCoalesced.Add(1)
-		return nil
-	}
-	// The requester-side half of the cross-instance trace: peer.fetch opens
-	// when the flight is won and closes when the answer lands (handleDelta /
-	// finishAssembly) or the fetch degrades to a client pull. The PEER_NOTIFY
-	// carries its context, so the owner's peer.serve nests under it.
-	sp := s.cfg.Obs.StartSpan(tc, "peer.fetch")
-	if sp != nil {
-		sp.SetFile(ref.String())
-		link.trackSpan(id, sp)
-	}
-	s.pullsIssued.Add(1)
-	s.counters.AddControl(0)
-	if err := link.send(&wire.PeerNotify{File: ref, HaveVersion: have, WantVersion: want}, ctxOr(sp, tc)); err != nil {
-		link.takeSpan(id).Annotate("send failed").Finish()
-		s.flights.Release(id, link.id)
-		s.counters.AddOwnerMiss()
-		return fallback.pullFile(ref, want, tc)
-	}
-	return nil
-}
-
-// peerLink is one outbound peer session to a remote instance: lazily
-// dialed, shared by every local session that needs that owner. It has a
-// pseudo-session id so the flight table and repullPending treat it exactly
-// like a session.
+// peerLink is what a session in the dialing role carries beyond an accepted
+// one: the member it dialed and, for /peerz, per-link answer accounting (the
+// fleet-summed counters on the server cannot say which link a forward came
+// over).
 type peerLink struct {
-	srv    *Server
-	member string
-	id     uint64
-	proto  int // remote's negotiated protocol version
-
-	mu       sync.Mutex
-	conn     wire.Conn
-	dead     bool
-	fetching map[naming.ShadowID]*peerAssembly
-	spans    map[naming.ShadowID]*trace.Span // open peer.fetch spans by file
-
-	// rec is the link's flight recorder (nil when tracing is off): the same
-	// 256-entry wire-event ring sessions keep, dumped when the link dies or
-	// a fetch falls back to the client path.
-	rec *trace.Ring
-
-	// Per-link answer accounting for /peerz (the fleet-summed counters on
-	// the server cannot say which link a forward came over).
+	member      string
 	deltasIn    atomic.Int64 // positive PEER_DELTA answers received
 	chunksIn    atomic.Int64 // PEER_CHUNK manifest answers received
 	negativesIn atomic.Int64 // negative PEER_DELTA answers received
 	fallbacks   atomic.Int64 // fetches degraded to the client-pull path
-}
-
-// trackSpan registers an open peer.fetch span for a file in flight on the
-// link; takeSpan removes and returns it (nil when none or the link already
-// tore down). The map rides l.mu with the assembly table.
-func (l *peerLink) trackSpan(id naming.ShadowID, sp *trace.Span) {
-	l.mu.Lock()
-	if l.spans == nil {
-		l.spans = make(map[naming.ShadowID]*trace.Span)
-	}
-	l.spans[id] = sp
-	l.mu.Unlock()
-}
-
-func (l *peerLink) takeSpan(id naming.ShadowID) *trace.Span {
-	l.mu.Lock()
-	sp := l.spans[id]
-	delete(l.spans, id)
-	l.mu.Unlock()
-	return sp
-}
-
-// record appends a flight-recorder event; a no-op when tracing is off.
-func (l *peerLink) record(kind, name string, tc wire.TraceContext, detail string) {
-	if l.rec == nil {
-		return
-	}
-	l.rec.Record(trace.Event{
-		At:     int64(l.srv.cfg.Obs.Now()),
-		Kind:   kind,
-		Name:   name,
-		Trace:  tc.TraceID,
-		Detail: detail,
-	})
-}
-
-// dumpFlight retains the link's ring under the session dump list, with the
-// member name standing in for the client identity. Unlike a session's
-// once-per-life dump, a link dumps on every fallback and on death — the
-// global dump bound caps the cost.
-func (l *peerLink) dumpFlight(reason string) {
-	if l.rec == nil {
-		return
-	}
-	l.srv.appendFlightDump(FlightDump{
-		Session: l.id,
-		User:    "peer",
-		Host:    l.member,
-		Reason:  reason,
-		At:      l.srv.cfg.Obs.Now(),
-		Events:  l.rec.Snapshot(),
-	})
-	l.srv.logf("peer %s: flight recorder dumped (%s)", l.member, reason)
 }
 
 // errNotClustered reports peer operations on an unclustered server.
@@ -586,7 +474,7 @@ var errNotClustered = errors.New("server: not in a cluster")
 // peerLinkTo returns the (dialed-on-demand) link to a member. The dial and
 // handshake run under peerMu: first-use only, and serializing racing dials
 // is simpler than discarding a loser's session.
-func (s *Server) peerLinkTo(member string) (*peerLink, error) {
+func (s *Server) peerLinkTo(member string) (*session, error) {
 	cs := s.clusterCfg.Load()
 	if cs == nil {
 		return nil, errNotClustered
@@ -596,9 +484,6 @@ func (s *Server) peerLinkTo(member string) (*peerLink, error) {
 	}
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
-	if s.peerLinks == nil {
-		return nil, errNotClustered // shut down
-	}
 	if l := s.peerLinks[member]; l != nil {
 		return l, nil
 	}
@@ -606,334 +491,77 @@ func (s *Server) peerLinkTo(member string) (*peerLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.Send(conn, &wire.Hello{
-		Protocol:   wire.ProtocolVersion,
-		User:       "shadowd",
-		Domain:     "cluster",
-		ClientHost: cs.instance,
-	}); err != nil {
+	if err := peerHandshake(conn, cs.instance); err != nil {
 		_ = conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("peer %s: %w", member, err)
 	}
-	reply, err := wire.Recv(conn)
-	if err != nil {
+	// From here the link is a session: user "peer" at host = member on
+	// /sessionz and /flightz, owner of its flights by session id, in s.wg so
+	// Close waits for its teardown.
+	l := s.startSession(conn, &peerLink{member: member})
+	if l == nil {
 		_ = conn.Close()
-		return nil, err
-	}
-	ok, isOK := reply.(*wire.HelloOK)
-	if !isOK {
-		_ = conn.Close()
-		return nil, fmt.Errorf("peer %s: handshake answered with %v", member, reply.Kind())
-	}
-	if ok.Protocol < wire.PeerProtocolVersion {
-		// The remote is an older build. Do not peer: the caller pulls from
-		// the client instead, and the old instance's byte streams stay
-		// exactly what a pre-v5 deployment produced.
-		_ = conn.Close()
-		return nil, fmt.Errorf("peer %s: speaks protocol %d, need %d", member, ok.Protocol, wire.PeerProtocolVersion)
-	}
-	if err := wire.Send(conn, &wire.PeerHello{Instance: cs.instance}); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	l := &peerLink{
-		srv:      s,
-		member:   member,
-		id:       s.nextSession.Add(1),
-		proto:    int(ok.Protocol),
-		conn:     conn,
-		fetching: make(map[naming.ShadowID]*peerAssembly),
-	}
-	if s.cfg.Obs.Tracer() != nil {
-		l.rec = trace.NewRing(flightRingSize)
+		return nil, errSessionGone // shutting down
 	}
 	s.peerLinks[member] = l
-	go l.readLoop()
 	s.logf("peer %s: link up (session %d)", member, l.id)
 	return l, nil
 }
 
-// send writes one frame on the link, flushing if the transport buffers.
-// Concurrent senders (sessions issuing peer fetches, the read loop issuing
-// chunk requests) serialize on l.mu.
-func (l *peerLink) send(m wire.Message, tc wire.TraceContext) error {
-	// Recorded before the bytes hit the wire, like session sends: a frame
-	// the owner received is guaranteed to be in the ring.
-	l.record("send", m.Kind().String(), tc, "")
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dead {
-		return errSessionGone
-	}
-	if err := wire.SendTraced(l.conn, m, tc); err != nil {
-		l.dead = true
-		_ = l.conn.Close() // wake the read loop; it runs the teardown
+// peerHandshake opens a server-to-server session on a fresh connection: the
+// ordinary HELLO exchange, then PEER_HELLO.
+func peerHandshake(conn wire.Conn, instance string) error {
+	if err := wire.Send(conn, &wire.Hello{
+		Protocol:   wire.ProtocolVersion,
+		User:       "shadowd",
+		Domain:     "cluster",
+		ClientHost: instance,
+	}); err != nil {
 		return err
 	}
-	if f, ok := l.conn.(wire.Flusher); ok {
-		if err := f.Flush(); err != nil {
-			l.dead = true
-			_ = l.conn.Close()
-			return err
-		}
+	reply, err := wire.Recv(conn)
+	if err != nil {
+		return err
 	}
-	return nil
+	if _, ok := reply.(*wire.HelloOK); !ok {
+		return fmt.Errorf("handshake answered with %v", reply.Kind())
+	}
+	return wire.Send(conn, &wire.PeerHello{Instance: instance})
 }
 
-// readLoop consumes the owner's answers. On transport failure it tears the
-// link down and re-homes every flight the link owned.
-func (l *peerLink) readLoop() {
-	for {
-		msg, tc, err := wire.RecvTracedReuse(l.conn)
-		if err != nil {
-			l.down(err)
-			return
-		}
-		l.record("recv", msg.Kind().String(), tc, "")
-		switch m := msg.(type) {
-		case *wire.PeerDelta:
-			l.handleDelta(m, tc)
-		case *wire.PeerChunk:
-			l.handleChunk(m, tc)
-		case *wire.ChunkData:
-			l.handleChunkData(m, tc)
-		case *wire.ErrorMsg:
-			l.srv.logf("peer %s: remote error %d: %s", l.member, m.Code, m.Text)
-		default:
-			// HelloOK re-sends, held-output frames for the shadowd pseudo
-			// identity, and anything a future version adds: ignore.
-		}
-	}
-}
-
-// down removes the dead link and re-homes its in-flight fetches through
-// surviving client sessions — exactly what dropSession does for a dead
-// session. Runs only on the read-loop goroutine.
-func (l *peerLink) down(err error) {
-	s := l.srv
-	l.record("fault", "link", wire.TraceContext{}, err.Error())
-	l.mu.Lock()
-	l.dead = true
-	fetching := l.fetching
-	l.fetching = nil
-	spans := l.spans
-	l.spans = nil
-	l.mu.Unlock()
-	_ = l.conn.Close()
+// dropLink is dropSession's extra step for a link: forget it, so the next
+// fetch redials, and close whatever peer.fetch spans are still open — the
+// re-homed client pulls mint their own under the original context.
+func (s *Server) dropLink(l *session) {
 	s.peerMu.Lock()
-	if s.peerLinks[l.member] == l {
-		delete(s.peerLinks, l.member)
+	if s.peerLinks[l.link.member] == l {
+		delete(s.peerLinks, l.link.member)
 	}
 	s.peerMu.Unlock()
-	// Every open peer.fetch closes here; the re-homed client pulls mint
-	// their own spans under the original context.
+	l.mu.Lock()
+	spans := l.pullSpan
+	l.pullSpan = make(map[naming.ShadowID]*trace.Span)
+	l.mu.Unlock()
 	for _, sp := range spans {
 		sp.Annotate("link-down").Finish()
 	}
-	l.dumpFlight(fmt.Sprintf("link down: %v", err))
-	for _, pa := range fetching {
-		s.releasePeerHeld(pa)
-	}
-	if pending := s.flights.ReleaseOwner(l.id); len(pending) > 0 {
-		for range pending {
-			s.counters.AddRingRebalance()
-		}
-		s.logf("peer %s: link down (%v); re-homing %d fetches", l.member, err, len(pending))
-		s.repullPending(l.id, pending)
-	} else {
-		s.logf("peer %s: link down (%v)", l.member, err)
-	}
 }
 
-// fallbackToClient re-homes one flight the peer could not serve onto a
-// client pull. Harmless if the flight has since completed or changed owner:
-// repullPending's pull coalesces onto whatever is in flight. The open
-// peer.fetch span closes here with the fallback reason, and the re-homed
-// pull inherits its context so the degradation stays inside the one trace;
-// the link's ring is dumped so the frames leading up to the fallback are
-// inspectable on /flightz.
-func (s *Server) fallbackToClient(l *peerLink, id naming.ShadowID, ref wire.FileRef, tc wire.TraceContext, why string) {
-	sp := l.takeSpan(id)
-	sp.Annotate("fallback: " + why).Finish()
-	l.fallbacks.Add(1)
-	l.record("fault", "fallback", tc, why)
-	l.dumpFlight("fallback: " + why)
-	want, ok := s.flights.Pending(id)
-	if !ok {
-		return
-	}
-	s.flights.Release(id, l.id)
-	s.logf("peer %s: cannot serve %s v%d (%s); pulling from client", l.member, ref, want, why)
-	s.repullPending(l.id, []cache.PendingFetch{{Ref: ref, Want: want, TC: ctxOr(sp, tc)}})
-}
-
-// handleDelta applies a peer-forwarded delta (requester side).
-func (l *peerLink) handleDelta(m *wire.PeerDelta, tc wire.TraceContext) {
-	s := l.srv
-	id := s.dir.Intern(m.File)
+// handlePeerDelta takes a link's PEER_DELTA answer: a decline, or the
+// client's own delta forwarded verbatim.
+func (ss *session) handlePeerDelta(m *wire.PeerDelta, tc wire.TraceContext) error {
 	if m.Negative() {
-		l.negativesIn.Add(1)
-		s.fallbackToClient(l, id, m.File, tc, "declined")
-		return
+		ss.link.negativesIn.Add(1)
+		return ss.refetch(m.File, 0, tc, "declined")
 	}
-	l.deltasIn.Add(1)
-	have, ok := s.cache.Version(id)
-	if ok && have >= m.Version {
-		l.takeSpan(id).Annotate("already current").Finish()
-		s.flights.Done(id, m.Version)
-		if entry, ok := s.cache.Get(id); ok {
-			s.feedWaitingJobs(id, entry.Version, entry.Content)
-		}
-		return
-	}
-	if !ok || have != m.BaseVersion {
-		s.fallbackToClient(l, id, m.File, tc, "base not cached")
-		return
-	}
-	content, err := s.applyDelta(id, &wire.FileDelta{
+	ss.link.deltasIn.Add(1)
+	return ss.ingestDelta(&wire.FileDelta{
 		File:        m.File,
 		BaseVersion: m.BaseVersion,
 		Version:     m.Version,
 		Encoded:     m.Encoded,
 		Compressed:  m.Compressed,
-	}, false)
-	if err != nil {
-		s.fallbackToClient(l, id, m.File, tc, "delta did not apply")
-		return
-	}
-	l.takeSpan(id).Annotate("delta").Finish()
-	s.flights.Done(id, m.Version)
-	s.feedWaitingJobs(id, m.Version, content)
-}
-
-// peerAssembly is one in-progress manifest answer: chunk references already
-// pinned plus the gaps a single CHUNK_REQ round is filling.
-type peerAssembly struct {
-	ref      wire.FileRef
-	version  uint64
-	sum      uint32
-	manifest chunk.Manifest
-	held     []chunk.Hash
-	missing  map[chunk.Hash]int
-	tc       wire.TraceContext
-}
-
-// releasePeerHeld returns an abandoned assembly's chunk references.
-func (s *Server) releasePeerHeld(pa *peerAssembly) {
-	store := s.cache.ChunkStore()
-	for _, h := range pa.held {
-		store.Release(h)
-	}
-	pa.held = nil
-}
-
-// handleChunk resolves a peer manifest against the local chunk store
-// (requester side), requesting only the gaps. One round: chunks the owner
-// cannot supply mean a fallback, not a retry loop.
-func (l *peerLink) handleChunk(m *wire.PeerChunk, tc wire.TraceContext) {
-	s := l.srv
-	id := s.dir.Intern(m.File)
-	l.chunksIn.Add(1)
-	if v, ok := s.cache.Version(id); ok && v >= m.Version {
-		l.takeSpan(id).Annotate("already current").Finish()
-		s.flights.Done(id, m.Version)
-		return
-	}
-	store := s.cache.ChunkStore()
-	pa := &peerAssembly{
-		ref:      m.File,
-		version:  m.Version,
-		sum:      m.Sum,
-		manifest: make(chunk.Manifest, len(m.Chunks)),
-		missing:  make(map[chunk.Hash]int),
-		tc:       tc,
-	}
-	for i, c := range m.Chunks {
-		h := chunk.Hash(c.Hash)
-		pa.manifest[i] = chunk.Ref{Hash: h, Len: c.Len}
-		if store.Ref(h) {
-			pa.held = append(pa.held, h)
-		} else {
-			pa.missing[h]++
-		}
-	}
-	if len(pa.missing) == 0 {
-		l.finishAssembly(id, pa)
-		return
-	}
-	req := &wire.ChunkReq{File: m.File, Version: m.Version}
-	for h := range pa.missing {
-		req.Hashes = append(req.Hashes, h)
-	}
-	l.mu.Lock()
-	if l.dead {
-		l.mu.Unlock()
-		s.releasePeerHeld(pa)
-		return // down() re-homes the flight
-	}
-	if old := l.fetching[id]; old != nil {
-		// Superseded by this newer manifest.
-		defer s.releasePeerHeld(old)
-	}
-	l.fetching[id] = pa
-	l.mu.Unlock()
-	s.counters.AddChunksRequested(len(req.Hashes))
-	_ = l.send(req, tc) // a failure tears the link down; down() re-homes
-}
-
-// handleChunkData completes (or abandons) a pending peer assembly
-// (requester side).
-func (l *peerLink) handleChunkData(m *wire.ChunkData, tc wire.TraceContext) {
-	s := l.srv
-	id := s.dir.Intern(m.File)
-	l.mu.Lock()
-	pa := l.fetching[id]
-	if pa == nil || pa.version != m.Version {
-		l.mu.Unlock()
-		return // answer to a superseded request
-	}
-	delete(l.fetching, id) // pa is goroutine-local from here
-	l.mu.Unlock()
-	store := s.cache.ChunkStore()
-	for _, blob := range m.Chunks {
-		h := chunk.Hash(blob.Hash)
-		if pa.missing[h] == 0 || chunk.HashOf(blob.Data) != h {
-			continue
-		}
-		store.Put(h, blob.Data)
-		pa.held = append(pa.held, h)
-		for k := pa.missing[h]; k > 1; k-- {
-			store.Ref(h)
-			pa.held = append(pa.held, h)
-		}
-		delete(pa.missing, h)
-	}
-	if len(pa.missing) > 0 {
-		// The owner no longer has some chunk (eviction race). Fall back.
-		s.releasePeerHeld(pa)
-		s.counters.AddFullFallback()
-		s.fallbackToClient(l, id, pa.ref, tc, "incomplete chunk answer")
-		return
-	}
-	l.finishAssembly(id, pa)
-}
-
-// finishAssembly verifies and installs a completed peer assembly, feeding
-// the jobs that were waiting. References transfer to the cache entry.
-func (l *peerLink) finishAssembly(id naming.ShadowID, pa *peerAssembly) {
-	s := l.srv
-	content, ok := s.cache.ChunkStore().Assemble(pa.manifest)
-	if !ok || diff.Checksum(content) != pa.sum {
-		s.releasePeerHeld(pa)
-		s.counters.AddFullFallback()
-		s.fallbackToClient(l, id, pa.ref, pa.tc, "checksum mismatch")
-		return
-	}
-	s.cache.PutManifest(id, pa.version, pa.manifest)
-	pa.held = nil // references now belong to the cache entry
-	l.takeSpan(id).Annotate("chunks").Finish()
-	s.flights.Done(id, pa.version)
-	s.feedWaitingJobs(id, pa.version, content)
+	}, tc, false)
 }
 
 // ClusterMembers returns the cluster's member names in sorted order, or nil
@@ -949,12 +577,11 @@ func (s *Server) ClusterMembers() []string {
 
 // PeerLinkInfo is one outbound peer link's admin-visible state (/peerz).
 type PeerLinkInfo struct {
-	// Member is the remote instance name; ID the link's pseudo-session id.
+	// Member is the remote instance name; ID the link's session id.
 	Member string
 	ID     uint64
-	// State is "up" or "dead"; Protocol the remote's negotiated version.
-	State    string
-	Protocol int
+	// State is "up" or "dead".
+	State string
 	// Fetching counts manifest assemblies awaiting a chunk answer.
 	Fetching int
 	// Answer accounting, requester side: positive deltas, chunk manifests
@@ -967,7 +594,7 @@ type PeerLinkInfo struct {
 // sorted by member name.
 func (s *Server) PeerLinks() []PeerLinkInfo {
 	s.peerMu.Lock()
-	links := make([]*peerLink, 0, len(s.peerLinks))
+	links := make([]*session, 0, len(s.peerLinks))
 	for _, l := range s.peerLinks {
 		links = append(links, l)
 	}
@@ -975,21 +602,19 @@ func (s *Server) PeerLinks() []PeerLinkInfo {
 	out := make([]PeerLinkInfo, 0, len(links))
 	for _, l := range links {
 		info := PeerLinkInfo{
-			Member:      l.member,
+			Member:      l.link.member,
 			ID:          l.id,
-			Protocol:    l.proto,
-			DeltasIn:    l.deltasIn.Load(),
-			ChunksIn:    l.chunksIn.Load(),
-			NegativesIn: l.negativesIn.Load(),
-			Fallbacks:   l.fallbacks.Load(),
+			State:       "up",
+			DeltasIn:    l.link.deltasIn.Load(),
+			ChunksIn:    l.link.chunksIn.Load(),
+			NegativesIn: l.link.negativesIn.Load(),
+			Fallbacks:   l.link.fallbacks.Load(),
+		}
+		if l.dead.Load() {
+			info.State = "dead"
 		}
 		l.mu.Lock()
-		info.Fetching = len(l.fetching)
-		if l.dead {
-			info.State = "dead"
-		} else {
-			info.State = "up"
-		}
+		info.Fetching = len(l.assembling)
 		l.mu.Unlock()
 		out = append(out, info)
 	}
@@ -1026,41 +651,4 @@ func (s *Server) PeerSessions() []PeerSessionInfo {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Session < out[b].Session })
 	return out
-}
-
-// PeerFlights snapshots the live flight recorders of the outbound peer
-// links, sorted by member name (/flightz). Empty when tracing is off.
-func (s *Server) PeerFlights() []SessionFlight {
-	s.peerMu.Lock()
-	links := make([]*peerLink, 0, len(s.peerLinks))
-	for _, l := range s.peerLinks {
-		links = append(links, l)
-	}
-	s.peerMu.Unlock()
-	out := make([]SessionFlight, 0, len(links))
-	for _, l := range links {
-		if l.rec == nil {
-			continue
-		}
-		out = append(out, SessionFlight{Session: l.id, User: "peer", Host: l.member, Events: l.rec.Snapshot()})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Host < out[b].Host })
-	return out
-}
-
-// closePeerLinks tears down every outbound peer link (server shutdown).
-func (s *Server) closePeerLinks() {
-	s.peerMu.Lock()
-	links := make([]*peerLink, 0, len(s.peerLinks))
-	for _, l := range s.peerLinks {
-		links = append(links, l)
-	}
-	s.peerLinks = nil
-	s.peerMu.Unlock()
-	for _, l := range links {
-		l.mu.Lock()
-		l.dead = true
-		l.mu.Unlock()
-		_ = l.conn.Close()
-	}
 }

@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,5 +257,87 @@ func TestPeerDeltaDroppedWhenResultDoesNotFit(t *testing.T) {
 	}
 	if r.srv.peerDeltaFor(id) != nil {
 		t.Fatal("retained peer delta outlived the cache entry it shadows")
+	}
+}
+
+// TestCloseWaitsForLinkTeardown: a link is a session, so it is in the server's
+// wait group like any other and Close returns only after its teardown — the
+// re-homing of every fetch it held — has finished. Both members of a
+// two-member cluster are closed while a peer fetch is parked mid-flight;
+// afterwards no goroutine of either server is left and neither logs again.
+func TestCloseWaitsForLinkTeardown(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var closed atomic.Bool
+	var late atomic.Int64
+	nw := netsim.New()
+	hosts := map[string]*netsim.Host{"a": nw.Host("a"), "b": nw.Host("b"), "ws": nw.Host("ws")}
+	nw.Connect(hosts["a"], hosts["b"], netsim.LAN)
+	nw.Connect(hosts["ws"], hosts["a"], netsim.LAN)
+	nw.Connect(hosts["ws"], hosts["b"], netsim.LAN)
+	srvs := map[string]*Server{}
+	var lsts []*netsim.Listener
+	for _, name := range []string{"a", "b"} {
+		name := name
+		cfg := Defaults(name)
+		cfg.Logf = func(string, ...any) {
+			if closed.Load() {
+				late.Add(1)
+			}
+		}
+		srv := New(cfg)
+		srv.JoinCluster(ClusterSpec{
+			Instance: name,
+			Members:  []string{"a", "b"},
+			Dial:     func(member string) (wire.Conn, error) { return hosts[name].Dial(member, 1) },
+		})
+		lst, err := hosts[name].Listen(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(AcceptorFunc(func() (wire.Conn, error) { return lst.Accept() })) }()
+		srvs[name], lsts = srv, append(lsts, lst)
+	}
+	dial := func(member string) *netsim.Conn {
+		conn, err := hosts["ws"].Dial(member, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendOn(t, conn, &wire.Hello{Protocol: wire.ProtocolVersion, User: "u", Domain: "d", ClientHost: "ws"})
+		if m := recvWithin(t, conn, 5*time.Second); m.Kind() != wire.KindHelloOK {
+			t.Fatalf("hello reply = %#v", m)
+		}
+		return conn
+	}
+	onA, onB := dial("a"), dial("b")
+	var ref wire.FileRef
+	for i := 0; srvs["a"].ownsFile(ref) || ref.FileID == ""; i++ {
+		ref = wire.FileRef{Domain: "d", FileID: fmt.Sprintf("ws:/u/f%d.dat", i)}
+	}
+
+	// b, the owner, starts pulling v1 from the client, which never answers;
+	// a job on a needs v1, so a's link asks b, and b parks the request.
+	sendOn(t, onB, &wire.Notify{File: ref, Version: 1, Size: 4, Sum: 1})
+	if m := recvWithin(t, onB, 5*time.Second); m.Kind() != wire.KindPull {
+		t.Fatalf("owner answered the notify with %v, want a pull", m.Kind())
+	}
+	sendOn(t, onA, &wire.Submit{Script: []byte("checksum in\n"), Inputs: []wire.JobInput{{File: ref, Version: 1, As: "in"}}})
+	if m := recvWithin(t, onA, 5*time.Second); m.Kind() != wire.KindSubmitOK {
+		t.Fatalf("submit reply = %#v", m)
+	}
+	eventually(t, "peer fetch parked on the owner's pull", func() bool { return parkedPeerWaiters(srvs["b"]) == 1 })
+	if links := srvs["a"].PeerLinks(); len(links) != 1 || links[0].State != "up" {
+		t.Fatalf("requester's links = %+v, want one live link", links)
+	}
+
+	for _, lst := range lsts {
+		_ = lst.Close()
+	}
+	srvs["b"].Close() // a's link dies under a's feet and re-homes its fetch ...
+	srvs["a"].Close() // ... and a's Close waits for that
+	closed.Store(true)
+	_, _ = onA.Close(), onB.Close()
+	eventually(t, "every server goroutine exited", func() bool { return runtime.NumGoroutine() <= baseline })
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d log lines written after Close returned", n)
 	}
 }

@@ -281,14 +281,14 @@ type Server struct {
 
 	// Cluster peering (see peer.go; all empty outside a cluster): the
 	// immutable cluster view installed by JoinCluster, the outbound
-	// peer links by member name, peer requests parked on in-flight
-	// fetches, and the last client delta per file kept for verbatim
-	// peer forwarding. The maps are initialized by New — never nil while
-	// the server runs — so a stray peer frame on an unclustered server
-	// can be refused without ever touching a nil map.
+	// peer links (sessions in the dialing role) by member name, peer
+	// requests parked on in-flight fetches, and the last client delta per
+	// file kept for verbatim peer forwarding. The maps are initialized by
+	// New — never nil while the server runs — so a stray peer frame on an
+	// unclustered server can be refused without ever touching a nil map.
 	clusterCfg  atomic.Pointer[clusterState]
 	peerMu      sync.Mutex
-	peerLinks   map[string]*peerLink
+	peerLinks   map[string]*session
 	peerWaitMu  sync.Mutex
 	peerWaiters map[naming.ShadowID][]peerWant
 	deltaMu     sync.Mutex
@@ -305,7 +305,8 @@ type Server struct {
 const maxFlightDumps = 32
 
 // FlightDump is one session's flight-recorder contents, captured when the
-// session disconnected, its writer faulted, or one of its jobs failed.
+// session disconnected, its writer faulted, one of its jobs failed, or — on
+// a peer link — a fetch fell back to the client path.
 type FlightDump struct {
 	// Session is the dumped session's id; User and Host its identity (empty
 	// before HELLO).
@@ -333,19 +334,13 @@ func (s *Server) recordFlightDump(ss *session, reason string) {
 	s.deliverMu.Lock()
 	d.User, d.Host = ss.user, ss.clientHost
 	s.deliverMu.Unlock()
-	s.appendFlightDump(d)
-	s.logf("session %d: flight recorder dumped (%s, %d events)", ss.id, reason, len(d.Events))
-}
-
-// appendFlightDump retains one captured dump, oldest falling off past the
-// bound. Shared by session dumps and peer-link dumps (peer.go).
-func (s *Server) appendFlightDump(d FlightDump) {
 	s.flightMu.Lock()
 	s.flightDumps = append(s.flightDumps, d)
 	if len(s.flightDumps) > maxFlightDumps {
 		s.flightDumps = s.flightDumps[len(s.flightDumps)-maxFlightDumps:]
 	}
 	s.flightMu.Unlock()
+	s.logf("session %d: flight recorder dumped (%s, %d events)", ss.id, reason, len(d.Events))
 }
 
 // FlightDumps returns the retained dumps, oldest first.
@@ -419,7 +414,7 @@ func New(cfg Config) *Server {
 		routed:      make(map[string][]uint64),
 		undelivered: make(map[identity][]uint64),
 		submitTags:  make(map[identity]map[uint64]uint64),
-		peerLinks:   make(map[string]*peerLink),
+		peerLinks:   make(map[string]*session),
 		peerWaiters: make(map[naming.ShadowID][]peerWant),
 		lastDeltas:  make(map[naming.ShadowID]*storedDelta),
 		heat:        cluster.NewHeat(),
@@ -597,7 +592,7 @@ func (s *Server) Serve(a Acceptor) error {
 			}
 			return err
 		}
-		if !s.startSession(conn) {
+		if s.startSession(conn, nil) == nil {
 			_ = conn.Close()
 			return nil
 		}
@@ -607,7 +602,7 @@ func (s *Server) Serve(a Acceptor) error {
 // ServeConn serves a single pre-established connection (in-process setups);
 // it returns when the session ends.
 func (s *Server) ServeConn(conn wire.Conn) {
-	if !s.startSession(conn) {
+	if s.startSession(conn, nil) == nil {
 		_ = conn.Close()
 		return
 	}
@@ -615,13 +610,21 @@ func (s *Server) ServeConn(conn wire.Conn) {
 	// exists so callers don't depend on session internals.
 }
 
-func (s *Server) startSession(conn wire.Conn) bool {
+// startSession registers a session on conn and starts its loops, or returns
+// nil when the server is closing. link is nil for an accepted connection;
+// for one this server dialed (peerLinkTo, handshake already done) it makes
+// the session a link, identified as user "peer" at the member's name.
+func (s *Server) startSession(conn wire.Conn, link *peerLink) *session {
 	s.startMu.RLock()
 	defer s.startMu.RUnlock()
 	if s.closed.Load() {
-		return false
+		return nil
 	}
 	sess := newSession(s, conn, s.nextSession.Add(1))
+	if link != nil {
+		sess.link = link
+		sess.user, sess.domain, sess.clientHost = "peer", "cluster", link.member
+	}
 	s.sessions.add(sess)
 	s.wg.Add(1)
 	go func() {
@@ -629,18 +632,26 @@ func (s *Server) startSession(conn wire.Conn) bool {
 		sess.run()
 		s.logf("session %d: closed", sess.id)
 	}()
-	return true
+	return sess
 }
 
-// dropSession unregisters a session and re-homes any file retrievals it
-// owned: pulls that coalesced behind this session's fetches would otherwise
-// wait forever on a dead connection.
+// dropSession unregisters a session — a client's, a peer's or a link — and
+// re-homes any file retrievals it owned: pulls that coalesced behind this
+// session's fetches would otherwise wait forever on a dead connection.
 func (s *Server) dropSession(sess *session) {
 	if !s.sessions.remove(sess.id) {
 		return
 	}
 	s.purgePeerWaiters(sess)
-	if pending := s.flights.ReleaseOwner(sess.id); len(pending) > 0 {
+	pending := s.flights.ReleaseOwner(sess.id)
+	if sess.link != nil {
+		s.dropLink(sess)
+		for range pending {
+			s.counters.AddRingRebalance()
+		}
+		s.logf("peer %s: link down; re-homing %d fetches", sess.link.member, len(pending))
+	}
+	if len(pending) > 0 {
 		s.repullPending(sess.id, pending)
 	}
 }
@@ -659,7 +670,6 @@ func (s *Server) Close() {
 	for _, sess := range s.sessions.snapshot() {
 		sess.shutdownWriter() // drain + flush pending writes, then close
 	}
-	s.closePeerLinks()
 	s.wg.Wait()
 	s.pool.Close()
 }

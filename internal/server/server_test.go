@@ -92,15 +92,28 @@ func (r *rig) sendFull(t *testing.T, ref wire.FileRef, version uint64, content [
 	}
 }
 
+// TestHelloWrongProtocolRejected: there is one protocol version. A HELLO
+// naming any other — older, newer, or none — is refused with an ERROR, the
+// session ends, and nothing of it stays behind on the server.
 func TestHelloWrongProtocolRejected(t *testing.T) {
-	r := newRig(t, Config{})
-	r.send(t, &wire.Hello{Protocol: 999, User: "u"})
-	if m, ok := r.recv(t).(*wire.ErrorMsg); !ok {
-		t.Fatalf("reply = %#v, want error", m)
-	}
-	// The session is closed afterwards.
-	if _, err := wire.Recv(r.conn); err == nil {
-		t.Fatal("session stayed open after protocol mismatch")
+	for _, v := range []uint32{0, 1, 4, 6, 999} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			r := newRig(t, Config{})
+			r.send(t, &wire.Hello{Protocol: v, User: "u", Domain: "d", ClientHost: "ws"})
+			if m, ok := r.recv(t).(*wire.ErrorMsg); !ok || m.Code != wire.CodeBadRequest {
+				t.Fatalf("reply = %#v, want bad-request error", m)
+			}
+			if _, err := wire.Recv(r.conn); err == nil {
+				t.Fatal("session stayed open after protocol mismatch")
+			}
+			eventually(t, "refused session unregistered", func() bool { return r.srv.SessionCount() == 0 })
+			r.srv.deliverMu.Lock()
+			held := len(r.srv.routed) + len(r.srv.undelivered)
+			r.srv.deliverMu.Unlock()
+			if held != 0 || r.srv.flights.Len() != 0 {
+				t.Fatalf("refused hello left state behind: %d hold queues, %d flights", held, r.srv.flights.Len())
+			}
+		})
 	}
 }
 

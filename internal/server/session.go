@@ -65,7 +65,7 @@ type session struct {
 	// delta would look stale on arrival and trigger a wasteful full
 	// retransmission).
 	pulled map[naming.ShadowID]uint64
-	// trees caches the workspace summaries built for v4 reconciliation
+	// trees caches the workspace summaries built for reconciliation
 	// walks, keyed by workspace root. Each is a snapshot taken at
 	// TREE_HEAD time and discarded when the walk's BATCH_NOTIFY lands.
 	trees map[string]*tree.Tree
@@ -100,14 +100,18 @@ type session struct {
 	quitOnce   sync.Once
 	writerDone chan struct{}
 	dead       atomic.Bool
-	// peer marks a server-to-server session (a PEER_HELLO arrived);
-	// peerInstance (under mu) is the remote's cluster member name.
+	// peer marks an accepted server-to-server session (a PEER_HELLO
+	// arrived); peerInstance (under mu) is the remote's cluster member name.
 	// peerServed/peerDeclined count the peer requests this session
 	// answered positively and negatively (/peerz, owner side).
 	peer         atomic.Bool
 	peerInstance string
 	peerServed   atomic.Int64
 	peerDeclined atomic.Int64
+	// link is non-nil on a session in the dialing role: this server opened
+	// the connection to a cluster member and fetches from it (peer.go).
+	// Immutable once the session is registered.
+	link *peerLink
 	// vt is non-nil when conn is a virtual-time transport; outbound
 	// messages are then stamped at enqueue (see outbound.stamp).
 	vt wire.ScheduledSender
@@ -221,9 +225,11 @@ func (ss *session) run() {
 			if errors.Is(err, errSessionGone) {
 				return
 			}
-			// Protocol-level problems are reported to the client;
-			// transport failures end the session.
-			if sendErr := ss.sendError(wire.CodeBadRequest, err.Error()); sendErr != nil {
+			// Protocol-level problems are reported to the other end;
+			// transport failures end the session. So does an owner answering
+			// a link with something unusable: the teardown re-homes every
+			// fetch the link held, which no ERROR to the owner would.
+			if sendErr := ss.sendError(wire.CodeBadRequest, err.Error()); sendErr != nil || ss.link != nil {
 				return
 			}
 		}
@@ -335,27 +341,54 @@ func (ss *session) shutdownWriter() {
 }
 
 func (ss *session) dispatch(msg wire.Message, tc wire.TraceContext) error {
+	// The PEER_* kinds are the type-level gate between the roles: a link
+	// takes its owner's answers and nothing a client would send (so no full
+	// file can cross it), and nothing but a link takes those answers.
+	switch msg.(type) {
+	case *wire.PeerDelta, *wire.PeerChunk:
+		if ss.link == nil {
+			return fmt.Errorf("%v on a session that asked for nothing", msg.Kind())
+		}
+	case *wire.ChunkData, *wire.ErrorMsg:
+	default:
+		if ss.link != nil {
+			return fmt.Errorf("%v on a peer link", msg.Kind())
+		}
+	}
 	switch m := msg.(type) {
 	case *wire.Hello:
 		return ss.handleHello(m)
 	case *wire.Notify:
 		return ss.handleNotify(m, tc)
 	case *wire.FileDelta:
-		if err := ss.handleFileDelta(m, tc); err != nil {
+		ss.srv.counters.AddDelta(len(m.Encoded))
+		if err := ss.ingestDelta(m, tc, true); err != nil {
 			return err
 		}
 		return ss.batchArrived(m.File)
+	case *wire.PeerDelta:
+		return ss.handlePeerDelta(m, tc)
 	case *wire.FileFull:
 		if err := ss.handleFileFull(m, tc); err != nil {
 			return err
 		}
 		return ss.batchArrived(m.File)
 	case *wire.FileManifest:
-		if err := ss.handleFileManifest(m, tc); err != nil {
+		ss.srv.counters.AddManifest(m.PayloadLen())
+		if err := ss.ingestManifest(m, tc); err != nil {
 			return err
 		}
 		return ss.batchArrived(m.File)
+	case *wire.PeerChunk:
+		// A manifest that inlines nothing: every gap is asked for.
+		ss.link.chunksIn.Add(1)
+		return ss.ingestManifest(&wire.FileManifest{File: m.File, Version: m.Version, Sum: m.Sum, Chunks: m.Chunks}, tc)
 	case *wire.ChunkData:
+		// Chunk bytes a link receives are counted where they were sent
+		// (send-side-only peer accounting).
+		if ss.link == nil {
+			ss.srv.counters.AddChunkData(m.PayloadLen())
+		}
 		return ss.handleChunkData(m, tc)
 	case *wire.Submit:
 		return ss.handleSubmit(m, tc)
@@ -377,6 +410,11 @@ func (ss *session) dispatch(msg wire.Message, tc wire.TraceContext) error {
 		return ss.handlePeerNotify(m, tc)
 	case *wire.ChunkReq:
 		return ss.handlePeerChunkReq(m, tc)
+	case *wire.ErrorMsg:
+		// Never answered: two servers reporting errors about each other's
+		// error reports would not stop.
+		ss.srv.logf("session %d: remote error %d: %s", ss.id, m.Code, m.Text)
+		return nil
 	case *wire.Bye:
 		return errSessionGone
 	default:
@@ -459,10 +497,7 @@ func (ss *session) sendError(code uint32, text string) error {
 }
 
 func (ss *session) handleHello(m *wire.Hello) error {
-	// Accept the whole supported range: version-1 peers never set the trace
-	// flag, so their frames decode unchanged, and the body encodings are
-	// identical across versions.
-	if m.Protocol < wire.MinProtocolVersion || m.Protocol > wire.ProtocolVersion {
+	if m.Protocol != wire.ProtocolVersion {
 		_ = ss.sendError(wire.CodeBadRequest, fmt.Sprintf("protocol %d unsupported", m.Protocol))
 		return errSessionGone
 	}
@@ -482,19 +517,7 @@ func (ss *session) handleHello(m *wire.Hello) error {
 	held = append(held, ss.srv.unackedDone(ss.identity(), held)...)
 	ss.srv.logf("session %d: hello from %s@%s (domain %s), %d held outputs",
 		ss.id, ss.user, ss.clientHost, ss.domain, len(held))
-	reply := &wire.HelloOK{Session: ss.id, ServerName: ss.srv.cfg.Name}
-	if m.Protocol >= wire.ChunkProtocolVersion {
-		// Confirm the negotiated version — capped at what this server
-		// implements, so a newer peer learns our real ceiling — so the
-		// client knows chunk frames are understood here. Older clients get
-		// the byte-identical classic reply (the field is trailing-optional
-		// and encoded only when set).
-		reply.Protocol = m.Protocol
-		if reply.Protocol > wire.ProtocolVersion {
-			reply.Protocol = wire.ProtocolVersion
-		}
-	}
-	if err := ss.send(reply); err != nil {
+	if err := ss.send(&wire.HelloOK{Session: ss.id, ServerName: ss.srv.cfg.Name, Protocol: wire.ProtocolVersion}); err != nil {
 		return err
 	}
 	// Deliver any output routed to this host before we were connected,
@@ -508,6 +531,14 @@ func (ss *session) handleHello(m *wire.Hello) error {
 // identity returns the session's owner key.
 func (ss *session) identity() identity {
 	return identity{user: ss.user, host: ss.clientHost}
+}
+
+// servesClient reports whether a user's client is at the other end — the only
+// sessions an output may be delivered on or an orphaned fetch re-homed to.
+// Links and accepted peer sessions are excluded by role, not by their
+// pseudo-identities (peer@member, shadowd@member) never matching a real user.
+func (ss *session) servesClient() bool {
+	return ss.link == nil && !ss.peer.Load()
 }
 
 // handleNotify implements the demand-driven choice (§6.4): "The server ...
@@ -562,11 +593,14 @@ func (ss *session) deferNotify(m *wire.Notify, tc wire.TraceContext) {
 	ss.mu.Unlock()
 }
 
-// pullFile asks the client for a version, telling it which base we hold.
-// Pulls already in flight for the same or a newer version are not repeated:
-// the session's own pulled map suppresses same-session duplicates, and the
-// server-wide flight table coalesces fetches across sessions — many clients
-// notifying the same file cost one transfer.
+// pullFile asks the session's other end for a version, telling it which base
+// we hold: a client with PULL, the owner a link dialed with PEER_NOTIFY (under
+// a peer.fetch span, which the owner's peer.serve nests beneath) — the frame
+// and the span name are all that differ. Pulls already in flight for the same
+// or a newer version are not repeated: the session's own pulled map suppresses
+// same-session duplicates, and the server-wide flight table coalesces fetches
+// across sessions and links — many clients notifying the same file, or many
+// jobs here needing one file another member owns, cost one transfer.
 func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext) error {
 	id := ss.srv.dir.Intern(ref)
 	var have uint64
@@ -603,7 +637,11 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 		}
 		return nil
 	}
-	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.pull").SetSession(ss.id)
+	name, req := "server.pull", wire.Message(&wire.Pull{File: ref, HaveVersion: have, WantVersion: want})
+	if ss.link != nil {
+		name, req = "peer.fetch", &wire.PeerNotify{File: ref, HaveVersion: have, WantVersion: want}
+	}
+	sp := ss.srv.cfg.Obs.StartSpan(tc, name).SetSession(ss.id)
 	if sp != nil {
 		sp.SetFile(ref.String())
 	}
@@ -625,10 +663,10 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
 			slog.Uint64("want", want), slog.Uint64("have", have))
 	}
-	// The PULL frame carries the pull span's context, so the client's
-	// answer becomes its child; without a server tracer the incoming
-	// context is forwarded unchanged so propagation still works.
-	return ss.sendTraced(&wire.Pull{File: ref, HaveVersion: have, WantVersion: want}, ctxOr(sp, tc))
+	// The request carries the pull span's context, so the answer becomes its
+	// child; without a server tracer the incoming context is forwarded
+	// unchanged so propagation still works.
+	return ss.sendTraced(req, ctxOr(sp, tc))
 }
 
 // ctxOr returns sp's context, falling back to tc when the span is nil
@@ -662,8 +700,10 @@ func (ss *session) drainDeferred() {
 	}
 }
 
-func (ss *session) handleFileDelta(m *wire.FileDelta, tc wire.TraceContext) error {
-	ss.srv.counters.AddDelta(len(m.Encoded))
+// ingestDelta is the one delta ingest: a client's FILE_DELTA (forward set —
+// the delta is kept for verbatim peer forwarding) and an owner's PEER_DELTA
+// both land here.
+func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward bool) error {
 	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.apply-delta").SetSession(ss.id)
 	if sp != nil {
 		sp.SetFile(m.File.String())
@@ -675,18 +715,18 @@ func (ss *session) handleFileDelta(m *wire.FileDelta, tc wire.TraceContext) erro
 		// A duplicate or overtaken transfer; what we have is already
 		// at least as new. Re-acknowledge idempotently.
 		sp.Annotate("duplicate")
-		return ss.sendTraced(&wire.FileAck{File: m.File, Version: have}, tc)
+		ss.closePull(id, have)
+		return ss.ack(m.File, have, tc)
 	}
 	if !ok || have != m.BaseVersion {
-		// Our base is gone or different — the best-effort cache at
-		// work. Ask for the whole file.
+		// Our base is gone or different — the best-effort cache at work.
 		sp.Annotate("base-evicted")
-		return ss.forcePullFull(m.File, m.Version, tc)
+		return ss.refetch(m.File, m.Version, tc, "base not cached")
 	}
-	content, err := ss.srv.applyDelta(id, m, true)
+	content, err := ss.srv.applyDelta(id, m, forward)
 	if errors.Is(err, core.ErrStaleBase) {
 		sp.Annotate("stale-base")
-		return ss.forcePullFull(m.File, m.Version, tc)
+		return ss.refetch(m.File, m.Version, tc, "stale base")
 	}
 	if err != nil {
 		return fmt.Errorf("apply delta for %s: %w", m.File, err)
@@ -703,10 +743,9 @@ var deltaBases = sync.Pool{New: func() any { return new([]byte) }}
 
 // applyDelta upgrades the cached copy of id from fd.BaseVersion to
 // fd.Version and returns the new content, a fresh buffer the caller owns.
-// Both delta ingests — a client's FILE_DELTA and a peer's PEER_DELTA — end
-// here, so both do work proportional to the edit: the spans the delta
-// rewrote let the cache derive the new chunk manifest from the base's
-// instead of splitting and hashing the whole file (cache.PutFromBase).
+// The work is proportional to the edit: the spans the delta rewrote let the
+// cache derive the new chunk manifest from the base's instead of splitting
+// and hashing the whole file (cache.PutFromBase).
 // core.ErrStaleBase means the cache no longer holds the base (or holds
 // different bytes under its version); caching the result is best effort.
 //
@@ -737,20 +776,44 @@ func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool
 	return content, nil
 }
 
-// forcePullFull requests a complete copy, bypassing the duplicate-pull
-// suppression (the previous pull's answer was unusable).
-func (ss *session) forcePullFull(ref wire.FileRef, want uint64, tc wire.TraceContext) error {
+// refetch replaces an answer that proved unusable (base gone, chunks
+// missing, assembled bytes failing their checksum). A client is asked for a
+// complete copy, bypassing the duplicate-pull suppression. A link's owner
+// cannot be — no full file crosses a peer link — so the link gives the fetch
+// up and a client session takes it over: the open peer.fetch span closes
+// with the reason and the re-homed pull inherits its context, so the
+// degradation stays inside the one trace, and the link's ring is dumped so
+// the frames leading up to it are inspectable on /flightz. Harmless if the
+// flight has since completed or changed owner: repullPending's pull coalesces
+// onto whatever is in flight.
+func (ss *session) refetch(ref wire.FileRef, want uint64, tc wire.TraceContext, why string) error {
 	id := ss.srv.dir.Intern(ref)
 	ss.mu.Lock()
-	ss.pulled[id] = want
-	if ss.srv.cfg.Obs != nil {
-		ss.pulledAt[id] = ss.srv.cfg.Obs.Now()
+	old := ss.pullSpan[id]
+	delete(ss.pullSpan, id)
+	if ss.link != nil {
+		delete(ss.pulled, id)
+		delete(ss.pulledAt, id)
+		ss.mu.Unlock()
+		old.Annotate("fallback: " + why).Finish()
+		ss.link.fallbacks.Add(1)
+		ss.record("fault", "fallback", tc, why)
+		ss.srv.recordFlightDump(ss, "fallback: "+why) // every fallback dumps, not only the first
+		pending, ok := ss.srv.flights.Pending(id)
+		if !ok {
+			return nil
+		}
+		ss.srv.flights.Release(id, ss.id)
+		ss.srv.logf("peer %s: cannot serve %s v%d (%s); pulling from client", ss.link.member, ref, pending, why)
+		ss.srv.repullPending(ss.id, []cache.PendingFetch{{Ref: ref, Want: pending, TC: ctxOr(old, tc)}})
+		return nil
 	}
 	// The superseded pull span (if any) ends here: its answer proved
 	// unusable, and the fallback gets its own span.
-	if old := ss.pullSpan[id]; old != nil {
-		old.Annotate("superseded: base evicted").Finish()
-		delete(ss.pullSpan, id)
+	old.Annotate("superseded: " + why).Finish()
+	ss.pulled[id] = want
+	if ss.srv.cfg.Obs != nil {
+		ss.pulledAt[id] = ss.srv.cfg.Obs.Now()
 	}
 	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.pull-full").SetSession(ss.id)
 	if sp != nil {
@@ -778,7 +841,7 @@ func (ss *session) handleFileFull(m *wire.FileFull, tc wire.TraceContext) error 
 	if have, ok := ss.srv.cache.Version(id); ok && have > m.Version {
 		// Overtaken by a newer version; do not regress the cache.
 		sp.Annotate("overtaken")
-		return ss.sendTraced(&wire.FileAck{File: m.File, Version: have}, tc)
+		return ss.ack(m.File, have, tc)
 	}
 	return ss.storeArrived(m.File, id, m.Version, content, tc)
 }
@@ -793,28 +856,11 @@ func (ss *session) storeArrived(ref wire.FileRef, id naming.ShadowID, version ui
 }
 
 // arrived runs the shared post-store bookkeeping for a version that just
-// landed (whole-file or chunked): close the open pull, feed waiting jobs,
+// landed, by whatever route: close the open pull, feed waiting jobs,
 // acknowledge.
 func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64, content []byte, tc wire.TraceContext) error {
 	ss.srv.flights.Done(id, version)
-	ss.mu.Lock()
-	var issuedAt time.Duration
-	var timed bool
-	var psp *trace.Span
-	if ss.pulled[id] <= version {
-		// The arrival satisfies the open pull (if any); close its timing
-		// and its span.
-		issuedAt, timed = ss.pulledAt[id]
-		psp = ss.pullSpan[id]
-		delete(ss.pulled, id)
-		delete(ss.pulledAt, id)
-		delete(ss.pullSpan, id)
-	}
-	ss.mu.Unlock()
-	psp.Finish()
-	if timed {
-		ss.srv.cfg.Obs.ObservePullArrival(issuedAt)
-	}
+	ss.closePull(id, version)
 	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
 		ss.srv.cfg.Obs.Log(slog.LevelDebug, "file arrived",
 			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
@@ -824,6 +870,35 @@ func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64,
 	// have disconnected right after sending), but the content is here
 	// and jobs waiting for it must proceed regardless.
 	ss.srv.feedWaitingJobs(id, version, content)
+	return ss.ack(ref, version, tc)
+}
+
+// closePull ends the session's open pull of id, if version satisfies it:
+// its span finishes and its pull→arrival time is observed.
+func (ss *session) closePull(id naming.ShadowID, version uint64) {
+	ss.mu.Lock()
+	if ss.pulled[id] > version {
+		ss.mu.Unlock()
+		return
+	}
+	issuedAt, timed := ss.pulledAt[id]
+	psp := ss.pullSpan[id]
+	delete(ss.pulled, id)
+	delete(ss.pulledAt, id)
+	delete(ss.pullSpan, id)
+	ss.mu.Unlock()
+	psp.Finish()
+	if timed {
+		ss.srv.cfg.Obs.ObservePullArrival(issuedAt)
+	}
+}
+
+// ack acknowledges a version to the client that supplied (or already
+// re-sent) it. An owner answering a link expects no acknowledgement.
+func (ss *session) ack(ref wire.FileRef, version uint64, tc wire.TraceContext) error {
+	if ss.link != nil {
+		return nil
+	}
 	return ss.sendTraced(&wire.FileAck{File: ref, Version: version}, tc)
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// Protocol v4 directory reconciliation, server side. The server's summary of
+// Directory reconciliation, server side. The server's summary of
 // a workspace is built from its own directory and cache: the files of the
 // workspace are the ids ever interned beneath the root, and each leaf hash
 // is the cached manifest's fingerprint — computed with the same chunking

@@ -1,18 +1,13 @@
 package wire
 
-// Protocol version 3: chunk transfer frames. A v3 client answers a Pull with
-// a FileManifest — the wanted version as an ordered list of content-addressed
-// chunk refs, inlining the chunks the server most likely lacks (those absent
-// from the pull's HaveVersion base). The server resolves every ref it already
+// Chunk transfer frames. A client configured for chunked transfers answers a
+// Pull with a FileManifest — the wanted version as an ordered list of
+// content-addressed chunk refs, inlining the chunks the server most likely
+// lacks (those absent from the pull's HaveVersion base). The server resolves every ref it already
 // holds from its chunk store and requests only the gaps with a ChunkReq; the
 // client answers with ChunkData. A version is therefore never retransmitted
 // wholesale: after cache pressure evicts a file, re-fetching it costs exactly
 // the chunks that are actually gone.
-
-// ChunkProtocolVersion is the first protocol version with the chunk
-// transfer frames; peers negotiate them only when both ends advertise it
-// (the server echoes the agreed version on HelloOK.Protocol).
-const ChunkProtocolVersion = 3
 
 // chunkHashLen is the wire size of a chunk address (truncated SHA-256;
 // must match chunk.HashSize).
@@ -48,7 +43,7 @@ func (d *decoder) rawHash() (h [chunkHashLen]byte) {
 	return h
 }
 
-// FileManifest is the v3 answer to a Pull: the wanted version described as
+// FileManifest is the chunked answer to a Pull: the wanted version described as
 // chunk refs, with the chunks the sender believes the receiver lacks inlined.
 type FileManifest struct {
 	File    FileRef

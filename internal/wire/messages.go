@@ -37,12 +37,8 @@ type HelloOK struct {
 	Session uint64
 	// ServerName is the server's advertised host name.
 	ServerName string
-	// Protocol is the protocol version the server agrees to speak on this
-	// session — min(client's Hello.Protocol, server's ProtocolVersion). It
-	// is a trailing optional the server only encodes when the client
-	// advertised version 3 or newer: older clients receive the exact
-	// pre-v3 frame (their decoders reject trailing bytes), and a zero
-	// value on the client side therefore means "classic protocol".
+	// Protocol is the server's protocol version — the one the client's HELLO
+	// named, or the session would have been refused.
 	Protocol uint32
 }
 
@@ -52,17 +48,13 @@ func (*HelloOK) Kind() Kind { return KindHelloOK }
 func (m *HelloOK) encode(e *encoder) {
 	e.uvarint(m.Session)
 	e.string(m.ServerName)
-	if m.Protocol != 0 {
-		e.uvarint(uint64(m.Protocol))
-	}
+	e.uvarint(uint64(m.Protocol))
 }
 
 func (m *HelloOK) decode(d *decoder) {
 	m.Session = d.uvarint()
 	m.ServerName = d.string()
-	if d.err == nil && len(d.buf) > 0 {
-		m.Protocol = uint32(d.uvarint())
-	}
+	m.Protocol = uint32(d.uvarint())
 }
 
 // Notify tells the server a new version of a file exists (§6.4). It carries

@@ -1,6 +1,6 @@
 package wire
 
-// Protocol version 5: cluster peer frames. Shadowd instances in a cluster
+// Cluster peer frames. Shadowd instances in a cluster
 // open ordinary protocol sessions to each other and mark them server-to-
 // server with a PeerHello. On peer sessions the file-placement ring (see
 // internal/cluster) names one instance as each file's owner; non-owners
@@ -13,15 +13,8 @@ package wire
 // yourself". Full file bodies never cross a peer link: there is no peer
 // full-file frame at all.
 
-// PeerProtocolVersion is the first protocol version with the cluster peer
-// frames; instances peer only when both ends advertise it. Older instances
-// answer HelloOK with their lower version and the dialer simply does not
-// peer with them — single-server traffic is untouched.
-const PeerProtocolVersion = 5
-
 // PeerHello marks an established session as server-to-server. It follows
-// the ordinary Hello/HelloOK exchange (which already negotiated the
-// protocol version); Instance is the sender's cluster member name, which
+// the ordinary Hello/HelloOK exchange; Instance is the sender's cluster member name, which
 // the receiver uses to place the session on its ring.
 type PeerHello struct {
 	// Instance is the dialing server's cluster member name.

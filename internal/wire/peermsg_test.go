@@ -7,24 +7,22 @@ import (
 )
 
 // TestPreV5FramesByteIdentical pins the exact wire bytes of representative
-// v1–v4 frames. Adding the v5 peer kinds must not perturb a single byte of
-// existing traffic: v4-and-older peers negotiate their own version on the
-// HelloOK trailing-optional field and never see a peer frame, so their
-// streams have to stay byte-identical to what pre-v5 builds produced. The
-// hex strings were captured from the v4 encoder; a mismatch here means the
-// encoding of a pre-existing message changed.
+// client-session frames (the peer kinds have their own goldens below). The
+// hex strings were captured from the encoder that predates the peer kinds; a
+// mismatch here means the encoding of a message changed — which, with one
+// protocol version and no negotiation, nothing may do silently. HELLO_OK is
+// the one frame that differs from that capture: its protocol field is now
+// always encoded.
 func TestPreV5FramesByteIdentical(t *testing.T) {
 	ref := FileRef{Domain: "nfs.purdue", FileID: "arthur:/u/comer/heat.f"}
 	golden := []struct {
 		msg Message
 		hex string
 	}{
-		{&Hello{Protocol: 4, User: "comer", Domain: "nfs.purdue", ClientHost: "arthur"},
-			"010405636f6d65720a6e66732e70757264756506617274687572"},
-		{&HelloOK{Session: 42, ServerName: "cyber205"},
-			"022a086379626572323035"},
-		{&HelloOK{Session: 43, ServerName: "cyber205", Protocol: 3},
-			"022b08637962657232303503"},
+		{&Hello{Protocol: ProtocolVersion, User: "comer", Domain: "nfs.purdue", ClientHost: "arthur"},
+			"010505636f6d65720a6e66732e70757264756506617274687572"},
+		{&HelloOK{Session: 43, ServerName: "cyber205", Protocol: ProtocolVersion},
+			"022b08637962657232303505"},
 		{&Notify{File: ref, Version: 7, Size: 102400, Sum: 0xDEADBEEF},
 			"030a6e66732e707572647565166172746875723a2f752f636f6d65722f686561742e660780a006efbeadde"},
 		{&Pull{File: ref, HaveVersion: 6, WantVersion: 7},
@@ -55,20 +53,17 @@ func TestPreV5FramesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPeerKindsAboveV4Range pins that the new kinds sit strictly above every
-// v4 kind: a v4 decoder rejects them as unknown instead of misparsing them
-// as something else, and v4 senders can never emit them by accident.
+// TestPeerKindsAboveV4Range pins that the peer kinds sit strictly above every
+// client-session kind and clear of the trace flag: they are the type-level
+// gate between a link's traffic and a client's.
 func TestPeerKindsAboveV4Range(t *testing.T) {
 	for _, k := range []Kind{KindPeerHello, KindPeerNotify, KindPeerDelta, KindPeerChunk} {
 		if k <= KindBatchNotify {
-			t.Errorf("kind %s = %d overlaps the v4 kind range", k, k)
+			t.Errorf("kind %s = %d overlaps the client kind range", k, k)
 		}
 		if uint8(k)&traceFlag != 0 {
 			t.Errorf("kind %s = %d collides with the trace flag", k, k)
 		}
-	}
-	if PeerProtocolVersion != ProtocolVersion {
-		t.Errorf("PeerProtocolVersion = %d, ProtocolVersion = %d", PeerProtocolVersion, ProtocolVersion)
 	}
 }
 

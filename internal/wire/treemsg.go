@@ -1,8 +1,7 @@
 package wire
 
-// Protocol version 4: directory reconciliation frames. A v4 client opens a
-// workspace sync by sending a TreeHead — the Merkle-style summary of one
-// directory tree, where each leaf is the fingerprint of a file's chunk
+// Directory reconciliation frames. A client opens a workspace sync by sending
+// a TreeHead — the Merkle-style summary of one directory tree, where each leaf is the fingerprint of a file's chunk
 // manifest and each interior node hashes its children in sorted name order.
 // When the server's summary of the same tree matches, the exchange ends in
 // one round trip (TreeDiff with InSync set). Otherwise the two sides walk
@@ -13,11 +12,6 @@ package wire
 // the existing per-file machinery (pipelined session writer, flight
 // coalescing, chunk transfer), so tree sync changes how divergence is
 // *discovered*, not how bytes move.
-
-// TreeProtocolVersion is the first protocol version with the directory
-// reconciliation frames; peers use them only when both ends advertise it
-// (the server echoes the agreed version on HelloOK.Protocol).
-const TreeProtocolVersion = 4
 
 // treeEntryWireLen is the minimum encoded size of one TreeEntry (one name
 // length byte, the hash, the dir flag) — the count-guard floor for

@@ -19,24 +19,13 @@ import (
 	"time"
 )
 
-// ProtocolVersion identifies this revision of the shadow protocol.
-// Version 2 added the optional trace-context header (see TraceContext);
-// version 3 added the chunk transfer frames (FileManifest, ChunkReq,
-// ChunkData) and the negotiated-version field on HelloOK; version 4 added
-// the directory reconciliation frames (TreeHead, TreeDiff, BatchNotify);
-// version 5 added the cluster peer frames (PeerHello, PeerNotify,
-// PeerDelta, PeerChunk).
-// The body encodings of all pre-existing messages are unchanged, so the
-// server accepts every version down to MinProtocolVersion; chunk frames
-// only flow on sessions where both ends advertised version 3, tree frames
-// only where both advertised version 4, and peer frames only on
-// server-to-server sessions where both ends advertised version 5.
+// ProtocolVersion identifies the shadow protocol. There is one: both ends
+// of a session speak exactly this version, and a HELLO that names any other
+// is refused with an ERROR (no old build is deployed anywhere, so there is
+// nothing to negotiate down to). The one per-frame choice left is the
+// optional trace-context header (see TraceContext), which any frame may
+// carry or omit.
 const ProtocolVersion = 5
-
-// MinProtocolVersion is the oldest protocol revision the server still
-// speaks. Version-1 peers never set the trace flag, so their frames decode
-// exactly as before.
-const MinProtocolVersion = 1
 
 // MaxFrame bounds a single protocol frame; larger transfers are rejected
 // rather than buffered without limit.
@@ -182,15 +171,15 @@ func (s JobState) String() string {
 func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 
 // traceFlag is set on the frame's kind byte when a trace-context header
-// follows it. Message kinds are small constants (1..16), so the high bit is
-// never part of a legitimate kind value — version-1 frames can never carry
-// it, which is what keeps the header backward compatible.
+// follows it. Message kinds are small constants, so the high bit is never
+// part of a legitimate kind value and a plain frame can never be misread as
+// a traced one.
 const traceFlag = 0x80
 
 // TraceContext is the causal metadata a frame may carry: the cycle's trace
 // id and the sending side's span id, in the style of Dapper/X-Trace
-// propagation. The zero value means "untraced"; untraced frames are encoded
-// exactly as protocol version 1 did.
+// propagation. The zero value means "untraced"; an untraced frame is encoded
+// without the header — kind byte, then body.
 type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64

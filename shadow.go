@@ -77,7 +77,7 @@ type (
 	// SubmitOptions are the optional submit arguments (§6.2).
 	SubmitOptions = client.SubmitOptions
 	// Workspace is a tree-level handle on a directory: Sync reconciles it
-	// with the server in O(difference) messages (protocol v4), Submit
+	// with the server in O(difference) messages, Submit
 	// resolves job paths relative to the root. Obtain one with
 	// Client.Workspace.
 	Workspace = client.Workspace
@@ -89,7 +89,7 @@ type (
 	// new version, bytes on the wire (0 = unchanged, nothing sent).
 	NotifyResult = client.NotifyResult
 	// ClusterClient is a workstation's routed connection to every member of
-	// a shadow-cache cluster (protocol v5); obtain one with
+	// a shadow-cache cluster; obtain one with
 	// Workstation.ConnectCluster.
 	ClusterClient = client.ClusterClient
 	// ClusterMember names one shadow-cache cluster instance and how to
@@ -188,7 +188,7 @@ const (
 
 // Workspace sync modes.
 const (
-	// SyncTree is Merkle-tree reconciliation (protocol v4).
+	// SyncTree is Merkle-tree reconciliation.
 	SyncTree = client.SyncTree
 	// SyncPerFile is the classic one-notify-per-file fallback.
 	SyncPerFile = client.SyncPerFile
@@ -536,24 +536,6 @@ func (w *Workstation) Connect(ctx context.Context, user string) (*Client, error)
 	return w.ConnectSession(ctx, SessionConfig{Env: DefaultEnvironment(user)})
 }
 
-// ConnectTo opens a shadow session to the named server with a customized
-// environment.
-//
-// Deprecated: ConnectTo predates SessionConfig and adds nothing over it.
-// Use ConnectSession(ctx, SessionConfig{Server: server, Env: environment}).
-func (w *Workstation) ConnectTo(ctx context.Context, server string, environment Environment) (*Client, error) {
-	return w.ConnectSession(ctx, SessionConfig{Server: server, Env: environment})
-}
-
-// ConnectEnv opens a shadow session to the default server (or the
-// environment's DefaultHost) with a customized environment.
-//
-// Deprecated: ConnectEnv predates SessionConfig and adds nothing over it.
-// Use ConnectSession(ctx, SessionConfig{Env: environment}).
-func (w *Workstation) ConnectEnv(ctx context.Context, environment Environment) (*Client, error) {
-	return w.ConnectSession(ctx, SessionConfig{Env: environment})
-}
-
 // SessionConfig customizes a workstation session.
 type SessionConfig struct {
 	// Server names the supercomputer; empty falls back to the
@@ -571,8 +553,8 @@ type SessionConfig struct {
 	// so job records survive client restarts.
 	Jobs *JobDB
 	// PerFileSync forces Workspace.Sync onto the classic one-notify-per-
-	// file path even when the server speaks protocol v4 (comparison and
-	// diagnosis; tree reconciliation is otherwise used automatically).
+	// file path (comparison and diagnosis; tree reconciliation is used
+	// otherwise).
 	PerFileSync bool
 	// Obs, when set, gives the client an observer: cycle latency lands in
 	// its histogram and, when its tracer is set, the client mints the
