@@ -60,10 +60,9 @@ func run(args []string, w io.Writer) error {
 		seed = fs.Int64("seed", 1987, "workload seed")
 		plot = fs.Bool("plot", false, "draw Figures 1-2 as ASCII plots like the paper")
 
-		sessions  = fs.Int("sessions", 8, "server figure: concurrent sessions")
-		cycles    = fs.Int("cycles", 50, "server figure: cycles per session")
-		fileSize  = fs.Int("filesize", 8*1024, "server figure: data file size in bytes")
-		transport = fs.String("transport", "tcp", "server figure: tcp or netsim")
+		sessions  = fs.Int("sessions", 8, "server, trace and chaos figures: concurrent sessions")
+		cycles    = fs.Int("cycles", 50, "server, trace and chaos figures: cycles per session")
+		transport = fs.String("transport", "tcp", "server, trace and dedup figures: tcp, pipe or netsim")
 		benchOut  = fs.String("bench-out", "BENCH_server.json", "server figure: JSON results file (appended; empty to skip)")
 		label     = fs.String("label", "", "server figure: label recorded with the run")
 		traceOn   = fs.Bool("trace", false, "server figure: run with full cycle tracing on")
@@ -71,24 +70,10 @@ func run(args []string, w io.Writer) error {
 
 		capSessions = fs.String("cap-sessions", "100,1000,5000,10000", "capacity figure: comma-separated session counts")
 		capProcs    = fs.String("cap-procs", "1,2,4,8", "capacity figure: comma-separated GOMAXPROCS values")
-		capCycles   = fs.Int("cap-cycles", 2, "capacity figure: measured cycles per session")
-		capFileSize = fs.Int("cap-filesize", 2*1024, "capacity figure: data file size in bytes")
 
-		dedupSessions   = fs.Int("dedup-sessions", 16, "dedup figure: concurrent sessions")
-		dedupCycles     = fs.Int("dedup-cycles", 4, "dedup figure: shared-content rounds per session")
-		dedupFileSize   = fs.Int("dedup-filesize", 48*1024, "dedup figure: common file size in bytes")
-		dedupRedundancy = fs.Float64("dedup-redundancy", 0.97, "dedup figure: shared fraction of each variant")
-		dedupCapacity   = fs.Int64("dedup-capacity", 0, "dedup figure: pressure cell cache bound in bytes (0: 2x filesize)")
+		treeFiles = fs.Int("tree-files", 10000, "treesync figure: workspace size in files")
 
-		treeFiles    = fs.Int("tree-files", 10000, "treesync figure: workspace size in files")
-		treeFileSize = fs.Int("tree-filesize", 256, "treesync figure: file size in bytes")
-		treeEdited   = fs.Int("tree-edited", 0, "treesync figure: files edited before the measured sync (0: 1%)")
-
-		clusterInstances = fs.String("cluster-instances", "1,2,4", "cluster figure: comma-separated instance counts")
-		clusterSessions  = fs.Int("cluster-sessions", 16, "cluster figure: concurrent workstations")
-		clusterCycles    = fs.Int("cluster-cycles", 10, "cluster figure: measured cycles per session")
-		clusterJobCPU    = fs.Duration("cluster-jobcpu", 250*time.Millisecond, "cluster figure: simulated CPU per job")
-		clusterGate      = fs.Float64("cluster-gate", 0, "cluster figure: fail unless last-cell cycles/sec >= gate x first cell (0 disables)")
+		clusterGate = fs.Float64("cluster-gate", 0, "cluster figure: fail unless last-cell cycles/sec >= gate x first cell (0 disables)")
 
 		dropRate   = fs.Float64("drop", 0.05, "chaos figure: per-frame drop probability")
 		spikeRate  = fs.Float64("spike", 0.05, "chaos figure: per-frame latency-spike probability")
@@ -104,7 +89,6 @@ func run(args []string, w io.Writer) error {
 	runner.server = experiment.ServerBenchConfig{
 		Sessions:  *sessions,
 		Cycles:    *cycles,
-		FileSize:  *fileSize,
 		Transport: *transport,
 		Seed:      *seed,
 		Tracer:    *traceOn,
@@ -112,53 +96,18 @@ func run(args []string, w io.Writer) error {
 	}
 	runner.benchOut = *benchOut
 	runner.label = *label
-	capSess, err := parseIntList(*capSessions)
-	if err != nil {
+	var err error
+	if runner.capSessions, err = parseIntList(*capSessions); err != nil {
 		return fmt.Errorf("-cap-sessions: %w", err)
 	}
-	capPr, err := parseIntList(*capProcs)
-	if err != nil {
+	if runner.capProcs, err = parseIntList(*capProcs); err != nil {
 		return fmt.Errorf("-cap-procs: %w", err)
 	}
-	runner.capacityCfg = experiment.CapacityConfig{
-		Sessions: capSess,
-		Procs:    capPr,
-		Cycles:   *capCycles,
-		FileSize: *capFileSize,
-		Seed:     *seed,
-	}
-	runner.dedupCfg = experiment.DedupConfig{
-		Sessions:         *dedupSessions,
-		Cycles:           *dedupCycles,
-		FileSize:         *dedupFileSize,
-		Redundancy:       *dedupRedundancy,
-		PressureCapacity: *dedupCapacity,
-		Transport:        *transport,
-		Seed:             *seed,
-	}
-	runner.treeCfg = experiment.TreeSyncConfig{
-		Files:    *treeFiles,
-		FileSize: *treeFileSize,
-		Edited:   *treeEdited,
-		Seed:     *seed,
-	}
-	clusterInst, err := parseIntList(*clusterInstances)
-	if err != nil {
-		return fmt.Errorf("-cluster-instances: %w", err)
-	}
-	runner.clusterCfg = experiment.ClusterBenchConfig{
-		Instances: clusterInst,
-		Sessions:  *clusterSessions,
-		Cycles:    *clusterCycles,
-		FileSize:  *fileSize,
-		JobCPU:    *clusterJobCPU,
-		Seed:      *seed,
-	}
+	runner.treeFiles = *treeFiles
 	runner.clusterGate = *clusterGate
 	runner.chaosCfg = experiment.ChaosConfig{
 		Sessions:    *sessions,
 		Cycles:      *cycles,
-		FileSize:    *fileSize,
 		Seed:        *seed,
 		DropRate:    *dropRate,
 		SpikeRate:   *spikeRate,
@@ -226,11 +175,10 @@ type runner struct {
 
 	server      experiment.ServerBenchConfig
 	chaosCfg    experiment.ChaosConfig
-	clusterCfg  experiment.ClusterBenchConfig
 	clusterGate float64
-	capacityCfg experiment.CapacityConfig
-	dedupCfg    experiment.DedupConfig
-	treeCfg     experiment.TreeSyncConfig
+	capSessions []int
+	capProcs    []int
+	treeFiles   int
 	benchOut    string
 	label       string
 }
@@ -345,31 +293,15 @@ func (r *runner) serverBench() error {
 	}
 	res.Label = r.label
 	fmt.Fprintf(r.w, "Server throughput: %s\n", res)
-	if r.benchOut == "" {
-		return nil
-	}
-	if err := appendBenchRun(r.benchOut, res); err != nil {
-		return fmt.Errorf("write %s: %w", r.benchOut, err)
-	}
-	fmt.Fprintf(r.w, "recorded in %s\n", r.benchOut)
-	return nil
+	return r.record(res)
 }
 
-// capacity runs the session-capacity sweep, printing each cell as it lands
-// and appending all cells to the trajectory file.
-func (r *runner) capacity() error {
-	results, err := experiment.RunCapacitySweep(r.capacityCfg, func(res experiment.ServerBenchResult) {
-		fmt.Fprintf(r.w, "%s: %d sessions @ GOMAXPROCS=%d: %.1f cycles/sec (p50 %.1fms, p99 %.1fms), %.1f goroutines/session, %.1f KB resident/session, connect+prime %.1fs\n",
-			res.Label, res.Sessions, res.GoMaxProcs, res.CyclesPerSec,
-			res.P50Ms, res.P99Ms, res.GoroutinesPerSession, res.ResidentKBPerSession, res.ConnectSec)
-	})
-	if err != nil {
-		return err
-	}
+// record appends the rows to the trajectory file (-bench-out; empty skips).
+func (r *runner) record(rows ...experiment.ServerBenchResult) error {
 	if r.benchOut == "" {
 		return nil
 	}
-	for _, res := range results {
+	for _, res := range rows {
 		if err := appendBenchRun(r.benchOut, res); err != nil {
 			return fmt.Errorf("write %s: %w", r.benchOut, err)
 		}
@@ -378,12 +310,26 @@ func (r *runner) capacity() error {
 	return nil
 }
 
+// capacity runs the session-capacity sweep, printing each cell as it lands
+// and appending all cells to the trajectory file.
+func (r *runner) capacity() error {
+	results, err := experiment.RunCapacitySweep(r.capSessions, r.capProcs, r.seed, func(res experiment.ServerBenchResult) {
+		fmt.Fprintf(r.w, "%s: %d sessions @ GOMAXPROCS=%d: %.1f cycles/sec (p50 %.1fms, p99 %.1fms), %.1f goroutines/session, %.1f KB resident/session, connect+prime %.1fs\n",
+			res.Label, res.Sessions, res.GoMaxProcs, res.CyclesPerSec,
+			res.P50Ms, res.P99Ms, res.GoroutinesPerSession, res.ResidentKBPerSession, res.ConnectSec)
+	})
+	if err != nil {
+		return err
+	}
+	return r.record(results...)
+}
+
 // dedup runs the chunk-dedup figure (baseline, chunked, cache pressure) and
 // appends all three cells to the trajectory file. It fails when the pressure
 // cell degraded to whole-file retransmits — eviction must cost only the
 // chunks actually gone — or when chunking failed to cut wire bytes at all.
 func (r *runner) dedup() error {
-	fig, err := experiment.RunDedupFigure(r.dedupCfg)
+	fig, err := experiment.RunDedupFigure(r.server.Transport, r.seed)
 	if err != nil {
 		return err
 	}
@@ -397,16 +343,7 @@ func (r *runner) dedup() error {
 	if fig.WireReduction() < 1 {
 		return fmt.Errorf("dedup: chunked run moved more bytes than baseline (%.2fx)", fig.WireReduction())
 	}
-	if r.benchOut == "" {
-		return nil
-	}
-	for _, res := range []experiment.ServerBenchResult{fig.Baseline, fig.Chunked, fig.Pressure} {
-		if err := appendBenchRun(r.benchOut, res); err != nil {
-			return fmt.Errorf("write %s: %w", r.benchOut, err)
-		}
-	}
-	fmt.Fprintf(r.w, "recorded in %s\n", r.benchOut)
-	return nil
+	return r.record(fig.Baseline, fig.Chunked, fig.Pressure)
 }
 
 // treesync runs the workspace-reconciliation figure (per-file vs Merkle
@@ -415,7 +352,7 @@ func (r *runner) dedup() error {
 // also finish sooner in virtual time — the whole point of the summary
 // exchange is O(changed) reconciliation, so CI can gate on it directly.
 func (r *runner) treesync() error {
-	fig, err := experiment.RunTreeSync(r.treeCfg)
+	fig, err := experiment.RunTreeSync(r.treeFiles, r.seed)
 	if err != nil {
 		return err
 	}
@@ -428,16 +365,7 @@ func (r *runner) treesync() error {
 		return fmt.Errorf("treesync: tree sync was not faster (%.1fms vs %.1fms per-file)",
 			fig.Tree.SyncVirtualMs, fig.PerFile.SyncVirtualMs)
 	}
-	if r.benchOut == "" {
-		return nil
-	}
-	for _, res := range []experiment.ServerBenchResult{fig.PerFile, fig.Tree} {
-		if err := appendBenchRun(r.benchOut, res); err != nil {
-			return fmt.Errorf("write %s: %w", r.benchOut, err)
-		}
-	}
-	fmt.Fprintf(r.w, "recorded in %s\n", r.benchOut)
-	return nil
+	return r.record(fig.PerFile, fig.Tree)
 }
 
 // traceOverhead runs the server figure twice — tracing off, then fully on —
@@ -470,17 +398,7 @@ func (r *runner) traceOverhead() error {
 	if on.ChromeOut != "" {
 		fmt.Fprintf(r.w, "slowest trace exported to %s\n", on.ChromeOut)
 	}
-	if r.benchOut == "" {
-		return nil
-	}
-	if err := appendBenchRun(r.benchOut, resOff); err != nil {
-		return fmt.Errorf("write %s: %w", r.benchOut, err)
-	}
-	if err := appendBenchRun(r.benchOut, resOn); err != nil {
-		return fmt.Errorf("write %s: %w", r.benchOut, err)
-	}
-	fmt.Fprintf(r.w, "recorded in %s\n", r.benchOut)
-	return nil
+	return r.record(resOff, resOn)
 }
 
 // chaos runs the fault-injection gauntlet and fails the invocation when any
@@ -500,32 +418,19 @@ func (r *runner) chaos() error {
 }
 
 // cluster runs the shadow-cache cluster scaling figure (1/2/4 instances in
-// virtual time) and appends every cell to the trajectory file. It fails
-// when any full file crossed a peer link (forwards must be deltas or chunk
-// manifests) or, with -cluster-gate set, when the largest cell's throughput
-// fell short of gate x the single-instance cell.
+// virtual time) and appends every cell to the trajectory file. With
+// -cluster-gate set it fails when the largest cell's throughput fell short
+// of gate x the single-instance cell.
 func (r *runner) cluster() error {
-	fig, err := experiment.RunClusterBench(r.clusterCfg)
+	fig, err := experiment.RunClusterBench(r.seed)
 	if err != nil {
 		return err
 	}
 	fig.Render(r.w)
-	if full := fig.PeerFullTotal(); full != 0 {
-		return fmt.Errorf("cluster: %d full files crossed peer links, want 0", full)
-	}
 	if r.clusterGate > 0 && fig.Scaling() < r.clusterGate {
 		return fmt.Errorf("cluster: scaling %.2fx below the %.2fx gate", fig.Scaling(), r.clusterGate)
 	}
-	if r.benchOut == "" {
-		return nil
-	}
-	for _, res := range fig.Cells {
-		if err := appendBenchRun(r.benchOut, res); err != nil {
-			return fmt.Errorf("write %s: %w", r.benchOut, err)
-		}
-	}
-	fmt.Fprintf(r.w, "recorded in %s\n", r.benchOut)
-	return nil
+	return r.record(fig.Cells...)
 }
 
 // benchFile is the BENCH_server.json layout: one run appended per invocation.

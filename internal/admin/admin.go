@@ -169,7 +169,6 @@ func counterSpecs(s metrics.Snapshot) []counterSpec {
 		{"shadow_messages_total", "Protocol messages counted on the transfer paths.", s.Messages},
 		{"shadow_delta_sends_total", "Transfers that went as deltas.", s.DeltaSends},
 		{"shadow_full_sends_total", "Transfers that went as full copies.", s.FullSends},
-		{"shadow_busy_seconds_total", "Simulated compute time charged (diff runs, job CPU).", int64(s.Busy.Seconds())},
 		{"shadow_cache_hits_total", "Shadow cache lookups that found a usable entry.", s.CacheHits},
 		{"shadow_cache_misses_total", "Shadow cache lookups that missed.", s.CacheMisses},
 		{"shadow_cache_evictions_total", "Entries evicted from the best-effort cache.", s.CacheEvictions},
@@ -180,7 +179,6 @@ func counterSpecs(s metrics.Snapshot) []counterSpec {
 		{"shadow_reconnects_total", "Sessions re-established after connection loss.", s.Reconnects},
 		{"shadow_retries_total", "Request attempts retried after transient failures.", s.Retries},
 		{"shadow_full_fallbacks_total", "Delta transfers degraded to full copies (base evicted or lost).", s.FullFallbacks},
-		{"shadow_dropped_frames_total", "Frames lost to fault injection.", s.DroppedFrames},
 		{"shadow_manifest_bytes_total", "Payload bytes moved as chunk manifests (protocol v3).", s.ManifestBytes},
 		{"shadow_chunk_bytes_total", "Payload bytes moved as chunk data (inline and requested).", s.ChunkBytes},
 		{"shadow_manifest_sends_total", "Transfers that went as chunk manifests.", s.ManifestSends},
@@ -191,7 +189,6 @@ func counterSpecs(s metrics.Snapshot) []counterSpec {
 		{"shadow_peer_delta_bytes_total", "Payload bytes moved as peer-forwarded deltas (protocol v5).", s.PeerDeltaBytes},
 		{"shadow_peer_manifest_bytes_total", "Payload bytes moved as peer chunk manifests (protocol v5).", s.PeerManifestBytes},
 		{"shadow_peer_chunk_bytes_total", "Payload bytes moved as peer-fetched chunk data (protocol v5).", s.PeerChunkBytes},
-		{"shadow_peer_full_transfers_total", "Full file bodies crossing peer links (structurally zero; proves the negative).", s.PeerFullTransfers},
 		{"shadow_peer_negatives_total", "Peer fetches the owner declined (requester pulls from the client).", s.PeerNegatives},
 		{"shadow_delta_bytes_saved_total", "Full-content bytes peer forwarding avoided re-pulling from clients.", s.DeltaBytesSaved},
 		{"shadow_owner_misses_total", "Requests that fell through a file's ring owner to a successor.", s.OwnerMisses},
@@ -303,7 +300,6 @@ type cacheEntryView struct {
 	File     string `json:"file,omitempty"`
 	Version  uint64 `json:"version"`
 	Bytes    int    `json:"bytes"`
-	Pins     int    `json:"pins"`
 	LastUsed int64  `json:"last_used_seq"`
 }
 
@@ -341,7 +337,6 @@ func (h *handler) cacheView() cacheView {
 			ID:       uint64(e.ID),
 			Version:  e.Version,
 			Bytes:    e.Size,
-			Pins:     e.Pins,
 			LastUsed: e.LastUsed,
 		}
 		if ref, ok := h.srv.Directory().RefOf(e.ID); ok {
@@ -378,7 +373,7 @@ func (h *handler) cachez(w http.ResponseWriter, r *http.Request) {
 		if name == "" {
 			name = fmt.Sprintf("shadow-id %d", e.ID)
 		}
-		fmt.Fprintf(&b, "  %s v%d  %d bytes  pins=%d  lastused=%d\n", name, e.Version, e.Bytes, e.Pins, e.LastUsed)
+		fmt.Fprintf(&b, "  %s v%d  %d bytes  lastused=%d\n", name, e.Version, e.Bytes, e.LastUsed)
 	}
 	writeText(w, b.String())
 }

@@ -84,13 +84,12 @@ func TestMetricsContent(t *testing.T) {
 		"shadow_delta_bytes_total", "shadow_full_bytes_total",
 		"shadow_control_bytes_total", "shadow_output_bytes_total",
 		"shadow_messages_total", "shadow_delta_sends_total",
-		"shadow_full_sends_total", "shadow_busy_seconds_total",
+		"shadow_full_sends_total",
 		"shadow_cache_hits_total", "shadow_cache_misses_total",
 		"shadow_cache_evictions_total", "shadow_cache_rejected_total",
 		"shadow_pulls_issued_total", "shadow_pulls_deferred_total",
 		"shadow_pulls_coalesced_total", "shadow_reconnects_total",
 		"shadow_retries_total", "shadow_full_fallbacks_total",
-		"shadow_dropped_frames_total",
 		"shadow_sessions", "shadow_cache_bytes 5", "shadow_cache_entries 1",
 		"shadow_jobs{state=\"queued\"}",
 		"# TYPE shadow_submit_ack_seconds histogram",

@@ -9,8 +9,8 @@
 // decides how much disk to spend and which files leave first — here a byte
 // capacity plus a pluggable eviction policy.
 //
-// Entries hold the newest version of each shadow file; files pinned by
-// running jobs are never evicted until unpinned.
+// Entries hold the newest version of each shadow file. Nothing pins an
+// entry: jobs run on snapshots taken when their inputs arrive.
 //
 // Storage is content-addressed: an entry is a manifest of chunk refs into a
 // shared, refcounted chunk store (internal/chunk), so identical content
@@ -50,7 +50,7 @@ import (
 	"shadowedit/internal/naming"
 )
 
-// Policy selects which unpinned entry leaves first under pressure.
+// Policy selects which entry leaves first under pressure.
 type Policy int
 
 // Eviction policies.
@@ -130,8 +130,8 @@ type Cache struct {
 	shards [shardCount]shard
 
 	// evictMu serializes capacity-bounded Puts so the room check and the
-	// eviction scan are atomic with respect to each other. Reads, pins and
-	// unbounded Puts never take it.
+	// eviction scan are atomic with respect to each other. Reads and unbounded
+	// Puts never take it.
 	evictMu sync.Mutex
 
 	// onEvict, when set, observes every entry that leaves the cache —
@@ -160,7 +160,6 @@ type slot struct {
 	manifest chunk.Manifest
 	size     int64 // logical content length
 	lastUsed int64
-	pins     int
 	// split marks a manifest the cache computed itself (Put, PutFromBase):
 	// chunk.Split of the content, every Len the length of its chunk. A
 	// manifest a client or peer described (PutManifest) is checked only for
@@ -318,10 +317,10 @@ func (c *Cache) assembleLocked(dst []byte, id naming.ShadowID, s *slot) Entry {
 
 // Put stores version content for id, replacing any older version and
 // splitting the content into the shared chunk store (already-resident chunks
-// are deduplicated, not stored again). Under a capacity bound, unpinned
+// are deduplicated, not stored again). Under a capacity bound, other
 // entries are evicted until unique bytes fit; eviction is best-effort — if
-// everything else is pinned the cache may briefly exceed its bound rather
-// than refuse fresh content. Content bigger than the whole cache is rejected
+// the bytes that remain are held by in-flight transfers the cache may briefly
+// exceed its bound rather than refuse fresh content. Content bigger than the whole cache is rejected
 // up front with ErrTooLarge, and callers must not treat that as fatal.
 func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
 	size := int64(len(content))
@@ -427,14 +426,14 @@ func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, si
 	}
 }
 
-// reject counts a failed Put and drops any stale unpinned old version of id.
+// reject counts a failed Put and drops any stale old version of id.
 func (c *Cache) reject(id naming.ShadowID) {
 	c.rejected.Add(1)
 	sh := c.shardOf(id)
 	sh.mu.Lock()
 	var old chunk.Manifest
 	removed := false
-	if s, ok := sh.entries[id]; ok && s.pins == 0 {
+	if s, ok := sh.entries[id]; ok {
 		c.logicalBytes.Add(-s.size)
 		old = s.manifest
 		delete(sh.entries, id)
@@ -473,10 +472,10 @@ func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, version uint64, m chu
 	return nil
 }
 
-// evictOne removes one unpinned victim per policy, scanning every shard for
-// the global best candidate (identical choice to the single-lock cache) and
-// then revalidating under the victim's shard lock — a pin that raced the
-// scan spares the entry and the scan repeats. Returns false when no victim
+// evictOne removes one victim per policy, scanning every shard for the
+// global best candidate (identical choice to the single-lock cache) and then
+// revalidating under the victim's shard lock — if an Evict or a rejected Put
+// removed it after the scan, the scan repeats. Returns false when no victim
 // exists. Caller holds evictMu, so at most one eviction scan runs at a time
 // and no shard lock is ever held while another is taken. Releasing the
 // victim's manifest frees only the chunks no other manifest (and no
@@ -494,7 +493,7 @@ func (c *Cache) evictOne(keep naming.ShadowID) bool {
 			sh := &c.shards[i]
 			sh.mu.Lock()
 			for id, s := range sh.entries {
-				if s.pins > 0 || id == keep {
+				if id == keep {
 					continue
 				}
 				switch c.policy {
@@ -516,7 +515,7 @@ func (c *Cache) evictOne(keep naming.ShadowID) bool {
 			return false
 		}
 		victimShard.mu.Lock()
-		if s, ok := victimShard.entries[victim]; ok && s.pins == 0 {
+		if s, ok := victimShard.entries[victim]; ok {
 			c.logicalBytes.Add(-s.size)
 			m := s.manifest
 			delete(victimShard.entries, victim)
@@ -527,36 +526,11 @@ func (c *Cache) evictOne(keep naming.ShadowID) bool {
 			return true
 		}
 		victimShard.mu.Unlock()
-		// The chosen victim was pinned or removed after the scan; pick
-		// again without it.
+		// The chosen victim was removed after the scan; pick again without it.
 	}
 }
 
-// Pin marks id in use (for example by a queued or running job); pinned
-// entries survive eviction. Pins nest.
-func (c *Cache) Pin(id naming.ShadowID) bool {
-	sh := c.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.entries[id]
-	if !ok {
-		return false
-	}
-	s.pins++
-	return true
-}
-
-// Unpin releases one pin.
-func (c *Cache) Unpin(id naming.ShadowID) {
-	sh := c.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok := sh.entries[id]; ok && s.pins > 0 {
-		s.pins--
-	}
-}
-
-// Evict forcibly removes an entry (even a pinned one); used by tests and by
+// Evict forcibly removes an entry; used by tests and by
 // operators reclaiming disk. Reports whether the entry existed.
 func (c *Cache) Evict(id naming.ShadowID) bool {
 	sh := c.shardOf(id)
@@ -651,7 +625,6 @@ type EntryInfo struct {
 	// Size is the logical content length; Chunks the manifest's ref count.
 	Size     int
 	Chunks   int
-	Pins     int
 	LastUsed int64 // recency sequence number; higher = used more recently
 }
 
@@ -671,7 +644,6 @@ func (c *Cache) Entries() []EntryInfo {
 				Version:  s.version,
 				Size:     int(s.size),
 				Chunks:   len(s.manifest),
-				Pins:     s.pins,
 				LastUsed: s.lastUsed,
 			})
 		}

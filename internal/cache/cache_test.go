@@ -118,95 +118,6 @@ func TestLargestFirstEviction(t *testing.T) {
 	}
 }
 
-func TestPinnedNeverEvicted(t *testing.T) {
-	c := New(250, LRU)
-	if err := c.Put(1, 1, content(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Pin(1) {
-		t.Fatal("Pin failed")
-	}
-	if err := c.Put(2, 1, content(100, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Needs 100 more: must evict 2 (LRU would pick 1, but 1 is pinned).
-	if err := c.Put(3, 1, content(100, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Peek(1); !ok {
-		t.Fatal("pinned entry evicted")
-	}
-	if _, ok := c.Peek(2); ok {
-		t.Fatal("unpinned entry survived over pinned")
-	}
-
-	// With everything pinned the best-effort cache accepts fresh content
-	// and briefly exceeds its bound rather than refuse it; the pinned
-	// residents survive untouched.
-	c.Pin(3)
-	if err := c.Put(4, 1, content(200, 4)); err != nil {
-		t.Fatalf("Put with all pinned = %v, want best-effort accept", err)
-	}
-	for _, id := range []naming.ShadowID{1, 3, 4} {
-		if _, ok := c.Peek(id); !ok {
-			t.Fatalf("entry %d missing after over-bound Put", id)
-		}
-	}
-	if c.Bytes() <= 250 {
-		t.Fatalf("Bytes = %d, expected over-bound while all pinned", c.Bytes())
-	}
-	// Unpin frees entry 1 for eviction; the next bounded Put reclaims it.
-	c.Unpin(1)
-	if err := c.Put(5, 1, content(100, 5)); err != nil {
-		t.Fatalf("Put after Unpin: %v", err)
-	}
-	if _, ok := c.Peek(1); ok {
-		t.Fatal("entry 1 should be evictable after Unpin")
-	}
-	if _, ok := c.Peek(3); !ok {
-		t.Fatal("pinned entry 3 evicted")
-	}
-}
-
-func TestPinNesting(t *testing.T) {
-	c := New(0, LRU)
-	if err := c.Put(1, 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	c.Pin(1)
-	c.Pin(1)
-	c.Unpin(1)
-	// Still pinned once; force-evict is allowed, but policy eviction is
-	// not — a tiny cache with its sole entry pinned accepts new content
-	// over-bound instead of evicting the pin.
-	small := New(1, LRU)
-	if err := small.Put(2, 1, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	small.Pin(2)
-	if err := small.Put(3, 1, []byte("z")); err != nil {
-		t.Fatalf("Put = %v, want best-effort accept while sole entry pinned", err)
-	}
-	if _, ok := small.Peek(2); !ok {
-		t.Fatal("pinned entry evicted by over-bound Put")
-	}
-	small.Unpin(2)
-	if err := small.Put(4, 1, []byte("w")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := small.Peek(2); ok {
-		t.Fatal("unpinned entry survived capacity pressure")
-	}
-}
-
-func TestPinMissing(t *testing.T) {
-	c := New(0, LRU)
-	if c.Pin(9) {
-		t.Fatal("Pin of absent id succeeded")
-	}
-	c.Unpin(9) // must not panic
-}
-
 func TestContentLargerThanCapacityRejected(t *testing.T) {
 	c := New(100, LRU)
 	if err := c.Put(1, 1, content(101, 'x')); !errors.Is(err, ErrTooLarge) {
@@ -289,62 +200,34 @@ func TestUnknownPolicyDefaultsToLRU(t *testing.T) {
 func TestPropertyBytesAccountingUnderRandomOps(t *testing.T) {
 	// Invariants under a random op stream: LogicalBytes() equals the sum
 	// of stored content lengths, unique bytes never exceed logical bytes,
-	// capacity holds whenever nothing is pinned to block eviction, and
-	// pinned entries survive policy eviction.
+	// and the capacity bound holds after every Put.
 	rng := rand.New(rand.NewSource(99))
 	const capacity = 5000
 	for _, policy := range []Policy{LRU, LargestFirst} {
 		c := New(capacity, policy)
-		pinned := make(map[naming.ShadowID]int)
-		anyPinned := func() bool {
-			for _, n := range pinned {
-				if n > 0 {
-					return true
-				}
-			}
-			return false
-		}
 		for op := 0; op < 3000; op++ {
 			id := naming.ShadowID(rng.Intn(20) + 1)
 			switch rng.Intn(10) {
-			case 0:
-				if c.Pin(id) {
-					pinned[id]++
-				}
-			case 1:
-				if pinned[id] > 0 {
-					c.Unpin(id)
-					pinned[id]--
-				}
+			case 0, 1:
+				c.Peek(id)
 			case 2:
 				c.Get(id)
 			case 3:
-				if pinned[id] == 0 {
-					if c.Evict(id) {
-						// force-evicted
-					}
-				}
+				c.Evict(id)
 			default:
 				size := rng.Intn(1500)
 				err := c.Put(id, uint64(op), content(size, byte(id)))
 				if err != nil && !errors.Is(err, ErrTooLarge) {
 					t.Fatalf("Put: %v", err)
 				}
-				// Eviction only runs during bounded Puts; with no pins
-				// blocking it, the bound must hold afterwards.
-				if !anyPinned() && c.Bytes() > capacity {
-					t.Fatalf("op %d: bytes %d exceeds capacity with nothing pinned", op, c.Bytes())
+				// Eviction only runs during bounded Puts; the bound must
+				// hold afterwards.
+				if c.Bytes() > capacity {
+					t.Fatalf("op %d: bytes %d exceeds capacity", op, c.Bytes())
 				}
 			}
 			if c.Bytes() > c.LogicalBytes() {
 				t.Fatalf("op %d: unique %d exceeds logical %d", op, c.Bytes(), c.LogicalBytes())
-			}
-			for id, pins := range pinned {
-				if pins > 0 {
-					if _, ok := c.Peek(id); !ok {
-						t.Fatalf("op %d: pinned %d missing", op, id)
-					}
-				}
 			}
 		}
 		// Recompute the logical byte total from scratch.
@@ -381,9 +264,7 @@ func TestConcurrentAccess(t *testing.T) {
 				case 1:
 					c.Get(id)
 				case 2:
-					if c.Pin(id) {
-						c.Unpin(id)
-					}
+					c.Peek(id)
 				case 3:
 					c.Stats()
 				}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestStressShardedOps hammers a bounded cache from many goroutines with the
-// full operation mix — Put, PutOwned, Get, Peek, Pin/Unpin, forced Evict and
-// the occasional Flush — across enough distinct IDs to populate every shard.
+// full operation mix — Put, PutOwned, Get, Peek, forced Evict and the
+// occasional Flush — across enough distinct IDs to populate every shard.
 // Run with -race this is the striping soundness check; afterwards the atomic
 // byte accounting must agree with a from-scratch recount and the capacity
 // bound must hold.
@@ -32,27 +32,15 @@ func TestStressShardedOps(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(g) * 7919))
-				pins := make(map[naming.ShadowID]int)
 				for i := 0; i < opsEach; i++ {
 					id := naming.ShadowID(rng.Intn(ids) + 1)
 					switch rng.Intn(12) {
-					case 0:
-						if c.Pin(id) {
-							pins[id]++
-						}
-					case 1:
-						if pins[id] > 0 {
-							c.Unpin(id)
-							pins[id]--
-						}
-					case 2:
+					case 0, 1, 2:
 						c.Get(id)
 					case 3:
 						c.Peek(id)
 					case 4:
-						if pins[id] == 0 {
-							c.Evict(id)
-						}
+						c.Evict(id)
 					case 5:
 						if g == 0 && i%1000 == 999 {
 							c.Flush()
@@ -71,21 +59,12 @@ func TestStressShardedOps(t *testing.T) {
 						}
 					}
 				}
-				// Release every pin this goroutine still holds so the final
-				// state has no pinned entries left behind.
-				for id, n := range pins {
-					for ; n > 0; n-- {
-						c.Unpin(id)
-					}
-				}
 			}(g)
 		}
 		wg.Wait()
 
-		// Eviction is best-effort (a transient pin can block it during the
-		// run), but with every pin released a final bounded Put would
-		// restore the bound; here we only require unique <= logical and an
-		// exact logical recount.
+		// Eviction is best-effort, so here we only require unique <= logical
+		// and an exact logical recount.
 		if c.Bytes() > c.LogicalBytes() {
 			t.Fatalf("%v: unique %d exceeds logical %d", policy, c.Bytes(), c.LogicalBytes())
 		}
@@ -127,9 +106,7 @@ func TestStressUnboundedOps(t *testing.T) {
 				case 0:
 					c.Get(id)
 				case 1:
-					if c.Pin(id) {
-						c.Unpin(id)
-					}
+					c.Peek(id)
 				case 2:
 					c.Evict(id)
 				default:

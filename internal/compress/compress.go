@@ -74,12 +74,3 @@ func Decode(framed []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrCorrupt, framed[0])
 	}
 }
-
-// Ratio returns encoded size over raw size — below 1.0 means compression
-// helped. Raw size zero reports 1.0.
-func Ratio(raw, encoded int) float64 {
-	if raw == 0 {
-		return 1.0
-	}
-	return float64(encoded) / float64(raw)
-}

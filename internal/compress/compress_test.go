@@ -93,12 +93,3 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if Ratio(0, 5) != 1.0 {
-		t.Error("Ratio with zero raw should be 1.0")
-	}
-	if Ratio(100, 50) != 0.5 {
-		t.Error("Ratio(100, 50) != 0.5")
-	}
-}

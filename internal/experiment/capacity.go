@@ -9,97 +9,51 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
-	"shadowedit/internal/client"
-	"shadowedit/internal/env"
-	"shadowedit/internal/naming"
 	"shadowedit/internal/obs"
 	"shadowedit/internal/server"
-	"shadowedit/internal/workload"
 )
 
-// CapacityConfig parametrizes RunCapacitySweep.
-type CapacityConfig struct {
-	// Sessions are the fleet sizes of the capacity curve, run at the
-	// process's current GOMAXPROCS.
-	Sessions []int
-	// Procs are the GOMAXPROCS values of the scheduling curve.
-	Procs []int
-	// ProcsSessions is the fleet size the scheduling curve runs at.
-	ProcsSessions int
-	// Cycles is the number of measured churn cycles per session (the
-	// priming cycle is separate).
-	Cycles int
-	// FileSize is the per-session data file size in bytes. Capacity runs
-	// default this small: the footprint of interest is the fixed
-	// per-session cost, not the file content.
-	FileSize int
-	// EditPercent is the fraction of the file modified each cycle.
-	EditPercent float64
-	// Seed makes the workload reproducible.
-	Seed int64
-}
-
-func (c CapacityConfig) withDefaults() CapacityConfig {
-	if len(c.Sessions) == 0 {
-		c.Sessions = []int{100, 1000, 5000, 10000}
-	}
-	if len(c.Procs) == 0 {
-		c.Procs = []int{1, 2, 4, 8}
-	}
-	if c.ProcsSessions <= 0 {
-		c.ProcsSessions = 1000
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 2
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 2 * 1024
-	}
-	if c.EditPercent <= 0 {
-		c.EditPercent = 5
-	}
-	if c.Seed == 0 {
-		c.Seed = 1987
-	}
-	return c
-}
+const (
+	// capacityProcsSessions is the fleet size the GOMAXPROCS curve runs at.
+	capacityProcsSessions = 1000
+	// capacityCycles is the measured churn per session (the prime is
+	// separate).
+	capacityCycles = 2
+	// capacityFileSize is small on purpose: the footprint of interest is the
+	// fixed per-session cost, not the file content.
+	capacityFileSize = 2 * 1024
+)
 
 // RunCapacitySweep runs the two capacity curves and returns one result per
-// cell: first the session sweep (label "capacity"), then the GOMAXPROCS
-// sweep (label "capacity-procs"). When report is non-nil it is called with
-// each cell as it completes, so long sweeps show progress.
-func RunCapacitySweep(cfg CapacityConfig, report func(ServerBenchResult)) ([]ServerBenchResult, error) {
-	cfg = cfg.withDefaults()
+// cell: first the session sweep over sessions at the process's current
+// GOMAXPROCS (label "capacity"), then the GOMAXPROCS sweep over procs (label
+// "capacity-procs"). When report is non-nil it is called with each cell as
+// it completes, so long sweeps show progress.
+func RunCapacitySweep(sessions, procs []int, seed int64, report func(ServerBenchResult)) ([]ServerBenchResult, error) {
 	var out []ServerBenchResult
-	add := func(res ServerBenchResult, err error) error {
+	cell := func(label string, n, p int) error {
+		res, err := runCapacityCell(n, p, seed)
 		if err != nil {
 			return err
 		}
+		res.Label = label
 		out = append(out, res)
 		if report != nil {
 			report(res)
 		}
 		return nil
 	}
-	baseProcs := runtime.GOMAXPROCS(0)
-	for _, n := range cfg.Sessions {
-		res, err := runCapacityCell(cfg, n, baseProcs)
-		res.Label = "capacity"
-		if err := add(res, err); err != nil {
+	for _, n := range sessions {
+		if err := cell("capacity", n, runtime.GOMAXPROCS(0)); err != nil {
 			return out, fmt.Errorf("capacity %d sessions: %w", n, err)
 		}
 	}
-	for _, p := range cfg.Procs {
-		res, err := runCapacityCell(cfg, cfg.ProcsSessions, p)
-		res.Label = "capacity-procs"
-		if err := add(res, err); err != nil {
+	for _, p := range procs {
+		if err := cell("capacity-procs", capacityProcsSessions, p); err != nil {
 			return out, fmt.Errorf("capacity GOMAXPROCS=%d: %w", p, err)
 		}
 	}
@@ -107,220 +61,51 @@ func RunCapacitySweep(cfg CapacityConfig, report func(ServerBenchResult)) ([]Ser
 }
 
 // runCapacityCell connects a fleet of sessions over pipes, measures its
-// footprint, then churns every session concurrently.
-func runCapacityCell(cfg CapacityConfig, sessions, procs int) (ServerBenchResult, error) {
+// footprint, then churns every session concurrently — full fan-out, the load
+// shape the capacity claim is about.
+func runCapacityCell(sessions, procs int, seed int64) (ServerBenchResult, error) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 
 	// Footprint baseline before any benchmark state exists.
 	runtime.GC()
-	var ms0 runtime.MemStats
+	var ms0, msConn runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	g0 := runtime.NumGoroutine()
-
-	tr, err := newBenchTransport(ServerBenchConfig{Transport: "pipe", Sessions: sessions})
-	if err != nil {
-		return ServerBenchResult{}, err
-	}
-	defer tr.close()
 
 	scfg := server.Defaults("bench")
 	scfg.MaxConcurrentJobs = sessions
 	scfg.Obs = obs.New(nil, nil)
-	srv := server.New(scfg)
-	go func() { _ = srv.Serve(tr.acceptor) }()
-	defer srv.Close()
-
-	universe := naming.NewUniverse("bench")
-	type rig struct {
-		cl       *client.Client
-		host     string
-		dataPath string
-		jobPath  string
-		gen      *workload.Generator
-		content  []byte
-	}
-	rigs := make([]*rig, sessions)
-	for i := range rigs {
-		host := fmt.Sprintf("ws%d", i)
-		universe.AddHost(host)
-		rigs[i] = &rig{
-			host:     host,
-			dataPath: fmt.Sprintf("/u/u%d/data.dat", i),
-			jobPath:  fmt.Sprintf("/u/u%d/run.job", i),
-			gen:      workload.NewGenerator(cfg.Seed + int64(i)),
-		}
-	}
-
-	// Connect and prime the fleet through a worker pool: sequential setup
-	// of 10k sessions would dominate the run, and unbounded fan-out would
-	// measure the scheduler's thundering herd rather than the server.
 	connectStart := time.Now()
-	workers := 8 * procs
-	if workers > sessions {
-		workers = sessions
+	var connectSec, goroutinesPer float64
+	res, err := runBench(fleetSpec{
+		transport: "pipe",
+		server:    scfg,
+		sessions:  sessions,
+		seed:      seed,
+		script:    jobScript,
+		content:   editing(capacityFileSize, editPercent),
+		// Sequential setup of 10k sessions would dominate the run, and
+		// unbounded fan-out would measure the scheduler's thundering herd
+		// rather than the server.
+		workers: min(8*procs, sessions),
+	}, capacityCycles, func() {
+		// What the connected, primed fleet holds resident (runBench has
+		// just collected garbage).
+		connectSec = time.Since(connectStart).Seconds()
+		runtime.ReadMemStats(&msConn)
+		goroutinesPer = float64(runtime.NumGoroutine()-g0) / float64(sessions)
+	})
+	if err != nil {
+		return ServerBenchResult{}, err
 	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < sessions; i += workers {
-				r := rigs[i]
-				r.content = r.gen.File(cfg.FileSize)
-				if err := universe.WriteFile(r.host, r.jobPath, []byte("checksum data.dat\n")); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := universe.WriteFile(r.host, r.dataPath, r.content); err != nil {
-					errs[w] = err
-					return
-				}
-				conn, err := tr.dial(i)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				cl, err := client.Connect(context.Background(), conn, client.Config{
-					User:     fmt.Sprintf("u%d", i),
-					Universe: universe,
-					Host:     r.host,
-					Env:      env.Default(fmt.Sprintf("u%d", i)),
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				r.cl = cl
-				job, err := cl.Submit(context.Background(), r.jobPath, []string{r.dataPath}, client.SubmitOptions{})
-				if err != nil {
-					errs[w] = fmt.Errorf("prime submit: %w", err)
-					return
-				}
-				if _, err := cl.Wait(context.Background(), job); err != nil {
-					errs[w] = fmt.Errorf("prime wait: %w", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	connectSec := time.Since(connectStart).Seconds()
-	defer func() {
-		for _, r := range rigs {
-			if r.cl != nil {
-				_ = r.cl.Close()
-			}
-		}
-	}()
-	for _, err := range errs {
-		if err != nil {
-			return ServerBenchResult{}, err
-		}
-	}
-
-	// Footprint: what the connected, primed fleet holds resident.
-	runtime.GC()
-	var msConn runtime.MemStats
-	runtime.ReadMemStats(&msConn)
-	goroutinesPer := float64(runtime.NumGoroutine()-g0) / float64(sessions)
+	res.FileSize = capacityFileSize
+	res.GoroutinesPerSession = goroutinesPer
 	// Signed and clamped: a GC between cells can leave the baseline heap
 	// above the post-connect figure, and the unsigned difference would
 	// wrap to garbage.
-	heapDelta := int64(msConn.HeapInuse) - int64(ms0.HeapInuse)
-	if heapDelta < 0 {
-		heapDelta = 0
-	}
-	residentKBPer := float64(heapDelta) / float64(sessions) / 1024
-
-	// Churn: every session cycles concurrently — full fan-out, the load
-	// shape the capacity claim is about.
-	latencies := make([][]time.Duration, sessions)
-	cellErrs := make([]error, sessions)
-	var msA, msB runtime.MemStats
-	runtime.ReadMemStats(&msA)
-	start := time.Now()
-	var cwg sync.WaitGroup
-	for i, r := range rigs {
-		cwg.Add(1)
-		go func(i int, r *rig) {
-			defer cwg.Done()
-			lats := make([]time.Duration, 0, cfg.Cycles)
-			for cyc := 0; cyc < cfg.Cycles; cyc++ {
-				r.content = r.gen.Modify(r.content, cfg.EditPercent, workload.EditReplace)
-				if err := universe.WriteFile(r.host, r.dataPath, r.content); err != nil {
-					cellErrs[i] = err
-					return
-				}
-				t0 := time.Now()
-				job, err := r.cl.Submit(context.Background(), r.jobPath, []string{r.dataPath}, client.SubmitOptions{})
-				if err != nil {
-					cellErrs[i] = fmt.Errorf("cycle %d submit: %w", cyc, err)
-					return
-				}
-				if _, err := r.cl.Wait(context.Background(), job); err != nil {
-					cellErrs[i] = fmt.Errorf("cycle %d wait: %w", cyc, err)
-					return
-				}
-				lats = append(lats, time.Since(t0))
-			}
-			latencies[i] = lats
-		}(i, r)
-	}
-	cwg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&msB)
-	for _, err := range cellErrs {
-		if err != nil {
-			return ServerBenchResult{}, err
-		}
-	}
-
-	var all []time.Duration
-	for _, lats := range latencies {
-		all = append(all, lats...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	total := len(all)
-	pct := func(p float64) float64 {
-		if total == 0 {
-			return 0
-		}
-		return float64(all[int(p*float64(total-1))]) / float64(time.Millisecond)
-	}
-
-	cstats := srv.Cache().Stats()
-	issued, deferred := srv.FlowStats()
-	// The server-side leg percentiles come from the run's Observer, exactly
-	// as in RunServerBench — without this the capacity rows carry zeroed
-	// submit-ack and job quantiles, which reads as "infinitely fast".
-	ackSnap := scfg.Obs.SubmitAck.Snapshot()
-	jobSnap := scfg.Obs.JobLifetime.Snapshot()
-	return ServerBenchResult{
-		Transport:            "pipe",
-		Sessions:             sessions,
-		CyclesPerSess:        cfg.Cycles,
-		TotalCycles:          total,
-		FileSize:             cfg.FileSize,
-		ElapsedSec:           elapsed.Seconds(),
-		CyclesPerSec:         float64(total) / elapsed.Seconds(),
-		P50Ms:                pct(0.50),
-		P90Ms:                pct(0.90),
-		P99Ms:                pct(0.99),
-		SubmitAckP50Ms:       ms(ackSnap.Quantile(0.50)),
-		SubmitAckP99Ms:       ms(ackSnap.Quantile(0.99)),
-		JobP50Ms:             ms(jobSnap.Quantile(0.50)),
-		JobP99Ms:             ms(jobSnap.Quantile(0.99)),
-		AllocsPerCycle:       float64(msB.Mallocs-msA.Mallocs) / float64(max(total, 1)),
-		CacheHits:            cstats.Hits,
-		CacheMisses:          cstats.Misses,
-		CacheEvictions:       cstats.Evictions,
-		PullsIssued:          issued,
-		PullsDeferred:        deferred,
-		GoMaxProcs:           procs,
-		GoroutinesPerSession: goroutinesPer,
-		ResidentKBPerSession: residentKBPer,
-		ConnectSec:           connectSec,
-	}, nil
+	heapDelta := max(int64(msConn.HeapInuse)-int64(ms0.HeapInuse), 0)
+	res.ResidentKBPerSession = float64(heapDelta) / float64(sessions) / 1024
+	res.ConnectSec = connectSec
+	return res, nil
 }

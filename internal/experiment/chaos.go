@@ -9,21 +9,15 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"shadowedit/internal/client"
 	"shadowedit/internal/env"
-	"shadowedit/internal/jobs"
-	"shadowedit/internal/metrics"
-	"shadowedit/internal/naming"
 	"shadowedit/internal/netsim"
 	"shadowedit/internal/server"
-	"shadowedit/internal/wire"
-	"shadowedit/internal/workload"
 )
 
 // ChaosConfig parametrizes one chaos run.
@@ -34,8 +28,6 @@ type ChaosConfig struct {
 	Cycles int
 	// FileSize is the data file size in bytes.
 	FileSize int
-	// EditPercent is the fraction of the file modified each cycle.
-	EditPercent float64
 	// Seed makes both the workload and the fault pattern reproducible.
 	Seed int64
 
@@ -61,10 +53,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 		c.Cycles = 200
 	}
 	if c.FileSize <= 0 {
-		c.FileSize = 4 * 1024
-	}
-	if c.EditPercent <= 0 {
-		c.EditPercent = 5
+		c.FileSize = 8 * 1024
 	}
 	if c.Seed == 0 {
 		c.Seed = 7
@@ -114,182 +103,94 @@ func (r ChaosResult) Failed() bool {
 // a local fault-free reference execution.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
-
-	nw := netsim.New()
-	super := nw.Host("super")
-	lst, err := super.Listen(1)
+	scfg := server.Defaults("chaos")
+	scfg.MaxConcurrentJobs = cfg.Sessions
+	f, err := deploy(fleetSpec{
+		transport: "netsim",
+		server:    scfg,
+		sessions:  cfg.Sessions,
+		seed:      cfg.Seed,
+		script:    jobScript,
+		content:   editing(cfg.FileSize, editPercent),
+		// The fault-tolerant session layer: redial with backoff on the
+		// workstation's virtual clock, so backoff outlasts flap windows.
+		client: func(s *fleetSession, cc *client.Config) {
+			cc.Dial = s.dial
+			cc.Retry = client.RetryPolicy{
+				MaxAttempts: 60,
+				BaseDelay:   5 * time.Millisecond,
+				MaxDelay:    250 * time.Millisecond,
+				Seed:        cfg.Seed + int64(s.i) + 1,
+			}
+			cc.RPCTimeout = 30 * time.Second
+			cc.Sleep = func(ctx context.Context, d time.Duration) error {
+				s.ws.Host().Process(d)
+				return ctx.Err()
+			}
+		},
+		// A hang guard only; all simulated waiting runs on virtual time.
+		timeout: 2 * time.Minute,
+	})
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	defer lst.Close()
-
-	scfg := server.Defaults("chaos")
-	scfg.MaxConcurrentJobs = cfg.Sessions
-	srv := server.New(scfg)
-	go func() { _ = srv.Serve(server.AcceptorFunc(func() (wire.Conn, error) { return lst.Accept() })) }()
-	defer srv.Close()
-
-	universe := naming.NewUniverse("chaos")
-	script := []byte("checksum data.dat\n")
-
-	type rig struct {
-		host    *netsim.Host
-		link    *netsim.Link
-		cl      *client.Client
-		gen     *workload.Generator
-		dataP   string
-		jobP    string
-		content []byte
+	defer f.close()
+	// Sessions connect over clean lines; the faults start with the cycles.
+	// The first cycle then ships each file in full through them: there is no
+	// prime.
+	if err := f.connect(); err != nil {
+		return ChaosResult{}, fmt.Errorf("chaos: %w", err)
 	}
-	rigs := make([]*rig, cfg.Sessions)
-	for i := range rigs {
-		name := fmt.Sprintf("ws%d", i)
-		user := fmt.Sprintf("u%d", i)
-		host := nw.Host(name)
-		link := nw.Connect(host, super, netsim.LAN)
-		link.SetFaults(netsim.FaultSpec{
-			Seed:       cfg.Seed + int64(i)*7919,
+	links := make([]*netsim.Link, cfg.Sessions)
+	for i, s := range f.sessions {
+		links[i], _ = f.cluster.Network.LinkBetween(s.host, f.names[0])
+		links[i].SetFaults(netsim.FaultSpec{
+			Seed:       cfg.Seed + int64(s.i)*7919,
 			DropRate:   cfg.DropRate,
 			SpikeRate:  cfg.SpikeRate,
 			SpikeExtra: cfg.SpikeExtra,
 			FlapPeriod: cfg.FlapPeriod,
 			FlapDown:   cfg.FlapDown,
 		})
-		universe.AddHost(name)
-		r := &rig{
-			host:  host,
-			link:  link,
-			gen:   workload.NewGenerator(cfg.Seed + int64(i)),
-			dataP: fmt.Sprintf("/u/%s/data.dat", user),
-			jobP:  fmt.Sprintf("/u/%s/run.job", user),
-		}
-		r.content = r.gen.File(cfg.FileSize)
-		if err := universe.WriteFile(name, r.jobP, script); err != nil {
-			return ChaosResult{}, err
-		}
-		if err := universe.WriteFile(name, r.dataP, r.content); err != nil {
-			return ChaosResult{}, err
-		}
-		ccfg := client.Config{
-			User:     user,
-			Universe: universe,
-			Host:     name,
-			Env:      env.Default(user),
-			Clock:    host,
-			Dial:     func() (wire.Conn, error) { return host.Dial("super", 1) },
-			Retry: client.RetryPolicy{
-				MaxAttempts: 60,
-				BaseDelay:   5 * time.Millisecond,
-				MaxDelay:    250 * time.Millisecond,
-				Seed:        cfg.Seed + int64(i) + 1,
-			},
-			RPCTimeout: 30 * time.Second,
-			Sleep: func(ctx context.Context, d time.Duration) error {
-				host.Process(d)
-				return ctx.Err()
-			},
-		}
-		// The initial connect may start inside a flap window or lose its
-		// handshake to a drop; step virtual time forward and retry.
-		var cl *client.Client
-		for attempt := 0; ; attempt++ {
-			cl, err = client.Connect(context.Background(), nil, ccfg)
-			if err == nil {
-				break
-			}
-			if attempt >= 100 {
-				return ChaosResult{}, fmt.Errorf("chaos: session %d connect: %w", i, err)
-			}
-			host.Process(50 * time.Millisecond)
-		}
-		r.cl = cl
-		rigs[i] = r
-		defer cl.Close()
 	}
 
-	// Forced disconnects: Bounce() severs the live connection at evenly
+	// Forced disconnects: Bounce() severs the live connection before evenly
 	// spaced cycles; the supervisor must reconnect and resume.
-	bounceAt := make(map[int]bool, cfg.Disconnects)
+	bounceBefore := make(map[int]bool, cfg.Disconnects)
 	for k := 1; k <= cfg.Disconnects; k++ {
-		bounceAt[k*cfg.Cycles/(cfg.Disconnects+1)] = true
+		bounceBefore[k*cfg.Cycles/(cfg.Disconnects+1)] = true
 	}
-
-	completed := make([]int, cfg.Sessions)
-	mismatched := make([]int, cfg.Sessions)
-	errs := make([]error, cfg.Sessions)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, r := range rigs {
-		wg.Add(1)
-		go func(i int, r *rig) {
-			defer wg.Done()
-			for cyc := 0; cyc < cfg.Cycles; cyc++ {
-				if bounceAt[cyc] {
-					r.cl.Bounce()
-				}
-				r.content = r.gen.Modify(r.content, cfg.EditPercent, workload.EditReplace)
-				if err := universe.WriteFile(r.host.Name(), r.dataP, r.content); err != nil {
-					errs[i] = err
-					return
-				}
-				// The wall-clock deadline is a hang guard only; all
-				// simulated waiting runs on virtual time.
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-				job, err := r.cl.Submit(ctx, r.jobP, []string{r.dataP}, client.SubmitOptions{})
-				if err != nil {
-					cancel()
-					errs[i] = fmt.Errorf("cycle %d submit: %w", cyc, err)
-					return
-				}
-				rec, err := r.cl.Wait(ctx, job)
-				cancel()
-				if err != nil {
-					sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-					st, serr := r.cl.Status(sctx, job)
-					scancel()
-					errs[i] = fmt.Errorf("cycle %d wait job %d: %w (server state: %v %q, status err: %v)",
-						cyc, job, err, st.State, st.Detail, serr)
-					return
-				}
-				want := jobs.Execute(jobs.Request{
-					Script: script,
-					Inputs: map[string][]byte{"data.dat": r.content},
-				})
-				if !bytes.Equal(rec.Stdout, want.Stdout) || rec.ExitCode != want.ExitCode {
-					mismatched[i]++
-				}
-				completed[i]++
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return ChaosResult{}, fmt.Errorf("chaos: session %d: %w", i, err)
+	var completed, mismatched atomic.Int64
+	run, err := f.run(cfg.Cycles, func(s *fleetSession, cyc int, rec env.JobRecord) error {
+		if !f.verified(s, rec) {
+			mismatched.Add(1)
 		}
+		completed.Add(1)
+		if bounceBefore[cyc+1] {
+			s.cl.Bounce()
+		}
+		return nil
+	})
+	if err != nil {
+		return ChaosResult{}, fmt.Errorf("chaos: %w", err)
 	}
 
 	res := ChaosResult{
 		Sessions:   cfg.Sessions,
 		Cycles:     cfg.Cycles,
-		ElapsedSec: elapsed.Seconds(),
+		Completed:  int(completed.Load()),
+		Mismatches: int(mismatched.Load()),
+		ElapsedSec: run.elapsed.Seconds(),
 	}
-	var snap metrics.Snapshot
-	for i, r := range rigs {
-		res.Completed += completed[i]
-		res.Mismatches += mismatched[i]
-		s := r.cl.Metrics()
-		snap.Reconnects += s.Reconnects
-		snap.Retries += s.Retries
-		snap.FullFallbacks += s.FullFallbacks
-		dropped, spikes, flaps := r.link.FaultStats()
+	for i, s := range f.sessions {
+		m := s.cl.Metrics()
+		res.Reconnects += m.Reconnects
+		res.Retries += m.Retries
+		res.Fallbacks += m.FullFallbacks
+		dropped, spikes, flaps := links[i].FaultStats()
 		res.Dropped += dropped
 		res.Spikes += spikes
 		res.FlapRejects += flaps
 	}
-	res.Reconnects = snap.Reconnects
-	res.Retries = snap.Retries
-	res.Fallbacks = snap.FullFallbacks
 	return res, nil
 }

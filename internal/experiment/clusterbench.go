@@ -3,70 +3,39 @@
 // *virtual* time. Each instance runs on its own simulated host, so job CPU
 // charges land on per-instance clocks and the busiest instance's elapsed
 // virtual time is the cell's makespan — the quantity consistent-hash
-// placement is supposed to divide. Peer traffic accounting rides along to
-// prove forwards travel as deltas and manifests, never full files.
+// placement is supposed to divide. Peer traffic accounting rides along; that
+// no full file crosses a peer link is the server's dispatch gate, not a count.
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"shadowedit/internal/client"
-	"shadowedit/internal/env"
 	"shadowedit/internal/metrics"
-	"shadowedit/internal/naming"
-	"shadowedit/internal/netsim"
 	"shadowedit/internal/server"
-	"shadowedit/internal/wire"
-	"shadowedit/internal/workload"
 )
 
-// ClusterBenchConfig parametrizes the cluster scaling figure.
-type ClusterBenchConfig struct {
-	// Instances lists the cluster sizes to run (default 1, 2, 4).
-	Instances []int
-	// Sessions is the number of concurrent workstations.
-	Sessions int
-	// Cycles is the number of measured edit–submit–fetch cycles per session.
-	Cycles int
-	// FileSize is the data file size in bytes.
-	FileSize int
-	// EditPercent is the fraction of the file modified each cycle.
-	EditPercent float64
-	// JobCPU is the simulated compute each job charges its instance's
+// The figure's shape: cluster sizes 1, 2 and 4, 16 workstations, 10 measured
+// cycles each on 8 KiB files.
+var clusterInstances = []int{1, 2, 4}
+
+const (
+	clusterSessions = 16
+	clusterCycles   = 10
+	clusterFileSize = 8 * 1024
+	// clusterJobCPU is the simulated compute each job charges its instance's
 	// clock; it is what placement parallelizes, so it dominates the cell's
 	// virtual makespan the way real batch work dominates a real machine.
-	JobCPU time.Duration
-	// Seed makes the workload reproducible.
-	Seed int64
-}
-
-func (c ClusterBenchConfig) withDefaults() ClusterBenchConfig {
-	if len(c.Instances) == 0 {
-		c.Instances = []int{1, 2, 4}
-	}
-	if c.Sessions <= 0 {
-		c.Sessions = 16
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 10
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 8 * 1024
-	}
-	if c.EditPercent <= 0 {
-		c.EditPercent = 5
-	}
-	if c.JobCPU <= 0 {
-		c.JobCPU = 250 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1987
-	}
-	return c
-}
+	clusterJobCPU = 250 * time.Millisecond
+	// clusterScripts is how many script files each session rotates through.
+	// Jobs route to the script's ring owner, so with one script per session
+	// the busiest instance is set by a 16-keys-into-4-bins draw — high
+	// variance that would gate the scaling number on luck. Rotating scripts
+	// spreads each session's jobs across instances round by round, so
+	// per-instance load time-averages toward sessions/instances, which is
+	// the quantity the figure is meant to measure.
+	clusterScripts = 8
+)
 
 // ClusterFigure is the cluster scaling figure: one cell per cluster size.
 type ClusterFigure struct {
@@ -82,31 +51,15 @@ func (f ClusterFigure) Scaling() float64 {
 	return f.Cells[len(f.Cells)-1].CyclesPerSec / f.Cells[0].CyclesPerSec
 }
 
-// PeerFullTotal sums full-file transfers carried on peer links across all
-// cells — the quantity the delta-forwarding design keeps at zero.
-func (f ClusterFigure) PeerFullTotal() int64 {
-	var n int64
-	for _, c := range f.Cells {
-		if c.PeerFullTransfers != nil {
-			n += *c.PeerFullTransfers
-		}
-	}
-	return n
-}
-
 // Render prints the figure as a table.
 func (f ClusterFigure) Render(w interface{ Write([]byte) (int, error) }) {
 	fmt.Fprintf(w, "Cluster scaling: %d sessions x %d cycles, %d-byte files\n",
 		f.Cells[0].Sessions, f.Cells[0].CyclesPerSess, f.Cells[0].FileSize)
-	fmt.Fprintf(w, "%-10s %12s %14s %14s %12s %12s\n",
-		"instances", "cycles/sec", "virtual-sec", "peer-forwards", "peer-full", "owner-miss")
+	fmt.Fprintf(w, "%-10s %12s %14s %14s %12s\n",
+		"instances", "cycles/sec", "virtual-sec", "peer-forwards", "owner-miss")
 	for _, c := range f.Cells {
-		var full int64
-		if c.PeerFullTransfers != nil {
-			full = *c.PeerFullTransfers
-		}
-		fmt.Fprintf(w, "%-10d %12.1f %14.2f %14d %12d %12d\n",
-			c.Instances, c.CyclesPerSec, c.VirtualElapsedSec, c.PeerForwards, full, c.OwnerMisses)
+		fmt.Fprintf(w, "%-10d %12.1f %14.2f %14d %12d\n",
+			c.Instances, c.CyclesPerSec, c.VirtualElapsedSec, c.PeerForwards, c.OwnerMisses)
 	}
 	if s := f.Scaling(); s > 0 {
 		fmt.Fprintf(w, "scaling: %.2fx cycles/sec at %d instances vs 1\n",
@@ -115,11 +68,10 @@ func (f ClusterFigure) Render(w interface{ Write([]byte) (int, error) }) {
 }
 
 // RunClusterBench runs the cluster scaling figure.
-func RunClusterBench(cfg ClusterBenchConfig) (ClusterFigure, error) {
-	cfg = cfg.withDefaults()
+func RunClusterBench(seed int64) (ClusterFigure, error) {
 	var fig ClusterFigure
-	for _, n := range cfg.Instances {
-		cell, err := runClusterCell(cfg, n)
+	for _, n := range clusterInstances {
+		cell, err := runClusterCell(n, seed)
 		if err != nil {
 			return fig, fmt.Errorf("clusterbench: %d instances: %w", n, err)
 		}
@@ -129,223 +81,53 @@ func RunClusterBench(cfg ClusterBenchConfig) (ClusterFigure, error) {
 }
 
 // runClusterCell measures one cluster size.
-func runClusterCell(cfg ClusterBenchConfig, instances int) (ServerBenchResult, error) {
-	fail := func(err error) (ServerBenchResult, error) { return ServerBenchResult{}, err }
-	nw := netsim.New()
-
-	names := make([]string, instances)
-	hosts := make([]*netsim.Host, instances)
-	servers := make([]*server.Server, instances)
-	for i := range names {
-		names[i] = fmt.Sprintf("super%d", i+1)
-		hosts[i] = nw.Host(names[i])
+func runClusterCell(instances int, seed int64) (ServerBenchResult, error) {
+	scfg := server.Defaults("super1")
+	scfg.MaxConcurrentJobs = clusterSessions
+	// The prime's first submissions ship every file in full and warm the
+	// owners; the measured cycles are steady-state delta traffic plus job CPU.
+	var starts []time.Duration
+	f, _, err := drive(fleetSpec{
+		transport:   "netsim",
+		members:     instances,
+		server:      scfg,
+		sessions:    clusterSessions,
+		seed:        seed,
+		script:      fmt.Sprintf("sleep %s\n%s", clusterJobCPU, jobScript),
+		scriptFiles: clusterScripts,
+		content:     editing(clusterFileSize, editPercent),
+	}, clusterCycles, func(f *fleet) {
+		for _, name := range f.names {
+			starts = append(starts, f.cluster.Network.Host(name).Now())
+		}
+	})
+	if err != nil {
+		return ServerBenchResult{}, err
 	}
-	// Instances share a machine room: LAN links pairwise.
-	for i := range hosts {
-		for j := i + 1; j < len(hosts); j++ {
-			nw.Connect(hosts[i], hosts[j], netsim.LAN)
-		}
-	}
-	for i := range names {
-		lst, err := hosts[i].Listen(1)
-		if err != nil {
-			return fail(err)
-		}
-		defer lst.Close()
-		scfg := server.Defaults(names[i])
-		scfg.MaxConcurrentJobs = cfg.Sessions
-		scfg.Clock = hosts[i]
-		srv := server.New(scfg)
-		l := lst
-		go func() { _ = srv.Serve(server.AcceptorFunc(func() (wire.Conn, error) { return l.Accept() })) }()
-		defer srv.Close()
-		servers[i] = srv
-	}
-	for i := range servers {
-		host := hosts[i]
-		servers[i].JoinCluster(server.ClusterSpec{
-			Instance: names[i],
-			Members:  names,
-			Dial: func(member string) (wire.Conn, error) {
-				return host.Dial(member, 1)
-			},
-		})
-	}
-
-	universe := naming.NewUniverse("bench")
-	script := []byte(fmt.Sprintf("sleep %s\nchecksum data.dat\n", cfg.JobCPU))
-	// Each session rotates through several script files. Jobs route to the
-	// script's ring owner, so with one script per session the busiest
-	// instance is set by a 24-keys-into-4-bins draw — high variance that
-	// would gate the scaling number on luck. Rotating scripts spreads each
-	// session's jobs across instances round by round, so per-instance load
-	// time-averages toward sessions/instances, which is the quantity the
-	// figure is meant to measure.
-	const scriptsPerSession = 8
-	type rig struct {
-		cc       *client.ClusterClient
-		host     string
-		dataPath string
-		jobPaths []string
-		gen      *workload.Generator
-		content  []byte
-	}
-	rigs := make([]*rig, cfg.Sessions)
-	for i := range rigs {
-		host := fmt.Sprintf("ws%d", i)
-		user := fmt.Sprintf("u%d", i)
-		wsHost := nw.Host(host)
-		for _, sh := range hosts {
-			nw.Connect(wsHost, sh, netsim.LAN)
-		}
-		universe.AddHost(host)
-		r := &rig{
-			host:     host,
-			dataPath: fmt.Sprintf("/u/%s/data.dat", user),
-			gen:      workload.NewGenerator(cfg.Seed + int64(i)),
-		}
-		r.content = r.gen.File(cfg.FileSize)
-		for j := 0; j < scriptsPerSession; j++ {
-			p := fmt.Sprintf("/u/%s/run%d.job", user, j)
-			if err := universe.WriteFile(host, p, script); err != nil {
-				return fail(err)
-			}
-			r.jobPaths = append(r.jobPaths, p)
-		}
-		if err := universe.WriteFile(host, r.dataPath, r.content); err != nil {
-			return fail(err)
-		}
-		members := make([]client.ClusterMember, instances)
-		for j, name := range names {
-			name := name
-			members[j] = client.ClusterMember{
-				Name: name,
-				Dial: func() (wire.Conn, error) { return wsHost.Dial(name, 1) },
-			}
-		}
-		cc, err := client.ConnectCluster(context.Background(), members, client.Config{
-			User:     user,
-			Universe: universe,
-			Host:     host,
-			Env:      env.Default(user),
-			Clock:    wsHost,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		defer cc.Close()
-		r.cc = cc
-		rigs[i] = r
-	}
-
-	// Prime: first submissions ship every file in full and warm the owners;
-	// the measured cycles are steady-state delta traffic plus job CPU.
-	for _, r := range rigs {
-		job, err := r.cc.Submit(context.Background(), r.jobPaths[0], []string{r.dataPath}, client.SubmitOptions{})
-		if err != nil {
-			return fail(fmt.Errorf("prime submit: %w", err))
-		}
-		if _, err := r.cc.Wait(context.Background(), job); err != nil {
-			return fail(fmt.Errorf("prime wait: %w", err))
-		}
-	}
-
-	starts := make([]time.Duration, instances)
-	for i, h := range hosts {
-		starts[i] = h.Now()
-	}
-	errs := make([]error, cfg.Sessions)
-	var wg sync.WaitGroup
-	for i, r := range rigs {
-		wg.Add(1)
-		go func(i int, r *rig) {
-			defer wg.Done()
-			for cyc := 0; cyc < cfg.Cycles; cyc++ {
-				r.content = r.gen.Modify(r.content, cfg.EditPercent, workload.EditReplace)
-				if err := universe.WriteFile(r.host, r.dataPath, r.content); err != nil {
-					errs[i] = err
-					return
-				}
-				job, err := r.cc.Submit(context.Background(), r.jobPaths[cyc%len(r.jobPaths)], []string{r.dataPath}, client.SubmitOptions{})
-				if err != nil {
-					errs[i] = fmt.Errorf("cycle %d submit: %w", cyc, err)
-					return
-				}
-				if _, err := r.cc.Wait(context.Background(), job); err != nil {
-					errs[i] = fmt.Errorf("cycle %d wait: %w", cyc, err)
-					return
-				}
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fail(err)
-		}
-	}
+	defer f.close()
 
 	// The cell's makespan is the busiest instance's virtual elapsed time:
 	// that is the wall a real deployment would wait on.
 	var makespan time.Duration
-	for i, h := range hosts {
-		if d := h.Now() - starts[i]; d > makespan {
-			makespan = d
-		}
+	var snap metrics.Snapshot
+	for i, name := range f.names {
+		makespan = max(makespan, f.cluster.Network.Host(name).Now()-starts[i])
+		snap = metrics.Merge(snap, f.servers[i].Metrics())
 	}
 	if makespan <= 0 {
-		return fail(fmt.Errorf("no virtual time elapsed"))
+		return ServerBenchResult{}, fmt.Errorf("no virtual time elapsed")
 	}
-
-	var snap metrics.Snapshot
-	var hits, misses, evictions, pullsIssued, pullsDeferred int64
-	for _, srv := range servers {
-		s := srv.Metrics()
-		snap.PeerForwards += s.PeerForwards
-		snap.PeerDeltaBytes += s.PeerDeltaBytes
-		snap.PeerManifestBytes += s.PeerManifestBytes
-		snap.PeerChunkBytes += s.PeerChunkBytes
-		snap.PeerFullTransfers += s.PeerFullTransfers
-		snap.PeerNegatives += s.PeerNegatives
-		snap.DeltaBytesSaved += s.DeltaBytesSaved
-		snap.OwnerMisses += s.OwnerMisses
-		snap.RingRebalances += s.RingRebalances
-		snap.DeltaBytes += s.DeltaBytes
-		snap.FullBytes += s.FullBytes
-		hits += s.CacheHits
-		misses += s.CacheMisses
-		evictions += s.CacheEvictions
-		pullsIssued += s.PullsIssued
-		pullsDeferred += s.PullsDeferred
-	}
-	total := cfg.Sessions * cfg.Cycles
-	peerFull := snap.PeerFullTransfers
-	return ServerBenchResult{
-		Label:             fmt.Sprintf("cluster-%d", instances),
-		Transport:         "netsim",
-		Sessions:          cfg.Sessions,
-		CyclesPerSess:     cfg.Cycles,
-		TotalCycles:       total,
-		FileSize:          cfg.FileSize,
-		ElapsedSec:        makespan.Seconds(),
-		CyclesPerSec:      float64(total) / makespan.Seconds(),
-		CacheHits:         hits,
-		CacheMisses:       misses,
-		CacheEvictions:    evictions,
-		PullsIssued:       pullsIssued,
-		PullsDeferred:     pullsDeferred,
-		WireDeltaBytes:    snap.DeltaBytes,
-		WireFullBytes:     snap.FullBytes,
-		Instances:         instances,
-		VirtualElapsedSec: makespan.Seconds(),
-		PeerForwards:      snap.PeerForwards,
-		PeerDeltaBytes:    snap.PeerDeltaBytes,
-		PeerManifestBytes: snap.PeerManifestBytes,
-		PeerChunkBytes:    snap.PeerChunkBytes,
-		PeerBytesSaved:    snap.DeltaBytesSaved,
-		PeerNegatives:     snap.PeerNegatives,
-		PeerFullTransfers: &peerFull,
-		OwnerMisses:       snap.OwnerMisses,
-		RingRebalances:    snap.RingRebalances,
-	}, nil
+	total := clusterSessions * clusterCycles
+	res := counterRow(snap)
+	res.Label = fmt.Sprintf("cluster-%d", instances)
+	res.Transport = "netsim"
+	res.Sessions = clusterSessions
+	res.CyclesPerSess = clusterCycles
+	res.TotalCycles = total
+	res.FileSize = clusterFileSize
+	res.ElapsedSec = makespan.Seconds()
+	res.CyclesPerSec = float64(total) / makespan.Seconds()
+	res.Instances = instances
+	res.VirtualElapsedSec = makespan.Seconds()
+	return res, nil
 }

@@ -19,68 +19,24 @@ import (
 	"io"
 )
 
-// DedupConfig parametrizes RunDedupFigure.
-type DedupConfig struct {
-	// Sessions is the number of concurrent users sharing content.
-	Sessions int
-	// Cycles is the number of shared-content rounds per session.
-	Cycles int
-	// FileSize is the common file's size in bytes.
-	FileSize int
-	// Redundancy is the fraction of each variant shared with the common
-	// content (and hence with every other session's variant).
-	Redundancy float64
-	// PressureCapacity is the pressure cell's cache bound in bytes; 0
-	// derives one from FileSize (about two files' worth — far below the
-	// working set).
-	PressureCapacity int64
-	// Transport, Jobs, Seed as in ServerBenchConfig.
-	Transport string
-	Jobs      int
-	Seed      int64
-}
-
-func (c DedupConfig) withDefaults() DedupConfig {
-	if c.Sessions <= 0 {
-		c.Sessions = 16
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 4
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 48 * 1024
-	}
-	// Input decks across users of one code are near-identical; each user's
-	// private tweaks are a few percent. Note the wire cost of an edit is its
-	// dirty chunks, not its bytes: a 2 KB private block dirties the chunks
+// The figure's shape: 16 users, 4 shared-content rounds each, on a 48 KiB
+// common file.
+const (
+	dedupSessions = 16
+	dedupCycles   = 4
+	dedupFileSize = 48 * 1024
+	// dedupRedundancy is the fraction of each variant shared with the common
+	// content (and hence with every other session's variant). Input decks
+	// across users of one code are near-identical; each user's private
+	// tweaks are a few percent. Note the wire cost of an edit is its dirty
+	// chunks, not its bytes: a 2 KB private block dirties the chunks
 	// overlapping it (~2x at the default 1 KB average), so the achievable
 	// reduction is bounded well below 1/(1-redundancy).
-	if c.Redundancy <= 0 {
-		c.Redundancy = 0.97
-	}
-	if c.PressureCapacity <= 0 {
-		c.PressureCapacity = int64(2 * c.FileSize)
-	}
-	if c.Transport == "" {
-		c.Transport = "tcp"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1987
-	}
-	return c
-}
-
-func (c DedupConfig) bench() ServerBenchConfig {
-	return ServerBenchConfig{
-		Sessions:   c.Sessions,
-		Cycles:     c.Cycles,
-		FileSize:   c.FileSize,
-		Transport:  c.Transport,
-		Jobs:       c.Jobs,
-		Seed:       c.Seed,
-		Redundancy: c.Redundancy,
-	}
-}
+	dedupRedundancy = 0.97
+	// dedupPressureCapacity is the pressure cell's cache bound: about two
+	// files' worth — far below the working set.
+	dedupPressureCapacity = 2 * dedupFileSize
+)
 
 // DedupFigure holds the three cells plus the headline reductions.
 type DedupFigure struct {
@@ -107,37 +63,37 @@ func (f *DedupFigure) CacheReduction() float64 {
 	return float64(f.Baseline.LogicalCacheBytes) / float64(f.Chunked.UniqueCacheBytes)
 }
 
-// RunDedupFigure runs the three cells. Labels mark the rows in
+// RunDedupFigure runs the three cells over transport. Labels mark the rows in
 // BENCH_server.json: "dedup-baseline", "dedup-chunked", "dedup-pressure".
-func RunDedupFigure(cfg DedupConfig) (*DedupFigure, error) {
-	cfg = cfg.withDefaults()
+func RunDedupFigure(transport string, seed int64) (*DedupFigure, error) {
+	cell := func(label string, chunked bool, capacity int64) (ServerBenchResult, error) {
+		res, err := RunServerBench(ServerBenchConfig{
+			Sessions:      dedupSessions,
+			Cycles:        dedupCycles,
+			FileSize:      dedupFileSize,
+			Transport:     transport,
+			Seed:          seed,
+			Redundancy:    dedupRedundancy,
+			Chunked:       chunked,
+			CacheCapacity: capacity,
+		})
+		if err != nil {
+			return res, fmt.Errorf("%s: %w", label, err)
+		}
+		res.Label = label
+		return res, nil
+	}
 	fig := &DedupFigure{}
-
-	base := cfg.bench()
-	res, err := RunServerBench(base)
-	if err != nil {
-		return nil, fmt.Errorf("dedup baseline: %w", err)
+	var err error
+	if fig.Baseline, err = cell("dedup-baseline", false, 0); err != nil {
+		return nil, err
 	}
-	res.Label = "dedup-baseline"
-	fig.Baseline = res
-
-	chunked := cfg.bench()
-	chunked.Chunked = true
-	if res, err = RunServerBench(chunked); err != nil {
-		return nil, fmt.Errorf("dedup chunked: %w", err)
+	if fig.Chunked, err = cell("dedup-chunked", true, 0); err != nil {
+		return nil, err
 	}
-	res.Label = "dedup-chunked"
-	fig.Chunked = res
-
-	pressure := cfg.bench()
-	pressure.Chunked = true
-	pressure.CacheCapacity = cfg.PressureCapacity
-	if res, err = RunServerBench(pressure); err != nil {
-		return nil, fmt.Errorf("dedup pressure: %w", err)
+	if fig.Pressure, err = cell("dedup-pressure", true, dedupPressureCapacity); err != nil {
+		return nil, err
 	}
-	res.Label = "dedup-pressure"
-	fig.Pressure = res
-
 	return fig, nil
 }
 

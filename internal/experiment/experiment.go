@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"shadowedit/internal/client"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/netsim"
 	"shadowedit/internal/workload"
@@ -130,7 +131,7 @@ func shadowCycle(cfg Config, content, edited []byte) (time.Duration, int64, erro
 	environment := shadow.DefaultEnvironment("sci")
 	environment.Algorithm = cfg.Algorithm
 	environment.Compress = cfg.Compress
-	c, err := ws.ConnectSession(context.Background(), shadow.SessionConfig{Env: environment})
+	c, cork, err := connectCorked(cluster, ws, client.Config{Env: environment})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -145,7 +146,7 @@ func shadowCycle(cfg Config, content, edited []byte) (time.Duration, int64, erro
 	if err := ws.WriteFile("/u/sci/data.dat", edited); err != nil {
 		return 0, 0, err
 	}
-	start := ws.Host().Now()
+	start := cork.cork()
 	job, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/data.dat"}, shadow.SubmitOptions{})
 	if err != nil {
 		return 0, 0, err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 
+	"shadowedit/internal/client"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/workload"
 
@@ -260,7 +261,7 @@ func cacheSweepOne(cfg Config, fileSize, files int, capacity int64) (CacheSweepC
 	}
 	defer cluster.Close()
 	ws := cluster.NewWorkstation("ws")
-	c, err := ws.Connect(context.Background(), "sci")
+	c, cork, err := connectCorked(cluster, ws, client.Config{User: "sci"})
 	if err != nil {
 		return CacheSweepCell{}, err
 	}
@@ -282,8 +283,11 @@ func cacheSweepOne(cfg Config, fileSize, files int, capacity int64) (CacheSweepC
 		return CacheSweepCell{}, err
 	}
 
-	// Three rounds of edit-everything-resubmit.
+	// Three rounds of edit-everything-resubmit. Corked, because with the
+	// cache bounded the order the files arrive in is the order they evict
+	// each other in.
 	for round := 0; round < 3; round++ {
+		cork.cork()
 		job, err := c.Submit(context.Background(), "/u/sci/run.job", paths, shadow.SubmitOptions{})
 		if err != nil {
 			return CacheSweepCell{}, err
@@ -358,7 +362,7 @@ func cachePolicyOne(cfg Config, capacity int64, policy shadow.CachePolicy) (Poli
 	}
 	defer cluster.Close()
 	ws := cluster.NewWorkstation("ws")
-	c, err := ws.Connect(context.Background(), "sci")
+	c, cork, err := connectCorked(cluster, ws, client.Config{User: "sci"})
 	if err != nil {
 		return PolicyCell{}, err
 	}
@@ -389,6 +393,7 @@ func cachePolicyOne(cfg Config, capacity int64, policy shadow.CachePolicy) (Poli
 	}
 
 	for round := 0; round < 4; round++ {
+		cork.cork()
 		job, err := c.Submit(context.Background(), "/run.job", paths, shadow.SubmitOptions{})
 		if err != nil {
 			return PolicyCell{}, err
@@ -396,8 +401,8 @@ func cachePolicyOne(cfg Config, capacity int64, policy shadow.CachePolicy) (Poli
 		if _, err := c.Wait(context.Background(), job); err != nil {
 			return PolicyCell{}, err
 		}
-		for p, content := range files {
-			files[p] = gen.Modify(content, 2, workload.EditMixed)
+		for _, p := range names { // not the map: its order would reseed every edit
+			files[p] = gen.Modify(files[p], 2, workload.EditMixed)
 			if err := ws.WriteFile(p, files[p]); err != nil {
 				return PolicyCell{}, err
 			}

@@ -1,16 +1,14 @@
 package experiment
 
 import (
-	"context"
-
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"shadowedit/internal/env"
+	"shadowedit/internal/server"
 	"shadowedit/internal/workload"
-
-	shadow "shadowedit"
 )
 
 // LoadCell is one point of the multi-client throughput sweep.
@@ -46,74 +44,50 @@ func RunLoadSweep(cfg Config, clients, jobsPerClient int, workerCounts []int) ([
 const loadJobStall = 40 * time.Millisecond
 
 func loadOne(cfg Config, clients, jobsPerClient, workers int) (LoadCell, error) {
-	scfg := shadow.DefaultServerConfig("super")
+	scfg := server.Defaults("super")
 	scfg.MaxConcurrentJobs = workers
-	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link, Server: &scfg})
+	gen := workload.NewGenerator(cfg.Seed)
+	f, err := deploy(fleetSpec{
+		transport: "netsim",
+		link:      cfg.Link,
+		server:    scfg,
+		sessions:  clients,
+		script:    fmt.Sprintf("stall %s\n%s", loadJobStall, jobScript),
+		// One file per client, never edited: every job is a resubmission
+		// that moves no file bytes, so the pool is all that is measured.
+		content: func(_ *fleetSession, cyc int) []byte {
+			if cyc < 0 {
+				return gen.File(4 * 1024)
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		return LoadCell{}, err
 	}
-	defer cluster.Close()
-
-	type clientRig struct {
-		ws *shadow.Workstation
-		c  *shadow.Client
+	defer f.close()
+	if err := f.connect(); err != nil {
+		return LoadCell{}, err
 	}
-	gen := workload.NewGenerator(cfg.Seed)
-	rigs := make([]clientRig, clients)
-	for i := range rigs {
-		ws := cluster.NewWorkstation(fmt.Sprintf("ws%d", i))
-		c, err := ws.Connect(context.Background(), fmt.Sprintf("user%d", i))
-		if err != nil {
-			return LoadCell{}, err
+	var failures atomic.Int64
+	run, err := f.run(jobsPerClient, func(_ *fleetSession, _ int, rec env.JobRecord) error {
+		if rec.ExitCode != 0 {
+			failures.Add(1)
 		}
-		defer c.Close()
-		if err := ws.WriteFile("/data.dat", gen.File(4*1024)); err != nil {
-			return LoadCell{}, err
-		}
-		script := fmt.Sprintf("stall %s\nchecksum data.dat\n", loadJobStall)
-		if err := ws.WriteFile("/run.job", []byte(script)); err != nil {
-			return LoadCell{}, err
-		}
-		rigs[i] = clientRig{ws: ws, c: c}
+		return nil
+	})
+	if err != nil {
+		return LoadCell{}, err
 	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	failures := make(chan int, clients)
-	for _, rig := range rigs {
-		wg.Add(1)
-		go func(rig clientRig) {
-			defer wg.Done()
-			failed := 0
-			for j := 0; j < jobsPerClient; j++ {
-				job, err := rig.c.Submit(context.Background(), "/run.job", []string{"/data.dat"}, shadow.SubmitOptions{})
-				if err != nil {
-					failed++
-					continue
-				}
-				rec, err := rig.c.Wait(context.Background(), job)
-				if err != nil || rec.ExitCode != 0 {
-					failed++
-				}
-			}
-			failures <- failed
-		}(rig)
-	}
-	wg.Wait()
-	close(failures)
-	makespan := time.Since(start)
-
 	cell := LoadCell{
 		Workers:  workers,
 		Clients:  clients,
 		Jobs:     clients * jobsPerClient,
-		Makespan: makespan,
+		Makespan: run.elapsed,
+		Failures: int(failures.Load()),
 	}
-	for f := range failures {
-		cell.Failures += f
-	}
-	if makespan > 0 {
-		cell.JobsPerSec = float64(cell.Jobs) / makespan.Seconds()
+	if run.elapsed > 0 {
+		cell.JobsPerSec = float64(cell.Jobs) / run.elapsed.Seconds()
 	}
 	return cell, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"shadowedit/internal/client"
 	"shadowedit/internal/workload"
 
 	shadow "shadowedit"
@@ -66,7 +67,7 @@ func overlapCycle(cfg Config, size int, warm bool) (time.Duration, error) {
 		return 0, err
 	}
 	defer cluster.Close()
-	c, err := ws.Connect(context.Background(), "sci")
+	c, cork, err := connectCorked(cluster, ws, client.Config{User: "sci"})
 	if err != nil {
 		return 0, err
 	}
@@ -143,7 +144,7 @@ func overlapCycle(cfg Config, size int, warm bool) (time.Duration, error) {
 		ws.Host().Process(thinkTime)
 	}
 
-	start := ws.Host().Now()
+	start := cork.cork()
 	job2, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/a.dat", "/u/sci/b.dat"}, shadow.SubmitOptions{})
 	if err != nil {
 		return 0, err

@@ -8,26 +8,23 @@
 package experiment
 
 import (
-	"context"
-
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"shadowedit/internal/client"
-	"shadowedit/internal/env"
-	"shadowedit/internal/naming"
-	"shadowedit/internal/netsim"
+	"shadowedit/internal/metrics"
 	"shadowedit/internal/obs"
 	"shadowedit/internal/server"
 	"shadowedit/internal/trace"
-	"shadowedit/internal/wire"
 	"shadowedit/internal/workload"
 )
+
+// editPercent is the fraction of its file every session replaces each cycle,
+// in every figure that edits.
+const editPercent = 5
 
 // ServerBenchConfig parametrizes one benchmark run.
 type ServerBenchConfig struct {
@@ -37,8 +34,6 @@ type ServerBenchConfig struct {
 	Cycles int
 	// FileSize is the data file size in bytes.
 	FileSize int
-	// EditPercent is the fraction of the file modified each cycle.
-	EditPercent float64
 	// Transport selects "tcp" (real loopback TCP), "netsim" (in-process
 	// simulated LAN links; wall-clock is still what is measured) or "pipe"
 	// (synchronous in-process net.Pipe streams — no file descriptors, so
@@ -83,9 +78,6 @@ func (c ServerBenchConfig) withDefaults() ServerBenchConfig {
 	}
 	if c.FileSize <= 0 {
 		c.FileSize = 8 * 1024
-	}
-	if c.EditPercent <= 0 {
-		c.EditPercent = 5
 	}
 	if c.Transport == "" {
 		c.Transport = "tcp"
@@ -182,10 +174,7 @@ type ServerBenchResult struct {
 	// virtual time (cycles over the busiest instance's virtual elapsed, so
 	// the cells compare instances, not goroutine scheduling). PeerForwards
 	// et al. are fleet-wide sums; each counter is send-side-only at the
-	// owner, so summing never double-counts. PeerFullTransfers is a pointer
-	// so its steady-state claim — zero full files between peers; the peer
-	// protocol has no full-file frame — is recorded explicitly rather than
-	// omitted.
+	// owner, so summing never double-counts.
 	Instances         int     `json:"instances,omitempty"`
 	VirtualElapsedSec float64 `json:"virtual_elapsed_sec,omitempty"`
 	PeerForwards      int64   `json:"peer_forwards,omitempty"`
@@ -194,7 +183,6 @@ type ServerBenchResult struct {
 	PeerChunkBytes    int64   `json:"peer_chunk_bytes,omitempty"`
 	PeerBytesSaved    int64   `json:"peer_bytes_saved,omitempty"`
 	PeerNegatives     int64   `json:"peer_negatives,omitempty"`
-	PeerFullTransfers *int64  `json:"peer_full_transfers,omitempty"`
 	OwnerMisses       int64   `json:"owner_misses,omitempty"`
 	RingRebalances    int64   `json:"ring_rebalances,omitempty"`
 	// Traced marks a run with full cycle tracing on; TraceCompleted and
@@ -219,305 +207,66 @@ func (r ServerBenchResult) String() string {
 	return s
 }
 
-// benchTransport hides the difference between loopback TCP and netsim: it
-// yields one server acceptor plus a dialer per client session.
-type benchTransport struct {
-	acceptor server.Acceptor
-	dial     func(session int) (wire.Conn, error)
-	close    func()
-}
-
-func newBenchTransport(cfg ServerBenchConfig) (*benchTransport, error) {
-	switch cfg.Transport {
-	case "tcp":
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addr := ln.Addr().String()
-		return &benchTransport{
-			acceptor: server.AcceptorFunc(func() (wire.Conn, error) {
-				c, err := ln.Accept()
-				if err != nil {
-					return nil, err
-				}
-				return wire.NewStreamConn(c), nil
-			}),
-			dial: func(int) (wire.Conn, error) {
-				c, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				return wire.NewStreamConn(c), nil
-			},
-			close: func() { _ = ln.Close() },
-		}, nil
-	case "pipe":
-		// Rendezvous dialer: every Dial mints a synchronous net.Pipe and
-		// hands the server end to the acceptor. No sockets, no file
-		// descriptors — 10k sessions cost only goroutines and heap,
-		// which is exactly what a capacity run wants to measure.
-		ch := make(chan net.Conn)
-		closed := make(chan struct{})
-		var once sync.Once
-		return &benchTransport{
-			acceptor: server.AcceptorFunc(func() (wire.Conn, error) {
-				select {
-				case c := <-ch:
-					return wire.NewStreamConn(c), nil
-				case <-closed:
-					return nil, net.ErrClosed
-				}
-			}),
-			dial: func(int) (wire.Conn, error) {
-				c1, c2 := net.Pipe()
-				select {
-				case ch <- c2:
-					return wire.NewStreamConn(c1), nil
-				case <-closed:
-					return nil, net.ErrClosed
-				}
-			},
-			close: func() { once.Do(func() { close(closed) }) },
-		}, nil
-	case "netsim":
-		nw := netsim.New()
-		serverHost := nw.Host("super")
-		lst, err := serverHost.Listen(1)
-		if err != nil {
-			return nil, err
-		}
-		clients := make([]*netsim.Host, cfg.Sessions)
-		for i := range clients {
-			clients[i] = nw.Host(fmt.Sprintf("ws%d", i))
-			nw.Connect(clients[i], serverHost, netsim.LAN)
-		}
-		return &benchTransport{
-			acceptor: server.AcceptorFunc(func() (wire.Conn, error) { return lst.Accept() }),
-			dial: func(session int) (wire.Conn, error) {
-				return clients[session].Dial("super", 1)
-			},
-			close: func() { _ = lst.Close() },
-		}, nil
-	default:
-		return nil, fmt.Errorf("serverbench: unknown transport %q", cfg.Transport)
+// spec is the fleet one benchmark run drives: one server, cfg.Sessions
+// sessions each editing its own file or, with Redundancy set, each submitting
+// its own variant of the cycle's common file. With a tracer every client gets
+// an observer minting its cycle traces there.
+func (c ServerBenchConfig) spec(tracer *trace.Tracer) fleetSpec {
+	scfg := server.Defaults("bench")
+	scfg.MaxConcurrentJobs = c.Jobs
+	scfg.CacheCapacity = c.CacheCapacity
+	spec := fleetSpec{
+		transport: c.Transport,
+		server:    scfg,
+		sessions:  c.Sessions,
+		seed:      c.Seed,
+		script:    jobScript,
+		content:   editing(c.FileSize, editPercent),
+		client: func(_ *fleetSession, cc *client.Config) {
+			cc.Chunked = c.Chunked
+			if tracer != nil {
+				cc.Obs = obs.New(nil, nil)
+				cc.Obs.SetTracer(tracer)
+			}
+		},
 	}
+	if c.Redundancy > 0 {
+		// The shared-content workload: one common file per cycle (plus one
+		// for priming), identical across sessions. Successive commons are
+		// unrelated, so a session's previous version shares nothing usable
+		// with its next — cross-user chunk dedup is the only redundancy
+		// available.
+		gen := workload.NewGenerator(c.Seed ^ 0x5eed)
+		commons := make([][]byte, c.Cycles+1)
+		for i := range commons {
+			commons[i] = gen.File(c.FileSize)
+		}
+		spec.content = func(s *fleetSession, cyc int) []byte {
+			return s.gen.SharedVariant(commons[cyc+1], c.Redundancy)
+		}
+	}
+	return spec
 }
 
 // RunServerBench runs the multi-session throughput benchmark.
 func RunServerBench(cfg ServerBenchConfig) (ServerBenchResult, error) {
 	cfg = cfg.withDefaults()
-	tr, err := newBenchTransport(cfg)
-	if err != nil {
-		return ServerBenchResult{}, err
-	}
-	defer tr.close()
-
-	scfg := server.Defaults("bench")
-	scfg.MaxConcurrentJobs = cfg.Jobs
-	scfg.CacheCapacity = cfg.CacheCapacity
-	scfg.Obs = obs.New(nil, nil)
 	// Tracing-on runs share one tracer between the server and every client
 	// observer: maximum span traffic, maximum contention — the honest
 	// overhead number.
 	var tracer *trace.Tracer
 	if cfg.Tracer {
 		tracer = trace.New(trace.Config{})
-		scfg.Obs.SetTracer(tracer)
 	}
-	srv := server.New(scfg)
-	go func() { _ = srv.Serve(tr.acceptor) }()
-	defer srv.Close()
-
-	// The shared-content workload: one common file per cycle (plus one for
-	// priming), identical across sessions, from which each session derives
-	// its own variant. Successive commons are unrelated, so a session's
-	// previous version shares nothing usable with its next — cross-user
-	// chunk dedup is the only redundancy available.
-	var commons [][]byte
-	if cfg.Redundancy > 0 {
-		commonGen := workload.NewGenerator(cfg.Seed ^ 0x5eed)
-		commons = make([][]byte, cfg.Cycles+1)
-		for i := range commons {
-			commons[i] = commonGen.File(cfg.FileSize)
-		}
+	spec := cfg.spec(tracer)
+	spec.server.Obs = obs.New(nil, nil)
+	spec.server.Obs.SetTracer(tracer)
+	res, err := runBench(spec, cfg.Cycles, nil)
+	if err != nil {
+		return ServerBenchResult{}, fmt.Errorf("serverbench: %w", err)
 	}
-
-	// One shared naming universe; each session is its own user at its own
-	// workstation host, editing its own data file.
-	universe := naming.NewUniverse("bench")
-	type sessionRig struct {
-		cl       *client.Client
-		host     string
-		dataPath string
-		jobPath  string
-		gen      *workload.Generator
-		content  []byte
-	}
-	rigs := make([]*sessionRig, cfg.Sessions)
-	for i := range rigs {
-		host := fmt.Sprintf("ws%d", i)
-		user := fmt.Sprintf("u%d", i)
-		universe.AddHost(host)
-		rig := &sessionRig{
-			host:     host,
-			dataPath: fmt.Sprintf("/u/%s/data.dat", user),
-			jobPath:  fmt.Sprintf("/u/%s/run.job", user),
-			gen:      workload.NewGenerator(cfg.Seed + int64(i)),
-		}
-		if commons != nil {
-			rig.content = rig.gen.SharedVariant(commons[0], cfg.Redundancy)
-		} else {
-			rig.content = rig.gen.File(cfg.FileSize)
-		}
-		if err := universe.WriteFile(host, rig.jobPath, []byte("checksum data.dat\n")); err != nil {
-			return ServerBenchResult{}, err
-		}
-		if err := universe.WriteFile(host, rig.dataPath, rig.content); err != nil {
-			return ServerBenchResult{}, err
-		}
-		conn, err := tr.dial(i)
-		if err != nil {
-			return ServerBenchResult{}, err
-		}
-		ccfg := client.Config{
-			User:     user,
-			Universe: universe,
-			Host:     host,
-			Env:      env.Default(user),
-			Chunked:  cfg.Chunked,
-		}
-		if tracer != nil {
-			ccfg.Obs = obs.New(nil, nil)
-			ccfg.Obs.SetTracer(tracer)
-		}
-		cl, err := client.Connect(context.Background(), conn, ccfg)
-		if err != nil {
-			return ServerBenchResult{}, err
-		}
-		rig.cl = cl
-		rigs[i] = rig
-		defer cl.Close()
-	}
-
-	// Prime: the first submission ships each file in full; the measured
-	// cycles are the steady-state delta traffic the paper cares about.
-	for _, rig := range rigs {
-		job, err := rig.cl.Submit(context.Background(), rig.jobPath, []string{rig.dataPath}, client.SubmitOptions{})
-		if err != nil {
-			return ServerBenchResult{}, fmt.Errorf("serverbench: prime submit: %w", err)
-		}
-		if _, err := rig.cl.Wait(context.Background(), job); err != nil {
-			return ServerBenchResult{}, fmt.Errorf("serverbench: prime wait: %w", err)
-		}
-	}
-
-	latencies := make([][]time.Duration, cfg.Sessions)
-	errs := make([]error, cfg.Sessions)
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for i, rig := range rigs {
-		wg.Add(1)
-		go func(i int, rig *sessionRig) {
-			defer wg.Done()
-			lats := make([]time.Duration, 0, cfg.Cycles)
-			for cyc := 0; cyc < cfg.Cycles; cyc++ {
-				// EditReplace keeps the file size stationary: EditMixed
-				// inserts more than it deletes, so a long run would
-				// compound the file and measure growth, not throughput.
-				if commons != nil {
-					rig.content = rig.gen.SharedVariant(commons[cyc+1], cfg.Redundancy)
-				} else {
-					rig.content = rig.gen.Modify(rig.content, cfg.EditPercent, workload.EditReplace)
-				}
-				if err := universe.WriteFile(rig.host, rig.dataPath, rig.content); err != nil {
-					errs[i] = err
-					return
-				}
-				t0 := time.Now()
-				job, err := rig.cl.Submit(context.Background(), rig.jobPath, []string{rig.dataPath}, client.SubmitOptions{})
-				if err != nil {
-					errs[i] = fmt.Errorf("cycle %d submit: %w", cyc, err)
-					return
-				}
-				if _, err := rig.cl.Wait(context.Background(), job); err != nil {
-					errs[i] = fmt.Errorf("cycle %d wait: %w", cyc, err)
-					return
-				}
-				lats = append(lats, time.Since(t0))
-			}
-			latencies[i] = lats
-		}(i, rig)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	for _, err := range errs {
-		if err != nil {
-			return ServerBenchResult{}, fmt.Errorf("serverbench: %w", err)
-		}
-	}
-
-	var all []time.Duration
-	for _, lats := range latencies {
-		all = append(all, lats...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	total := len(all)
-	pct := func(p float64) float64 {
-		if total == 0 {
-			return 0
-		}
-		idx := int(p * float64(total-1))
-		return float64(all[idx]) / float64(time.Millisecond)
-	}
-
-	cstats := srv.Cache().Stats()
-	issued, deferred := srv.FlowStats()
-	snap := srv.Metrics()
-	ackSnap := scfg.Obs.SubmitAck.Snapshot()
-	jobSnap := scfg.Obs.JobLifetime.Snapshot()
-	res := ServerBenchResult{
-		Transport:      cfg.Transport,
-		Sessions:       cfg.Sessions,
-		CyclesPerSess:  cfg.Cycles,
-		TotalCycles:    total,
-		FileSize:       cfg.FileSize,
-		ElapsedSec:     elapsed.Seconds(),
-		CyclesPerSec:   float64(total) / elapsed.Seconds(),
-		P50Ms:          pct(0.50),
-		P90Ms:          pct(0.90),
-		P99Ms:          pct(0.99),
-		SubmitAckP50Ms: ms(ackSnap.Quantile(0.50)),
-		SubmitAckP99Ms: ms(ackSnap.Quantile(0.99)),
-		JobP50Ms:       ms(jobSnap.Quantile(0.50)),
-		JobP99Ms:       ms(jobSnap.Quantile(0.99)),
-		AllocsPerCycle: float64(ms1.Mallocs-ms0.Mallocs) / float64(max(total, 1)),
-		CacheHits:      cstats.Hits,
-		CacheMisses:    cstats.Misses,
-		CacheEvictions: cstats.Evictions,
-		PullsIssued:    issued,
-		PullsDeferred:  deferred,
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-
-		Chunked:           cfg.Chunked,
-		Redundancy:        cfg.Redundancy,
-		CacheCapacity:     cfg.CacheCapacity,
-		BytesOnWire:       snap.FileBytes(),
-		UniqueCacheBytes:  cstats.Bytes,
-		LogicalCacheBytes: cstats.LogicalBytes,
-		DedupRatio:        cstats.DedupRatio(),
-		Rehydrations:      snap.Rehydrations,
-		FullRetransmits:   snap.FullFallbacks,
-		WireFullBytes:     snap.FullBytes,
-		WireDeltaBytes:    snap.DeltaBytes,
-		WireManifestBytes: snap.ManifestBytes,
-		WireChunkBytes:    snap.ChunkBytes,
-	}
+	res.FileSize = cfg.FileSize
+	res.Chunked, res.Redundancy, res.CacheCapacity = cfg.Chunked, cfg.Redundancy, cfg.CacheCapacity
 	if cfg.Transport == "netsim" {
 		vsnap, err := runVirtualPass(cfg)
 		if err != nil {
@@ -539,6 +288,85 @@ func RunServerBench(cfg ServerBenchConfig) (ServerBenchResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// runBench drives spec for cycles measured cycles and maps what the one
+// server and the run recorded onto a result row. primed, if set, runs between
+// priming and the measured cycles, after a garbage collection (the capacity
+// figure samples its footprint there).
+func runBench(spec fleetSpec, cycles int, primed func()) (ServerBenchResult, error) {
+	f, run, err := drive(spec, cycles, func(*fleet) {
+		runtime.GC()
+		if primed != nil {
+			primed()
+		}
+	})
+	if err != nil {
+		return ServerBenchResult{}, err
+	}
+	defer f.close()
+
+	var all []time.Duration
+	for _, lats := range run.latencies {
+		all = append(all, lats...)
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
+	total := len(all)
+	pct := func(p float64) float64 {
+		if total == 0 {
+			return 0
+		}
+		return ms(all[int(p*float64(total-1))])
+	}
+	srv := f.servers[0]
+	cstats := srv.Cache().Stats()
+	ackSnap := spec.server.Obs.SubmitAck.Snapshot()
+	jobSnap := spec.server.Obs.JobLifetime.Snapshot()
+	res := counterRow(srv.Metrics())
+	res.Transport = spec.transport
+	res.Sessions = spec.sessions
+	res.CyclesPerSess = cycles
+	res.TotalCycles = total
+	res.ElapsedSec = run.elapsed.Seconds()
+	res.CyclesPerSec = float64(total) / run.elapsed.Seconds()
+	res.P50Ms, res.P90Ms, res.P99Ms = pct(0.50), pct(0.90), pct(0.99)
+	res.SubmitAckP50Ms = ms(ackSnap.Quantile(0.50))
+	res.SubmitAckP99Ms = ms(ackSnap.Quantile(0.99))
+	res.JobP50Ms = ms(jobSnap.Quantile(0.50))
+	res.JobP99Ms = ms(jobSnap.Quantile(0.99))
+	res.AllocsPerCycle = float64(run.mallocs) / float64(max(total, 1))
+	res.GoMaxProcs = runtime.GOMAXPROCS(0)
+	res.UniqueCacheBytes = cstats.Bytes
+	res.LogicalCacheBytes = cstats.LogicalBytes
+	res.DedupRatio = cstats.DedupRatio()
+	return res, nil
+}
+
+// counterRow maps one server's counters — or a cluster's, merged — onto the
+// result row's counter fields.
+func counterRow(s metrics.Snapshot) ServerBenchResult {
+	return ServerBenchResult{
+		CacheHits:         s.CacheHits,
+		CacheMisses:       s.CacheMisses,
+		CacheEvictions:    s.CacheEvictions,
+		PullsIssued:       s.PullsIssued,
+		PullsDeferred:     s.PullsDeferred,
+		BytesOnWire:       s.FileBytes(),
+		Rehydrations:      s.Rehydrations,
+		FullRetransmits:   s.FullFallbacks,
+		WireFullBytes:     s.FullBytes,
+		WireDeltaBytes:    s.DeltaBytes,
+		WireManifestBytes: s.ManifestBytes,
+		WireChunkBytes:    s.ChunkBytes,
+		PeerForwards:      s.PeerForwards,
+		PeerDeltaBytes:    s.PeerDeltaBytes,
+		PeerManifestBytes: s.PeerManifestBytes,
+		PeerChunkBytes:    s.PeerChunkBytes,
+		PeerBytesSaved:    s.DeltaBytesSaved,
+		PeerNegatives:     s.PeerNegatives,
+		OwnerMisses:       s.OwnerMisses,
+		RingRebalances:    s.RingRebalances,
+	}
 }
 
 // writeSlowestChrome exports the slowest completed trace as Chrome
@@ -566,98 +394,23 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // The concurrent wall-clock run cannot yield reproducible virtual latencies:
 // all sessions share the server host's clock, so goroutine interleaving
 // shifts which arrival advances it. Instead each session's exact workload
-// (same generator seed, same prime + modify sequence) is replayed alone on a
-// fresh simulated network whose clocks only this session drives; cycles are
-// stamped with the workstation's virtual Now. The per-session histograms
-// merge into one distribution, so repeated runs are byte-identical.
+// (same index, so same names, seed and edit sequence) is replayed alone on a
+// fresh simulated network whose clocks only this session drives, its cycles
+// corked and stamped with the workstation's virtual clock. The per-session
+// latencies land in one histogram, so repeated runs are byte-identical.
 func runVirtualPass(cfg ServerBenchConfig) (obs.HistogramSnapshot, error) {
-	var merged obs.HistogramSnapshot
-	for i := 0; i < cfg.Sessions; i++ {
-		snap, err := runVirtualSession(cfg, i)
-		if err != nil {
-			return merged, fmt.Errorf("session %d: %w", i, err)
-		}
-		merged.Merge(&snap)
-	}
-	return merged, nil
-}
-
-// runVirtualSession replays one session's workload on its own network and
-// returns its virtual cycle-latency histogram.
-func runVirtualSession(cfg ServerBenchConfig, i int) (obs.HistogramSnapshot, error) {
-	fail := func(err error) (obs.HistogramSnapshot, error) { return obs.HistogramSnapshot{}, err }
-	nw := netsim.New()
-	serverHost := nw.Host("super")
-	ws := nw.Host(fmt.Sprintf("ws%d", i))
-	nw.Connect(ws, serverHost, netsim.LAN)
-	lst, err := serverHost.Listen(1)
-	if err != nil {
-		return fail(err)
-	}
-	defer lst.Close()
-
-	scfg := server.Defaults("bench")
-	scfg.MaxConcurrentJobs = cfg.Jobs
-	scfg.Clock = serverHost
-	srv := server.New(scfg)
-	go func() { _ = srv.Serve(server.AcceptorFunc(func() (wire.Conn, error) { return lst.Accept() })) }()
-	defer srv.Close()
-
-	universe := naming.NewUniverse("bench")
-	host := fmt.Sprintf("ws%d", i)
-	user := fmt.Sprintf("u%d", i)
-	universe.AddHost(host)
-	dataPath := fmt.Sprintf("/u/%s/data.dat", user)
-	jobPath := fmt.Sprintf("/u/%s/run.job", user)
-	gen := workload.NewGenerator(cfg.Seed + int64(i))
-	content := gen.File(cfg.FileSize)
-	if err := universe.WriteFile(host, jobPath, []byte("checksum data.dat\n")); err != nil {
-		return fail(err)
-	}
-	if err := universe.WriteFile(host, dataPath, content); err != nil {
-		return fail(err)
-	}
-	conn, err := ws.Dial("super", 1)
-	if err != nil {
-		return fail(err)
-	}
-	cl, err := client.Connect(context.Background(), conn, client.Config{
-		User:     user,
-		Universe: universe,
-		Host:     host,
-		Env:      env.Default(user),
-		Clock:    ws,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	defer cl.Close()
-
-	// Prime exactly like the wall run, so the measured cycles see the same
-	// steady-state delta traffic.
-	job, err := cl.Submit(context.Background(), jobPath, []string{dataPath}, client.SubmitOptions{})
-	if err != nil {
-		return fail(fmt.Errorf("prime submit: %w", err))
-	}
-	if _, err := cl.Wait(context.Background(), job); err != nil {
-		return fail(fmt.Errorf("prime wait: %w", err))
-	}
-
 	var h obs.Histogram
-	for cyc := 0; cyc < cfg.Cycles; cyc++ {
-		content = gen.Modify(content, cfg.EditPercent, workload.EditReplace)
-		if err := universe.WriteFile(host, dataPath, content); err != nil {
-			return fail(err)
-		}
-		t0 := ws.Now()
-		job, err := cl.Submit(context.Background(), jobPath, []string{dataPath}, client.SubmitOptions{})
+	for i := 0; i < cfg.Sessions; i++ {
+		spec := cfg.spec(nil)
+		spec.sessions, spec.first, spec.virtual = 1, i, true
+		f, run, err := drive(spec, cfg.Cycles, nil)
 		if err != nil {
-			return fail(fmt.Errorf("cycle %d submit: %w", cyc, err))
+			return obs.HistogramSnapshot{}, err
 		}
-		if _, err := cl.Wait(context.Background(), job); err != nil {
-			return fail(fmt.Errorf("cycle %d wait: %w", cyc, err))
+		f.close()
+		for _, lat := range run.latencies[0] {
+			h.Observe(lat)
 		}
-		h.Observe(ws.Now() - t0)
 	}
 	return h.Snapshot(), nil
 }

@@ -3,7 +3,7 @@
 // a 10k-file monorepo primed onto the server, then 1% of files edited and
 // the workspace re-synced over a slow simulated link:
 //
-//   - perfile: the classic path (Config.PerFileSync) — Sync announces every
+//   - perfile: the classic path (client.Config.PerFileSync) — Sync announces every
 //     file's head, one NOTIFY per file, so the wire cost scales with the
 //     tree, not the change.
 //   - tree:    TREE_HEAD/TREE_DIFF walk the summary down only
@@ -21,45 +21,14 @@ import (
 	"io"
 
 	"shadowedit/internal/client"
-	"shadowedit/internal/env"
-	"shadowedit/internal/naming"
 	"shadowedit/internal/netsim"
 	"shadowedit/internal/server"
-	"shadowedit/internal/wire"
 	"shadowedit/internal/workload"
 )
 
-// TreeSyncConfig parametrizes RunTreeSync.
-type TreeSyncConfig struct {
-	// Files is the workspace size in files.
-	Files int
-	// FileSize is each file's size in bytes.
-	FileSize int
-	// Edited is how many files the second phase touches; 0 derives 1% of
-	// Files (at least one).
-	Edited int
-	// Seed drives the workload generator.
-	Seed int64
-}
-
-func (c TreeSyncConfig) withDefaults() TreeSyncConfig {
-	if c.Files <= 0 {
-		c.Files = 10000
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 256
-	}
-	if c.Edited <= 0 {
-		c.Edited = c.Files / 100
-		if c.Edited == 0 {
-			c.Edited = 1
-		}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1987
-	}
-	return c
-}
+// treeSyncFileSize is each workspace file's size in bytes; one file in a
+// hundred (at least one) is edited before the measured sync.
+const treeSyncFileSize = 256
 
 // TreeSyncFigure holds the two cells plus the headline reductions.
 type TreeSyncFigure struct {
@@ -84,20 +53,18 @@ func (f *TreeSyncFigure) TimeReduction() float64 {
 	return f.PerFile.SyncVirtualMs / f.Tree.SyncVirtualMs
 }
 
-// RunTreeSync runs both cells. Labels mark the rows in BENCH_server.json:
-// "treesync-perfile", "treesync-tree".
-func RunTreeSync(cfg TreeSyncConfig) (*TreeSyncFigure, error) {
-	cfg = cfg.withDefaults()
+// RunTreeSync runs both cells on a workspace of files files. Labels mark the
+// rows in BENCH_server.json: "treesync-perfile", "treesync-tree".
+func RunTreeSync(files int, seed int64) (*TreeSyncFigure, error) {
 	fig := &TreeSyncFigure{}
-
-	res, err := runTreeSyncCell(cfg, true)
+	res, err := runTreeSyncCell(files, seed, true)
 	if err != nil {
 		return nil, fmt.Errorf("treesync perfile: %w", err)
 	}
 	res.Label = "treesync-perfile"
 	fig.PerFile = res
 
-	if res, err = runTreeSyncCell(cfg, false); err != nil {
+	if res, err = runTreeSyncCell(files, seed, false); err != nil {
 		return nil, fmt.Errorf("treesync tree: %w", err)
 	}
 	res.Label = "treesync-tree"
@@ -105,112 +72,68 @@ func RunTreeSync(cfg TreeSyncConfig) (*TreeSyncFigure, error) {
 	return fig, nil
 }
 
-// countingConn wraps a wire.Conn and counts frames and payload bytes in both
-// directions. It deliberately exposes only the base interface — optional
-// capabilities (buffer reuse, scheduled sends) are hidden, so both cells run
-// the same plain copy path and the counts stay comparable.
-type countingConn struct {
-	inner    wire.Conn
-	messages int64
-	bytes    int64
-}
-
-func (c *countingConn) Send(payload []byte) error {
-	c.messages++
-	c.bytes += int64(len(payload))
-	return c.inner.Send(payload)
-}
-
-func (c *countingConn) Recv() ([]byte, error) {
-	buf, err := c.inner.Recv()
-	if err == nil {
-		c.messages++
-		c.bytes += int64(len(buf))
-	}
-	return buf, err
-}
-
-func (c *countingConn) Close() error { return c.inner.Close() }
-
 // runTreeSyncCell primes a monorepo onto a fresh server, edits a sparse
 // subset, and measures the reconciling Sync. perFile selects the classic
-// one-notify-per-file strategy; otherwise the tree walk runs.
-func runTreeSyncCell(cfg TreeSyncConfig, perFile bool) (ServerBenchResult, error) {
+// one-notify-per-file strategy; otherwise the tree walk runs. The fleet is
+// one session on a slow link; the workload is the workspace, not the
+// session's data file, so the cell drives Sync itself instead of run.
+func runTreeSyncCell(files int, seed int64, perFile bool) (ServerBenchResult, error) {
 	res := ServerBenchResult{
 		Transport: "netsim",
 		Sessions:  1,
-		FileSize:  cfg.FileSize,
+		FileSize:  treeSyncFileSize,
 	}
-	fail := func(err error) (ServerBenchResult, error) { return res, err }
-
-	nw := netsim.New()
-	serverHost := nw.Host("super")
-	ws := nw.Host("ws0")
-	nw.Connect(ws, serverHost, netsim.ARPANET)
-	lst, err := serverHost.Listen(1)
-	if err != nil {
-		return fail(err)
-	}
-	defer lst.Close()
-
-	scfg := server.Defaults("bench")
-	scfg.Clock = serverHost
-	srv := server.New(scfg)
-	go func() { _ = srv.Serve(server.AcceptorFunc(func() (wire.Conn, error) { return lst.Accept() })) }()
-	defer srv.Close()
-
-	universe := naming.NewUniverse("bench")
-	universe.AddHost("ws0")
-	gen := workload.NewGenerator(cfg.Seed)
-	files := gen.Monorepo(cfg.Files, cfg.FileSize)
-	const root = "/u/u0/src"
-	for i := range files {
-		if err := universe.WriteFile("ws0", "/u/u0/"+files[i].Path, files[i].Content); err != nil {
-			return fail(err)
-		}
-	}
-
-	raw, err := ws.Dial("super", 1)
-	if err != nil {
-		return fail(err)
-	}
-	conn := &countingConn{inner: raw}
-	cl, err := client.Connect(context.Background(), conn, client.Config{
-		User:        "u0",
-		Universe:    universe,
-		Host:        "ws0",
-		Env:         env.Default("u0"),
-		Clock:       ws,
-		PerFileSync: perFile,
+	f, err := deploy(fleetSpec{
+		transport: "netsim",
+		link:      netsim.ARPANET,
+		server:    server.Defaults("bench"),
+		sessions:  1,
+		content:   func(*fleetSession, int) []byte { return nil },
+		client:    func(_ *fleetSession, cc *client.Config) { cc.PerFileSync = perFile },
 	})
 	if err != nil {
-		return fail(err)
+		return res, err
 	}
-	defer cl.Close()
-	wsp := cl.Workspace(root)
+	defer f.close()
+	s := f.sessions[0]
+	gen := workload.NewGenerator(seed)
+	tree := gen.Monorepo(files, treeSyncFileSize)
+	for i := range tree {
+		if err := s.ws.WriteFile("/u/u0/"+tree[i].Path, tree[i].Content); err != nil {
+			return res, err
+		}
+	}
+	if err := f.connect(); err != nil {
+		return res, err
+	}
+	wsp := s.cl.Workspace("/u/u0/src")
 
 	// Phase 1: prime. Both cells upload the whole tree; the cost is not
 	// measured — the figure is about reconciling an established workspace.
 	if _, err := wsp.Sync(context.Background()); err != nil {
-		return fail(fmt.Errorf("prime sync: %w", err))
+		return res, fmt.Errorf("prime sync: %w", err)
 	}
 
-	// Phase 2: sparse edits, then the measured reconciliation.
-	for _, i := range gen.SparseEdit(cfg.Files, cfg.Edited) {
-		files[i].Content = gen.Modify(files[i].Content, 20, workload.EditReplace)
-		if err := universe.WriteFile("ws0", "/u/u0/"+files[i].Path, files[i].Content); err != nil {
-			return fail(err)
+	// Phase 2: sparse edits, then the measured reconciliation: every frame
+	// the link carries in either direction while Sync runs, and its elapsed
+	// virtual time.
+	for _, i := range gen.SparseEdit(files, max(files/100, 1)) {
+		tree[i].Content = gen.Modify(tree[i].Content, 20, workload.EditReplace)
+		if err := s.ws.WriteFile("/u/u0/"+tree[i].Path, tree[i].Content); err != nil {
+			return res, err
 		}
 	}
-	msgs0, bytes0 := conn.messages, conn.bytes
-	t0 := ws.Now()
+	link, _ := f.cluster.Network.LinkBetween(s.host, f.names[0])
+	bytes0, msgs0 := link.Stats()
+	t0 := s.ws.Host().Now()
 	stats, err := wsp.Sync(context.Background())
 	if err != nil {
-		return fail(fmt.Errorf("reconcile sync: %w", err))
+		return res, fmt.Errorf("reconcile sync: %w", err)
 	}
-	res.SyncVirtualMs = ms(ws.Now() - t0)
-	res.WireMessages = conn.messages - msgs0
-	res.SyncWireBytes = conn.bytes - bytes0
+	res.SyncVirtualMs = ms(s.ws.Host().Now() - t0)
+	bytes1, msgs1 := link.Stats()
+	res.WireMessages = msgs1 - msgs0
+	res.SyncWireBytes = bytes1 - bytes0
 	res.SyncFiles = stats.Files
 	res.SyncChanged = stats.Changed
 	res.SyncRoundTrips = stats.RoundTrips

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync/atomic"
-	"time"
 )
 
 // Counters aggregates transfer activity. The zero value is ready to use.
@@ -23,12 +22,10 @@ type Counters struct {
 	messages     atomic.Int64
 	deltaSends   atomic.Int64
 	fullSends    atomic.Int64
-	busyNanos    atomic.Int64
 
 	reconnects    atomic.Int64
 	retries       atomic.Int64
 	fullFallbacks atomic.Int64
-	droppedFrames atomic.Int64
 
 	manifestBytes atomic.Int64
 	chunkBytes    atomic.Int64
@@ -41,7 +38,6 @@ type Counters struct {
 	peerDeltaBytes    atomic.Int64
 	peerManifestBytes atomic.Int64
 	peerChunkBytes    atomic.Int64
-	peerFullTransfers atomic.Int64
 	deltaBytesSaved   atomic.Int64
 	ownerMisses       atomic.Int64
 	ringRebalances    atomic.Int64
@@ -75,11 +71,6 @@ func (c *Counters) AddOutput(n int) {
 	c.messages.Add(1)
 }
 
-// AddBusy accumulates virtual time spent.
-func (c *Counters) AddBusy(d time.Duration) {
-	c.busyNanos.Add(int64(d))
-}
-
 // AddReconnect records one successful session re-establishment.
 func (c *Counters) AddReconnect() { c.reconnects.Add(1) }
 
@@ -89,10 +80,6 @@ func (c *Counters) AddRetry() { c.retries.Add(1) }
 // AddFullFallback records a delta transfer that degraded to a full copy
 // because its base was evicted or lost.
 func (c *Counters) AddFullFallback() { c.fullFallbacks.Add(1) }
-
-// AddDroppedFrames records frames lost by fault injection (filled in from
-// link stats by harnesses that own the simulated network).
-func (c *Counters) AddDroppedFrames(n int64) { c.droppedFrames.Add(n) }
 
 // AddManifest records a chunk-manifest transfer whose refs and inline chunks
 // total n payload bytes (protocol v3's delta-as-chunks answer to a pull).
@@ -144,11 +131,6 @@ func (c *Counters) AddPeerChunkData(n int) {
 	c.messages.Add(1)
 }
 
-// AddPeerFullTransfer records a full file body crossing a peer link. The
-// peer protocol has no full-file frame, so this counter exists to prove a
-// negative: it must stay zero, and the bench asserts it.
-func (c *Counters) AddPeerFullTransfer() { c.peerFullTransfers.Add(1) }
-
 // AddPeerNegative records a peer fetch the owner declined ("pull from the
 // client yourself").
 func (c *Counters) AddPeerNegative() { c.peerNegatives.Add(1) }
@@ -172,7 +154,6 @@ type Snapshot struct {
 	Messages     int64
 	DeltaSends   int64
 	FullSends    int64
-	Busy         time.Duration
 
 	// Cache efficacy for the same run (server-side).
 	CacheHits      int64
@@ -186,13 +167,11 @@ type Snapshot struct {
 	PullsDeferred  int64
 	PullsCoalesced int64
 
-	// Fault tolerance: reconnects completed, request attempts retried,
-	// delta transfers degraded to full copies, and frames lost by fault
-	// injection.
+	// Fault tolerance: reconnects completed, request attempts retried, and
+	// delta transfers degraded to full copies.
 	Reconnects    int64
 	Retries       int64
 	FullFallbacks int64
-	DroppedFrames int64
 
 	// Chunk transfer (protocol v3): manifest and chunk payload bytes,
 	// frame counts, chunk hashes requested, and versions completed by
@@ -205,15 +184,13 @@ type Snapshot struct {
 	Rehydrations    int64
 
 	// Cluster peering (protocol v5): versions forwarded between instances
-	// as deltas or manifests, the peer payload byte breakdown, full bodies
-	// crossing peer links (always zero by construction — recorded to prove
-	// it), full-content bytes those forwards avoided, owner fall-throughs
-	// on the client side, and flights re-homed after a peer died.
+	// as deltas or manifests, the peer payload byte breakdown, full-content
+	// bytes those forwards avoided, owner fall-throughs on the client side,
+	// and flights re-homed after a peer died.
 	PeerForwards      int64
 	PeerDeltaBytes    int64
 	PeerManifestBytes int64
 	PeerChunkBytes    int64
-	PeerFullTransfers int64
 	PeerNegatives     int64
 	DeltaBytesSaved   int64
 	OwnerMisses       int64
@@ -246,8 +223,8 @@ func (s Snapshot) String() string {
 
 // FaultString renders the fault-tolerance extension fields.
 func (s Snapshot) FaultString() string {
-	return fmt.Sprintf("faults: %d reconnects, %d retries, %d full fallbacks, %d dropped frames",
-		s.Reconnects, s.Retries, s.FullFallbacks, s.DroppedFrames)
+	return fmt.Sprintf("faults: %d reconnects, %d retries, %d full fallbacks",
+		s.Reconnects, s.Retries, s.FullFallbacks)
 }
 
 // CacheString renders the cache/flow extension fields.
@@ -281,12 +258,10 @@ func (c *Counters) Snapshot() Snapshot {
 		Messages:     c.messages.Load(),
 		DeltaSends:   c.deltaSends.Load(),
 		FullSends:    c.fullSends.Load(),
-		Busy:         time.Duration(c.busyNanos.Load()),
 
 		Reconnects:    c.reconnects.Load(),
 		Retries:       c.retries.Load(),
 		FullFallbacks: c.fullFallbacks.Load(),
-		DroppedFrames: c.droppedFrames.Load(),
 
 		ManifestBytes:   c.manifestBytes.Load(),
 		ChunkBytes:      c.chunkBytes.Load(),
@@ -299,41 +274,9 @@ func (c *Counters) Snapshot() Snapshot {
 		PeerDeltaBytes:    c.peerDeltaBytes.Load(),
 		PeerManifestBytes: c.peerManifestBytes.Load(),
 		PeerChunkBytes:    c.peerChunkBytes.Load(),
-		PeerFullTransfers: c.peerFullTransfers.Load(),
 		PeerNegatives:     c.peerNegatives.Load(),
 		DeltaBytesSaved:   c.deltaBytesSaved.Load(),
 		OwnerMisses:       c.ownerMisses.Load(),
 		RingRebalances:    c.ringRebalances.Load(),
 	}
-}
-
-// Reset zeroes the counters.
-func (c *Counters) Reset() {
-	c.deltaBytes.Store(0)
-	c.fullBytes.Store(0)
-	c.controlBytes.Store(0)
-	c.outputBytes.Store(0)
-	c.messages.Store(0)
-	c.deltaSends.Store(0)
-	c.fullSends.Store(0)
-	c.busyNanos.Store(0)
-	c.reconnects.Store(0)
-	c.retries.Store(0)
-	c.fullFallbacks.Store(0)
-	c.droppedFrames.Store(0)
-	c.manifestBytes.Store(0)
-	c.chunkBytes.Store(0)
-	c.manifestSends.Store(0)
-	c.chunkSends.Store(0)
-	c.chunksAsked.Store(0)
-	c.rehydrations.Store(0)
-	c.peerForwards.Store(0)
-	c.peerDeltaBytes.Store(0)
-	c.peerManifestBytes.Store(0)
-	c.peerChunkBytes.Store(0)
-	c.peerFullTransfers.Store(0)
-	c.peerNegatives.Store(0)
-	c.deltaBytesSaved.Store(0)
-	c.ownerMisses.Store(0)
-	c.ringRebalances.Store(0)
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCountersAccumulate(t *testing.T) {
@@ -15,7 +14,6 @@ func TestCountersAccumulate(t *testing.T) {
 	c.AddFull(1000)
 	c.AddControl(10)
 	c.AddOutput(30)
-	c.AddBusy(2 * time.Second)
 
 	s := c.Snapshot()
 	if s.DeltaBytes != 150 || s.FullBytes != 1000 || s.ControlBytes != 10 || s.OutputBytes != 30 {
@@ -26,25 +24,6 @@ func TestCountersAccumulate(t *testing.T) {
 	}
 	if s.TotalBytes() != 1190 {
 		t.Fatalf("TotalBytes = %d, want 1190", s.TotalBytes())
-	}
-	if s.Busy != 2*time.Second {
-		t.Fatalf("Busy = %v", s.Busy)
-	}
-}
-
-func TestReset(t *testing.T) {
-	var c Counters
-	c.AddDelta(5)
-	c.AddBusy(time.Second)
-	c.Reset()
-	s := c.Snapshot()
-	if s.TotalBytes() != 0 || s.Messages != 0 || s.Busy != 0 {
-		t.Fatalf("after reset: %+v", s)
-	}
-	// Counter must remain usable after Reset.
-	c.AddFull(7)
-	if c.Snapshot().FullBytes != 7 {
-		t.Fatal("counter unusable after Reset")
 	}
 }
 

@@ -45,10 +45,6 @@ func bucketBounds(idx int) (lo, hi uint64) {
 	return lo, lo + width - 1
 }
 
-// BucketBounds exposes a bucket's inclusive nanosecond range (rendering
-// layers — the Prometheus endpoint — need the bucket geometry).
-func BucketBounds(idx int) (lo, hi uint64) { return bucketBounds(idx) }
-
 // Histogram is a lock-free latency histogram. The zero value is ready to
 // use; Observe may be called from any number of goroutines concurrently.
 type Histogram struct {
@@ -80,15 +76,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
 }
 
 // HistogramSnapshot is an immutable view of a Histogram, mergeable with

@@ -866,11 +866,15 @@ func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64,
 			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
 			slog.Uint64("version", version), slog.Int("bytes", len(content)))
 	}
-	// Feed jobs before acknowledging: the ack can fail (the client may
-	// have disconnected right after sending), but the content is here
-	// and jobs waiting for it must proceed regardless.
+	// Queue the ack before feeding jobs, so FILE_ACK always precedes the
+	// OUTPUT of a job this arrival completes (a job fed first can finish on
+	// another goroutine and queue its output ahead of the ack). Feed
+	// regardless of the ack's fate: it can fail (the client may have
+	// disconnected right after sending), but the content is here and jobs
+	// waiting for it must proceed.
+	err := ss.ack(ref, version, tc)
 	ss.srv.feedWaitingJobs(id, version, content)
-	return ss.ack(ref, version, tc)
+	return err
 }
 
 // closePull ends the session's open pull of id, if version satisfies it:

@@ -282,8 +282,10 @@ type serverEntry struct {
 	listener *netsim.Listener
 }
 
-// serverPort is the shadow server's well-known port in simulations.
-const serverPort = 517
+// ServerPort is the port every simulated shadow server listens on. A caller
+// that hands the client its own transport (a counting or reordering
+// wire.Conn) dials it with Workstation.Host().Dial(server, ServerPort).
+const ServerPort = 517
 
 // NewCluster builds and starts a simulated deployment with one server.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -334,7 +336,7 @@ func (c *Cluster) AddServer(name string, scfg ServerConfig) (*Server, error) {
 		scfg.Clock = host
 	}
 	srv := server.New(scfg)
-	lst, err := host.Listen(serverPort)
+	lst, err := host.Listen(ServerPort)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: %w", err)
 	}
@@ -392,7 +394,7 @@ func (c *Cluster) EnablePeering(link LinkSpec, names ...string) error {
 			Instance: name,
 			Members:  members,
 			Dial: func(member string) (wire.Conn, error) {
-				return host.Dial(member, serverPort)
+				return host.Dial(member, ServerPort)
 			},
 		})
 	}
@@ -552,10 +554,6 @@ type SessionConfig struct {
 	// Jobs optionally seeds the job database (restored with LoadJobDB)
 	// so job records survive client restarts.
 	Jobs *JobDB
-	// PerFileSync forces Workspace.Sync onto the classic one-notify-per-
-	// file path (comparison and diagnosis; tree reconciliation is used
-	// otherwise).
-	PerFileSync bool
 	// Obs, when set, gives the client an observer: cycle latency lands in
 	// its histogram and, when its tracer is set, the client mints the
 	// cycle traces that sessions — and, in a cluster, peer fetches on
@@ -584,25 +582,24 @@ func (w *Workstation) ConnectSession(ctx context.Context, cfg SessionConfig) (*C
 	if serverName == "" {
 		serverName = w.cluster.defaultName
 	}
-	conn, err := w.host.Dial(serverName, serverPort)
+	conn, err := w.host.Dial(serverName, ServerPort)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: dial: %w", err)
 	}
 	ccfg := client.Config{
-		User:        cfg.Env.User,
-		Universe:    w.cluster.Universe,
-		Host:        w.name,
-		Env:         cfg.Env,
-		Tilde:       cfg.Tilde,
-		Store:       cfg.Store,
-		Jobs:        cfg.Jobs,
-		Clock:       w.host,
-		PerFileSync: cfg.PerFileSync,
-		Obs:         cfg.Obs,
+		User:     cfg.Env.User,
+		Universe: w.cluster.Universe,
+		Host:     w.name,
+		Env:      cfg.Env,
+		Tilde:    cfg.Tilde,
+		Store:    cfg.Store,
+		Jobs:     cfg.Jobs,
+		Clock:    w.host,
+		Obs:      cfg.Obs,
 	}
 	if cfg.AutoReconnect {
 		ccfg.Dial = func() (wire.Conn, error) {
-			return w.host.Dial(serverName, serverPort)
+			return w.host.Dial(serverName, ServerPort)
 		}
 		// Backoff advances the workstation's virtual clock: in simulated
 		// time the client genuinely waits, which is what lets it outlast
@@ -635,18 +632,17 @@ func (w *Workstation) ConnectCluster(ctx context.Context, cfg SessionConfig, mem
 		return nil, errors.New("shadow: ConnectCluster needs at least one member name")
 	}
 	ccfg := client.Config{
-		User:        cfg.Env.User,
-		Universe:    w.cluster.Universe,
-		Host:        w.name,
-		Env:         cfg.Env,
-		Tilde:       cfg.Tilde,
-		Store:       cfg.Store,
-		Jobs:        cfg.Jobs,
-		Clock:       w.host,
-		PerFileSync: cfg.PerFileSync,
-		Obs:         cfg.Obs,
-		Retry:       cfg.Retry,
-		RPCTimeout:  cfg.RPCTimeout,
+		User:       cfg.Env.User,
+		Universe:   w.cluster.Universe,
+		Host:       w.name,
+		Env:        cfg.Env,
+		Tilde:      cfg.Tilde,
+		Store:      cfg.Store,
+		Jobs:       cfg.Jobs,
+		Clock:      w.host,
+		Obs:        cfg.Obs,
+		Retry:      cfg.Retry,
+		RPCTimeout: cfg.RPCTimeout,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			w.host.Process(d)
 			return ctx.Err()
@@ -657,7 +653,7 @@ func (w *Workstation) ConnectCluster(ctx context.Context, cfg SessionConfig, mem
 		name := name
 		cms[i] = client.ClusterMember{
 			Name: name,
-			Dial: func() (wire.Conn, error) { return w.host.Dial(name, serverPort) },
+			Dial: func() (wire.Conn, error) { return w.host.Dial(name, ServerPort) },
 		}
 	}
 	return client.ConnectCluster(ctx, cms, ccfg)
@@ -666,7 +662,7 @@ func (w *Workstation) ConnectCluster(ctx context.Context, cfg SessionConfig, mem
 // ConnectRJE opens a conventional (full-transfer) baseline session to the
 // default server.
 func (w *Workstation) ConnectRJE(user string) (*RJEClient, error) {
-	conn, err := w.host.Dial(w.cluster.defaultName, serverPort)
+	conn, err := w.host.Dial(w.cluster.defaultName, ServerPort)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: dial: %w", err)
 	}
