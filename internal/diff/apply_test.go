@@ -319,7 +319,7 @@ func TestHuntFallbackMatchesMyers(t *testing.T) {
 	b := SplitLines([]byte("head-b\n" + mid + mid + "tail-b\n"))
 
 	// Confirm this input really takes the fallback.
-	sa, sb, nsym := internBoth(a, b)
+	sa, sb, nsym := new(hmScratch).internBoth(a, b)
 	prefix, suffix := commonAffixes(sa, sb)
 	if _, ok := huntMiddle(sa[prefix:len(sa)-suffix], sb[prefix:len(sb)-suffix], nsym, new(hmScratch)); ok {
 		t.Fatal("test input did not trigger the density fallback")
@@ -364,7 +364,7 @@ func TestInternHashCollisions(t *testing.T) {
 	}
 	a := SplitLines([]byte(sbA.String()))
 	b := SplitLines([]byte(sbB.String()))
-	sa, sb, nsym := internBoth(a, b)
+	sa, sb, nsym := new(hmScratch).internBoth(a, b)
 	// Distinct lines must get distinct symbols and equal lines equal ones.
 	bySym := make(map[int][]byte, nsym)
 	check := func(lines [][]byte, syms []int) {

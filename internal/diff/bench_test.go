@@ -64,22 +64,83 @@ func benchModify(content []byte, pct int, seed uint64) []byte {
 	return JoinLines(out)
 }
 
+// benchRewriteLine overwrites the text of line i (lines holds line starts and
+// the file's length) with fresh letters, keeping its length and its newline.
+func benchRewriteLine(rng *benchRNG, content []byte, lines []int, i int) {
+	for j := lines[i]; j < lines[i+1]-1; j++ {
+		content[j] = byte('a' + rng.intn(26))
+	}
+}
+
+// benchLineStarts returns the offset of every line start plus len(content).
+func benchLineStarts(content []byte) []int {
+	starts := []int{0}
+	for i, c := range content {
+		if c == '\n' {
+			starts = append(starts, i+1)
+		}
+	}
+	return starts
+}
+
+// benchInplace rewrites pct percent of the lines in place in runs of at most
+// eight, the shape of the benchmark's edit-large workload (bench/gen.go).
+func benchInplace(content []byte, pct int, seed uint64) []byte {
+	rng := benchRNG(seed | 1)
+	out := bytes.Clone(content)
+	lines := benchLineStarts(out)
+	for n := (len(lines) - 1) * pct / 100; n > 0; {
+		run := min(n, 8)
+		first := rng.intn(len(lines) - run)
+		for i := first; i < first+run; i++ {
+			benchRewriteLine(&rng, out, lines, i)
+		}
+		n -= run
+	}
+	return out
+}
+
+// benchMoved deletes pct percent of the lines and inserts as many fresh ones
+// at unrelated places: what sort does to an in-place edit of its input, the
+// shape of the output-large workload's output.
+func benchMoved(content []byte, pct int, seed uint64) []byte {
+	rng := benchRNG(seed | 1)
+	lines := SplitLines(content)
+	n := len(lines) * pct / 100
+	for i := 0; i < n; i++ {
+		at := rng.intn(len(lines))
+		lines = append(lines[:at], lines[at+1:]...)
+	}
+	for i := 0; i < n; i++ {
+		at := rng.intn(len(lines) + 1)
+		l := []byte(fmt.Sprintf("moved %06d v%d\n", i, rng.intn(100000)))
+		lines = append(lines[:at], append([][]byte{l}, lines[at:]...)...)
+	}
+	return JoinLines(lines)
+}
+
+// benchCases: the 1pct cells and the two 256k shapes the end-to-end workloads
+// exercise are the sparse edits the front end (anchoredOps) is for; the dense
+// 20pct cells exhaust its search and guard the fallback to the engine.
 var benchCases = []struct {
-	size int
-	pct  int
+	name   string
+	size   int
+	modify func(content []byte) []byte
 }{
-	{10 << 10, 1},
-	{100 << 10, 1},
-	{100 << 10, 20},
-	{500 << 10, 20},
+	{"10k/1pct", 10 << 10, func(c []byte) []byte { return benchModify(c, 1, 0xBEEF) }},
+	{"100k/1pct", 100 << 10, func(c []byte) []byte { return benchModify(c, 1, 0xBEEF) }},
+	{"100k/20pct", 100 << 10, func(c []byte) []byte { return benchModify(c, 20, 0xBEEF) }},
+	{"500k/20pct", 500 << 10, func(c []byte) []byte { return benchModify(c, 20, 0xBEEF) }},
+	{"256k/1pct-inplace", 256 << 10, func(c []byte) []byte { return benchInplace(c, 1, 0xBEEF) }},
+	{"256k/1pct-moved", 256 << 10, func(c []byte) []byte { return benchMoved(c, 1, 0xBEEF) }},
 }
 
 func BenchmarkDiffCompute(b *testing.B) {
 	for _, alg := range allAlgorithms {
 		for _, tc := range benchCases {
 			base := benchFile(tc.size, 0xC0FFEE)
-			target := benchModify(base, tc.pct, 0xBEEF)
-			b.Run(fmt.Sprintf("%v/%dk/%dpct", alg, tc.size>>10, tc.pct), func(b *testing.B) {
+			target := tc.modify(base)
+			b.Run(fmt.Sprintf("%v/%s", alg, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(base)))
 				for i := 0; i < b.N; i++ {
@@ -96,12 +157,12 @@ func BenchmarkDiffApply(b *testing.B) {
 	for _, alg := range allAlgorithms {
 		for _, tc := range benchCases {
 			base := benchFile(tc.size, 0xC0FFEE)
-			target := benchModify(base, tc.pct, 0xBEEF)
+			target := tc.modify(base)
 			d, err := Compute(alg, base, target)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%v/%dk/%dpct", alg, tc.size>>10, tc.pct), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%v/%s", alg, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(base)))
 				for i := 0; i < b.N; i++ {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"shadowedit/internal/chunk"
 )
@@ -152,33 +153,39 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 //
 // The returned Delta's inserted lines alias target's bytes (no copies are
 // made), so the caller must not modify target while the Delta is in use.
-// Every caller in this codebase either encodes the delta immediately or
-// computes it from immutable stored versions.
+// That holds for every op, whichever gap of the front end (see anchoredOps)
+// split its lines. Every caller in this codebase either encodes the delta
+// immediately or computes it from immutable stored versions.
 func Compute(algorithm Algorithm, base, target []byte) (*Delta, error) {
+	return ComputeSummed(algorithm, base, target, Checksum(base), Checksum(target))
+}
+
+// ComputeSummed is Compute for a caller that already holds the Checksum of
+// both versions, as the version store does: the two passes over the files
+// are skipped and the sums are recorded in the Delta as given.
+func ComputeSummed(algorithm Algorithm, base, target []byte, baseSum, targetSum uint32) (*Delta, error) {
 	d := &Delta{
 		Algorithm: algorithm,
 		BaseLen:   len(base),
 		TargetLen: len(target),
-		BaseSum:   Checksum(base),
-		TargetSum: Checksum(target),
+		BaseSum:   baseSum,
+		TargetSum: targetSum,
+		kind:      kindEdit,
 	}
 	table := baseLinesPool.Get().(*[][]byte)
-	a := appendSplitLines((*table)[:0], base)
 	defer func() {
-		clear(a)
-		*table = a[:0]
+		clear(*table)
+		*table = (*table)[:0]
 		baseLinesPool.Put(table)
 	}()
-	b := SplitLines(target)
 	switch algorithm {
 	case HuntMcIlroy:
-		d.Ops = opsFromMatches(huntMcIlroyMatches(a, b), a, b)
-		d.kind = kindEdit
+		d.Ops, _ = anchoredOps(base, target, huntMcIlroyMatches, table)
 	case Myers:
-		d.Ops = opsFromMatches(myersMatches(a, b), a, b)
-		d.kind = kindEdit
+		d.Ops, _ = anchoredOps(base, target, myersMatches, table)
 	case TichyBlockMove:
-		d.Ops = tichyOps(a, b)
+		*table = appendSplitLines(*table, base)
+		d.Ops = tichyOps(*table, SplitLines(target))
 		d.kind = kindBlockMove
 	default:
 		return nil, fmt.Errorf("diff: unknown algorithm %v", algorithm)
@@ -460,49 +467,31 @@ type match struct {
 	ai, bi, n int
 }
 
-// opsFromMatches converts an LCS (as maximal runs of matching lines, in
-// ascending order) into ed-style ops ordered by descending base line.
-func opsFromMatches(matches []match, a, b [][]byte) []Op {
-	// Walk the gap between consecutive matches; each gap is a delete,
-	// insert or change region. Collect ascending, then reverse. At most
-	// one op falls between consecutive matches (plus the tail gap), so
-	// the slice is sized exactly once.
-	fwd := make([]Op, 0, len(matches)+1)
+// appendOps appends, in ascending base order, the ed-style ops an LCS of one
+// stretch of the files implies: one op for each gap between its matches.
+// matches are the stretch's maximal runs of matching lines in ascending order,
+// na is its number of base lines, b its target lines, and line the number of
+// base lines before it. Op.Lines aliases b (see the Compute contract).
+func appendOps(ops []Op, matches []match, na int, b [][]byte, line int) []Op {
+	ops = slices.Grow(ops, len(matches)+1)
 	ai, bi := 0, 0
-	emit := func(aEnd, bEnd int) {
-		// Region a[ai:aEnd) replaced by b[bi:bEnd).
-		delN, insN := aEnd-ai, bEnd-bi
-		// Op.Lines aliases the target's line slices directly (see the
-		// Compute contract); copying every inserted line was the single
-		// largest allocation source on the delta hot path.
-		switch {
-		case delN > 0 && insN > 0:
-			fwd = append(fwd, Op{
-				Kind:      OpChange,
-				BaseStart: ai + 1,
-				BaseEnd:   aEnd,
-				Lines:     b[bi:bEnd],
-			})
-		case delN > 0:
-			fwd = append(fwd, Op{Kind: OpDelete, BaseStart: ai + 1, BaseEnd: aEnd})
-		case insN > 0:
-			fwd = append(fwd, Op{
-				Kind:      OpInsert,
-				BaseStart: ai, // insert after line ai (0 = top)
-				Lines:     b[bi:bEnd],
-			})
+	for i := 0; i <= len(matches); i++ {
+		m := match{ai: na, bi: len(b)} // the last gap ends where the stretch does
+		if i < len(matches) {
+			m = matches[i]
 		}
-	}
-	for _, m := range matches {
-		emit(m.ai, m.bi)
+		switch {
+		case m.ai > ai && m.bi > bi:
+			ops = append(ops, Op{Kind: OpChange, BaseStart: line + ai + 1, BaseEnd: line + m.ai, Lines: b[bi:m.bi]})
+		case m.ai > ai:
+			ops = append(ops, Op{Kind: OpDelete, BaseStart: line + ai + 1, BaseEnd: line + m.ai})
+		case m.bi > bi:
+			// Insert after base line ai (0 = at the top).
+			ops = append(ops, Op{Kind: OpInsert, BaseStart: line + ai, Lines: b[bi:m.bi]})
+		}
 		ai, bi = m.ai+m.n, m.bi+m.n
 	}
-	emit(len(a), len(b))
-	// Reverse to descending base order.
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
-	}
-	return fwd
+	return ops
 }
 
 // matchesFromPairs coalesces individual matched line pairs (ascending in both

@@ -326,6 +326,9 @@ func TestPropertyLCSMatchesAreCommonSubsequence(t *testing.T) {
 				if m.ai <= prevA || m.bi <= prevB || m.n <= 0 {
 					t.Fatalf("%s trial %d: non-ascending match %+v", name, trial, m)
 				}
+				if prevA >= 0 && m.ai == prevA+1 && m.bi == prevB+1 {
+					t.Fatalf("%s trial %d: run %+v abuts the one before: runs not maximal", name, trial, m)
+				}
 				for k := 0; k < m.n; k++ {
 					if !bytes.Equal(a[m.ai+k], b[m.bi+k]) {
 						t.Fatalf("%s trial %d: match pairs unequal lines", name, trial)

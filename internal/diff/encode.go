@@ -71,8 +71,10 @@ func Decode(buf []byte) (*Delta, error) {
 	d.TargetLen = int(r.uvarint())
 	d.BaseSum = r.uint32()
 	d.TargetSum = r.uint32()
+	// Counts size allocations, so each is checked against what the unread
+	// bytes could hold: at least three per op, at least one per line.
 	nops := r.uvarint()
-	if r.err == nil && nops > uint64(len(buf)) {
+	if r.err == nil && nops > uint64(len(r.buf))/3 {
 		return nil, fmt.Errorf("%w: op count %d exceeds input", ErrCorruptDelta, nops)
 	}
 	sawCopy := false
@@ -93,7 +95,7 @@ func Decode(buf []byte) (*Delta, error) {
 		switch op.Kind {
 		case OpInsert, OpChange:
 			nlines := r.uvarint()
-			if r.err == nil && nlines > uint64(len(buf)) {
+			if r.err == nil && nlines > uint64(len(r.buf)) {
 				return nil, fmt.Errorf("%w: line count %d exceeds input", ErrCorruptDelta, nlines)
 			}
 			op.Lines = make([][]byte, 0, nlines)

@@ -2,11 +2,11 @@ package diff
 
 import "sync"
 
-// hmScratch carries every per-Compute working array of the Hunt–McIlroy
-// path: the intern table, both symbol sequences, the CSR equivalence
-// classes, the candidate arena and the backtrack buffers. A steady-state
-// Compute reuses all of it from a pool, leaving only the outputs (the ops
-// and the target lines they alias) on the heap.
+// hmScratch carries the per-Compute working arrays: the intern table and both
+// symbol sequences every algorithm uses, and Hunt–McIlroy's CSR equivalence
+// classes, candidate arena and backtrack buffers. A steady-state Compute
+// reuses all of it from a pool, leaving only the outputs (the ops and the
+// target lines they alias) on the heap.
 type hmScratch struct {
 	table    lineTable
 	sa, sb   []int
@@ -35,10 +35,10 @@ func (sc *hmScratch) release() {
 // "An Algorithm for Differential File Comparison", Bell Labs CSTR 41, 1975).
 //
 // Lines are interned to integer symbols, a common prefix and suffix are
-// trimmed (the dominant case in an edit–resubmit cycle), and the middle is
-// solved in O((R+N) log N) where R is the number of matching line pairs. For
-// degenerate inputs where R explodes (files of near-identical lines) it falls
-// back to the Myers algorithm, which is insensitive to R.
+// trimmed (they are always part of some LCS), and the middle is solved in
+// O((R+N) log N) where R is the number of matching line pairs. For degenerate
+// inputs where R explodes (files of near-identical lines) the middle goes to
+// the Myers algorithm instead, which bounds work by edit distance.
 func huntMcIlroyMatches(a, b [][]byte) []match {
 	sc := hmPool.Get().(*hmScratch)
 	defer sc.release()
@@ -46,17 +46,12 @@ func huntMcIlroyMatches(a, b [][]byte) []match {
 	prefix, suffix := commonAffixes(sa, sb)
 	ma := sa[prefix : len(sa)-suffix]
 	mb := sb[prefix : len(sb)-suffix]
-
 	mid, ok := huntMiddle(ma, mb, nsym, sc)
 	if !ok {
-		// Pathological match density; the O(ND) algorithm bounds work
-		// by edit distance instead. The fallback hands over the
-		// already-trimmed middle: ma and mb share no common prefix or
-		// suffix by construction, so myersMiddle's own affix scan
-		// terminates immediately instead of re-trimming (and
-		// re-reporting) the affixes of the full inputs.
 		mid = myersMiddle(ma, mb)
 	}
+	// No two of the three parts abut: a middle run touching the prefix or
+	// the suffix would have been trimmed with it.
 	ms := make([]match, 0, len(mid)+2)
 	if prefix > 0 {
 		ms = append(ms, match{ai: 0, bi: 0, n: prefix})
@@ -67,7 +62,7 @@ func huntMcIlroyMatches(a, b [][]byte) []match {
 	if suffix > 0 {
 		ms = append(ms, match{ai: len(sa) - suffix, bi: len(sb) - suffix, n: suffix})
 	}
-	return coalesce(ms)
+	return ms
 }
 
 // maxMatchPairs bounds the candidate work before falling back to Myers.
@@ -95,15 +90,16 @@ func huntMiddle(a, b []int, nsym int, sc *hmScratch) ([]match, bool) {
 	// symbol. bstart[s]..bstart[s+1] delimits symbol s's positions in b,
 	// stored in descending order — the traversal order Hunt–Szymanski
 	// needs so updates within one a-line don't feed each other.
-	bstart := growZero32(&sc.bstart, nsym+2)
+	bstart := grow(&sc.bstart, nsym+2)
+	clear(bstart)
 	for _, s := range b {
 		bstart[s+1]++
 	}
 	for s := 1; s < len(bstart); s++ {
 		bstart[s] += bstart[s-1]
 	}
-	pos := grow32(&sc.pos, len(b)) // fully overwritten below, no zeroing
-	bcur := grow32(&sc.bcur, nsym+1)
+	pos := grow(&sc.pos, len(b)) // fully overwritten below, no zeroing
+	bcur := grow(&sc.bcur, nsym+1)
 	copy(bcur, bstart[:nsym+1])
 	for j := len(b) - 1; j >= 0; j-- {
 		s := b[j]
@@ -126,11 +122,7 @@ func huntMiddle(a, b []int, nsym int, sc *hmScratch) ([]match, bool) {
 	link := sc.link[:0]
 	arena := sc.arena[:0]
 	if cap(arena) == 0 {
-		if pairs < 4096 {
-			arena = make([]cand, 0, pairs)
-		} else {
-			arena = make([]cand, 0, 4096)
-		}
+		arena = make([]cand, 0, min(pairs, 4096))
 	}
 	for i, s := range a {
 		for _, j := range pos[bstart[s]:bstart[s+1]] {
@@ -162,36 +154,19 @@ func huntMiddle(a, b []int, nsym int, sc *hmScratch) ([]match, bool) {
 	}
 	// Backtrack the longest chain into ascending matched pairs.
 	n := len(link)
-	ais := growInt(&sc.ais, n)
-	bis := growInt(&sc.bis, n)
+	ais := grow(&sc.ais, n)
+	bis := grow(&sc.bis, n)
 	for ci, k := link[n-1], n-1; ci >= 0; ci, k = arena[ci].prev, k-1 {
 		ais[k], bis[k] = int(arena[ci].ai), int(arena[ci].bi)
 	}
 	return matchesFromPairs(ais, bis), true
 }
 
-// grow32 reslices *s to length n, reallocating only when capacity is short;
+// grow reslices *s to length n, reallocating only when capacity is short;
 // contents are unspecified.
-func grow32(s *[]int32, n int) []int32 {
+func grow[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]int32, n)
-	} else {
-		*s = (*s)[:n]
-	}
-	return *s
-}
-
-// growZero32 is grow32 with the result zeroed.
-func growZero32(s *[]int32, n int) []int32 {
-	v := grow32(s, n)
-	clear(v)
-	return v
-}
-
-// growInt is grow32 for []int.
-func growInt(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
+		*s = make([]T, n)
 	} else {
 		*s = (*s)[:n]
 	}
@@ -211,22 +186,4 @@ func searchInt32(v []int32, x int32) int {
 		}
 	}
 	return lo
-}
-
-// coalesce merges adjacent runs that abut exactly, which can happen at the
-// prefix/suffix seams.
-func coalesce(ms []match) []match {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := ms[:1]
-	for _, m := range ms[1:] {
-		last := &out[len(out)-1]
-		if m.ai == last.ai+last.n && m.bi == last.bi+last.n {
-			last.n += m.n
-			continue
-		}
-		out = append(out, m)
-	}
-	return out
 }

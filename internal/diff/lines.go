@@ -80,21 +80,6 @@ type lineTable struct {
 	lines  [][]byte // symbol-1 -> representative line
 }
 
-// newLineTable returns a table with room for capacity distinct lines without
-// rehashing (load factor stays at or below 1/2).
-func newLineTable(capacity int) *lineTable {
-	size := 16
-	for size < 2*capacity {
-		size <<= 1
-	}
-	return &lineTable{
-		mask:   uint64(size - 1),
-		slots:  make([]int32, size),
-		hashes: make([]uint64, size),
-		lines:  make([][]byte, 0, capacity),
-	}
-}
-
 // sym returns the symbol for l, assigning the next free one on first sight.
 func (t *lineTable) sym(l []byte) int32 {
 	h := hashLine(l)
@@ -113,14 +98,6 @@ func (t *lineTable) sym(l []byte) int32 {
 	}
 }
 
-func (t *lineTable) intern(lines [][]byte) []int {
-	out := make([]int, len(lines))
-	for i, l := range lines {
-		out[i] = int(t.sym(l))
-	}
-	return out
-}
-
 // internInto appends each line's symbol to out, returning the grown slice.
 func (t *lineTable) internInto(out []int, lines [][]byte) []int {
 	for _, l := range lines {
@@ -131,17 +108,9 @@ func (t *lineTable) internInto(out []int, lines [][]byte) []int {
 
 // internBoth interns both files in a shared table and returns their symbol
 // sequences plus the number of distinct symbols. Symbols are dense (1..nsym),
-// so callers can bucket by symbol with a flat slice instead of a map.
-func internBoth(a, b [][]byte) (sa, sb []int, nsym int) {
-	t := newLineTable(len(a) + len(b))
-	sa = t.intern(a)
-	sb = t.intern(b)
-	return sa, sb, len(t.lines)
-}
-
-// internBoth is the scratch-backed variant used by the Hunt–McIlroy hot
-// path: the intern table's storage and both symbol sequences live in the
-// pooled scratch, so a steady-state Compute interns without allocating.
+// so callers can bucket by symbol with a flat slice instead of a map. The
+// table's storage and both sequences live in the pooled scratch, so a
+// steady-state Compute interns without allocating.
 func (sc *hmScratch) internBoth(a, b [][]byte) (sa, sb []int, nsym int) {
 	capacity := len(a) + len(b)
 	size := 16

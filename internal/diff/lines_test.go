@@ -71,7 +71,7 @@ func TestSplitLinesEveryLineTerminatedExceptLast(t *testing.T) {
 func TestInternBoth(t *testing.T) {
 	a := SplitLines([]byte("x\ny\nx\n"))
 	b := SplitLines([]byte("y\nz\n"))
-	sa, sb, nsym := internBoth(a, b)
+	sa, sb, nsym := new(hmScratch).internBoth(a, b)
 	if nsym != 3 {
 		t.Errorf("nsym = %d, want 3 distinct lines", nsym)
 	}

@@ -6,30 +6,16 @@ package diff
 // 1986; the paper cites the closely related Miller–Myers file comparison
 // program). Memory is O(N+M); time is O((N+M)·D).
 func myersMatches(a, b [][]byte) []match {
-	sa, sb, _ := internBoth(a, b)
-	prefix, suffix := commonAffixes(sa, sb)
-
-	var ms []match
-	if prefix > 0 {
-		ms = append(ms, match{ai: 0, bi: 0, n: prefix})
-	}
-	for _, m := range myersMiddle(sa[prefix:len(sa)-suffix], sb[prefix:len(sb)-suffix]) {
-		ms = append(ms, match{ai: m.ai + prefix, bi: m.bi + prefix, n: m.n})
-	}
-	if suffix > 0 {
-		ms = append(ms, match{ai: len(sa) - suffix, bi: len(sb) - suffix, n: suffix})
-	}
-	return coalesce(ms)
+	sc := hmPool.Get().(*hmScratch)
+	defer sc.release()
+	sa, sb, _ := sc.internBoth(a, b)
+	return myersMiddle(sa, sb)
 }
 
-// myersMiddle solves the trimmed middle region, returning ascending maximal
-// runs in the region's own coordinates.
-//
-// Contract: callers pass affix-trimmed slices (a and b share no common prefix
-// or suffix). The recursion re-derives affixes at each level because its
-// subproblems do have them, but on the trimmed top-level inputs that scan
-// stops at the first element — so delegating an already-trimmed region here
-// (as the Hunt–McIlroy density fallback does) costs no second trim pass.
+// myersMiddle solves a region of symbols, returning ascending maximal runs in
+// the region's own coordinates. The recursion trims common affixes at every
+// level, the top one included, so the whole files and the already-trimmed
+// middle of the Hunt–McIlroy density fallback are equally good inputs.
 func myersMiddle(a, b []int) []match {
 	var ais, bis []int
 	myersRec(a, b, 0, 0, &ais, &bis)

@@ -12,7 +12,9 @@ package diff
 // maxTichyCandidates base occurrences are tried per target line; this can
 // make the delta slightly non-minimal but never incorrect.
 func tichyOps(a, b [][]byte) []Op {
-	sa, sb, nsym := internBoth(a, b)
+	sc := hmPool.Get().(*hmScratch)
+	defer sc.release()
+	sa, sb, nsym := sc.internBoth(a, b)
 	// Index base occurrences CSR-style: astart[s]..astart[s+1] delimits
 	// symbol s's ascending positions in sa.
 	astart := make([]int32, nsym+2)

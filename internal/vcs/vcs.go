@@ -226,6 +226,8 @@ func (s *Store) GetShared(ref wire.FileRef, number uint64) (Version, error) {
 // The returned delta's inserted lines alias the stored content of the want
 // version (see diff.Compute); since committed content is immutable, the
 // delta stays valid until encoded, which is all the pull path does with it.
+// Immutable too are the sums every version was stored with, so the delta
+// carries those instead of checksumming both files again.
 func (s *Store) DeltaFrom(ref wire.FileRef, base, want uint64, algorithm diff.Algorithm) (*diff.Delta, error) {
 	baseV, err := s.GetShared(ref, base)
 	if err != nil {
@@ -235,7 +237,7 @@ func (s *Store) DeltaFrom(ref wire.FileRef, base, want uint64, algorithm diff.Al
 	if err != nil {
 		return nil, err
 	}
-	return diff.Compute(algorithm, baseV.Content, wantV.Content)
+	return diff.ComputeSummed(algorithm, baseV.Content, wantV.Content, baseV.Sum, wantV.Sum)
 }
 
 // ManifestFor returns the content-defined chunk manifest of a retained

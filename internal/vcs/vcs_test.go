@@ -76,6 +76,10 @@ func TestDeltaFromReconstructs(t *testing.T) {
 	if err != nil || !bytes.Equal(got, next) {
 		t.Fatalf("delta apply = %q, %v", got, err)
 	}
+	// The sums the store supplies are the ones Compute would take itself.
+	if want, _ := diff.Compute(diff.HuntMcIlroy, base, next); d.BaseSum != want.BaseSum || d.TargetSum != want.TargetSum {
+		t.Fatalf("stored sums %08x %08x, computed %08x %08x", d.BaseSum, d.TargetSum, want.BaseSum, want.TargetSum)
+	}
 }
 
 func TestDeltaFromSkipsIntermediateVersions(t *testing.T) {
