@@ -235,6 +235,12 @@ func (h *handler) writeGauges(b *strings.Builder) {
 		gauge("shadow_heap_inuse_bytes_per_session", "Resident heap bytes divided by attached sessions.", float64(mem.HeapInuse)/float64(n))
 	}
 	gauge("shadow_ring_imbalance", "Hottest ring owner's file demand over the mean (1 = even, 0 = idle).", h.srv.HeatStats(0).Imbalance)
+	js := h.srv.JobStats()
+	gauge("shadow_jobs_live", "Jobs in the job table: submitted, output not yet acknowledged.", float64(js.Live))
+	gauge("shadow_jobs_unacked", "Finished jobs held for clients that have not acknowledged their output.", float64(js.Unacked))
+	gauge("shadow_jobs_unacked_bytes", "Output bytes of those jobs: the one structure bounded by neither the cache nor the live sessions.", float64(js.UnackedBytes))
+	fmt.Fprintf(b, "# HELP shadow_jobs_retired_total Jobs acknowledged and forgotten (a bounded ring keeps their status).\n"+
+		"# TYPE shadow_jobs_retired_total counter\nshadow_jobs_retired_total %d\n", js.Retired)
 	counts := h.srv.JobCounts()
 	fmt.Fprintf(b, "# HELP shadow_jobs Submitted jobs by lifecycle state.\n# TYPE shadow_jobs gauge\n")
 	for _, state := range []wire.JobState{wire.JobQueued, wire.JobFetching, wire.JobRunning, wire.JobDone, wire.JobFailed} {
@@ -382,6 +388,7 @@ func (h *handler) cachez(w http.ResponseWriter, r *http.Request) {
 type sessionView struct {
 	Sessions        []server.SessionInfo `json:"sessions"`
 	Jobs            map[string]int       `json:"jobs"`
+	JobTable        server.JobStats      `json:"job_table"`
 	InFlightFetches int                  `json:"inflight_fetches"`
 }
 
@@ -390,6 +397,7 @@ func (h *handler) sessionz(w http.ResponseWriter, r *http.Request) {
 	v := sessionView{
 		Sessions:        h.srv.Sessions(),
 		Jobs:            make(map[string]int),
+		JobTable:        h.srv.JobStats(),
 		InFlightFetches: h.srv.InFlightFetches(),
 	}
 	for state, n := range h.srv.JobCounts() {
@@ -421,7 +429,8 @@ func (h *handler) sessionz(w http.ResponseWriter, r *http.Request) {
 	for _, s := range states {
 		fmt.Fprintf(&b, " %s=%d", s, v.Jobs[s])
 	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "\njob table: live=%d unacked=%d unacked-bytes=%d retired=%d\n",
+		v.JobTable.Live, v.JobTable.Unacked, v.JobTable.UnackedBytes, v.JobTable.Retired)
 	writeText(w, b.String())
 }
 

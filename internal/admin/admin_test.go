@@ -92,6 +92,8 @@ func TestMetricsContent(t *testing.T) {
 		"shadow_retries_total", "shadow_full_fallbacks_total",
 		"shadow_sessions", "shadow_cache_bytes 5", "shadow_cache_entries 1",
 		"shadow_jobs{state=\"queued\"}",
+		"shadow_jobs_live 0", "shadow_jobs_unacked 0", "shadow_jobs_unacked_bytes 0",
+		"# TYPE shadow_jobs_retired_total counter", "shadow_jobs_retired_total 0",
 		"# TYPE shadow_submit_ack_seconds histogram",
 		"shadow_submit_ack_seconds_count 1",
 		"shadow_cycle_seconds_count 1",
@@ -288,7 +290,8 @@ func TestFlightz(t *testing.T) {
 func TestSessionzAndPprof(t *testing.T) {
 	_, h := newTestHandler(t)
 	code, body, _ := get(t, h, "/sessionz")
-	if code != http.StatusOK || !strings.Contains(body, "sessions attached") {
+	if code != http.StatusOK || !strings.Contains(body, "sessions attached") ||
+		!strings.Contains(body, "job table: live=0 unacked=0 unacked-bytes=0 retired=0") {
 		t.Fatalf("/sessionz = %d:\n%s", code, body)
 	}
 	code, body, _ = get(t, h, "/sessionz?format=json")

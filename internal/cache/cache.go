@@ -221,8 +221,13 @@ func (c *Cache) Params() chunk.Params { return c.params }
 // Get returns the cached entry for id, if present, and refreshes its
 // recency. The content is assembled from the chunk store into a fresh
 // buffer the caller owns.
+//
+// Get, GetInto and GetAtLeast are the lookups Stats counts: a hit is an entry
+// that was there — as the content itself or as the base the next delta or
+// manifest builds on — a miss one that was not. Version, Peek, Manifest and
+// Fingerprint plan or inspect and count nothing.
 func (c *Cache) Get(id naming.ShadowID) (Entry, bool) {
-	return c.GetInto(nil, id)
+	return c.GetAtLeast(nil, id, 0)
 }
 
 // GetInto is Get assembling the content into dst's backing array (from its
@@ -230,6 +235,15 @@ func (c *Cache) Get(id naming.ShadowID) (Entry, bool) {
 // buffer, for callers that only read the content and recycle the buffer —
 // the delta arrival path drops its base as soon as the delta is applied.
 func (c *Cache) GetInto(dst []byte, id naming.ShadowID) (Entry, bool) {
+	return c.GetAtLeast(dst, id, 0)
+}
+
+// GetAtLeast is GetInto for a reader that can only use version min or newer
+// (a job gathering its inputs): an older entry is reported — it is a hit, and
+// its recency is refreshed, exactly as Get would — but with nil Content,
+// because assembling a file nobody will read costs a file-sized allocation
+// and copy. The version test and the assembly happen under one shard lock.
+func (c *Cache) GetAtLeast(dst []byte, id naming.ShadowID, min uint64) (Entry, bool) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
 	s, ok := sh.entries[id]
@@ -239,7 +253,10 @@ func (c *Cache) GetInto(dst []byte, id naming.ShadowID) (Entry, bool) {
 		return Entry{}, false
 	}
 	s.lastUsed = c.seq.Add(1)
-	e := c.assembleLocked(dst, id, s)
+	e := Entry{ID: id, Version: s.version}
+	if s.version >= min {
+		e = c.assembleLocked(dst, id, s)
+	}
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	return e, true
@@ -259,7 +276,7 @@ func (c *Cache) Peek(id naming.ShadowID) (Entry, bool) {
 
 // Version returns the cached version number of id without assembling its
 // content — the cheap lookup for call sites that only plan (pull decisions,
-// overtaken checks).
+// overtaken checks). Like Peek it touches neither recency nor hit statistics.
 func (c *Cache) Version(id naming.ShadowID) (uint64, bool) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
@@ -339,7 +356,7 @@ func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
 
 // PutOwned is Put; the cache copies chunk data into the store and never
 // retains content, so there is nothing for it to take ownership of. The name
-// survives for the full-transfer arrival path and the benchmark's replay.
+// survives for the benchmark's replay.
 func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) error {
 	return c.Put(id, version, content)
 }

@@ -372,3 +372,39 @@ func TestEvictHookObservesEveryRemoval(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupAccounting pins which lookups Stats counts. Get, GetInto and
+// GetAtLeast are consumers asking for a file: an entry that is there is a hit
+// — also when it is older than the reader can use, because it is still the
+// base the next delta builds on — and an absent one a miss. Version, Peek,
+// Manifest and Fingerprint plan or inspect and count nothing.
+func TestLookupAccounting(t *testing.T) {
+	c := New(0, LRU)
+	if err := c.Put(1, 5, []byte("five\n")); err != nil {
+		t.Fatal(err)
+	}
+	c.Version(1)
+	c.Version(2)
+	c.Peek(1)
+	c.Peek(2)
+	c.Manifest(1)
+	c.Fingerprint(2)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("planning lookups counted: %+v", st)
+	}
+	buf := make([]byte, 0, 64)
+	if e, ok := c.GetAtLeast(buf, 1, 5); !ok || e.Version != 5 || string(e.Content) != "five\n" || &e.Content[0] != &buf[:1][0] {
+		t.Fatalf("GetAtLeast(min = cached) = %+v, %v; want the content, in the caller's buffer", e, ok)
+	}
+	if e, ok := c.GetAtLeast(buf, 1, 6); !ok || e.Version != 5 || e.Content != nil {
+		t.Fatalf("GetAtLeast(min > cached) = %+v, %v; want the version and nothing assembled", e, ok)
+	}
+	if _, ok := c.GetAtLeast(nil, 2, 0); ok {
+		t.Fatal("GetAtLeast found an absent entry")
+	}
+	c.Get(1)
+	c.GetInto(nil, 2)
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 2 {
+		t.Fatalf("hits %d, misses %d; want 3 and 2", st.Hits, st.Misses)
+	}
+}

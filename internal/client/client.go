@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"path"
+	"slices"
 	"sync"
 	"time"
 
@@ -181,8 +182,13 @@ type Client struct {
 	replyCh  chan wire.Message // reused across attempts; drained at install
 	pending  *pendingSubmit    // submit in flight, installed on SUBMIT_OK
 	outPrev  map[uint32][]byte // script checksum -> last received stdout
-	jobMeta  map[uint64]jobMeta
-	jobDone  map[uint64]chan struct{}
+	// The four per-job maps hold jobs whose output is still awaited and
+	// nothing else: handleOutput clears a job out of all of them as it
+	// delivers, and from then on the job database is what knows the job
+	// (Wait on a delivered job answers from there). jobDone holds the
+	// channel Wait blocks on, made by whoever asks first.
+	jobMeta map[uint64]jobMeta
+	jobDone map[uint64]chan struct{}
 	// cycleStart stamps when Submit was called for each job still awaiting
 	// output, feeding the full-cycle histogram. Populated only when
 	// cfg.Obs is set; presence in the map means "timed".
@@ -191,7 +197,11 @@ type Client struct {
 	// delivered, keyed by job id like cycleStart. Populated only when the
 	// observer has a tracer and the cycle was sampled.
 	cycleSpan map[uint64]*trace.Span
-	delivered []uint64      // job ids delivered but not yet taken by WaitAny
+	// delivered lists the jobs delivered whose record no caller has been
+	// handed yet — what WaitAny returns next. Wait and Fetch take their job
+	// off it, and it holds at most maxUntaken ids: the oldest fall off under
+	// a caller that never asks.
+	delivered []uint64
 	arrivals  chan struct{} // signaled on each delivery
 	// ackSignal wakes awaitAcks after each FileAck is applied to the
 	// store (buffered: a signal is never lost, dozens coalesce into one
@@ -361,6 +371,16 @@ func (c *Client) Jobs() *env.JobDB { return c.jobdb }
 // Metrics returns the client's transfer counters.
 func (c *Client) Metrics() metrics.Snapshot { return c.counters.Snapshot() }
 
+// Backlog reports what the client is holding per job: awaiting counts the
+// jobs whose output has not arrived (the size of the largest per-job map),
+// untaken the delivered jobs no Wait, WaitAny or Fetch has returned yet. Both
+// are zero on an idle client whose caller collects what it submits.
+func (c *Client) Backlog() (awaiting, untaken int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return max(len(c.jobMeta), len(c.jobDone), len(c.cycleStart), len(c.cycleSpan)), len(c.delivered)
+}
+
 // Environment returns the active shadow environment.
 func (c *Client) Environment() env.Environment { return c.cfg.Env }
 
@@ -525,19 +545,9 @@ func (c *Client) submitOnce(ctx context.Context, script []byte, dataPaths []stri
 		return 0, replyError(reply)
 	}
 
-	// routeReply registered the job (metadata, timing stamp, root span)
-	// before handing over the reply; by now its output may already have
+	// routeReply registered the job (metadata, job record, timing stamp, root
+	// span) before handing over the reply; by now its output may already have
 	// been delivered, so nothing is parked from here.
-	c.mu.Lock()
-	meta := c.jobMeta[ok.Job]
-	c.mu.Unlock()
-	c.jobdb.Record(env.JobRecord{
-		Server:     c.serverName,
-		ID:         ok.Job,
-		State:      wire.JobQueued,
-		OutputFile: meta.outputFile,
-		ErrorFile:  meta.errorFile,
-	})
 	return ok.Job, nil
 }
 
@@ -595,47 +605,98 @@ func (c *Client) StatusAll(ctx context.Context) ([]wire.JobStatus, error) {
 // context.Canceled on cancellation) and rides out reconnections: delivery
 // resumes on the re-established session.
 func (c *Client) Wait(ctx context.Context, job uint64) (env.JobRecord, error) {
-	c.mu.Lock()
-	done, ok := c.jobDone[job]
-	if !ok {
-		done = make(chan struct{})
-		c.jobDone[job] = done
-	}
-	c.mu.Unlock()
 	select {
-	case <-done:
+	case <-c.waitChan(job):
 	case <-ctx.Done():
 		return env.JobRecord{}, ctxErr("wait", ctx.Err())
 	case <-c.done:
-		if rec, ok := c.jobdb.Get(c.serverName, job); ok && rec.Delivered {
+		if rec, ok := c.take(job); ok {
 			return rec, nil
 		}
 		return env.JobRecord{}, c.sessionErr()
 	}
-	rec, ok := c.jobdb.Get(c.serverName, job)
+	rec, ok := c.take(job)
 	if !ok {
 		return env.JobRecord{}, fmt.Errorf("client: job %d vanished", job)
 	}
 	return rec, nil
 }
 
-// WaitAny blocks until any job output is delivered to this session that no
-// previous WaitAny call has returned — including output routed here from
-// jobs submitted by other hosts (§8.3). It returns the job's record.
+// maxUntaken bounds the list of delivered jobs WaitAny has yet to return.
+const maxUntaken = 1024
+
+// alreadyDone is the channel Wait gets for a job that needs no waiting.
+var alreadyDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// waitChan returns the channel that closes when job's output is delivered.
+// handleOutput marks the record delivered and forgets the job's channel under
+// one hold of mu, so under mu a job is either still awaited (its channel is
+// here, or is made now) or its record says delivered.
+func (c *Client) waitChan(job uint64) chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if done, ok := c.jobDone[job]; ok {
+		return done
+	}
+	if c.jobdb.Delivered(c.serverName, job) {
+		return alreadyDone
+	}
+	done := make(chan struct{})
+	c.jobDone[job] = done
+	return done
+}
+
+// take hands a delivered job's record to a caller: it comes off the list
+// WaitAny serves, and output the job database no longer holds in memory is
+// read back from the result files, which are the durable copy.
+func (c *Client) take(job uint64) (env.JobRecord, bool) {
+	rec, ok := c.jobdb.Get(c.serverName, job)
+	if !ok || !rec.Delivered {
+		return env.JobRecord{}, false
+	}
+	c.mu.Lock()
+	if i := slices.Index(c.delivered, job); i >= 0 {
+		c.delivered = slices.Delete(c.delivered, i, i+1)
+	}
+	c.mu.Unlock()
+	if rec.OutputOnDisk {
+		u := c.cfg.Universe
+		rec.Stdout, _ = u.ReadFile(c.cfg.Host, c.resultPath(rec.OutputFile))
+		rec.Stderr, _ = u.ReadFile(c.cfg.Host, c.resultPath(rec.ErrorFile)) // written only when there was any
+		rec.OutputOnDisk = false
+	}
+	return rec, true
+}
+
+// WaitAny blocks until any job output is delivered to this session whose
+// record no previous Wait, WaitAny or Fetch call has returned — including
+// output routed here from jobs submitted by other hosts (§8.3). It returns
+// the job's record.
 func (c *Client) WaitAny(ctx context.Context) (env.JobRecord, error) {
 	for {
 		c.mu.Lock()
-		if len(c.delivered) > 0 {
-			id := c.delivered[0]
-			c.delivered = c.delivered[1:]
-			c.mu.Unlock()
-			rec, ok := c.jobdb.Get(c.serverName, id)
-			if !ok {
-				continue
-			}
-			return rec, nil
+		var id uint64
+		pending := len(c.delivered) > 0
+		if pending {
+			id = c.delivered[0]
 		}
 		c.mu.Unlock()
+		if pending {
+			if rec, ok := c.take(id); ok {
+				return rec, nil
+			}
+			// Forgotten by the job database before anyone asked; drop it.
+			c.mu.Lock()
+			if len(c.delivered) > 0 && c.delivered[0] == id {
+				c.delivered = slices.Delete(c.delivered, 0, 1)
+			}
+			c.mu.Unlock()
+			continue
+		}
 		select {
 		case <-c.arrivals:
 		case <-ctx.Done():
@@ -651,26 +712,18 @@ func (c *Client) WaitAny(ctx context.Context) (env.JobRecord, error) {
 // database; finished-but-undelivered jobs get a full-output request; jobs
 // still running are waited for.
 func (c *Client) Fetch(ctx context.Context, job uint64) (env.JobRecord, error) {
-	if rec, ok := c.jobdb.Get(c.serverName, job); ok && rec.Delivered {
+	if rec, ok := c.take(job); ok {
 		return rec, nil
 	}
 	st, err := c.Status(ctx, job)
 	if err != nil {
 		return env.JobRecord{}, err
 	}
-	if st.State.Terminal() {
-		// Register interest before asking, so the delivery cannot slip
-		// between the request and the wait.
-		c.mu.Lock()
-		if _, ok := c.jobDone[job]; !ok {
-			c.jobDone[job] = make(chan struct{})
-		}
-		c.mu.Unlock()
-		if rec, ok := c.jobdb.Get(c.serverName, job); ok && rec.Delivered {
-			return rec, nil
-		}
+	if st.State.Terminal() && !c.jobdb.Delivered(c.serverName, job) {
 		// The explicit fetch is part of the cycle: if its root span is
-		// still open, the request carries the cycle's context.
+		// still open, the request carries the cycle's context. A delivery
+		// that slips in before the request costs a duplicate, which
+		// handleOutput recognizes; Wait sees the delivered record either way.
 		c.mu.Lock()
 		root := c.cycleSpan[job]
 		c.mu.Unlock()

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 
 	"shadowedit/internal/core"
+	"shadowedit/internal/env"
 	"shadowedit/internal/trace"
 	"shadowedit/internal/wire"
 )
@@ -55,28 +57,29 @@ func (c *Client) readLoop(conn wire.Conn) {
 
 // routeReply hands a response to the caller blocked in roundTrip, if any.
 // A SUBMIT_OK additionally registers the pending submit's job metadata
-// right here, before the caller resumes: the job's OUTPUT may be the very
+// and job record right here, before the caller resumes: the job's OUTPUT may be the very
 // next message, and handleOutput must find the job known by then.
 func (c *Client) routeReply(msg wire.Message) {
 	c.mu.Lock()
 	if ok, isOK := msg.(*wire.SubmitOK); isOK && c.pending != nil {
 		// Everything keyed by the job id is registered here and only
-		// here, once per job: handleOutput removes the timing stamp and
-		// the root span when the output lands, which can be before Submit
-		// even returns, so registering again later (a retried submit's
-		// second SUBMIT_OK, or the caller resuming) would re-park a span
-		// the read loop has already finished.
-		if _, known := c.jobMeta[ok.Job]; !known {
-			c.jobMeta[ok.Job] = c.pending.expand(c.cfg.Env, ok.Job)
+		// here, once per job: handleOutput clears it all when the output
+		// lands, which can be before Submit even returns, so registering
+		// again later (a retried submit's second SUBMIT_OK, or the caller
+		// resuming) would re-park a span the read loop has already
+		// finished. A job the database has as delivered was registered, and
+		// cleared, before.
+		if _, known := c.jobMeta[ok.Job]; !known && !c.jobdb.Delivered(c.serverName, ok.Job) {
+			meta := c.pending.expand(c.cfg.Env, ok.Job)
+			c.jobMeta[ok.Job] = meta
+			c.jobdb.Record(env.JobRecord{Server: c.serverName, ID: ok.Job, State: wire.JobQueued,
+				OutputFile: meta.outputFile, ErrorFile: meta.errorFile})
 			if c.pending.cycleTimed {
 				c.cycleStart[ok.Job] = c.pending.cycleStart
 			}
 			if c.pending.span != nil {
 				c.cycleSpan[ok.Job] = c.pending.span.SetJob(ok.Job)
 			}
-		}
-		if _, exists := c.jobDone[ok.Job]; !exists {
-			c.jobDone[ok.Job] = make(chan struct{})
 		}
 		c.pending = nil
 	}
@@ -174,20 +177,26 @@ func ctxOr(sp *trace.Span, tc wire.TraceContext) wire.TraceContext {
 // handleOutput receives a finished job's results, reconstructing them from
 // an output delta when reverse shadow processing is active. Duplicate
 // deliveries (a reconnect can re-send an output whose ack was lost) are
-// acked but not re-surfaced: jobDone closes exactly once.
+// acked but not re-surfaced: the job database already has the job delivered.
 func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	dsp := c.cfg.Obs.StartSpan(tc, "client.deliver").SetJob(m.Job)
 	defer dsp.Finish()
 	c.mu.Lock()
 	meta, known := c.jobMeta[m.Job]
-	c.mu.Unlock()
-
 	var prev []byte
 	if known {
-		c.mu.Lock()
 		prev = c.outPrev[meta.scriptSum]
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
+	// A duplicate delivery must not rewrite result files or job records:
+	// the first delivery already surfaced them to the user (and cleared the
+	// job out of jobMeta, so without this it would pass for routed output).
+	if !known && c.jobdb.Delivered(c.serverName, m.Job) {
+		dsp.Annotate("duplicate")
+		_ = c.send(&wire.OutputAck{Job: m.Job})
+		return
+	}
+
 	stdout, err := core.ApplyOutput(m.Mode, m.Stdout, prev, m.Compressed)
 	if errors.Is(err, core.ErrStaleBase) || (m.Mode == wire.OutputDelta && !known) {
 		// Our base for the delta is gone: degrade gracefully to a full
@@ -205,11 +214,7 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 		return
 	}
 	if err != nil {
-		c.mu.Lock()
-		if c.lastErr == nil {
-			c.lastErr = err
-		}
-		c.mu.Unlock()
+		c.noteErr(err)
 		return
 	}
 	c.counters.AddOutput(len(m.Stdout) + len(m.Stderr))
@@ -227,62 +232,44 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 		}
 	}
 
-	// A duplicate delivery must not rewrite result files or job records:
-	// the first delivery already surfaced them to the user.
-	c.mu.Lock()
-	done, ok := c.jobDone[m.Job]
-	if !ok {
-		done = make(chan struct{})
-		c.jobDone[m.Job] = done
-	}
-	duplicate := false
-	select {
-	case <-done:
-		duplicate = true
-	default:
-	}
-	c.mu.Unlock()
-	if duplicate {
-		dsp.Annotate("duplicate")
-		_ = c.send(&wire.OutputAck{Job: m.Job})
-		return
-	}
-
 	// Store results where the user asked ("optional arguments allow the
 	// user to specify the names of files into which the system stores
 	// output and error messages").
 	if err := c.writeResult(meta.outputFile, stdout); err != nil {
-		c.mu.Lock()
-		if c.lastErr == nil {
-			c.lastErr = err
-		}
-		c.mu.Unlock()
+		c.noteErr(err)
 	}
 	if len(m.Stderr) > 0 {
 		if err := c.writeResult(meta.errorFile, m.Stderr); err != nil {
-			c.mu.Lock()
-			if c.lastErr == nil {
-				c.lastErr = err
-			}
-			c.mu.Unlock()
+			c.noteErr(err)
 		}
 	}
 
-	c.jobdb.SetOutput(c.serverName, m.Job, m.State, m.ExitCode, stdout, m.Stderr)
-	_ = c.send(&wire.OutputAck{Job: m.Job})
-
+	// Delivered: under one lock the record is marked (it takes the received
+	// bytes as they are — the message owns them, outPrev only ever reads
+	// them — so an output is held once here and once on disk, and after a
+	// few more deliveries on disk only), the job leaves every per-job map,
+	// and it joins the list WaitAny serves. A Wait that comes later finds
+	// the record delivered and the job listed; one already blocked holds the
+	// channel closed below.
 	c.mu.Lock()
+	c.jobdb.Deliver(env.JobRecord{Server: c.serverName, ID: m.Job, State: m.State, ExitCode: m.ExitCode,
+		Stdout: stdout, Stderr: m.Stderr, OutputFile: meta.outputFile, ErrorFile: meta.errorFile})
 	cycleStart, timed := c.cycleStart[m.Job]
-	delete(c.cycleStart, m.Job)
 	root := c.cycleSpan[m.Job]
+	done := c.jobDone[m.Job]
+	delete(c.jobMeta, m.Job)
+	delete(c.cycleStart, m.Job)
 	delete(c.cycleSpan, m.Job)
-	select {
-	case <-done:
-	default:
-		close(done)
-		c.delivered = append(c.delivered, m.Job)
+	delete(c.jobDone, m.Job)
+	if len(c.delivered) == maxUntaken {
+		c.delivered = slices.Delete(c.delivered, 0, 1)
 	}
+	c.delivered = append(c.delivered, m.Job)
 	c.mu.Unlock()
+	_ = c.send(&wire.OutputAck{Job: m.Job})
+	if done != nil {
+		close(done)
+	}
 	if timed {
 		c.cfg.Obs.ObserveCycle(cycleStart)
 	}
@@ -299,11 +286,24 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	}
 }
 
+// noteErr records the first error the read loop cannot report to a caller.
+func (c *Client) noteErr(err error) {
+	c.mu.Lock()
+	if c.lastErr == nil {
+		c.lastErr = err
+	}
+	c.mu.Unlock()
+}
+
+// resultPath anchors a relative result file name in WorkDir.
+func (c *Client) resultPath(name string) string {
+	if path.IsAbs(name) {
+		return name
+	}
+	return path.Join(c.cfg.WorkDir, name)
+}
+
 // writeResult stores a result file, anchoring relative names in WorkDir.
 func (c *Client) writeResult(name string, content []byte) error {
-	p := name
-	if !path.IsAbs(p) {
-		p = path.Join(c.cfg.WorkDir, p)
-	}
-	return c.cfg.Universe.WriteFile(c.cfg.Host, p, content)
+	return c.cfg.Universe.WriteFile(c.cfg.Host, c.resultPath(name), content)
 }

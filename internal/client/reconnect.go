@@ -56,6 +56,17 @@ func (c *Client) supervise(conn wire.Conn) {
 		c.installConn(next)
 		c.counters.AddReconnect()
 		conn = next
+		// A Close that ran while the redial was succeeding found no
+		// connection to close and is now waiting for this goroutine: close
+		// the new one ourselves, and the read loop ends at once. (Close marks
+		// the client closed before it looks for a connection, so one of the
+		// two always sees the other.)
+		c.mu.Lock()
+		closed = c.closed
+		c.mu.Unlock()
+		if closed {
+			_ = next.Close()
+		}
 	}
 }
 

@@ -272,3 +272,42 @@ func TestSubmitWithoutDialStaysFatal(t *testing.T) {
 		t.Fatalf("reconnects = %d, want 0", n)
 	}
 }
+
+// TestCloseDuringRedialDoesNotHang: a Close that arrives while the
+// supervisor's redial is succeeding finds no connection to close. The
+// supervisor used to install the new connection regardless and read from it
+// for ever, with Close waiting on it (seen as a stuck cluster test under
+// load); it must notice the client is closed and end.
+func TestCloseDuringRedialDoesNotHang(t *testing.T) {
+	rig, universe := newDialRig(t)
+	dialing, gate := make(chan struct{}), make(chan struct{})
+	calls := 0
+	cl, fs := rig.connect(Config{User: "u", Universe: universe, Host: "ws",
+		Retry: RetryPolicy{BaseDelay: time.Millisecond},
+		Dial: func() (wire.Conn, error) {
+			if calls++; calls == 2 { // the supervisor's redial (one goroutine dials at a time)
+				close(dialing)
+				<-gate
+			}
+			return rig.dial()
+		}})
+	_ = fs.conn.Close()
+	<-dialing
+	closed := make(chan struct{})
+	go func() {
+		_ = cl.Close()
+		close(closed)
+	}()
+	for marked := false; !marked; time.Sleep(time.Millisecond) {
+		cl.mu.Lock()
+		marked = cl.closed
+		cl.mu.Unlock()
+	}
+	close(gate)
+	rig.accept(2) // the redial's handshake succeeds
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is still waiting for a supervisor that is reading from the connection it just installed")
+	}
+}

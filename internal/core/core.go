@@ -136,6 +136,13 @@ func ApplyDelta(base []byte, fd *wire.FileDelta) ([]byte, error) {
 // them). The output is a fresh buffer that aliases neither base nor fd, so
 // the caller may recycle base as soon as this returns.
 func ApplyDeltaSpans(base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, error) {
+	return ApplyDeltaInto(nil, base, fd)
+}
+
+// ApplyDeltaInto is ApplyDeltaSpans building the output in dst's backing
+// array when it is big enough (see diff.Delta.ApplyInto), for a receiver that
+// recycles the buffers versions arrive in. dst must not overlap base.
+func ApplyDeltaInto(dst, base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, error) {
 	encoded := fd.Encoded
 	if fd.Compressed {
 		var err error
@@ -148,7 +155,7 @@ func ApplyDeltaSpans(base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
 	}
-	out, spans, err := d.ApplySpans(base)
+	out, spans, err := d.ApplyInto(dst, base)
 	switch {
 	case errors.Is(err, diff.ErrBaseMismatch):
 		return nil, nil, fmt.Errorf("%w: %s base v%d", ErrStaleBase, fd.File, fd.BaseVersion)

@@ -28,7 +28,7 @@ func TestApplyFastMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: Compute: %v", trial, alg, err)
 			}
-			fast, _, ok := applyEditsFast(d.Ops, base)
+			fast, _, ok := applyEditsFast(nil, d.Ops, base)
 			if !ok {
 				t.Fatalf("trial %d %v: fast path rejected a Compute delta\nops=%v",
 					trial, alg, d.Ops)
@@ -139,7 +139,7 @@ func TestApplyFastRejectsDisorderedOps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, _, ok := applyEditsFast(tt.ops, base); ok {
+			if _, _, ok := applyEditsFast(nil, tt.ops, base); ok {
 				t.Fatal("fast path accepted disordered ops")
 			}
 			got, err := ApplyOps(tt.ops, base)
@@ -207,7 +207,7 @@ func TestApplyFastBoundaryAdjacency(t *testing.T) {
 			if string(seq) != tt.want {
 				t.Fatalf("sequential = %q, want %q (bad test expectation)", seq, tt.want)
 			}
-			fast, _, ok := applyEditsFast(tt.ops, base)
+			fast, _, ok := applyEditsFast(nil, tt.ops, base)
 			if !ok {
 				t.Skip("fast path declined; sequential fallback covers it")
 			}

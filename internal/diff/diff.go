@@ -212,13 +212,21 @@ func (d *Delta) Apply(base []byte) ([]byte, error) {
 // takes the sequential fallback. A well-formed edit script always yields a
 // non-nil slice, empty when it has no ops. The output never aliases base.
 func (d *Delta) ApplySpans(base []byte) (out []byte, spans []chunk.Span, err error) {
+	return d.ApplyInto(nil, base)
+}
+
+// ApplyInto is ApplySpans building the target in dst's backing array (from
+// its start; a larger one is allocated when it is too small), for a caller
+// that recycles target buffers. dst must not overlap base. On error dst's
+// contents are unspecified.
+func (d *Delta) ApplyInto(dst, base []byte) (out []byte, spans []chunk.Span, err error) {
 	if len(base) != d.BaseLen || Checksum(base) != d.BaseSum {
 		return nil, nil, ErrBaseMismatch
 	}
 	if d.isBlockMove() {
 		out, err = applyBlockMove(d.Ops, SplitLines(base))
 	} else {
-		out, spans, err = applyEdits(d.Ops, base)
+		out, spans, err = applyEdits(dst, d.Ops, base)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -297,8 +305,8 @@ func (d *Delta) isBlockMove() bool {
 // falls back to the literal op-by-op ed semantics, which rebuilds the line
 // slice per op but preserves the historical behavior exactly; it reports no
 // spans.
-func applyEdits(ops []Op, base []byte) ([]byte, []chunk.Span, error) {
-	if out, spans, ok := applyEditsFast(ops, base); ok {
+func applyEdits(dst []byte, ops []Op, base []byte) ([]byte, []chunk.Span, error) {
+	if out, spans, ok := applyEditsFast(dst, ops, base); ok {
 		return out, spans, nil
 	}
 	out, err := applyEditsSequential(ops, SplitLines(base))
@@ -330,10 +338,11 @@ func (c *lineCursor) seek(to int) int {
 
 // applyEditsFast validates the ops and resolves them to byte spans in one
 // reverse scan (ascending base order), then emits the base stretches between
-// spans and the op lines into a single exactly-sized buffer. ok is false when
-// the ops are not strictly descending, overlap, or address out-of-bounds
-// lines — those cases belong to the sequential path.
-func applyEditsFast(ops []Op, base []byte) (out []byte, spans []chunk.Span, ok bool) {
+// spans and the op lines into a single exactly-sized buffer — dst's backing
+// array when it is big enough. ok is false when the ops are not strictly
+// descending, overlap, or address out-of-bounds lines — those cases belong to
+// the sequential path.
+func applyEditsFast(dst []byte, ops []Op, base []byte) (out []byte, spans []chunk.Span, ok bool) {
 	nlines := countLines(base)
 	spans = make([]chunk.Span, 0, len(ops))
 	cur := lineCursor{base: base}
@@ -367,7 +376,7 @@ func applyEditsFast(ops []Op, base []byte) (out []byte, spans []chunk.Span, ok b
 		shift = s.TargetEnd - s.BaseEnd
 		spans = append(spans, s)
 	}
-	out = make([]byte, 0, len(base)+shift)
+	out = slices.Grow(dst[:0], len(base)+shift)
 	copied := 0 // base bytes consumed
 	for i, s := range spans {
 		out = append(out, base[copied:s.BaseStart]...)

@@ -151,6 +151,6 @@ func ApplyOps(ops []Op, base []byte) ([]byte, error) {
 			return applyBlockMove(ops, SplitLines(base))
 		}
 	}
-	out, _, err := applyEdits(ops, base)
+	out, _, err := applyEdits(nil, ops, base)
 	return out, err
 }

@@ -41,8 +41,13 @@ func (db *JobDB) Save(w io.Writer) error {
 		}
 		if rec.Delivered {
 			fmt.Fprintf(bw, "  exit %d\n", rec.ExitCode)
-			fmt.Fprintf(bw, "  stdout %s\n", base64.StdEncoding.EncodeToString(rec.Stdout))
-			fmt.Fprintf(bw, "  stderr %s\n", base64.StdEncoding.EncodeToString(rec.Stderr))
+			if rec.OutputOnDisk {
+				// The bytes are in the result files, not in memory.
+				fmt.Fprintf(bw, "  on-disk\n")
+			} else {
+				fmt.Fprintf(bw, "  stdout %s\n", base64.StdEncoding.EncodeToString(rec.Stdout))
+				fmt.Fprintf(bw, "  stderr %s\n", base64.StdEncoding.EncodeToString(rec.Stderr))
+			}
 			fmt.Fprintf(bw, "  delivered\n")
 		}
 	}
@@ -94,7 +99,7 @@ func LoadJobDB(r io.Reader) (*JobDB, error) {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrCorruptJobDB, lineNo, err)
 			}
 			cur = &JobRecord{Server: server, ID: id}
-		case "state", "detail", "output-file", "error-file", "exit", "stdout", "stderr", "delivered":
+		case "state", "detail", "output-file", "error-file", "exit", "stdout", "stderr", "on-disk", "delivered":
 			if cur == nil {
 				return nil, fmt.Errorf("%w: line %d: field outside job record", ErrCorruptJobDB, lineNo)
 			}
@@ -156,6 +161,8 @@ func applyField(rec *JobRecord, key, rest string) error {
 			return err
 		}
 		rec.Stderr = b
+	case "on-disk":
+		rec.OutputOnDisk = true
 	case "delivered":
 		rec.Delivered = true
 	}

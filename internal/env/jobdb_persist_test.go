@@ -94,3 +94,27 @@ func TestJobDBSaveIsCommentedText(t *testing.T) {
 		t.Fatalf("save format:\n%s", out)
 	}
 }
+
+// TestJobDBSaveLoadOnDisk: records whose output has aged out of memory
+// round-trip as what they are — delivered, bytes in the result files.
+func TestJobDBSaveLoadOnDisk(t *testing.T) {
+	db := NewJobDB()
+	for id := uint64(1); id <= outputWindow+4; id++ {
+		db.Record(JobRecord{Server: "super", ID: id, State: wire.JobQueued, OutputFile: "job.out", ErrorFile: "job.err"})
+		db.Deliver(JobRecord{Server: "super", ID: id, State: wire.JobDone, Stdout: []byte("bytes"), Stderr: []byte("warn")})
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "on-disk"); n != 4 {
+		t.Fatalf("saved %d on-disk records, want 4:\n%s", n, buf.String())
+	}
+	loaded, err := LoadJobDB(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.List(), db.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -154,7 +154,12 @@ func (u *Universe) FileRef(host, p string) (wire.FileRef, error) {
 }
 
 // WriteFile stores content at the canonical location of (host, path), so
-// writes through any alias or mount hit one copy.
+// writes through any alias or mount hit one copy. A rewrite that fits the
+// file's buffer (and fills at least a quarter of it) overwrites it in place:
+// nothing outside this package ever holds that buffer — every reader copies
+// out under the lock (ReadFile, and through it ReadFileRef and the tilde
+// names; FilesUnder reads names only) — and an editor saving a file of about
+// the same size every cycle should not cost a file-sized allocation each time.
 func (u *Universe) WriteFile(host, p string, content []byte) error {
 	n, err := u.Resolve(host, p)
 	if err != nil {
@@ -165,7 +170,11 @@ func (u *Universe) WriteFile(host, p string, content []byte) error {
 		return fmt.Errorf("%w: %q", ErrUnknownHost, n.Host)
 	}
 	fs.mu.Lock()
-	fs.files[n.Path] = append([]byte(nil), content...)
+	if old := fs.files[n.Path]; len(content) > 0 && cap(old) >= len(content) && cap(old)/4 <= len(content) {
+		fs.files[n.Path] = append(old[:0], content...)
+	} else {
+		fs.files[n.Path] = append([]byte(nil), content...)
+	}
 	fs.mu.Unlock()
 	return nil
 }

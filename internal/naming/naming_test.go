@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -405,6 +406,43 @@ func TestPropertyResolutionAlwaysTerminates(t *testing.T) {
 			if again != name {
 				t.Fatalf("trial %d: resolution not idempotent: %v -> %v", trial, name, again)
 			}
+		}
+	}
+}
+
+// TestWriteFileInPlace: a rewrite that fits overwrites the file's buffer
+// instead of allocating a new one, which is only sound because no reader ever
+// holds that buffer — what ReadFile returned before the rewrite must not
+// change under the caller.
+func TestWriteFileInPlace(t *testing.T) {
+	u := NewUniverse("d")
+	u.AddHost("ws")
+	first := bytes.Repeat([]byte("a"), 4096)
+	if err := u.WriteFile("ws", "/f", first); err != nil {
+		t.Fatal(err)
+	}
+	held, err := u.ReadFile("ws", "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := bytes.Repeat([]byte("b"), 4000)
+	if n := testing.AllocsPerRun(20, func() { _ = u.WriteFile("ws", "/f", second) }); n != 0 {
+		t.Errorf("a same-size rewrite allocates %.0f times", n)
+	}
+	if !bytes.Equal(held, first) {
+		t.Fatal("a rewrite changed bytes ReadFile had already handed out")
+	}
+	if got, _ := u.ReadFile("ws", "/f"); !bytes.Equal(got, second) {
+		t.Fatalf("read back %d bytes of %q, want the rewrite", len(got), got[:1])
+	}
+	// Much smaller or larger content gets a buffer of its own size, and an
+	// empty rewrite leaves an empty file, not a missing one.
+	for _, content := range [][]byte{[]byte("tiny"), bytes.Repeat([]byte("c"), 9000), {}} {
+		if err := u.WriteFile("ws", "/f", content); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := u.ReadFile("ws", "/f"); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("after writing %d bytes read %d, %v", len(content), len(got), err)
 		}
 	}
 }

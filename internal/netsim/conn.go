@@ -138,12 +138,6 @@ func newConnPath(a, b *Host, path []Hop) (*Conn, *Conn) {
 	return ca, cb
 }
 
-// LocalHost returns the host owning this end.
-func (c *Conn) LocalHost() *Host { return c.local }
-
-// RemoteHost returns the host at the far end.
-func (c *Conn) RemoteHost() *Host { return c.remote }
-
 // Now returns the local host's current virtual time.
 func (c *Conn) Now() time.Duration { return c.local.Now() }
 

@@ -44,10 +44,12 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/naming"
+	"shadowedit/internal/trace"
 	"shadowedit/internal/wire"
 )
 
@@ -189,7 +191,7 @@ func (ss *session) ingestManifest(m *wire.FileManifest, tc wire.TraceContext) er
 	if len(pa.missing) == 0 {
 		notifyWaiters(notices)
 		sp.Annotate("complete")
-		return ss.finishAssembly(id, pa)
+		return ss.finishAssembly(id, pa, sp)
 	}
 	// Gaps remain. The steady state (delta-as-chunks with the base cached)
 	// never gets here; eviction recovery, cold caches, and concurrent
@@ -225,7 +227,7 @@ func (ss *session) ingestManifest(m *wire.FileManifest, tc wire.TraceContext) er
 	notifyWaiters(notices)
 	if done {
 		sp.Annotate("complete")
-		return ss.finishAssembly(id, pa)
+		return ss.finishAssembly(id, pa, sp)
 	}
 	if len(req.Hashes) == 0 {
 		// Every gap is already in flight through another session; this
@@ -294,7 +296,7 @@ func (ss *session) handleChunkData(m *wire.ChunkData, tc wire.TraceContext) erro
 		return admitErr
 	case done:
 		sp.Annotate("complete")
-		return ss.finishAssembly(id, pa)
+		return ss.finishAssembly(id, pa, sp)
 	case incomplete:
 		// Drop the assembly and fetch the file's current head whole — the
 		// convergent fallback.
@@ -343,7 +345,7 @@ func (ss *session) resolveChunk(id naming.ShadowID, h chunk.Hash) {
 	if done {
 		// A send failure here means this waiter session is dying; its
 		// teardown releases the assembly state.
-		_ = ss.finishAssembly(id, pa)
+		_ = ss.finishAssembly(id, pa, nil)
 	}
 }
 
@@ -365,14 +367,20 @@ func (ss *session) admitChunk(pa *pendingAssembly, h chunk.Hash, data []byte) ([
 // finishAssembly reassembles the completed version, verifies its whole-file
 // checksum, installs the manifest in the cache (transferring this assembly's
 // chunk references to the entry), and runs the shared arrival bookkeeping.
-// The assembly must already be deregistered from ss.assembling.
-func (ss *session) finishAssembly(id naming.ShadowID, pa *pendingAssembly) error {
+// The assembly must already be deregistered from ss.assembling. apply is the
+// caller's span, if it has one, which arrived ends.
+func (ss *session) finishAssembly(id naming.ShadowID, pa *pendingAssembly, apply *trace.Span) error {
 	store := ss.srv.cache.ChunkStore()
-	content, ok := store.Assemble(pa.manifest)
-	if !ok || diff.Checksum(content) != pa.sum {
+	// Assembled for the checksum and for the jobs waiting on the file, in a
+	// borrowed buffer that goes back when the last of them has run.
+	content := ss.srv.bufs.borrow()
+	var ok bool
+	content.b, ok = store.AppendAssemble(slices.Grow(content.b, int(pa.manifest.TotalLen())), pa.manifest)
+	if !ok || diff.Checksum(content.b) != pa.sum {
 		// Lost a chunk we hold a reference on (a refcounting bug) or the
 		// manifest did not describe the content it claimed (bytes or
 		// lengths); either way the classic whole-file path repairs it.
+		content.release()
 		ss.releaseAssembly(pa)
 		ss.srv.counters.AddFullFallback()
 		return ss.refetch(pa.ref, pa.version, pa.tc, "checksum mismatch")
@@ -382,7 +390,7 @@ func (ss *session) finishAssembly(id naming.ShadowID, pa *pendingAssembly) error
 	}
 	ss.srv.cache.PutManifest(id, pa.version, pa.manifest)
 	pa.held = nil // references now belong to the cache entry
-	return ss.arrived(pa.ref, id, pa.version, content, pa.tc)
+	return ss.arrived(pa.ref, id, pa.version, content, pa.tc, apply)
 }
 
 // abortAssembly drops an in-progress assembly for id whose version is below

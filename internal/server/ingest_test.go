@@ -369,11 +369,13 @@ func runIngest(t *testing.T, route ingestRoute, fault ingestFault) {
 	if usable := fault == faultNone || fault == faultSuperseded; usable != (recoveries == 0) {
 		t.Fatalf("client saw %d recovery requests", recoveries)
 	}
+	// The client has its answer; acknowledged, the job is forgotten too.
+	sendOn(t, g.conn, &wire.OutputAck{Job: out.Job})
 	assertNothingBehind(t, g.srv)
 }
 
 // assertNothingBehind waits for the server to go quiet, then checks every
-// table a fetch passes through and, after evicting every file, the chunk
+// table a fetch or an acknowledged job passes through and, after evicting every file, the chunk
 // store's reference counts.
 func assertNothingBehind(t *testing.T, s *Server) {
 	t.Helper()
@@ -411,6 +413,13 @@ func assertNothingBehind(t *testing.T, s *Server) {
 		}
 		if n := parkedPeerWaiters(s); n != 0 {
 			why = fmt.Sprintf("%d parked peer requests", n)
+			return false
+		}
+		s.tagMu.Lock()
+		n = len(s.submitTags)
+		s.tagMu.Unlock()
+		if live := s.jobs.len(); live+n != 0 {
+			why = fmt.Sprintf("%d jobs in the table, %d identities in the tag map", live, n)
 			return false
 		}
 		return true

@@ -11,6 +11,19 @@ import (
 	"shadowedit/internal/wire"
 )
 
+// initInputs sets up the per-input gathering state, interning each input's
+// file once.
+func (j *job) initInputs(dir *naming.Directory) {
+	if len(j.inputs) <= len(j.insArr) {
+		j.ins = j.insArr[:len(j.inputs)]
+	} else {
+		j.ins = make([]jobInput, len(j.inputs))
+	}
+	for i, in := range j.inputs {
+		j.ins[i].id = dir.Intern(in.File)
+	}
+}
+
 // addWaiter indexes a job under the file it is waiting for, so the file's
 // arrival touches exactly the jobs that want it.
 func (s *Server) addWaiter(id naming.ShadowID, j *job) {
@@ -19,15 +32,43 @@ func (s *Server) addWaiter(id naming.ShadowID, j *job) {
 	s.waitMu.Unlock()
 }
 
+// feedFromCache feeds the jobs waiting for id from the cached copy, if it is
+// version want or newer: the re-check for waits registered just as the
+// content arrived, and for fetches whose session died after the content
+// landed. It reports whether the cache had such a version. Nothing is
+// assembled unless a job is waiting.
+func (s *Server) feedFromCache(id naming.ShadowID, want uint64) bool {
+	have, ok := s.cache.Version(id)
+	if !ok || have < want {
+		return false
+	}
+	s.waitMu.Lock()
+	waited := len(s.waiters[id]) > 0
+	s.waitMu.Unlock()
+	if !waited {
+		s.feedPeerWaiters(id, have)
+		return true
+	}
+	e, ok := s.cache.Peek(id)
+	if !ok || e.Version < want {
+		return false // evicted between the two looks
+	}
+	s.feedWaitingJobs(id, e.Version, s.bufs.owned(e.Content))
+	return true
+}
+
 // feedWaitingJobs delivers a freshly arrived file version to every job still
-// waiting for it. A newer version than requested also satisfies the wait:
-// the cache holds only the latest version, and by connection ordering a
-// newer version means the user resubmitted meanwhile — running with fresher
-// input matches what a new submit would see. The waiters index makes this
-// O(jobs waiting for this file), not O(all jobs ever submitted). The file is
-// named by its interned id (callers always hold it already; taking it avoids
-// a re-intern on this per-arrival path).
-func (s *Server) feedWaitingJobs(id naming.ShadowID, version uint64, content []byte) {
+// waiting for it, and takes over the caller's reference on content: each job
+// fed borrows the buffer until its run ends, and when none was waiting it
+// goes straight back to the pool. A newer version than requested also
+// satisfies the wait: the cache holds only the latest version, and by
+// connection ordering a newer version means the user resubmitted meanwhile —
+// running with fresher input matches what a new submit would see. The waiters
+// index makes this O(jobs waiting for this file), not O(all jobs ever
+// submitted). The file is named by its interned id (callers always hold it
+// already; taking it avoids a re-intern on this per-arrival path).
+func (s *Server) feedWaitingJobs(id naming.ShadowID, version uint64, content *fileBuf) {
+	defer content.release()
 	// Peer requests parked on this arrival are answered first (a no-op
 	// outside a cluster): the owner that pulled once now forwards the
 	// version to every instance that asked while the pull was in flight.
@@ -44,22 +85,33 @@ func (s *Server) feedWaitingJobs(id naming.ShadowID, version uint64, content []b
 	ready := readyArr[:0]
 	remaining := list[:0]
 	for _, j := range list {
+		fed, short := false, false
 		j.mu.Lock()
-		want, ok := j.waiting[id]
-		switch {
-		case ok && version >= want:
-			j.snapshot[j.byRef[id]] = content
-			delete(j.waiting, id)
-			ready = append(ready, j)
-		case ok:
-			remaining = append(remaining, j) // still needs a newer version
+		for i := range j.ins {
+			in := &j.ins[i]
+			switch {
+			case in.id != id || !in.waiting:
+			case version >= in.want:
+				in.waiting, in.buf = false, content.retain()
+				fed = true
+			default:
+				short = true // still needs a newer version
+			}
 		}
 		j.mu.Unlock()
+		if fed {
+			ready = append(ready, j)
+		}
+		if short {
+			remaining = append(remaining, j)
+		}
 	}
 	// Keep the (empty) slice in the map rather than deleting the entry: a
 	// file is waited on again every cycle, and retaining the slice's
 	// capacity makes the next addWaiter append allocation-free. Growth is
 	// bounded by the number of distinct files, like the directory itself.
+	// The vacated tail is cleared so it does not pin jobs long retired.
+	clear(list[len(remaining):])
 	s.waiters[id] = remaining
 	s.waitMu.Unlock()
 	for _, j := range ready {
@@ -74,9 +126,14 @@ func (s *Server) maybeSchedule(j *job) {
 		j.mu.Unlock()
 		return
 	}
-	if len(j.waiting) > 0 {
-		j.mu.Unlock()
-		return
+	// Every input in hand — one the submit handler has not looked at yet
+	// counts as missing, so an arrival that completes the first input cannot
+	// start the job before the second is gathered.
+	for i := range j.ins {
+		if j.ins[i].buf == nil {
+			j.mu.Unlock()
+			return
+		}
 	}
 	j.state = wire.JobQueued
 	j.detail = "waiting for a processor"
@@ -108,10 +165,13 @@ func (s *Server) runJob(j *job) {
 	}
 	j.state = wire.JobRunning
 	j.detail = "executing"
-	// Once running, feedWaitingJobs no longer writes the snapshot (the
-	// waiting set is empty), so the executor can read it directly — no
-	// defensive copy on the per-job hot path.
-	inputs := j.snapshot
+	// Once running, nothing writes the inputs (none is waiting), so the
+	// executor reads the borrowed buffers directly — no defensive copy on
+	// the per-job hot path.
+	inputs := make(map[string][]byte, len(j.ins))
+	for i := range j.ins {
+		inputs[j.inputs[i].As] = j.ins[i].buf.b
+	}
 	script := j.script
 	cmds := j.cmds
 	waitSpan := j.waitSpan
@@ -132,6 +192,13 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.result = res
 	j.state = wire.JobDone
+	// Nothing reads the inputs after the run: the buffers go back to the
+	// pool for the next arrival, and the job stops pinning the session it
+	// was submitted on (which may be long dead by the time a held output is
+	// collected).
+	j.releaseInputs()
+	sess := j.sess
+	j.sess = nil
 	// detail is rendered lazily by status(): a STATUS_REQ is rare, while
 	// formatting two Sprintfs per finished job is pure hot-path cost.
 	j.detail = ""
@@ -153,7 +220,7 @@ func (s *Server) runJob(j *job) {
 		// A failing job dumps the submitter's flight recorder: the events
 		// leading up to the failure are exactly what a postmortem wants,
 		// and the session stays alive (no dumpOnce).
-		if sess := j.submitterSession(); sess != nil && sess.rec != nil {
+		if sess != nil && sess.rec != nil {
 			sess.record("job", "failed", j.tc, fmt.Sprintf("job %d exit %d", j.id, res.ExitCode))
 			s.recordFlightDump(sess, fmt.Sprintf("job %d failed (exit %d)", j.id, res.ExitCode))
 		}
@@ -253,21 +320,16 @@ func (s *Server) repullWaitingInputs(ss *session) {
 	for _, j := range s.jobsOfOwner(ss.identity()) {
 		j.mu.Lock()
 		var pending []wire.JobInput
-		for _, in := range j.inputs {
-			if want, ok := j.waiting[s.dir.Intern(in.File)]; ok {
-				pending = append(pending, wire.JobInput{File: in.File, Version: want})
+		for i, in := range j.inputs {
+			if j.ins[i].waiting {
+				pending = append(pending, wire.JobInput{File: in.File, Version: j.ins[i].want})
 			}
 		}
 		j.mu.Unlock()
 		for _, in := range pending {
 			// The content may have arrived just as the old session
-			// died; feed it straight from the cache rather than
-			// asking the client again.
-			id := s.dir.Intern(in.File)
-			if e, ok := s.cache.Get(id); ok && e.Version >= in.Version {
-				s.feedWaitingJobs(id, e.Version, e.Content)
-				continue
-			}
+			// died; pullFile then feeds it straight from the cache
+			// rather than asking the client again.
 			if ss.pullFile(in.File, in.Version, j.tc) != nil {
 				return
 			}
@@ -282,8 +344,7 @@ func (s *Server) repullWaitingInputs(ss *session) {
 func (s *Server) repullPending(deadID uint64, pending []cache.PendingFetch) {
 	for _, p := range pending {
 		id := s.dir.Intern(p.Ref)
-		if e, ok := s.cache.Peek(id); ok && e.Version >= p.Want {
-			s.feedWaitingJobs(id, e.Version, e.Content)
+		if s.feedFromCache(id, p.Want) {
 			continue
 		}
 		tried := map[uint64]bool{deadID: true}
@@ -335,7 +396,7 @@ func (s *Server) repullTarget(id naming.ShadowID, skip map[uint64]bool) (*sessio
 	var owners []identity
 	for _, j := range s.waiters[id] {
 		j.mu.Lock()
-		_, waiting := j.waiting[id]
+		_, waiting := j.waitsFor(id)
 		sess := j.sess
 		owner := j.owner
 		j.mu.Unlock()
@@ -404,7 +465,13 @@ func (s *Server) sendOutput(target *session, j *job, forceFull bool) error {
 	state := j.state
 	scriptSum := j.scriptSum
 	wantDelta := j.wantOutputDelta
+	retired := j.retired
 	j.mu.Unlock()
+	if retired {
+		// Acknowledged while this (re-)delivery was on its way here: the
+		// client has the output and the result is gone.
+		return nil
+	}
 
 	mode := wire.OutputFull
 	payload := res.Stdout
@@ -459,13 +526,4 @@ func (s *Server) sendOutput(target *session, j *job, forceFull bool) error {
 		s.cfg.Obs.EndTrace(j.tc)
 	}
 	return err
-}
-
-// submitterSession returns the session the job was submitted on, if it is
-// still the one registered (the job keeps the pointer; a dead session still
-// identifies the ring to dump).
-func (j *job) submitterSession() *session {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sess
 }

@@ -220,3 +220,30 @@ func TestRepullFallsBackAcrossManyWaiters(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchRegisteredAfterEarlyDropIsSwept: a delivery that finds a session's
+// writer dead drops the session before its receive loop has ended, and the
+// loop may still handle a frame it had already read — registering a fetch on
+// a session whose flights were swept a moment ago. When the loop then ends,
+// its own dropSession must sweep again, or the flight outlives every session
+// and each later pull of the file coalesces onto it for ever (found by the
+// chaos gauntlet: a job stuck in "fetching" behind a flight owned by a
+// session 700 sessions gone).
+func TestFetchRegisteredAfterEarlyDropIsSwept(t *testing.T) {
+	r := newRig(t, Config{})
+	r.hello(t)
+	live := r.srv.sessions.snapshot()
+	if len(live) != 1 {
+		t.Fatalf("live sessions = %d, want 1", len(live))
+	}
+	r.srv.dropSession(live[0]) // as deliverOrHold does on a failed send
+	r.send(t, &wire.Notify{File: testRef, Version: 1, Size: 3, Sum: 1})
+	if p, ok := r.recv(t).(*wire.Pull); !ok || p.WantVersion != 1 {
+		t.Fatalf("notify answered with %#v, want PULL", p)
+	}
+	if r.srv.flights.Len() != 1 {
+		t.Fatalf("%d flights after the late notify, want the one it registered", r.srv.flights.Len())
+	}
+	_ = r.conn.Close()
+	eventually(t, "the late flight swept when the receive loop ended", func() bool { return r.srv.flights.Len() == 0 })
+}

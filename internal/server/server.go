@@ -22,7 +22,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -176,8 +175,10 @@ func (t *sessionTable) snapshot() []*session {
 	return out
 }
 
-// jobTable is a lock-striped map of all submitted jobs.
+// jobTable is a lock-striped map of the live jobs: submitted, and not yet
+// retired by the acknowledgement of their output (retire.go).
 type jobTable struct {
+	count  atomic.Int64
 	shards [tableShards]struct {
 		mu sync.RWMutex
 		m  map[uint64]*job
@@ -195,7 +196,21 @@ func (t *jobTable) add(j *job) {
 	sh.mu.Lock()
 	sh.m[j.id] = j
 	sh.mu.Unlock()
+	t.count.Add(1)
 }
+
+func (t *jobTable) remove(id uint64) {
+	sh := &t.shards[id%tableShards]
+	sh.mu.Lock()
+	_, ok := sh.m[id]
+	delete(sh.m, id)
+	sh.mu.Unlock()
+	if ok {
+		t.count.Add(-1)
+	}
+}
+
+func (t *jobTable) len() int { return int(t.count.Load()) }
 
 func (t *jobTable) get(id uint64) (*job, bool) {
 	sh := &t.shards[id%tableShards]
@@ -225,6 +240,7 @@ type Server struct {
 	flights  *cache.Flights
 	chunkFl  *chunkFlights
 	pool     *jobs.Pool
+	bufs     bufPool // recycled file buffers (filebuf.go)
 	counters *metrics.Counters
 
 	nextSession atomic.Uint64
@@ -260,9 +276,12 @@ type Server struct {
 	// tag -> job id. A client retrying a SUBMIT whose SUBMIT_OK was lost
 	// sends the same tag and gets the already-created job back instead of
 	// running it twice. The lock spans check+create+insert, so two racing
-	// retries of one tag cannot both create a job.
+	// retries of one tag cannot both create a job. It also guards retired,
+	// the ring of summaries of acknowledged jobs: a tag lives exactly as long
+	// as its job or its job's summary, so the two change together.
 	tagMu      sync.Mutex
 	submitTags map[identity]map[uint64]uint64
+	retired    retiredJobs
 
 	// startMu lets Close exclude concurrent session registration without
 	// putting a mutex on any per-message path.
@@ -552,19 +571,6 @@ func (s *Server) Sessions() []SessionInfo {
 	return out
 }
 
-// JobCounts tallies every submitted job by lifecycle state (/sessionz and
-// /healthz reporting).
-func (s *Server) JobCounts() map[wire.JobState]int {
-	counts := make(map[wire.JobState]int)
-	s.jobs.forEach(func(j *job) {
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
-		counts[state]++
-	})
-	return counts
-}
-
 // InFlightFetches reports how many coalesced file retrievals are currently
 // outstanding across all sessions.
 func (s *Server) InFlightFetches() int { return s.flights.Len() }
@@ -638,13 +644,19 @@ func (s *Server) startSession(conn wire.Conn, link *peerLink) *session {
 // dropSession unregisters a session — a client's, a peer's or a link — and
 // re-homes any file retrievals it owned: pulls that coalesced behind this
 // session's fetches would otherwise wait forever on a dead connection.
+//
+// It is called when the session's receive loop ends, and earlier by a
+// delivery that found the session's writer dead (deliverOrHold, sendHeld).
+// The receive loop may then still be inside a handler — a NOTIFY or SUBMIT
+// read before the connection closed — that registers a fetch on the session
+// after that first call has swept its flights; the send fails, the loop ends,
+// and its own dropSession is the only thing that will ever release that
+// flight. So the sweep runs on every call, the unregistering on the first.
 func (s *Server) dropSession(sess *session) {
-	if !s.sessions.remove(sess.id) {
-		return
-	}
+	first := s.sessions.remove(sess.id)
 	s.purgePeerWaiters(sess)
 	pending := s.flights.ReleaseOwner(sess.id)
-	if sess.link != nil {
+	if first && sess.link != nil {
 		s.dropLink(sess)
 		for range pending {
 			s.counters.AddRingRebalance()
@@ -720,11 +732,17 @@ type identity struct {
 	host string
 }
 
-// job is one submitted batch job.
+// job is one submitted batch job. It lives in the job table from SUBMIT
+// until its output is acknowledged (retire.go); what it holds shrinks as the
+// protocol stops needing it — the inputs go back to the buffer pool when the
+// run ends, the session pointer with them.
 type job struct {
 	id    uint64
 	owner identity
-	sess  *session
+	// tag is the submission's idempotency tag (0 = untagged); it goes into
+	// the job's summary so the tag map entry can leave with it.
+	tag  uint64
+	sess *session
 	// tc is the trace context of the cycle that submitted the job; every
 	// job-side span and the output delivery hang off it. Immutable after
 	// creation.
@@ -737,33 +755,45 @@ type job struct {
 	scriptSum uint32
 	inputs    []wire.JobInput
 
-	outputFile      string
-	errorFile       string
 	routeHost       string
 	wantOutputDelta bool
 
-	mu       sync.Mutex
-	state    wire.JobState
-	detail   string
-	waiting  map[naming.ShadowID]uint64 // file id -> version still needed
-	byRef    map[naming.ShadowID]string // file id -> input name
-	snapshot map[string][]byte          // input name -> content
-	result   jobs.Result
+	mu     sync.Mutex
+	state  wire.JobState
+	detail string
+	// ins is the gathering state of inputs, index for index. Nearly every
+	// job has one or two inputs, which insArr holds without an allocation.
+	ins    []jobInput
+	insArr [2]jobInput
+	result jobs.Result
 	// queuedAt stamps when the job became runnable (inputs all in hand),
 	// feeding the queue→complete histogram. Stamped at most once, and only
 	// when observability is on.
 	queuedAt      time.Duration
 	queuedStamped bool
 	// gathered is set once a submit handler has walked every input —
-	// snapshotting, registering waits, issuing pulls. Until then the job
-	// is recoverable only by a retried submit re-driving gatherInputs.
+	// registering waits, issuing pulls. Until then the job is recoverable
+	// only by a retried submit re-driving gatherInputs.
 	gathered bool
 	// waitSpan is the open server.job-wait span, created when the job
 	// becomes runnable and finished when a processor picks it up.
 	waitSpan *trace.Span
-	// lastFullStdout holds the most recent full stdout so re-sends and
-	// reverse-shadow bases are available after delivery.
-	delivered bool
+	// retired is set by the acknowledgement that takes the job out of the
+	// table: its result is gone, and a delivery racing the ack has nothing
+	// left to send.
+	retired bool
+}
+
+// jobInput is where one input of a job stands: not looked at yet, waiting
+// for a version to arrive, or in hand.
+type jobInput struct {
+	id naming.ShadowID
+	// waiting marks an input registered in the server's waiters index; want
+	// is the version that satisfies it.
+	waiting bool
+	want    uint64
+	// buf is the content the job will run on, on loan until the run ends.
+	buf *fileBuf
 }
 
 func (j *job) setState(state wire.JobState, detail string) {
@@ -773,18 +803,43 @@ func (j *job) setState(state wire.JobState, detail string) {
 	j.mu.Unlock()
 }
 
+// waitsFor reports the version j still needs of file id, if it waits for it.
+// Caller holds j.mu.
+func (j *job) waitsFor(id naming.ShadowID) (uint64, bool) {
+	for i := range j.ins {
+		if in := &j.ins[i]; in.id == id && in.waiting {
+			return in.want, true
+		}
+	}
+	return 0, false
+}
+
+// releaseInputs hands the job's input buffers back. Caller holds j.mu.
+func (j *job) releaseInputs() {
+	for i := range j.ins {
+		if fb := j.ins[i].buf; fb != nil {
+			j.ins[i].buf = nil
+			fb.release()
+		}
+	}
+}
+
+// terminalDetail renders a finished job's status text from what a summary
+// keeps of it. runJob leaves detail empty and status renders it on demand:
+// status queries are rare, finished jobs are the hot path.
+func terminalDetail(exit int32, outBytes int) string {
+	if exit != 0 {
+		return fmt.Sprintf("exit %d (errors), %d output bytes", exit, outBytes)
+	}
+	return fmt.Sprintf("exit %d, %d output bytes", exit, outBytes)
+}
+
 func (j *job) status() wire.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	detail := j.detail
 	if detail == "" && j.state.Terminal() {
-		// runJob leaves detail empty and status renders it on demand:
-		// status queries are rare, finished jobs are the hot path.
-		if j.result.ExitCode != 0 {
-			detail = fmt.Sprintf("exit %d (errors), %d output bytes", j.result.ExitCode, len(j.result.Stdout))
-		} else {
-			detail = fmt.Sprintf("exit %d, %d output bytes", j.result.ExitCode, len(j.result.Stdout))
-		}
+		detail = terminalDetail(j.result.ExitCode, len(j.result.Stdout))
 	}
 	return wire.JobStatus{Job: j.id, State: j.state, Detail: detail}
 }
@@ -796,7 +851,7 @@ func (s *Server) lookupJob(id uint64) (*job, bool) {
 	return s.jobs.get(id)
 }
 
-// jobsOfOwner returns the jobs an identity submitted (across sessions),
+// jobsOfOwner returns the live jobs an identity submitted (across sessions),
 // ascending by id.
 func (s *Server) jobsOfOwner(owner identity) []*job {
 	var out []*job
@@ -810,7 +865,8 @@ func (s *Server) jobsOfOwner(owner identity) []*job {
 }
 
 // unackedDone returns the owner's finished, unrouted jobs whose output was
-// never acknowledged, excluding ids already scheduled for delivery. A
+// never acknowledged (an acknowledged job has left the table), excluding ids
+// already scheduled for delivery. A
 // re-attaching client gets these re-sent: the output (or its ack) may have
 // died with the previous connection, and the server cannot tell which. The
 // client deduplicates, so a redundant re-send costs bytes, never correctness.
@@ -825,19 +881,11 @@ func (s *Server) unackedDone(owner identity, exclude []uint64) []uint64 {
 			continue
 		}
 		j.mu.Lock()
-		resend := j.state.Terminal() && !j.delivered
+		resend := j.state.Terminal() && !j.retired
 		j.mu.Unlock()
 		if resend {
 			out = append(out, j.id)
 		}
 	}
 	return out
-}
-
-// ignoreEOF maps clean disconnects to nil.
-func ignoreEOF(err error) error {
-	if errors.Is(err, io.EOF) {
-		return nil
-	}
-	return err
 }

@@ -10,7 +10,6 @@ import (
 
 	"shadowedit/internal/cache"
 	"shadowedit/internal/diff"
-	"shadowedit/internal/naming"
 	"shadowedit/internal/netsim"
 	"shadowedit/internal/wire"
 )
@@ -508,10 +507,9 @@ func TestSubmitRetryRedrivesStrandedJob(t *testing.T) {
 		scriptSum: scriptSum,
 		inputs:    inputs,
 		state:     wire.JobQueued,
-		waiting:   make(map[naming.ShadowID]uint64),
-		byRef:     make(map[naming.ShadowID]string),
-		snapshot:  make(map[string][]byte),
+		tag:       77,
 	}
+	j.initInputs(r.srv.dir)
 	j.id = r.srv.nextJob.Add(1)
 	r.srv.jobs.add(j)
 	r.srv.tagMu.Lock()

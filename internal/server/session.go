@@ -610,11 +610,8 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 			// Already current. Feed jobs that registered their wait
 			// just as the content arrived — the arrival's feed can run
 			// before the registration, and this is the re-check that
-			// closes the window. (Version first: the common have < want
-			// case must not pay for assembling content nobody reads.)
-			if e, ok := ss.srv.cache.Peek(id); ok {
-				ss.srv.feedWaitingJobs(id, e.Version, e.Content)
-			}
+			// closes the window.
+			ss.srv.feedFromCache(id, want)
 			return nil
 		}
 	}
@@ -723,7 +720,7 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 		sp.Annotate("base-evicted")
 		return ss.refetch(m.File, m.Version, tc, "base not cached")
 	}
-	content, err := ss.srv.applyDelta(id, m, forward)
+	fb, err := ss.srv.applyDelta(id, m, forward)
 	if errors.Is(err, core.ErrStaleBase) {
 		sp.Annotate("stale-base")
 		return ss.refetch(m.File, m.Version, tc, "stale base")
@@ -732,17 +729,14 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 		return fmt.Errorf("apply delta for %s: %w", m.File, err)
 	}
 	sp.Annotate("delta-applied")
-	return ss.arrived(m.File, id, m.Version, content, tc)
+	return ss.arrived(m.File, id, m.Version, fb, tc, sp)
 }
 
-// deltaBases recycles the buffers delta bases are assembled into: a base is
-// read once, by the apply, whose output aliases nothing — so it goes back as
-// soon as the apply returns instead of costing a file-sized allocation per
-// arrival.
-var deltaBases = sync.Pool{New: func() any { return new([]byte) }}
-
 // applyDelta upgrades the cached copy of id from fd.BaseVersion to
-// fd.Version and returns the new content, a fresh buffer the caller owns.
+// fd.Version and returns the new content in a buffer on loan from the free list,
+// which the caller hands on (arrived) or releases. The base is assembled into
+// a borrowed buffer too: it is read once, by the apply, whose output aliases
+// nothing, so it goes back as soon as the apply returns.
 // The work is proportional to the edit: the spans the delta rewrote let the
 // cache derive the new chunk manifest from the base's instead of splitting
 // and hashing the whole file (cache.PutFromBase).
@@ -755,25 +749,29 @@ var deltaBases = sync.Pool{New: func() any { return new([]byte) }}
 // recorded before the cache write: a write that evicts id — content over
 // capacity drops the stale entry — fires the evict hook, which must find the
 // delta there to drop, or it would outlive the entry it shadows.
-func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool) ([]byte, error) {
-	buf := deltaBases.Get().(*[]byte)
-	defer deltaBases.Put(buf)
-	base, ok := s.cache.GetInto(*buf, id)
-	if !ok || base.Version != fd.BaseVersion {
+func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool) (*fileBuf, error) {
+	base := s.bufs.borrow()
+	defer base.release()
+	e, ok := s.cache.GetInto(base.b, id)
+	if !ok || e.Version != fd.BaseVersion {
 		return nil, fmt.Errorf("%w: %s base v%d", core.ErrStaleBase, fd.File, fd.BaseVersion)
 	}
-	*buf = base.Content
-	content, spans, err := core.ApplyDeltaSpans(base.Content, fd)
+	base.b = e.Content
+	out := s.bufs.borrow()
+	content, spans, err := core.ApplyDeltaInto(out.b, base.b, fd)
 	if err != nil {
+		out.release()
 		return nil, err
 	}
+	out.b = content
 	if forward {
 		s.notePeerDelta(id, fd, len(content))
 	}
 	if err := s.cache.PutFromBase(id, fd.BaseVersion, fd.Version, content, spans); err != nil && !errors.Is(err, cache.ErrTooLarge) {
+		out.release()
 		return nil, err
 	}
-	return content, nil
+	return out, nil
 }
 
 // refetch replaces an answer that proved unusable (base gone, chunks
@@ -843,28 +841,29 @@ func (ss *session) handleFileFull(m *wire.FileFull, tc wire.TraceContext) error 
 		sp.Annotate("overtaken")
 		return ss.ack(m.File, have, tc)
 	}
-	return ss.storeArrived(m.File, id, m.Version, content, tc)
-}
-
-// storeArrived caches a version that arrived whole (best effort),
-// acknowledges it, and feeds any jobs waiting for the file.
-func (ss *session) storeArrived(ref wire.FileRef, id naming.ShadowID, version uint64, content []byte, tc wire.TraceContext) error {
-	if err := ss.srv.cache.PutOwned(id, version, content); err != nil && !errors.Is(err, cache.ErrTooLarge) {
+	// Cached best effort. The message owns its bytes and the cache copies
+	// what it keeps, so the content goes on to the waiting jobs as it is.
+	if err := ss.srv.cache.Put(id, m.Version, content); err != nil && !errors.Is(err, cache.ErrTooLarge) {
 		return err
 	}
-	return ss.arrived(ref, id, version, content, tc)
+	return ss.arrived(m.File, id, m.Version, ss.srv.bufs.owned(content), tc, sp)
 }
 
 // arrived runs the shared post-store bookkeeping for a version that just
 // landed, by whatever route: close the open pull, feed waiting jobs,
-// acknowledge.
-func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64, content []byte, tc wire.TraceContext) error {
+// acknowledge. It takes over the caller's reference on content, and ends the
+// caller's apply span (nil when there is none) before anything is queued for
+// the other end: the apply is over once the version is stored, and under
+// virtual time a span left open across the ack would end at whatever instant
+// other sessions had meanwhile advanced the shared clock to.
+func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64, content *fileBuf, tc wire.TraceContext, apply *trace.Span) error {
 	ss.srv.flights.Done(id, version)
 	ss.closePull(id, version)
+	apply.Finish()
 	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
 		ss.srv.cfg.Obs.Log(slog.LevelDebug, "file arrived",
 			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
-			slog.Uint64("version", version), slog.Int("bytes", len(content)))
+			slog.Uint64("version", version), slog.Int("bytes", len(content.b)))
 	}
 	// Queue the ack before feeding jobs, so FILE_ACK always precedes the
 	// OUTPUT of a job this arrival completes (a job fed first can finish on
@@ -977,16 +976,13 @@ func (ss *session) handleSubmit(m *wire.Submit, tc wire.TraceContext) error {
 		cmds:            cmds,
 		scriptSum:       scriptSum,
 		inputs:          m.Inputs,
-		outputFile:      m.OutputFile,
-		errorFile:       m.ErrorFile,
 		routeHost:       m.RouteHost,
 		wantOutputDelta: m.WantOutputDelta,
 		state:           wire.JobQueued,
-		waiting:         make(map[naming.ShadowID]uint64),
-		byRef:           make(map[naming.ShadowID]string),
-		snapshot:        make(map[string][]byte),
+		tag:             m.ClientTag,
 		tc:              tc,
 	}
+	j.initInputs(ss.srv.dir)
 	j.id = ss.srv.nextJob.Add(1)
 	ss.srv.jobs.add(j)
 	if m.ClientTag != 0 {
@@ -1018,36 +1014,43 @@ func (ss *session) handleSubmit(m *wire.Submit, tc wire.TraceContext) error {
 	return ss.gatherInputs(j, tc)
 }
 
-// gatherInputs snapshots what the cache already holds for j's inputs, pulls
-// the rest, and schedules the job once everything is in hand. Idempotent:
-// inputs already snapshotted or registered as waiting are not re-registered,
-// so a retried submit can re-drive a job whose first gathering was cut short
-// by its session dying mid-handler.
+// gatherInputs takes what the cache already holds for j's inputs, pulls the
+// rest, and schedules the job once everything is in hand. Idempotent: inputs
+// already in hand or registered as waiting are not re-registered, so a
+// retried submit can re-drive a job whose first gathering was cut short by
+// its session dying mid-handler.
 func (ss *session) gatherInputs(j *job, tc wire.TraceContext) error {
-	for _, in := range j.inputs {
-		id := ss.srv.dir.Intern(in.File)
+	for i, in := range j.inputs {
+		id := j.ins[i].id
 		// A job referencing a file is demand on it, whether or not a pull
 		// results — that is exactly what ring-heat placement cares about.
 		ss.srv.heat.Touch(uint64(id))
 		j.mu.Lock()
-		j.byRef[id] = in.As
-		if _, have := j.snapshot[in.As]; have {
-			j.mu.Unlock()
+		have, waiting := j.ins[i].buf != nil, j.ins[i].waiting
+		j.mu.Unlock()
+		if have {
 			continue
 		}
-		_, waiting := j.waiting[id]
-		j.mu.Unlock()
 		if !waiting {
-			if e, ok := ss.srv.cache.Get(id); ok && e.Version >= in.Version {
+			// In the usual order — SUBMIT right behind NOTIFY, the pull
+			// still out — the cached version is the old one: GetAtLeast
+			// counts the lookup and assembles nothing.
+			fb := ss.srv.bufs.borrow()
+			if e, ok := ss.srv.cache.GetAtLeast(fb.b, id, in.Version); ok && e.Version >= in.Version {
+				fb.b = e.Content
 				j.mu.Lock()
-				j.snapshot[in.As] = e.Content
+				j.ins[i].buf = fb
 				j.mu.Unlock()
 				continue
 			}
+			fb.release()
 			j.mu.Lock()
-			j.waiting[id] = in.Version
+			_, indexed := j.waitsFor(id) // the same file under a second name
+			j.ins[i].waiting, j.ins[i].want = true, in.Version
 			j.mu.Unlock()
-			ss.srv.addWaiter(id, j)
+			if !indexed {
+				ss.srv.addWaiter(id, j)
+			}
 		}
 		// Pull even when a wait was already registered: on a re-drive the
 		// session that issued the original pull may be gone, and a
@@ -1067,34 +1070,25 @@ func (ss *session) gatherInputs(j *job, tc wire.TraceContext) error {
 
 func (ss *session) handleStatus(m *wire.StatusReq) error {
 	ss.srv.counters.AddControl(0)
-	var reply wire.StatusReply
-	if m.All {
-		for _, j := range ss.srv.jobsOfOwner(ss.identity()) {
-			reply.Jobs = append(reply.Jobs, j.status())
-		}
-		return ss.send(&reply)
-	}
-	j, ok := ss.srv.lookupJob(m.Job)
-	if !ok || j.owner != ss.identity() {
+	reply := wire.StatusReply{Jobs: ss.srv.statusOf(ss.identity(), m.Job, m.All)}
+	if !m.All && len(reply.Jobs) == 0 {
 		return ss.sendError(wire.CodeUnknownJob, fmt.Sprintf("job %d unknown", m.Job))
 	}
-	reply.Jobs = append(reply.Jobs, j.status())
 	return ss.send(&reply)
 }
 
+// handleOutputAck retires the job: its output has reached the client, so the
+// server keeps a summary and, for reverse shadow processing, the stdout as
+// this session's base for the next run of the same script. An ack for a job
+// already retired (a duplicate delivery acknowledged twice) is ignored.
 func (ss *session) handleOutputAck(m *wire.OutputAck) error {
 	j, ok := ss.srv.lookupJob(m.Job)
 	if !ok {
 		return nil
 	}
-	j.mu.Lock()
-	j.delivered = true
-	stdout := j.result.Stdout
-	sum := j.scriptSum
-	j.mu.Unlock()
-	// The acknowledged stdout becomes the base for the next run's output
-	// delta (reverse shadow processing).
-	ss.setPrevOutput(sum, stdout)
+	if stdout, ok := ss.srv.acknowledge(ss, j); ok {
+		ss.setPrevOutput(j.scriptSum, stdout)
+	}
 	return nil
 }
 

@@ -188,9 +188,7 @@ func (ss *session) pumpBatch() error {
 			// pullFile's short circuit) and acknowledge so the client's
 			// sync completion does not stall on a file that needs no
 			// transfer.
-			if ent, ok := ss.srv.cache.Peek(id); ok {
-				ss.srv.feedWaitingJobs(id, ent.Version, ent.Content)
-			}
+			ss.srv.feedFromCache(id, e.ne.Version)
 			if err := ss.sendTraced(&wire.FileAck{File: e.ne.File, Version: have}, e.tc); err != nil {
 				return err
 			}

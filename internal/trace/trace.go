@@ -142,8 +142,8 @@ func (s *Span) Annotate(detail string) *Span {
 	return s
 }
 
-// Finish stamps the span's end time and hands it to the tracer. Calling
-// Finish more than once records the span more than once; don't.
+// Finish stamps the span's end time and hands it to the tracer; only the
+// first Finish (or FinishAt) of a span does anything.
 func (s *Span) Finish() {
 	if s == nil {
 		return
@@ -155,12 +155,15 @@ func (s *Span) Finish() {
 // the clock. Paths that finish a span after handing work to another
 // goroutine use it under simulated time, where a late clock read could
 // absorb unrelated arrivals that already advanced the shared virtual clock.
+// A span is recorded once: finishing it again (a deferred Finish behind an
+// explicit one) changes nothing.
 func (s *Span) FinishAt(end time.Duration) {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return
 	}
 	s.End = end
 	s.tracer.addSpan(s)
+	s.tracer = nil
 }
 
 // Record is one assembled trace: its spans in finish order.

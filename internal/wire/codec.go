@@ -178,6 +178,9 @@ type StreamConn struct {
 	recvBuf []byte  // RecvReuse scratch, guarded by recvMu
 	recvHW  int     // high-water frame size, guides scratch retention
 	recvHdr [4]byte // header scratch: a local would escape through io.ReadFull
+	// recvOutlier marks recvBuf as sized for a frame far above the mark at
+	// the time; see RecvReuse.
+	recvOutlier bool
 }
 
 var (
@@ -229,19 +232,26 @@ func (s *StreamConn) Send(payload []byte) error {
 	// and, on a socket, one syscall and one segment instead of two.
 	s.sendBuf = append(s.sendBuf[:0], s.sendHdr[:]...)
 	s.sendBuf = append(s.sendBuf, payload...)
+	steady := s.sendHW
 	s.sendHW = highWater(s.sendHW, len(s.sendBuf))
 	_, err := s.rw.Write(s.sendBuf)
-	if cap(s.sendBuf) > 64<<10 && s.sendHW <= 64<<10 {
-		// Don't pin a huge scratch after an outlier transfer; keep it
-		// when frames of this size are the steady state.
+	if cap(s.sendBuf) > bigScratch && min(steady, s.sendHW) <= bigScratch {
+		// Don't pin a huge scratch after an outlier transfer (the one full
+		// copy that primes a file, among deltas): it goes at once, not
+		// twenty frames later when the mark has decayed. Keep it when
+		// frames of this size are the steady state.
 		s.sendBuf = nil
 	}
 	return err
 }
 
+// bigScratch is the scratch size above which a connection asks whether frames
+// that large are its steady state before keeping the buffer.
+const bigScratch = 64 << 10
+
 // highWater tracks a running high-water mark that rises instantly and decays
 // slowly, so scratch buffers stay pre-sized for the steady state while
-// one-off outliers stop pinning memory after a while.
+// one-off outliers stop pinning memory.
 func highWater(hw, n int) int {
 	if n > hw {
 		return n
@@ -286,8 +296,18 @@ func (s *StreamConn) RecvReuse() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A big buffer is kept only while big frames are the steady state: one
+	// sized for an outlier (the mark was low when it came) is let go by the
+	// first ordinary frame after it.
+	outlier := s.recvOutlier && n <= bigScratch
+	if n > bigScratch {
+		s.recvOutlier = s.recvHW <= bigScratch
+	}
 	s.recvHW = highWater(s.recvHW, n)
-	if cap(s.recvBuf) < n || (cap(s.recvBuf) > 64<<10 && s.recvHW <= 64<<10) {
+	if outlier {
+		s.recvHW, s.recvOutlier = n, false
+	}
+	if cap(s.recvBuf) < n || (cap(s.recvBuf) > bigScratch && s.recvHW <= bigScratch) {
 		s.recvBuf = make([]byte, max(n, s.recvHW))
 	}
 	payload := s.recvBuf[:n]

@@ -415,7 +415,11 @@ func SendShared(c Conn, m Message, tc TraceContext) error {
 	bp := sendPool.Get().(*[]byte)
 	buf := AppendMarshal((*bp)[:0], m, tc)
 	err := c.Send(buf)
-	if cap(buf) <= MaxFrame {
+	if cap(buf) <= bigScratch {
+		// A process-wide pool is no place for the scratch of a whole-file
+		// frame: it would sit there, file-sized, until the collector's
+		// next-but-one pass. (The server's session writers draw the same
+		// line for theirs.)
 		*bp = buf
 	}
 	sendPool.Put(bp)

@@ -362,3 +362,48 @@ func TestStreamConnEmptyFrame(t *testing.T) {
 		t.Fatalf("Recv = %v, want empty", got)
 	}
 }
+
+// TestStreamConnLetsGoOfOutlierScratch: the one big frame among small ones
+// (the full copy that primes a file, then deltas) must not pin a frame-sized
+// scratch on either end past the next ordinary frame; a run of big frames
+// keeps it.
+func TestStreamConnLetsGoOfOutlierScratch(t *testing.T) {
+	c1, c2 := net.Pipe()
+	tx, rx := NewStreamConn(c1), NewStreamConn(c2)
+	defer tx.Close()
+	defer rx.Close()
+	small, big := make([]byte, 300), make([]byte, 256<<10)
+	exchange := func(payload []byte) {
+		t.Helper()
+		errc := make(chan error, 1)
+		go func() { errc <- tx.Send(payload) }()
+		got, err := rx.RecvReuse()
+		if err != nil || len(got) != len(payload) {
+			t.Fatalf("recv %d bytes, %v; want %d", len(got), err, len(payload))
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		exchange(small)
+	}
+	exchange(big)
+	if cap(tx.sendBuf) != 0 {
+		t.Errorf("sender kept a %d-byte scratch after one outlier frame", cap(tx.sendBuf))
+	}
+	exchange(small)
+	if cap(rx.recvBuf) > bigScratch {
+		t.Errorf("receiver kept a %d-byte scratch past the first ordinary frame", cap(rx.recvBuf))
+	}
+	exchange(big)
+	exchange(big)
+	exchange(big)
+	if cap(tx.sendBuf) < len(big) || cap(rx.recvBuf) < len(big) {
+		t.Errorf("steady big frames: scratch is %d / %d bytes, want frame-sized on both ends", cap(tx.sendBuf), cap(rx.recvBuf))
+	}
+	exchange(small)
+	if cap(rx.recvBuf) < len(big) {
+		t.Error("one small frame among big ones dropped the steady-state scratch")
+	}
+}
