@@ -390,46 +390,17 @@ func (c *Client) Environment() env.Environment { return c.cfg.Env }
 // nothing — the result's WireBytes is then 0. A changed file begins a traced
 // "notify" cycle when tracing is on: the NOTIFY carries the minted context,
 // so the server's pull decision and cache apply join the same causal trace.
-// This is the single-file degenerate case of Workspace.Sync; both report
-// through the same NotifyResult shape.
+// The client's part of that cycle is over once the NOTIFY is on the wire,
+// and the server's spans append to the completed record when the deployment
+// shares one tracer. This is the single-file degenerate case of
+// Workspace.Sync; both report through the same NotifyResult shape.
 func (c *Client) CommitAndNotify(filePath string) (NotifyResult, error) {
-	return c.commitAndNotify(filePath, wire.TraceContext{}, true)
-}
-
-// commitAndNotify is CommitAndNotify with an inherited trace context. A
-// valid tc means the caller (a submit cycle) already owns the trace. With
-// mint set and no inherited context, a changed file mints a standalone
-// "notify" trace for the send, ended immediately — the client's part of a
-// notify-only cycle is over once the NOTIFY is on the wire, and the
-// server's spans append to the completed record when the deployment shares
-// one tracer. Submit passes mint=false: its cycle's sampling decision
-// (root span or nil) covers the notifies it issues.
-func (c *Client) commitAndNotify(filePath string, tc wire.TraceContext, mint bool) (NotifyResult, error) {
-	ref, err := c.refFor(filePath)
-	if err != nil {
-		return NotifyResult{}, err
+	res, notify, err := c.commit(filePath)
+	if notify == nil {
+		return res, err
 	}
-	content, err := c.readFile(filePath)
-	if err != nil {
-		return NotifyResult{}, err
-	}
-	// readFile made this buffer for us, so the store takes it as is.
-	version, changed := c.store.CommitOwned(ref, content)
-	if !changed {
-		return NotifyResult{File: ref, Version: version}, nil
-	}
-	var sp *trace.Span
-	if mint && !tc.Valid() {
-		sp = c.cfg.Obs.StartTrace("notify").SetFile(ref.String())
-		tc = sp.Context()
-	}
-	notify := &wire.Notify{
-		File:    ref,
-		Version: version,
-		Size:    int64(len(content)),
-		Sum:     diff.Checksum(content),
-	}
-	c.counters.AddControl(0)
+	sp := c.cfg.Obs.StartTrace("notify").SetFile(res.File.String())
+	tc := sp.Context()
 	err = c.sendTraced(notify, tc)
 	if sp != nil {
 		if err != nil {
@@ -441,7 +412,36 @@ func (c *Client) commitAndNotify(filePath string, tc wire.TraceContext, mint boo
 	if err != nil {
 		return NotifyResult{}, err
 	}
-	return NotifyResult{File: ref, Version: version, WireBytes: len(wire.MarshalTraced(notify, tc))}, nil
+	res.WireBytes = len(wire.MarshalTraced(notify, tc))
+	return res, nil
+}
+
+// commit registers the current content of the named local file as a new
+// version and returns the NOTIFY that announces it, nil when the content is
+// unchanged. Sending it is the caller's business: CommitAndNotify sends it
+// at once, a submission in the same write as its SUBMIT.
+func (c *Client) commit(filePath string) (NotifyResult, *wire.Notify, error) {
+	ref, err := c.refFor(filePath)
+	if err != nil {
+		return NotifyResult{}, nil, err
+	}
+	content, err := c.readFile(filePath)
+	if err != nil {
+		return NotifyResult{}, nil, err
+	}
+	// readFile made this buffer for us, so the store takes it as is.
+	version, changed := c.store.CommitOwned(ref, content)
+	res := NotifyResult{File: ref, Version: version}
+	if !changed {
+		return res, nil, nil
+	}
+	c.counters.AddControl(0)
+	return res, &wire.Notify{
+		File:    ref,
+		Version: version,
+		Size:    int64(len(content)),
+		Sum:     diff.Checksum(content),
+	}, nil
 }
 
 // Submit sends a job: scriptPath names the job command file, dataPaths the
@@ -495,20 +495,21 @@ func (c *Client) submitRetrying(ctx context.Context, scriptPath string, dataPath
 }
 
 // submitOnce performs one submission attempt over the current connection.
+// The NOTIFYs for the inputs that changed go out ahead of the SUBMIT, in the
+// same write. If that write fails, the retry finds the inputs committed and
+// sends the SUBMIT alone: it names the versions, and the server pulls what
+// it lacks.
 func (c *Client) submitOnce(ctx context.Context, script []byte, dataPaths []string, opts SubmitOptions, tag uint64, cycleStart time.Duration, root *trace.Span) (uint64, error) {
-	_, down, err := c.waitConnected(ctx)
-	if err != nil {
-		return 0, err
-	}
 	inputs := make([]wire.JobInput, 0, len(dataPaths))
+	// The NOTIFYs, then the SUBMIT; a constant capacity keeps it off the heap.
+	frames := make([]wire.Message, 0, 4)
 	for _, p := range dataPaths {
-		res, err := c.commitAndNotify(p, root.Context(), false)
+		res, notify, err := c.commit(p)
 		if err != nil {
-			if errors.Is(err, ErrDisconnected) && !errors.Is(err, ErrClosed) {
-				c.awaitDown(ctx, down)
-				return 0, &transientErr{cause: err}
-			}
 			return 0, fmt.Errorf("client: prepare %s: %w", p, err)
+		}
+		if notify != nil {
+			frames = append(frames, notify)
 		}
 		inputs = append(inputs, wire.JobInput{File: res.File, Version: res.Version, As: path.Base(p)})
 	}
@@ -536,7 +537,7 @@ func (c *Client) submitOnce(ctx context.Context, script []byte, dataPaths []stri
 		cycleTimed: c.cfg.Obs != nil,
 		span:       root,
 	}
-	reply, err := c.attempt(ctx, req, root.Context(), p)
+	reply, err := c.attempt(ctx, append(frames, req), root.Context(), p)
 	if err != nil {
 		return 0, err
 	}
@@ -810,7 +811,7 @@ func (c *Client) sendTraced(m wire.Message, tc wire.TraceContext) error {
 	if conn == nil {
 		return ErrDisconnected
 	}
-	if err := wire.SendShared(conn, m, tc); err != nil {
+	if err := wire.SendBatch(conn, tc, m); err != nil {
 		// Sever the transport: a partial or refused write (a link-down
 		// window, say) leaves the stream unusable, and closing it is what
 		// engages the supervisor's backoff-and-reconnect path. Without
@@ -868,7 +869,7 @@ func (c *Client) waitConnected(ctx context.Context) (wire.Conn, chan struct{}, e
 // the read loop without disturbing the pending request.
 func (c *Client) roundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
 	for attempt := 1; ; attempt++ {
-		reply, err := c.attempt(ctx, req, wire.TraceContext{}, nil)
+		reply, err := c.attempt(ctx, []wire.Message{req}, wire.TraceContext{}, nil)
 		if err == nil {
 			return reply, nil
 		}
@@ -889,12 +890,14 @@ func (c *Client) roundTrip(ctx context.Context, req wire.Message) (wire.Message,
 
 // attempt performs a single request/response exchange over the current
 // connection, bounded by the per-RPC timeout. Connection loss and timeout
-// surface as transientErr; the caller decides whether to retry. tc, when
-// valid, rides the request frame (submits propagate their cycle trace). A
+// surface as transientErr; the caller decides whether to retry. frames ends
+// with the request; any frames before it go out in the same write. tc, when
+// valid, rides every frame (submits propagate their cycle trace). A
 // submit passes its metadata as p: it is the pending submit for exactly as
 // long as this exchange holds reqMu, so the read loop can never register one
 // caller's SUBMIT_OK under another's metadata.
-func (c *Client) attempt(ctx context.Context, req wire.Message, tc wire.TraceContext, p *pendingSubmit) (wire.Message, error) {
+func (c *Client) attempt(ctx context.Context, frames []wire.Message, tc wire.TraceContext, p *pendingSubmit) (wire.Message, error) {
+	req := frames[len(frames)-1]
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 
@@ -940,7 +943,7 @@ func (c *Client) attempt(ctx context.Context, req wire.Message, tc wire.TraceCon
 		defer cancel()
 	}
 
-	if err := wire.SendShared(conn, req, tc); err != nil {
+	if err := wire.SendBatch(conn, tc, frames...); err != nil {
 		// Sever the failed transport (see send) and wait for the
 		// supervisor to reap it, so the retry runs against the next
 		// session instead of spinning on the corpse.

@@ -173,11 +173,7 @@ func ComputeSummed(algorithm Algorithm, base, target []byte, baseSum, targetSum 
 		kind:      kindEdit,
 	}
 	table := baseLinesPool.Get().(*[][]byte)
-	defer func() {
-		clear(*table)
-		*table = (*table)[:0]
-		baseLinesPool.Put(table)
-	}()
+	defer releaseBaseLines(table)
 	switch algorithm {
 	case HuntMcIlroy:
 		d.Ops, _ = anchoredOps(base, target, huntMcIlroyMatches, table)

@@ -21,13 +21,35 @@ type hmScratch struct {
 
 var hmPool = sync.Pool{New: func() any { return new(hmScratch) }}
 
-// release drops references into caller data (the intern table's
-// representative lines point into the files being compared) and returns the
-// scratch to the pool.
-func (sc *hmScratch) release() {
+// maxPooledScratch bounds the scratch a diff hands back to its pool. The
+// gaps between anchors, which are what a steady edit cycle diffs, need a few
+// KB, and a whole 32 KiB file about 120 KB. The scratch of a whole-file diff
+// of a larger file (about 1 MB for 256 KiB) is let go with the call: pooled,
+// it would be handed to every small diff after it and go back with them, and
+// whether the heap holds it at a given moment would depend on when the
+// collector last found it idle.
+const maxPooledScratch = 128 << 10
+
+// footprint returns the bytes the scratch's arrays hold.
+func (sc *hmScratch) footprint() int {
+	ints := cap(sc.sa) + cap(sc.sb) + cap(sc.ais) + cap(sc.bis)
+	int32s := cap(sc.bstart) + cap(sc.pos) + cap(sc.bcur) + cap(sc.thresh) + cap(sc.link)
+	return 8*ints + 4*int32s + 12*cap(sc.arena) + // a cand is three int32s
+		4*cap(sc.table.slots) + 8*cap(sc.table.hashes) + 24*cap(sc.table.lines)
+}
+
+// release returns the scratch to the pool, unless it has grown past
+// maxPooledScratch, and reports whether it did. It first drops references
+// into caller data: the intern table's representative lines point into the
+// files being compared.
+func (sc *hmScratch) release() (pooled bool) {
+	if sc.footprint() > maxPooledScratch {
+		return false
+	}
 	clear(sc.table.lines)
 	sc.table.lines = sc.table.lines[:0]
 	hmPool.Put(sc)
+	return true
 }
 
 // huntMcIlroyMatches computes an LCS of a and b as maximal runs of matching

@@ -47,6 +47,18 @@ func appendSplitLines(dst [][]byte, content []byte) [][]byte {
 // target's table must stay a fresh allocation per call.
 var baseLinesPool = sync.Pool{New: func() any { return new([][]byte) }}
 
+// releaseBaseLines clears a base-side line table and returns it to the pool,
+// unless it has grown past maxPooledScratch, and reports whether it did.
+func releaseBaseLines(table *[][]byte) (pooled bool) {
+	if 24*cap(*table) > maxPooledScratch {
+		return false
+	}
+	clear(*table)
+	*table = (*table)[:0]
+	baseLinesPool.Put(table)
+	return true
+}
+
 var nlByte = []byte{'\n'}
 
 // JoinLines concatenates lines back into file content. It is the inverse of

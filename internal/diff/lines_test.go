@@ -2,6 +2,8 @@ package diff
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +142,38 @@ func TestCommonAffixesNeverOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScratchKeepOrDrop: the scratch of a diff the size of an edit's gap,
+// or of a whole 32 KiB file, goes back to its pool; the scratch of a whole
+// 256 KiB file does not, and neither does its base line table.
+func TestScratchKeepOrDrop(t *testing.T) {
+	content := func(n int, edit string) []byte {
+		var b bytes.Buffer
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "line %5d of a file being diffed %s\n", i, edit)
+			if i%7 == 3 {
+				edit = strings.ToUpper(edit)
+			}
+		}
+		return b.Bytes()
+	}
+	for _, c := range []struct {
+		lines int
+		keep  bool
+	}{{40, true}, {32 << 10 / 40, true}, {256 << 10 / 40, false}} {
+		a, b := SplitLines(content(c.lines, "a")), SplitLines(content(c.lines, "b"))
+		sc := new(hmScratch)
+		sa, sb, nsym := sc.internBoth(a, b)
+		huntMiddle(sa, sb, nsym, sc)
+		size := sc.footprint()
+		if got := sc.release(); got != c.keep {
+			t.Errorf("%d lines: diff scratch of %d bytes pooled = %v, want %v", c.lines, size, got, c.keep)
+		}
+		table := appendSplitLines(nil, content(c.lines, "a"))
+		if got := releaseBaseLines(&table); got != c.keep {
+			t.Errorf("%d lines: base line table pooled = %v, want %v", c.lines, got, c.keep)
+		}
 	}
 }

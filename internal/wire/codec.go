@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -156,15 +157,22 @@ type Flusher interface {
 // big-endian length framing.
 //
 // Unbuffered, each Send issues exactly one Write (header and payload are
-// coalesced into one buffer) — one syscall per message on a socket. With
+// coalesced into one buffer) — one syscall per message on a socket — and
+// SendBatch puts several frames in that one Write. With
 // NewBufferedStreamConn, frames accumulate in a write buffer until Flush,
 // so a burst of messages costs one syscall total.
 //
 // Send copies the payload before returning (into the write buffer or the
 // coalescing scratch), so callers may reuse payload slices across sends —
-// StreamConn implements NonRetainingSender. RecvReuse reads frames into a
-// connection-owned buffer pre-sized from a running high-water mark, so a
-// steady receive loop performs no per-frame allocation.
+// StreamConn implements NonRetainingSender.
+//
+// Receiving is buffered either way: one Read takes in every frame already
+// queued on the stream (up to the buffer's size), and a frame that arrived
+// whole is served without another syscall. The receive buffer is also the
+// frame scratch RecvReuse hands out, so a steady receive loop performs no
+// per-frame allocation. It starts at minRecvBuf and grows only as bytes
+// arrive: a length header costs the receiver what the peer actually sent,
+// not what it claims.
 type StreamConn struct {
 	rw io.ReadWriteCloser
 
@@ -174,12 +182,15 @@ type StreamConn struct {
 	sendHW  int           // high-water frame size, guides scratch retention
 	sendHdr [4]byte       // header scratch: a local would escape through bw.Write
 
-	recvMu  sync.Mutex
-	recvBuf []byte  // RecvReuse scratch, guarded by recvMu
-	recvHW  int     // high-water frame size, guides scratch retention
-	recvHdr [4]byte // header scratch: a local would escape through io.ReadFull
-	// recvOutlier marks recvBuf as sized for a frame far above the mark at
-	// the time; see RecvReuse.
+	recvMu sync.Mutex
+	// recvBuf holds the bytes read from the stream, guarded by recvMu:
+	// recvBuf[:recvOff] is consumed (its tail is the frame RecvReuse last
+	// returned), recvBuf[recvOff:] is read ahead of the caller.
+	recvBuf []byte
+	recvOff int
+	recvHW  int // high-water frame size, guides buffer retention
+	// recvOutlier marks recvBuf as grown for a frame far above the mark at
+	// the time; see recvFrame.
 	recvOutlier bool
 }
 
@@ -245,9 +256,28 @@ func (s *StreamConn) Send(payload []byte) error {
 	return err
 }
 
+// writeFrames hands buf, whole frames, to the stream in one Write (to the
+// write buffer, when buffered: the flush decides when the syscall happens).
+func (s *StreamConn) writeFrames(buf []byte) error {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	var err error
+	if s.bw != nil {
+		_, err = s.bw.Write(buf)
+	} else {
+		_, err = s.rw.Write(buf)
+	}
+	return err
+}
+
 // bigScratch is the scratch size above which a connection asks whether frames
 // that large are its steady state before keeping the buffer.
 const bigScratch = 64 << 10
+
+// minRecvBuf is the receive buffer a connection starts with, and the least
+// it shrinks back to: room for the small frames of a warm cycle to arrive
+// in one read, small enough that ten thousand idle sessions don't notice.
+const minRecvBuf = 1 << 10
 
 // highWater tracks a running high-water mark that rises instantly and decays
 // slowly, so scratch buffers stay pre-sized for the steady state while
@@ -274,30 +304,36 @@ func (s *StreamConn) Flush() error {
 func (s *StreamConn) Recv() ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
-	n, err := s.recvLen()
+	frame, err := s.recvFrame()
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(s.rw, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return bytes.Clone(frame), nil
 }
 
-// RecvReuse reads one length-prefixed frame into the connection's receive
-// scratch, which is pre-sized from a running high-water mark of frame sizes.
-// The returned slice is owned by the connection and valid only until the
-// next Recv/RecvReuse call; see ReusableReceiver for the ownership rules.
+// RecvReuse reads one length-prefixed frame and returns it in the
+// connection's receive buffer. The returned slice is owned by the connection
+// and valid only until the next Recv/RecvReuse call; see ReusableReceiver
+// for the ownership rules.
 func (s *StreamConn) RecvReuse() ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
-	n, err := s.recvLen()
-	if err != nil {
+	return s.recvFrame()
+}
+
+// recvFrame reads the next frame out of the receive buffer, filling it from
+// the stream as needed; the caller holds recvMu. Errors are those of two
+// io.ReadFull calls, one for the header and one for the payload.
+func (s *StreamConn) recvFrame() ([]byte, error) {
+	if err := s.fill(0, 4); err != nil {
 		return nil, err
 	}
+	n := int(binary.BigEndian.Uint32(s.recvBuf[s.recvOff:]))
+	if n > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
 	// A big buffer is kept only while big frames are the steady state: one
-	// sized for an outlier (the mark was low when it came) is let go by the
+	// grown for an outlier (the mark was low when it came) is let go by the
 	// first ordinary frame after it.
 	outlier := s.recvOutlier && n <= bigScratch
 	if n > bigScratch {
@@ -307,26 +343,59 @@ func (s *StreamConn) RecvReuse() ([]byte, error) {
 	if outlier {
 		s.recvHW, s.recvOutlier = n, false
 	}
-	if cap(s.recvBuf) < n || (cap(s.recvBuf) > bigScratch && s.recvHW <= bigScratch) {
-		s.recvBuf = make([]byte, max(n, s.recvHW))
+	if ahead := s.recvBuf[s.recvOff:]; cap(s.recvBuf) > bigScratch && s.recvHW <= bigScratch && len(ahead) <= bigScratch {
+		s.recvBuf = append(make([]byte, 0, max(minRecvBuf, len(ahead))), ahead...)
+		s.recvOff = 0
 	}
-	payload := s.recvBuf[:n]
-	if _, err := io.ReadFull(s.rw, payload); err != nil {
+	if err := s.fill(4, 4+n); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	start := s.recvOff + 4
+	s.recvOff = start + n
+	return s.recvBuf[start:s.recvOff:s.recvOff], nil
 }
 
-// recvLen reads and validates one frame header; the caller holds recvMu.
-func (s *StreamConn) recvLen() (int, error) {
-	if _, err := io.ReadFull(s.rw, s.recvHdr[:]); err != nil {
-		return 0, err
+// fill reads from the stream until need bytes past recvOff are buffered.
+// The bytes from base to need are what the caller asked io.ReadFull for
+// before the buffer existed, and the errors are io.ReadFull's: io.EOF when
+// the stream ends before any of them, io.ErrUnexpectedEOF when it ends
+// partway through.
+func (s *StreamConn) fill(base, need int) error {
+	for len(s.recvBuf)-s.recvOff < need {
+		if len(s.recvBuf) == cap(s.recvBuf) || (s.recvOff > 0 && cap(s.recvBuf)-s.recvOff < need) {
+			s.makeRoom(need)
+		}
+		n, err := s.rw.Read(s.recvBuf[len(s.recvBuf):cap(s.recvBuf)])
+		s.recvBuf = s.recvBuf[:len(s.recvBuf)+n]
+		if err != nil {
+			have := len(s.recvBuf) - s.recvOff
+			switch {
+			case have >= need:
+				return nil
+			case err == io.EOF && have > base:
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
 	}
-	n := binary.BigEndian.Uint32(s.recvHdr[:])
-	if n > MaxFrame {
-		return 0, ErrFrameTooLarge
+	return nil
+}
+
+// makeRoom moves the bytes read ahead to the front of the receive buffer,
+// growing it when they fill it: to twice their size, at most to need. Growth
+// follows what has arrived, never what a header claims.
+func (s *StreamConn) makeRoom(need int) {
+	ahead := s.recvBuf[s.recvOff:]
+	size := cap(s.recvBuf)
+	if len(ahead) == size {
+		size = max(minRecvBuf, min(need, 2*size))
 	}
-	return int(n), nil
+	buf := s.recvBuf[:0]
+	if size > cap(buf) {
+		buf = make([]byte, 0, size)
+	}
+	s.recvBuf = append(buf, ahead...)
+	s.recvOff = 0
 }
 
 // Close closes the underlying stream.

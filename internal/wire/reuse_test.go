@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The buffer-reuse fast paths (AppendMarshal, UnmarshalInto, SendShared,
+// The buffer-reuse fast paths (AppendMarshal, UnmarshalInto, SendBatch,
 // RecvReuse) must be byte- and value-equivalent to the allocating paths, and
 // recycled buffers must never leak bytes into a previously returned message.
 // These tests pin both properties; the stress variants are meant to run
@@ -86,7 +86,7 @@ func stressContent(i int) []byte {
 }
 
 // TestRecvReuseRetainedMessageSurvives drives a one-directional stream the
-// way the client readloop and server session loop do — SendShared on one
+// way the client readloop and server session loop do — SendBatch on one
 // end, RecvTracedReuse on the other — and checks, for every frame, that the
 // message decoded from the PREVIOUS frame is still intact after the receive
 // buffer has been recycled underneath it.
@@ -111,7 +111,7 @@ func TestRecvReuseRetainedMessageSurvives(t *testing.T) {
 			if i%2 == 1 {
 				tc = TraceContext{TraceID: uint64(i), SpanID: uint64(i) + 1}
 			}
-			if err := SendShared(src, m, tc); err != nil {
+			if err := SendBatch(src, tc, m); err != nil {
 				errc <- err
 				return
 			}
@@ -149,7 +149,7 @@ func TestRecvReuseRetainedMessageSurvives(t *testing.T) {
 }
 
 // TestRecvReuseBidirectionalStress runs both directions of one connection
-// pair at once — each side a dedicated SendShared writer and a dedicated
+// pair at once — each side a dedicated SendBatch writer and a dedicated
 // RecvTracedReuse reader, the client+server shape — so the pooled encoders,
 // send scratch and per-connection receive buffers are all exercised
 // concurrently. Run with -race, this is the aliasing regression net.
@@ -164,7 +164,7 @@ func TestRecvReuseBidirectionalStress(t *testing.T) {
 		go func() {
 			for i := 0; i < frames; i++ {
 				m := &Output{Job: uint64(i), State: JobDone, Stdout: stressContent(i)}
-				if err := SendShared(conn, m, TraceContext{TraceID: uint64(i + 1)}); err != nil {
+				if err := SendBatch(conn, TraceContext{TraceID: uint64(i + 1)}, m); err != nil {
 					errc <- fmt.Errorf("send %d: %w", i, err)
 					return
 				}

@@ -13,6 +13,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -399,22 +400,46 @@ type NonRetainingSender interface {
 	SendDoesNotRetain()
 }
 
-// sendPool recycles marshal scratch for SendShared. Buffers, not arrays, so
+// sendPool recycles marshal scratch for SendBatch. Buffers, not arrays, so
 // grown scratch is kept across messages.
 var sendPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// SendShared marshals m into pooled scratch and transmits it, recycling the
-// scratch afterwards — zero steady-state allocations per message. It is only
-// safe (and only taken) when c's Send does not retain the payload; for every
-// other transport it falls back to a fresh MarshalTraced, so simulated links
-// keep exactly the per-message buffers they had before pooling existed.
-func SendShared(c Conn, m Message, tc TraceContext) error {
-	if _, ok := c.(NonRetainingSender); !ok {
-		return SendTraced(c, m, tc)
+// SendBatch marshals msgs, each stamped with tc, and transmits them in
+// order. On a StreamConn the frames are built, headers and all, in pooled
+// scratch and leave in one Write — one syscall on a socket, however many
+// frames, and no allocation in the steady state — and nothing is held back
+// once the call returns (a buffered StreamConn's buffer aside, which its
+// owner flushes). A batch with a frame above MaxFrame sends nothing. Every
+// other transport gets one SendTraced per frame, each with a fresh buffer
+// it may keep (a simulated link delivers the very slice later), so
+// simulated links see exactly the frames, and the timing, of separate
+// sends; there, frames ahead of a failed one may have been delivered.
+func SendBatch(c Conn, tc TraceContext, msgs ...Message) error {
+	s, ok := c.(*StreamConn)
+	if !ok {
+		for _, m := range msgs {
+			if err := SendTraced(c, m, tc); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	bp := sendPool.Get().(*[]byte)
-	buf := AppendMarshal((*bp)[:0], m, tc)
-	err := c.Send(buf)
+	buf := (*bp)[:0]
+	var err error
+	for _, m := range msgs {
+		at := len(buf)
+		buf = AppendMarshal(append(buf, 0, 0, 0, 0), m, tc)
+		n := len(buf) - at - 4
+		if n > MaxFrame {
+			err = ErrFrameTooLarge
+			break
+		}
+		binary.BigEndian.PutUint32(buf[at:], uint32(n))
+	}
+	if err == nil {
+		err = s.writeFrames(buf)
+	}
 	if cap(buf) <= bigScratch {
 		// A process-wide pool is no place for the scratch of a whole-file
 		// frame: it would sit there, file-sized, until the collector's

@@ -15,9 +15,10 @@ import (
 // ServeTCP runs a shadow server over a real TCP (or any net.Listener)
 // listener, for the cmd/shadowd daemon. It blocks until the listener closes
 // or the server is closed. Server-side connections are write-buffered: the
-// session writers batch message bursts and flush on idle, so the client
-// side must stay unbuffered but the server side turns a notify→pull→delta
-// burst into one segment.
+// session writers batch message bursts and flush on idle, so PULL and
+// SUBMIT_OK, or FILE_ACK and OUTPUT, leave in one segment. The client side
+// writes each call's frames before the call returns (a submission's NOTIFYs
+// and SUBMIT in one write); both sides read through a buffer.
 func ServeTCP(srv *Server, ln net.Listener) error {
 	return srv.Serve(server.AcceptorFunc(func() (wire.Conn, error) {
 		conn, err := ln.Accept()
