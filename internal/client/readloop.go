@@ -18,12 +18,12 @@ import (
 // to the waiting caller. It exits when the connection ends, recording the
 // cause in lastDrop for the supervisor.
 //
-// The loop is the connection's only receiver, so it can use the reusable
-// receive path: decoding copies every field out of the frame, so nothing
-// aliases the connection's scratch once a message is dispatched.
+// The loop is the connection's only receiver, and decoding copies every
+// field out of the frame, so nothing aliases the frame the connection lent
+// once a message is dispatched.
 func (c *Client) readLoop(conn wire.Conn) {
 	for {
-		msg, tc, err := wire.RecvTracedReuse(conn)
+		msg, tc, err := wire.RecvTraced(conn)
 		if err != nil {
 			c.mu.Lock()
 			c.lastDrop = err

@@ -246,9 +246,6 @@ func (f *fleet) deployStream() error {
 	default:
 		return fmt.Errorf("fleet: unknown transport %q", f.spec.transport)
 	}
-	// Both ends are plain wire.NewStreamConn — not shadow.ServeTCP's
-	// write-buffered server side — which is what the committed -fig server
-	// rows measured.
 	stream := func(open func() (net.Conn, error)) func() (wire.Conn, error) {
 		return func() (wire.Conn, error) {
 			c, err := open()
@@ -494,7 +491,7 @@ func (c *corkConn) Send(payload []byte) error {
 	if !c.corked {
 		return c.Conn.Send(payload)
 	}
-	c.held = append(c.held, payload)
+	c.held = append(c.held, bytes.Clone(payload)) // Send is done with payload on return
 	m, _, err := wire.UnmarshalTraced(payload)
 	if err != nil {
 		return err

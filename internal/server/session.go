@@ -23,8 +23,9 @@ import (
 const outQueueDepth = 256
 
 // outbound is one queued wire message. errc, when non-nil, makes the send
-// synchronous: the writer flushes and reports the transport result — output
-// delivery needs the error to trigger hold-and-requeue semantics.
+// synchronous: the writer puts it on the wire and reports the transport
+// result — output delivery needs the error to trigger hold-and-requeue
+// semantics.
 type outbound struct {
 	msg  wire.Message
 	errc chan error
@@ -32,12 +33,11 @@ type outbound struct {
 	// byte-identical to the version-1 encoding).
 	tc wire.TraceContext
 	// stamp is the virtual instant the message was enqueued, captured when
-	// the transport keeps virtual time (stamped). The writer transmits from
-	// that instant, so pipelining never shifts simulated timing: by the
-	// time the writer runs, the receive side may already have advanced the
-	// host clock.
-	stamp   time.Duration
-	stamped bool
+	// the transport keeps virtual time (session.vt). The writer transmits
+	// from that instant, so pipelining never shifts simulated timing: by
+	// the time the writer runs, the receive side may already have advanced
+	// the host clock.
+	stamp time.Duration
 }
 
 // session is one client connection's server-side state.
@@ -92,9 +92,9 @@ type session struct {
 	assembling map[naming.ShadowID]*pendingAssembly
 
 	// The pipelined writer: every outbound message is enqueued on out and
-	// written by one writer goroutine, which batches bursts into the
-	// connection's buffer and flushes when the queue goes idle. Per-file
-	// ordering is the queue order — exactly the order the handlers sent.
+	// written by one writer goroutine, which gathers a burst into one write
+	// when the queue goes idle. Per-file ordering is the queue order —
+	// exactly the order the handlers sent.
 	out        chan outbound
 	quit       chan struct{}
 	quitOnce   sync.Once
@@ -213,10 +213,10 @@ func (ss *session) run() {
 	// session for an orphaned fetch — never picks this one.
 	defer ss.dead.Store(true)
 	for {
-		// Zero-copy receive: this loop is the connection's only reader, and
-		// the decoded message owns all its bytes, so the raw frame buffer
-		// is free to be recycled by the next iteration.
-		msg, tc, err := wire.RecvTracedReuse(ss.conn)
+		// This loop is the connection's only reader, and the decoded
+		// message owns all its bytes, so the frame the transport lent is
+		// free to be recycled by the next iteration.
+		msg, tc, err := wire.RecvTraced(ss.conn)
 		if err != nil {
 			return // disconnect (io.EOF) or transport failure
 		}
@@ -236,22 +236,19 @@ func (ss *session) run() {
 	}
 }
 
-// writer drains the outbound queue into the connection. Messages written
-// back to back stay in the connection's buffer; the buffer is flushed when
-// the queue goes idle (and always before a synchronous send reports
-// success), so bursts coalesce into single writes without ever delaying the
-// last message of a burst.
+// writer drains the outbound queue into the connection. On a StreamConn it
+// gathers the frames it drains, headers and all, in its own scratch and
+// writes them at once when the queue goes idle, before it reports a
+// synchronous send, on shutdown, and whenever the scratch passes its size
+// bound — so a burst leaves in one write without ever delaying the last
+// message of a burst. Any other transport gets one Send per frame from the
+// same scratch (SendScheduled from the enqueue instant on a virtual-time
+// link, so simulated figures stay exact).
 func (ss *session) writer() {
 	defer close(ss.writerDone)
+	stream, _ := ss.conn.(*wire.StreamConn)
+	var frames wire.Frames
 	var sticky error
-	// When the transport's Send copies the payload before returning, one
-	// writer-owned scratch buffer serves every marshal — zero steady-state
-	// allocation per message. Virtual-time transports retain the slice they
-	// are handed (the simulated link delivers it later), so the stamped
-	// path keeps its fresh per-message buffer and simulated figures stay
-	// byte-identical.
-	_, reuse := ss.conn.(wire.NonRetainingSender)
-	var mbuf []byte
 	fail := func(err error) {
 		sticky = err
 		ss.dead.Store(true)
@@ -259,9 +256,9 @@ func (ss *session) writer() {
 		ss.dumpFlight("fault: " + err.Error())
 		_ = ss.conn.Close() // wake the receive loop
 	}
-	flushNow := func() {
-		if sticky == nil {
-			if err := ss.flush(); err != nil {
+	flush := func() {
+		if sticky == nil && stream != nil {
+			if err := stream.WriteFrames(&frames); err != nil {
 				fail(err)
 			}
 		}
@@ -271,23 +268,21 @@ func (ss *session) writer() {
 			ss.record("send", ob.msg.Kind().String(), ob.tc, "")
 			var err error
 			switch {
-			case ob.stamped:
-				err = ss.vt.SendScheduled(wire.MarshalTraced(ob.msg, ob.tc), ob.stamp)
-			case reuse:
-				mbuf = wire.AppendMarshal(mbuf[:0], ob.msg, ob.tc)
-				err = ss.conn.Send(mbuf)
-				if cap(mbuf) > 64<<10 {
-					mbuf = nil // don't pin a huge scratch after a big transfer
+			case stream != nil:
+				if err = frames.Append(ob.msg, ob.tc); err == nil && frames.Full() {
+					err = stream.WriteFrames(&frames)
 				}
+			case ss.vt != nil:
+				err = ss.vt.SendScheduled(frames.Payload(ob.msg, ob.tc), ob.stamp)
 			default:
-				err = wire.SendTraced(ss.conn, ob.msg, ob.tc)
+				err = ss.conn.Send(frames.Payload(ob.msg, ob.tc))
 			}
 			if err != nil {
 				fail(err)
 			}
 		}
 		if ob.errc != nil {
-			flushNow()
+			flush()
 			if sticky != nil {
 				ob.errc <- errSessionGone
 			} else {
@@ -308,14 +303,14 @@ func (ss *session) writer() {
 					break drain
 				}
 			}
-			flushNow() // flush-on-idle
+			flush() // the queue went idle
 		case <-ss.quit:
 			for {
 				select {
 				case ob := <-ss.out:
 					writeOne(ob)
 				default:
-					flushNow()
+					flush()
 					return
 				}
 			}
@@ -323,15 +318,7 @@ func (ss *session) writer() {
 	}
 }
 
-// flush pushes buffered frames to the transport, when it buffers at all.
-func (ss *session) flush() error {
-	if f, ok := ss.conn.(wire.Flusher); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
-// shutdownWriter stops the writer — draining and flushing whatever is
+// shutdownWriter stops the writer — draining and writing whatever is
 // queued — and then closes the connection. Safe to call more than once and
 // from any goroutine.
 func (ss *session) shutdownWriter() {
@@ -448,7 +435,6 @@ func (ss *session) sendTraced(m wire.Message, tc wire.TraceContext) error {
 func (ss *session) stamped(ob outbound) outbound {
 	if ss.vt != nil {
 		ob.stamp = ss.vt.Now()
-		ob.stamped = true
 	}
 	return ob
 }

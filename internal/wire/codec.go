@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -145,46 +143,31 @@ func (d *decoder) fileRef() FileRef {
 	return FileRef{Domain: d.string(), FileID: d.string()}
 }
 
-// Flusher is implemented by connections that buffer writes; callers that
-// batch messages (the server's pipelined session writers) flush when a
-// burst ends. Connections without buffering simply don't implement it.
-type Flusher interface {
-	Flush() error
-}
-
 // StreamConn adapts a reliable byte stream (a real TCP connection, a
 // net.Pipe, a file) to the message-oriented Conn interface using 4-byte
 // big-endian length framing.
 //
-// Unbuffered, each Send issues exactly one Write (header and payload are
-// coalesced into one buffer) — one syscall per message on a socket — and
-// SendBatch puts several frames in that one Write. With
-// NewBufferedStreamConn, frames accumulate in a write buffer until Flush,
-// so a burst of messages costs one syscall total.
+// Each Send issues exactly one Write (header and payload are coalesced into
+// one buffer) — one syscall per message on a socket. SendBatch, and a
+// sender that builds a burst in Frames and hands it to WriteFrames, put
+// several frames in that one Write.
 //
-// Send copies the payload before returning (into the write buffer or the
-// coalescing scratch), so callers may reuse payload slices across sends —
-// StreamConn implements NonRetainingSender.
-//
-// Receiving is buffered either way: one Read takes in every frame already
-// queued on the stream (up to the buffer's size), and a frame that arrived
-// whole is served without another syscall. The receive buffer is also the
-// frame scratch RecvReuse hands out, so a steady receive loop performs no
-// per-frame allocation. It starts at minRecvBuf and grows only as bytes
-// arrive: a length header costs the receiver what the peer actually sent,
-// not what it claims.
+// Receiving is buffered: one Read takes in every frame already queued on
+// the stream (up to the buffer's size), and a frame that arrived whole is
+// served without another syscall. Recv returns the frame in that receive
+// buffer, so a steady receive loop performs no per-frame allocation. It
+// starts at minRecvBuf and grows only as bytes arrive: a length header
+// costs the receiver what the peer actually sent, not what it claims.
 type StreamConn struct {
 	rw io.ReadWriteCloser
 
 	sendMu  sync.Mutex
-	bw      *bufio.Writer // nil when unbuffered
-	sendBuf []byte        // unbuffered Send scratch, guarded by sendMu
-	sendHW  int           // high-water frame size, guides scratch retention
-	sendHdr [4]byte       // header scratch: a local would escape through bw.Write
+	sendBuf []byte // Send scratch, guarded by sendMu
+	sendHW  int    // high-water frame size, guides scratch retention
 
 	recvMu sync.Mutex
 	// recvBuf holds the bytes read from the stream, guarded by recvMu:
-	// recvBuf[:recvOff] is consumed (its tail is the frame RecvReuse last
+	// recvBuf[:recvOff] is consumed (its tail is the frame Recv last
 	// returned), recvBuf[recvOff:] is read ahead of the caller.
 	recvBuf []byte
 	recvOff int
@@ -194,32 +177,11 @@ type StreamConn struct {
 	recvOutlier bool
 }
 
-var (
-	_ Conn               = (*StreamConn)(nil)
-	_ Flusher            = (*StreamConn)(nil)
-	_ NonRetainingSender = (*StreamConn)(nil)
-	_ ReusableReceiver   = (*StreamConn)(nil)
-)
-
-// SendDoesNotRetain marks that Send finishes with the payload before
-// returning; see NonRetainingSender.
-func (s *StreamConn) SendDoesNotRetain() {}
+var _ Conn = (*StreamConn)(nil)
 
 // NewStreamConn frames messages over rw.
 func NewStreamConn(rw io.ReadWriteCloser) *StreamConn {
 	return &StreamConn{rw: rw}
-}
-
-// NewBufferedStreamConn frames messages over rw through a write buffer of
-// the given size (<= 0 selects a default). The caller owns flushing: a
-// message is not on the wire until Flush returns. Request/response peers
-// that never flush will deadlock — use this only with an explicit
-// flush-on-idle discipline, like the server's session writers.
-func NewBufferedStreamConn(rw io.ReadWriteCloser, size int) *StreamConn {
-	if size <= 0 {
-		size = 32 << 10
-	}
-	return &StreamConn{rw: rw, bw: bufio.NewWriterSize(rw, size)}
 }
 
 // Send writes one length-prefixed frame.
@@ -229,50 +191,80 @@ func (s *StreamConn) Send(payload []byte) error {
 	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	binary.BigEndian.PutUint32(s.sendHdr[:], uint32(len(payload)))
-	if s.bw != nil {
-		// Buffered: both pieces land in the buffer; the flush decides
-		// when the syscall happens.
-		if _, err := s.bw.Write(s.sendHdr[:]); err != nil {
-			return err
-		}
-		_, err := s.bw.Write(payload)
-		return err
-	}
-	// Unbuffered: coalesce header+payload so the frame is one Write —
-	// and, on a socket, one syscall and one segment instead of two.
-	s.sendBuf = append(s.sendBuf[:0], s.sendHdr[:]...)
+	// Coalesce header+payload so the frame is one Write — and, on a
+	// socket, one syscall and one segment instead of two.
+	s.sendBuf = binary.BigEndian.AppendUint32(s.sendBuf, uint32(len(payload)))
 	s.sendBuf = append(s.sendBuf, payload...)
-	steady := s.sendHW
-	s.sendHW = highWater(s.sendHW, len(s.sendBuf))
 	_, err := s.rw.Write(s.sendBuf)
-	if cap(s.sendBuf) > bigScratch && min(steady, s.sendHW) <= bigScratch {
-		// Don't pin a huge scratch after an outlier transfer (the one full
-		// copy that primes a file, among deltas): it goes at once, not
-		// twenty frames later when the mark has decayed. Keep it when
-		// frames of this size are the steady state.
-		s.sendBuf = nil
-	}
+	s.sendBuf = retain(s.sendBuf, &s.sendHW)
 	return err
 }
 
-// writeFrames hands buf, whole frames, to the stream in one Write (to the
-// write buffer, when buffered: the flush decides when the syscall happens).
-func (s *StreamConn) writeFrames(buf []byte) error {
+// Frames is a sender's scratch of whole length-prefixed frames, built up to
+// leave a StreamConn in one Write (WriteFrames). Its owner keeps it from one
+// burst to the next, so the steady state marshals without allocating.
+type Frames struct {
+	buf []byte
+	hw  int // high-water size, guides retention
+}
+
+// Append adds m, stamped with tc, as one frame. A frame above MaxFrame is
+// refused with ErrFrameTooLarge and leaves f as it was.
+func (f *Frames) Append(m Message, tc TraceContext) error {
+	at := len(f.buf)
+	f.buf = AppendMarshal(append(f.buf, 0, 0, 0, 0), m, tc)
+	n := len(f.buf) - at - 4
+	if n > MaxFrame {
+		f.buf = f.buf[:at]
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(f.buf[at:], uint32(n))
+	return nil
+}
+
+// Full reports whether f has grown past bigScratch: time to write it out
+// rather than let a burst of big frames pile up.
+func (f *Frames) Full() bool { return len(f.buf) > bigScratch }
+
+// Payload empties f and marshals m, stamped with tc, into it without a
+// header, for a transport's Send (which is finished with it on return).
+func (f *Frames) Payload(m Message, tc TraceContext) []byte {
+	f.buf = AppendMarshal(retain(f.buf, &f.hw), m, tc)
+	return f.buf
+}
+
+// WriteFrames hands f's frames to the stream in one Write and empties f.
+// An empty f writes nothing.
+func (s *StreamConn) WriteFrames(f *Frames) error {
+	if len(f.buf) == 0 {
+		return nil
+	}
 	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	var err error
-	if s.bw != nil {
-		_, err = s.bw.Write(buf)
-	} else {
-		_, err = s.rw.Write(buf)
-	}
+	_, err := s.rw.Write(f.buf)
+	s.sendMu.Unlock()
+	f.buf = retain(f.buf, &f.hw)
 	return err
 }
 
-// bigScratch is the scratch size above which a connection asks whether frames
-// that large are its steady state before keeping the buffer.
+// bigScratch is the scratch size above which a buffer is kept only while
+// frames that large are its steady state.
 const bigScratch = 64 << 10
+
+// retain returns buf, a send scratch just used, emptied for the next use —
+// or nil, when it grew past bigScratch for an outlier: the one full copy
+// that primes a file, among deltas, lets go of its scratch at once, not
+// twenty frames later when the mark has decayed. hw is the scratch's
+// high-water mark; a big scratch stays while big frames are the steady
+// state. Every send path (Send, SendBatch, a writer's Frames) keeps its
+// scratch by this one rule.
+func retain(buf []byte, hw *int) []byte {
+	steady := *hw
+	*hw = highWater(*hw, len(buf))
+	if cap(buf) > bigScratch && min(steady, *hw) <= bigScratch {
+		return nil
+	}
+	return buf[:0]
+}
 
 // minRecvBuf is the receive buffer a connection starts with, and the least
 // it shrinks back to: room for the small frames of a warm cycle to arrive
@@ -289,33 +281,9 @@ func highWater(hw, n int) int {
 	return hw - (hw-n)/16
 }
 
-// Flush pushes buffered frames to the underlying stream; a no-op without a
-// buffer.
-func (s *StreamConn) Flush() error {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.bw == nil {
-		return nil
-	}
-	return s.bw.Flush()
-}
-
-// Recv reads one length-prefixed frame into a fresh buffer the caller owns.
+// Recv reads one length-prefixed frame and returns it in the connection's
+// receive buffer: the slice is valid until the next Recv (see Conn).
 func (s *StreamConn) Recv() ([]byte, error) {
-	s.recvMu.Lock()
-	defer s.recvMu.Unlock()
-	frame, err := s.recvFrame()
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(frame), nil
-}
-
-// RecvReuse reads one length-prefixed frame and returns it in the
-// connection's receive buffer. The returned slice is owned by the connection
-// and valid only until the next Recv/RecvReuse call; see ReusableReceiver
-// for the ownership rules.
-func (s *StreamConn) RecvReuse() ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
 	return s.recvFrame()

@@ -34,6 +34,17 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Add(full[:cut])
 		}
 	}
+	// Every sample traced, whole and cut at several points — the truncated
+	// frames are the crash class a decoder historically risks.
+	for _, m := range sampleMessages() {
+		full := MarshalTraced(m, TraceContext{TraceID: 7, SpanID: 9})
+		f.Add(full)
+		for _, n := range []int{0, 1, 2, len(full) / 2, len(full) - 1} {
+			if n >= 0 && n < len(full) {
+				f.Add(full[:n])
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, tc, err := UnmarshalTraced(data)
 		if err != nil {
@@ -56,48 +67,6 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("Unmarshal rejected a frame UnmarshalTraced accepted: %v", err)
 		} else if !bytes.Equal(Marshal(m3), Marshal(m)) {
 			t.Fatalf("traced/untraced decoders disagree on the message")
-		}
-	})
-}
-
-// FuzzUnmarshalInto checks that the preallocated decode path agrees with
-// the allocating one on every input: same accept/reject decision, same
-// message value, same trace context. Seeds include truncated frames at
-// several cut points — the crash class this decoder historically risks.
-func FuzzUnmarshalInto(f *testing.F) {
-	for _, m := range sampleMessages() {
-		full := MarshalTraced(m, TraceContext{TraceID: 7, SpanID: 9})
-		f.Add(full)
-		for _, n := range []int{0, 1, 2, len(full) / 2, len(full) - 1} {
-			if n >= 0 && n < len(full) {
-				f.Add(full[:n])
-			}
-		}
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantTC, wantErr := UnmarshalTraced(data)
-		if len(data) == 0 {
-			if wantErr == nil {
-				t.Fatal("empty frame accepted")
-			}
-			return
-		}
-		into := newMessage(Kind(data[0] &^ traceFlag))
-		if into == nil {
-			return // unknown kind; UnmarshalInto has no target to try
-		}
-		tc, err := UnmarshalInto(into, data)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("decoders disagree: UnmarshalInto err=%v, UnmarshalTraced err=%v", err, wantErr)
-		}
-		if err != nil {
-			return
-		}
-		if tc != wantTC {
-			t.Fatalf("trace context %+v, want %+v", tc, wantTC)
-		}
-		if !bytes.Equal(MarshalTraced(into, tc), MarshalTraced(want, wantTC)) {
-			t.Fatalf("decoders disagree on the message:\n got %#v\nwant %#v", into, want)
 		}
 	})
 }

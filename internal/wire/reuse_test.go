@@ -2,15 +2,13 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"testing"
 )
 
-// The buffer-reuse fast paths (AppendMarshal, UnmarshalInto, SendBatch,
-// RecvReuse) must be byte- and value-equivalent to the allocating paths, and
+// The buffer-reuse paths (AppendMarshal, SendBatch, the receive buffer Recv
+// lends) must be byte- and value-equivalent to the allocating paths, and
 // recycled buffers must never leak bytes into a previously returned message.
 // These tests pin both properties; the stress variants are meant to run
 // under -race.
@@ -31,50 +29,6 @@ func TestAppendMarshalMatchesMarshalTraced(t *testing.T) {
 	}
 }
 
-// zeroOf returns a fresh zero message of m's concrete type.
-func zeroOf(m Message) Message {
-	return reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message)
-}
-
-func TestUnmarshalIntoRoundTrip(t *testing.T) {
-	want := TraceContext{TraceID: 5, SpanID: 6}
-	for _, m := range sampleMessages() {
-		buf := MarshalTraced(m, want)
-		into := zeroOf(m)
-		tc, err := UnmarshalInto(into, buf)
-		if err != nil {
-			t.Fatalf("%s: UnmarshalInto: %v", m.Kind(), err)
-		}
-		if tc != want {
-			t.Fatalf("%s: trace context %+v, want %+v", m.Kind(), tc, want)
-		}
-		if !reflect.DeepEqual(into, m) {
-			t.Fatalf("%s: UnmarshalInto mismatch:\n got %#v\nwant %#v", m.Kind(), into, m)
-		}
-	}
-}
-
-func TestUnmarshalIntoKindMismatch(t *testing.T) {
-	buf := Marshal(&Bye{})
-	if _, err := UnmarshalInto(&Notify{}, buf); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("kind mismatch not rejected: %v", err)
-	}
-}
-
-func TestUnmarshalIntoTruncatedNeverPanics(t *testing.T) {
-	for _, m := range sampleMessages() {
-		full := Marshal(m)
-		for n := 0; n < len(full); n++ {
-			// Every strict prefix must either decode cleanly (messages
-			// with optional trailing fields) or fail — never panic.
-			_, _ = UnmarshalInto(zeroOf(m), full[:n])
-		}
-	}
-	if _, err := UnmarshalInto(&Bye{}, nil); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("empty frame not rejected: %v", err)
-	}
-}
-
 // stressContent derives frame i's payload deterministically so the receiver
 // can verify any retained message later.
 func stressContent(i int) []byte {
@@ -85,12 +39,12 @@ func stressContent(i int) []byte {
 	return b
 }
 
-// TestRecvReuseRetainedMessageSurvives drives a one-directional stream the
+// TestRecvRetainedMessageSurvives drives a one-directional stream the
 // way the client readloop and server session loop do — SendBatch on one
-// end, RecvTracedReuse on the other — and checks, for every frame, that the
+// end, RecvTraced on the other — and checks, for every frame, that the
 // message decoded from the PREVIOUS frame is still intact after the receive
 // buffer has been recycled underneath it.
-func TestRecvReuseRetainedMessageSurvives(t *testing.T) {
+func TestRecvRetainedMessageSurvives(t *testing.T) {
 	c1, c2 := net.Pipe()
 	src, dst := NewStreamConn(c1), NewStreamConn(c2)
 	defer src.Close()
@@ -120,7 +74,7 @@ func TestRecvReuseRetainedMessageSurvives(t *testing.T) {
 
 	var prev *FileFull
 	for i := 0; i < frames; i++ {
-		m, tc, err := RecvTracedReuse(dst)
+		m, tc, err := RecvTraced(dst)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -148,12 +102,12 @@ func TestRecvReuseRetainedMessageSurvives(t *testing.T) {
 	}
 }
 
-// TestRecvReuseBidirectionalStress runs both directions of one connection
+// TestRecvBidirectionalStress runs both directions of one connection
 // pair at once — each side a dedicated SendBatch writer and a dedicated
-// RecvTracedReuse reader, the client+server shape — so the pooled encoders,
+// RecvTraced reader, the client+server shape — so the pooled encoders,
 // send scratch and per-connection receive buffers are all exercised
 // concurrently. Run with -race, this is the aliasing regression net.
-func TestRecvReuseBidirectionalStress(t *testing.T) {
+func TestRecvBidirectionalStress(t *testing.T) {
 	c1, c2 := net.Pipe()
 	a, b := NewStreamConn(c1), NewStreamConn(c2)
 	defer a.Close()
@@ -174,7 +128,7 @@ func TestRecvReuseBidirectionalStress(t *testing.T) {
 		go func() {
 			var prev *Output
 			for i := 0; i < frames; i++ {
-				m, _, err := RecvTracedReuse(conn)
+				m, _, err := RecvTraced(conn)
 				if err != nil {
 					errc <- fmt.Errorf("recv %d: %w", i, err)
 					return

@@ -68,27 +68,21 @@ type readOnly struct{ io.Reader }
 func (readOnly) Write(p []byte) (int, error) { return 0, errors.New("read-only stream") }
 func (readOnly) Close() error                { return nil }
 
-// checkFraming receives stream through a StreamConn fed by r, taking frame i
-// with RecvReuse when bit i%16 of mix is set and with Recv otherwise, and
-// compares every frame and the final error with the reference.
+// checkFraming receives stream through a StreamConn fed by r and compares
+// every frame and the final error with the reference. A frame is the
+// caller's until the next Recv, so it must not change before then; when bit
+// i%16 of mix is set the caller scribbles on frame i, which must not reach
+// the bytes read ahead of it.
 func checkFraming(t *testing.T, stream []byte, r io.Reader, mix uint16) {
 	t.Helper()
 	want, wantErr := refFrames(stream)
 	sc := NewStreamConn(readOnly{r})
-	owned := map[int][]byte{} // Recv's frames: the caller's for good
-	var reused []byte         // RecvReuse's last frame: the connection's until the next receive
-	var reusedWant []byte
+	var last, lastWant []byte // Recv's last frame, unless scribbled on
 	for i := 0; ; i++ {
-		if reused != nil && !bytes.Equal(reused, reusedWant) {
-			t.Fatalf("frame %d: the RecvReuse frame before it changed before this receive", i)
+		if last != nil && !bytes.Equal(last, lastWant) {
+			t.Fatalf("frame %d: the frame before it changed before this receive", i)
 		}
-		var got []byte
-		var err error
-		if mix>>(i%16)&1 == 1 {
-			got, err = sc.RecvReuse()
-		} else {
-			got, err = sc.Recv()
-		}
+		got, err := sc.Recv()
 		if i == len(want) {
 			if err == nil || err != wantErr {
 				t.Fatalf("after %d frames: err %v, want %v", i, err, wantErr)
@@ -101,21 +95,24 @@ func checkFraming(t *testing.T, stream []byte, r io.Reader, mix uint16) {
 		if !bytes.Equal(got, want[i]) {
 			t.Fatalf("frame %d: %d bytes, want %d (or contents differ)", i, len(got), len(want[i]))
 		}
-		reused, reusedWant = nil, nil
+		if cap(got) != len(got) {
+			t.Fatalf("frame %d: spare capacity, so an append would overwrite the bytes read ahead", i)
+		}
+		last, lastWant = got, want[i]
 		if mix>>(i%16)&1 == 1 {
-			reused, reusedWant = got, want[i]
-			if cap(got) != len(got) {
-				t.Fatalf("frame %d: spare capacity, so an append would overwrite the bytes read ahead", i)
-			}
-		} else {
-			owned[i] = got
+			scribble(got)
+			last = nil
 		}
 	}
-	for i, f := range owned {
-		if !bytes.Equal(f, want[i]) {
-			t.Fatalf("frame %d, returned by Recv, changed after later receives", i)
-		}
+}
+
+// scribble is a caller doing as it likes with a frame it was lent: it
+// overwrites the bytes and appends to the slice.
+func scribble(frame []byte) []byte {
+	for j := range frame {
+		frame[j] ^= 0xFF
 	}
+	return append(frame, 0xAA, 0xBB, 0xCC, 0xDD)
 }
 
 // frameStream concatenates length-prefixed frames of the given sizes, each
@@ -165,7 +162,7 @@ func TestStreamConnFramingProperty(t *testing.T) {
 }
 
 // FuzzStreamConnFraming: any byte stream, read whole or split, gives the
-// reference's frames and error, with Recv and RecvReuse mixed as mix says.
+// reference's frames and error, with the frames mix picks scribbled on.
 func FuzzStreamConnFraming(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	f.Add(frameStream(rng, []int{0, 1, 5}), uint8(0), uint16(0))
@@ -190,23 +187,16 @@ func TestStreamConnHostileHeaderCostsWhatArrived(t *testing.T) {
 	for _, c := range []struct{ sent, limit int }{{10, 64 << 10}, {100 << 10, 1 << 20}} {
 		stream := binary.BigEndian.AppendUint32(nil, MaxFrame)
 		stream = append(stream, make([]byte, c.sent)...)
-		for _, reuse := range []bool{false, true} {
-			sc := NewStreamConn(readOnly{bytes.NewReader(stream)})
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			var err error
-			if reuse {
-				_, err = sc.RecvReuse()
-			} else {
-				_, err = sc.Recv()
-			}
-			runtime.ReadMemStats(&after)
-			if err != io.ErrUnexpectedEOF {
-				t.Errorf("%d bytes, reuse=%v: err %v, want %v", c.sent, reuse, err, io.ErrUnexpectedEOF)
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(c.limit) {
-				t.Errorf("%d bytes, reuse=%v: receiving them allocated %d bytes", c.sent, reuse, got)
-			}
+		sc := NewStreamConn(readOnly{bytes.NewReader(stream)})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sc.Recv()
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("%d bytes: err %v, want %v", c.sent, err, io.ErrUnexpectedEOF)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(c.limit) {
+			t.Errorf("%d bytes: receiving them allocated %d bytes", c.sent, got)
 		}
 	}
 }
@@ -218,7 +208,7 @@ func TestStreamConnReadsQueuedFramesAtOnce(t *testing.T) {
 	r := &countingReader{r: bytes.NewReader(stream)}
 	sc := NewStreamConn(readOnly{r})
 	for i := 0; i < 8; i++ {
-		if _, err := sc.RecvReuse(); err != nil {
+		if _, err := sc.Recv(); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -325,10 +315,9 @@ func cycleFrames() (up1, down1, up2, down2, up3 []Message) {
 
 // BenchmarkStreamConnCycle runs the eight frames of a warm edit-small cycle
 // over a loopback TCP pair, shaped as the product sends them: the client's
-// unbuffered StreamConn sends NOTIFY and SUBMIT as one batch, then
-// FILE_DELTA, then OUTPUT_ACK; the server's write-buffered StreamConn
-// answers PULL with SUBMIT_OK and FILE_ACK with OUTPUT, each pair in one
-// flush. Both ends decode every frame, as their receive loops do. One
+// StreamConn sends NOTIFY and SUBMIT as one batch, then FILE_DELTA, then
+// OUTPUT_ACK; the server, building frames in its writer's Frames, answers
+// PULL with SUBMIT_OK and FILE_ACK with OUTPUT, each pair in one write. Both ends decode every frame, as their receive loops do. One
 // iteration is one cycle.
 func BenchmarkStreamConnCycle(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -353,24 +342,27 @@ func BenchmarkStreamConnCycle(b *testing.B) {
 	if !ok {
 		b.Fatal("accept failed")
 	}
-	client, server := NewStreamConn(cc), NewBufferedStreamConn(sc, 32<<10)
+	client, server := NewStreamConn(cc), NewStreamConn(sc)
 	defer client.Close()
 	defer server.Close()
 
 	up1, down1, up2, down2, up3 := cycleFrames()
 	recvN := func(c *StreamConn, n int) error {
 		for ; n > 0; n-- {
-			if _, _, err := RecvTracedReuse(c); err != nil {
+			if _, _, err := RecvTraced(c); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	var frames Frames
 	reply := func(msgs []Message) error {
-		if err := SendBatch(server, TraceContext{}, msgs...); err != nil {
-			return err
+		for _, m := range msgs {
+			if err := frames.Append(m, TraceContext{}); err != nil {
+				return err
+			}
 		}
-		return server.Flush()
+		return server.WriteFrames(&frames)
 	}
 	errc := make(chan error, 1)
 	go func() {

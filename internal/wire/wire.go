@@ -13,7 +13,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,6 +34,14 @@ const MaxFrame = 64 << 20
 // Conn is the message transport the protocol runs over. netsim.Conn
 // implements it for simulated links; StreamConn adapts any reliable byte
 // stream (for example a *net.TCPConn) for real deployments.
+//
+// Every transport keeps one contract. Send is finished with the payload
+// when it returns, so a sender may reuse the slice at once. The slice Recv
+// returns is valid until the next Recv on that connection, so a receiver
+// consumes (or copies) a frame before asking for the next; UnmarshalTraced
+// copies every field out, so a decoded message is the caller's to keep. A
+// payload above MaxFrame never arrives as a message: Send or the receiving
+// RecvTraced refuses it with ErrFrameTooLarge.
 type Conn interface {
 	// Send transmits one message payload.
 	Send(payload []byte) error
@@ -255,32 +262,17 @@ func Unmarshal(buf []byte) (Message, error) {
 //
 // The returned message owns every byte it carries: the decoder copies
 // strings and byte fields out of buf, so the caller may recycle buf the
-// moment UnmarshalTraced returns (the zero-copy receive path relies on
-// this).
+// moment UnmarshalTraced returns (every receive loop relies on this; see
+// Conn).
 func UnmarshalTraced(buf []byte) (Message, TraceContext, error) {
 	d := decPool.Get().(*decoder)
-	m, tc, err := unmarshalWith(d, buf, nil)
+	m, tc, err := unmarshalWith(d, buf)
 	d.buf, d.err = nil, nil
 	decPool.Put(d)
 	return m, tc, err
 }
 
-// UnmarshalInto parses a frame whose kind is known in advance into a
-// caller-supplied message, avoiding the per-frame message allocation. The
-// frame's kind byte must match into.Kind() or ErrBadMessage is returned.
-// into should be a zero value (or a value whose every field the caller is
-// happy to have overwritten); trailing optional fields keep their previous
-// value when the frame omits them, exactly as they would stay zero on a
-// fresh struct.
-func UnmarshalInto(into Message, buf []byte) (TraceContext, error) {
-	d := decPool.Get().(*decoder)
-	_, tc, err := unmarshalWith(d, buf, into)
-	d.buf, d.err = nil, nil
-	decPool.Put(d)
-	return tc, err
-}
-
-func unmarshalWith(d *decoder, buf []byte, into Message) (Message, TraceContext, error) {
+func unmarshalWith(d *decoder, buf []byte) (Message, TraceContext, error) {
 	var tc TraceContext
 	if len(buf) == 0 {
 		return nil, tc, fmt.Errorf("%w: empty", ErrBadMessage)
@@ -297,17 +289,9 @@ func unmarshalWith(d *decoder, buf []byte, into Message) (Message, TraceContext,
 		}
 	}
 	kind := Kind(buf[0] &^ traceFlag)
-	var m Message
-	if into != nil {
-		if kind != into.Kind() {
-			return nil, TraceContext{}, fmt.Errorf("%w: kind %d, want %s", ErrBadMessage, kind, into.Kind())
-		}
-		m = into
-	} else {
-		m = newMessage(kind)
-		if m == nil {
-			return nil, TraceContext{}, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, kind)
-		}
+	m := newMessage(kind)
+	if m == nil {
+		return nil, TraceContext{}, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, kind)
 	}
 	m.decode(d)
 	if d.err != nil {
@@ -389,31 +373,18 @@ func SendTraced(c Conn, m Message, tc TraceContext) error {
 	return c.Send(MarshalTraced(m, tc))
 }
 
-// NonRetainingSender marks transports whose Send finishes with the payload
-// before returning — the bytes are copied to the wire (or into an internal
-// write buffer) and the caller may reuse the slice immediately. StreamConn
-// qualifies; netsim connections do NOT (a simulated link enqueues the very
-// slice it was handed and delivers it later), which is why buffer-reusing
-// senders must probe for this capability instead of assuming it.
-type NonRetainingSender interface {
-	// SendDoesNotRetain is a marker; it never needs calling.
-	SendDoesNotRetain()
-}
-
-// sendPool recycles marshal scratch for SendBatch. Buffers, not arrays, so
-// grown scratch is kept across messages.
-var sendPool = sync.Pool{New: func() any { return new([]byte) }}
+// framesPool recycles SendBatch's scratch; each keeps its buffer by the
+// retention rule every sender shares (see retain).
+var framesPool = sync.Pool{New: func() any { return new(Frames) }}
 
 // SendBatch marshals msgs, each stamped with tc, and transmits them in
 // order. On a StreamConn the frames are built, headers and all, in pooled
 // scratch and leave in one Write — one syscall on a socket, however many
-// frames, and no allocation in the steady state — and nothing is held back
-// once the call returns (a buffered StreamConn's buffer aside, which its
-// owner flushes). A batch with a frame above MaxFrame sends nothing. Every
-// other transport gets one SendTraced per frame, each with a fresh buffer
-// it may keep (a simulated link delivers the very slice later), so
-// simulated links see exactly the frames, and the timing, of separate
-// sends; there, frames ahead of a failed one may have been delivered.
+// frames, and no allocation in the steady state. A batch with a frame above
+// MaxFrame sends nothing. Every other transport gets one SendTraced per
+// frame, so simulated links see exactly the frames, and the timing, of
+// separate sends; there, frames ahead of a failed one may have been
+// delivered.
 func SendBatch(c Conn, tc TraceContext, msgs ...Message) error {
 	s, ok := c.(*StreamConn)
 	if !ok {
@@ -424,43 +395,15 @@ func SendBatch(c Conn, tc TraceContext, msgs ...Message) error {
 		}
 		return nil
 	}
-	bp := sendPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	var err error
+	f := framesPool.Get().(*Frames)
+	defer framesPool.Put(f)
 	for _, m := range msgs {
-		at := len(buf)
-		buf = AppendMarshal(append(buf, 0, 0, 0, 0), m, tc)
-		n := len(buf) - at - 4
-		if n > MaxFrame {
-			err = ErrFrameTooLarge
-			break
+		if err := f.Append(m, tc); err != nil {
+			f.buf = retain(f.buf, &f.hw)
+			return err
 		}
-		binary.BigEndian.PutUint32(buf[at:], uint32(n))
 	}
-	if err == nil {
-		err = s.writeFrames(buf)
-	}
-	if cap(buf) <= bigScratch {
-		// A process-wide pool is no place for the scratch of a whole-file
-		// frame: it would sit there, file-sized, until the collector's
-		// next-but-one pass. (The server's session writers draw the same
-		// line for theirs.)
-		*bp = buf
-	}
-	sendPool.Put(bp)
-	return err
-}
-
-// ReusableReceiver is implemented by transports that can hand out a frame in
-// a connection-owned buffer which is recycled by the next receive call.
-// Ownership rule: the returned slice is valid only until the next
-// RecvReuse/Recv on the same connection; callers must fully consume (or
-// copy) it before receiving again. UnmarshalTraced satisfies this by
-// copying every field out of the frame.
-type ReusableReceiver interface {
-	// RecvReuse blocks for the next message payload, returned in a buffer
-	// owned by the connection.
-	RecvReuse() ([]byte, error)
+	return s.WriteFrames(f)
 }
 
 // ScheduledSender is implemented by virtual-time transports whose
@@ -485,28 +428,6 @@ func Recv(c Conn) (Message, error) {
 // (zero when the peer sent an untraced frame).
 func RecvTraced(c Conn) (Message, TraceContext, error) {
 	buf, err := c.Recv()
-	if err != nil {
-		return nil, TraceContext{}, err
-	}
-	if len(buf) > MaxFrame {
-		return nil, TraceContext{}, ErrFrameTooLarge
-	}
-	return UnmarshalTraced(buf)
-}
-
-// RecvTracedReuse is RecvTraced over the zero-copy receive path: on
-// transports implementing ReusableReceiver, the raw frame lands in a
-// connection-owned buffer that the next receive recycles. Because
-// UnmarshalTraced copies every field out of the frame, the returned Message
-// is unconditionally safe to retain; only the raw frame bytes are recycled.
-// Intended for exclusive receive loops (one goroutine draining a
-// connection); other transports fall back to the allocating Recv.
-func RecvTracedReuse(c Conn) (Message, TraceContext, error) {
-	rr, ok := c.(ReusableReceiver)
-	if !ok {
-		return RecvTraced(c)
-	}
-	buf, err := rr.RecvReuse()
 	if err != nil {
 		return nil, TraceContext{}, err
 	}

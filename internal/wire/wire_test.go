@@ -377,7 +377,7 @@ func TestStreamConnLetsGoOfOutlierScratch(t *testing.T) {
 		t.Helper()
 		errc := make(chan error, 1)
 		go func() { errc <- tx.Send(payload) }()
-		got, err := rx.RecvReuse()
+		got, err := rx.Recv()
 		if err != nil || len(got) != len(payload) {
 			t.Fatalf("recv %d bytes, %v; want %d", len(got), err, len(payload))
 		}

@@ -14,18 +14,18 @@ import (
 
 // ServeTCP runs a shadow server over a real TCP (or any net.Listener)
 // listener, for the cmd/shadowd daemon. It blocks until the listener closes
-// or the server is closed. Server-side connections are write-buffered: the
-// session writers batch message bursts and flush on idle, so PULL and
-// SUBMIT_OK, or FILE_ACK and OUTPUT, leave in one segment. The client side
-// writes each call's frames before the call returns (a submission's NOTIFYs
-// and SUBMIT in one write); both sides read through a buffer.
+// or the server is closed. Each session's writer gathers a burst of
+// messages and writes it once the queue goes idle, so PULL and SUBMIT_OK,
+// or FILE_ACK and OUTPUT, leave in one segment. The client side writes each
+// call's frames before the call returns (a submission's NOTIFYs and SUBMIT
+// in one write); both sides read through a buffer.
 func ServeTCP(srv *Server, ln net.Listener) error {
 	return srv.Serve(server.AcceptorFunc(func() (wire.Conn, error) {
 		conn, err := ln.Accept()
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewBufferedStreamConn(conn, 32<<10), nil
+		return wire.NewStreamConn(conn), nil
 	}))
 }
 
