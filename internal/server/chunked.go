@@ -20,7 +20,7 @@ package server
 // every acquisition in the package:
 //
 //	waitMu → j.mu
-//	a jobs-table shard (read; JobCounts) → j.mu
+//	a jobs-table shard (read; JobCounts, JobStats) → j.mu
 //	peerWaitMu → a flights shard
 //	ss.mu → chunkFl.mu, a chunk-store shard, a flights shard
 //	deliverMu → a sessions-table shard (read)

@@ -46,12 +46,14 @@ type retiredJobs struct {
 
 // retire files an acknowledged job's summary and takes the job out of the
 // table — in that order, so a status query between the two finds the job in
-// one place or both, never in neither. The oldest summary, and that job's
-// idempotency tag, fall off a full ring. acknowledge calls it once per job.
+// one place or both, never in neither — and does both under tagMu, so a
+// tally taken under tagMu (JobCounts, JobStats) counts the job in exactly
+// one. The oldest summary, and that job's idempotency tag, fall off a full
+// ring. acknowledge calls it once per job.
 func (s *Server) retire(m jobSummary) {
-	defer s.jobs.remove(m.id)
 	s.tagMu.Lock()
 	defer s.tagMu.Unlock()
+	defer s.jobs.remove(m.id)
 	r := &s.retired
 	if len(r.ring) < summaryRingSize {
 		r.ring = append(r.ring, m)
@@ -102,6 +104,8 @@ type JobStats struct {
 // JobStats walks the table; nothing here is kept by hand beside it.
 func (s *Server) JobStats() JobStats {
 	var st JobStats
+	s.tagMu.Lock()
+	defer s.tagMu.Unlock()
 	s.jobs.forEach(func(j *job) {
 		st.Live++
 		j.mu.Lock()
@@ -111,9 +115,7 @@ func (s *Server) JobStats() JobStats {
 		}
 		j.mu.Unlock()
 	})
-	s.tagMu.Lock()
 	st.Retired = s.retired.total
-	s.tagMu.Unlock()
 	return st
 }
 
@@ -122,15 +124,15 @@ func (s *Server) JobStats() JobStats {
 // they ended.
 func (s *Server) JobCounts() map[wire.JobState]int {
 	counts := make(map[wire.JobState]int)
+	s.tagMu.Lock()
+	defer s.tagMu.Unlock()
 	s.jobs.forEach(func(j *job) {
 		j.mu.Lock()
 		state := j.state
 		j.mu.Unlock()
 		counts[state]++
 	})
-	s.tagMu.Lock()
 	total, failed := s.retired.total, s.retired.failed
-	s.tagMu.Unlock()
 	if total > failed {
 		counts[wire.JobDone] += int(total - failed)
 	}

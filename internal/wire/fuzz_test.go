@@ -34,17 +34,6 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Add(full[:cut])
 		}
 	}
-	// Every sample traced, whole and cut at several points — the truncated
-	// frames are the crash class a decoder historically risks.
-	for _, m := range sampleMessages() {
-		full := MarshalTraced(m, TraceContext{TraceID: 7, SpanID: 9})
-		f.Add(full)
-		for _, n := range []int{0, 1, 2, len(full) / 2, len(full) - 1} {
-			if n >= 0 && n < len(full) {
-				f.Add(full[:n])
-			}
-		}
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, tc, err := UnmarshalTraced(data)
 		if err != nil {
@@ -67,6 +56,44 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("Unmarshal rejected a frame UnmarshalTraced accepted: %v", err)
 		} else if !bytes.Equal(Marshal(m3), Marshal(m)) {
 			t.Fatalf("traced/untraced decoders disagree on the message")
+		}
+	})
+}
+
+// FuzzUnmarshalInto checks that decoding copies a frame into a message of
+// its own: once UnmarshalTraced returns, overwriting the frame — what a
+// connection's next Recv does to the buffer it lent (see Conn) — leaves the
+// decoded message and trace context as they were. Seeds include truncated
+// frames at several cut points, the crash class a decoder historically
+// risks.
+func FuzzUnmarshalInto(f *testing.F) {
+	for _, m := range sampleMessages() {
+		full := MarshalTraced(m, TraceContext{TraceID: 7, SpanID: 9})
+		f.Add(full)
+		for _, n := range []int{0, 1, 2, len(full) / 2, len(full) - 1} {
+			if n >= 0 && n < len(full) {
+				f.Add(full[:n])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := bytes.Clone(data)
+		m, tc, err := UnmarshalTraced(frame)
+		if len(data) == 0 {
+			if err == nil {
+				t.Fatal("empty frame accepted")
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		want := MarshalTraced(m, tc)
+		for i := range frame {
+			frame[i] ^= 0xFF
+		}
+		if got := MarshalTraced(m, tc); !bytes.Equal(got, want) {
+			t.Fatalf("the decoded message changed with the frame it came from:\n got %x\nwant %x", got, want)
 		}
 	})
 }
