@@ -7,21 +7,9 @@ import (
 	"slices"
 )
 
-const (
-	// syncLines is how many whole lines base and target must share in a
-	// row, after a mismatch, for the place to count as an anchor.
-	syncLines = 16
-	// searchBound is the edit distance, in lines, beyond which the anchor
-	// search never looks. A search to distance d takes about d*d/2 steps of
-	// one line each. One search may take a step per searchShare bytes of
-	// the two files, so the one that fails adds a few percent to what the
-	// engine then costs; all together may take a step per totalShare bytes,
-	// so a file of many wide gaps, each dearer to find than to solve, goes
-	// to the engine after a fraction of the engine's own cost.
-	searchBound = 48
-	searchShare = 768
-	totalShare  = 64
-)
+// syncLines is how many whole lines base and target must share in a row,
+// after a mismatch, for the place to count as an anchor.
+const syncLines = 16
 
 // anchoredOps is the byte-level front end of Compute for the two LCS engines
 // (DESIGN.md §6.2): it computes the ops of an LCS delta from base to target,
@@ -29,122 +17,139 @@ const (
 // the file, and reports how many lines it gave the engine.
 //
 // It walks the whole lines base and target share from the top. At a mismatch,
-// resync looks for the nearest anchor; the gap before it — and nothing else —
-// is split into lines and solved by engine, its ops shifted by the base lines
-// skipped so far, and the walk resumes where the anchor's shared lines end. A
-// gap empty on one side is a bare insert or delete and needs no engine. When
-// resync gives up, the gap is everything up to the common suffix: the
-// engine's cost before the front end existed, on the same pooled tables
-// (table is the caller's scratch for the base side of each gap).
+// nextAnchor finds the nearest anchor; the gap before it — and nothing else —
+// is solved by engine on the symbols the search interned, its ops shifted by
+// the base lines skipped so far, and the walk resumes where the anchor's
+// shared lines end. A gap empty on one side is a bare insert or delete, and
+// one line against one a change; neither needs the engine. Where the files
+// share no anchor, the gap is everything up to the common suffix: the
+// engine's cost before the front end existed, on the same scratch.
 //
 // An anchor is a heuristic. Every line declared shared is compared byte for
 // byte, so the delta is always correct; a false anchor (sixteen lines that
 // repeat elsewhere) can only make it larger than the engine's. Where matching
 // lines do not cross — edits in place, insertions, deletions in files of
 // distinct lines — the LCS is unique and the ops are exactly the engine's.
-func anchoredOps(base, target []byte, engine func(a, b [][]byte) []match, table *[][]byte) (ops []Op, handed int) {
-	size := len(base) + len(target)
-	steps := size / totalShare
+func anchoredOps(base, target []byte, engine func(sc *hmScratch, a, b []int, nsym int) []match, sc *hmScratch) (ops []Op, handed int) {
 	x, line := sharedLines(base, target) // a line start in both files; base lines before it
 	y := x
 	for x < len(base) || y < len(target) {
-		at, spent, ok := resync(base[x:], target[y:], min(steps, size/searchShare))
-		steps -= spent
-		if !ok {
-			s := commonSuffixLines(base[x:], target[y:])
-			at = anchor{x: len(base) - x - s, y: len(target) - y - s, n: s}
+		at := sc.nextAnchor(base[x:], target[y:])
+		off := sc.scans[1].off
+		gx, gy := sc.scans[0].off[at.i], off[at.j]
+		// The gap's target lines, which the search has split already. The
+		// op lines alias this table, so it is the one allocation per gap
+		// that cannot be pooled.
+		b := make([][]byte, at.j)
+		for k := range b {
+			b[k] = target[y+off[k] : y+off[k+1]]
 		}
-		// The op lines alias this table, so it is the one allocation per
-		// gap that cannot be pooled.
-		b := SplitLines(target[y : y+at.y])
 		var matches []match
-		na := 0
-		if at.x > 0 && at.y > 0 {
-			a := appendSplitLines((*table)[:0], base[x:x+at.x])
-			if len(a) > len(*table) {
-				*table = a // the longest split yet: what the caller clears
-			}
-			matches, na = engine(a, b), len(a)
-			handed += na + len(b)
-		} else {
-			na = countLines(base[x : x+at.x])
+		if at.i > 0 && at.j > 0 && at.i+at.j > 2 { // two lines that differ share nothing
+			matches = engine(sc, sc.scans[0].sym[:at.i], sc.scans[1].sym[:at.j], len(sc.table.lines))
+			handed += at.i + at.j
 		}
-		ops = appendOps(ops, matches, na, b, line)
-		line += na + at.lines
-		x, y = x+at.x+at.n, y+at.y+at.n
+		ops = appendOps(ops, matches, at.i, b, line)
+		line += at.i + at.lines
+		x, y = x+gx+at.n, y+gy+at.n
 	}
 	slices.Reverse(ops)
 	return ops, handed
 }
 
-// anchor is where two files run together again after a mismatch: the gap ends
-// at byte offsets x and y, and the n bytes that follow are the same whole
-// lines in both.
-type anchor struct{ x, y, n, lines int }
+// anchor is where two files run together again after a mismatch: the gap is
+// i lines of the one and j of the other, and the n bytes that follow are the
+// same whole lines in both, lines of them.
+type anchor struct{ i, j, n, lines int }
 
-// resync finds the nearest anchor after a mismatch at the start of a and b:
-// the nearest place where they share syncLines lines in a row, or run
-// together to the end of both. It is the forward half of Myers' greedy O(ND)
-// search with the line as its unit — no line table, no hashing, and no
-// history, since only the meeting point is wanted, not the path to it. spent
-// is the steps it took; ok is false when no anchor lies within searchBound
-// insertions and deletions or within the steps allowed.
-func resync(a, b []byte, steps int) (at anchor, spent int, ok bool) {
-	// v[mid+k] is the furthest point a path reaches on diagonal k: a line
-	// start in each file; x < 0 marks a diagonal no path has reached.
-	type fork struct{ x, y int }
-	const mid = searchBound + 1
-	var v [2*searchBound + 3]fork
-	for i := range v {
-		v[i].x = -1
+// nextAnchor finds the nearest anchor after a mismatch at the start of a and
+// b: the nearest place where they share syncLines whole lines in a row, or run
+// together to the end of both. Where they have none, it is where their common
+// suffix of whole lines starts, and the gap is the rest of both files.
+//
+// It reads the two files a line at a time each, in step, interning each line
+// (sc.scans holds the symbols and where the lines start, so the engine solves
+// the gap without reading it again) and noting the first line of each file
+// with each symbol. A line the other file has had is a candidate, whose shared
+// lines are compared byte for byte (once: the candidates after it on the same
+// run are skipped); the first that shares enough is the anchor. The lines read
+// are those of the gap and the candidates' own, so the search costs what the
+// gap costs.
+func (sc *hmScratch) nextAnchor(a, b []byte) anchor {
+	scans := [2]*scan{sc.scans[0].reset(a), sc.scans[1].reset(b)}
+	// Of the anchors found in one step, offer keeps the one that leaves the
+	// files closest in length: in a file that repeats itself, that tells the
+	// block that was deleted from the block that could be inserted to the
+	// same end. It returns how many lines the candidate shares.
+	var at anchor
+	found, skew := false, 0
+	offer := func(i, j, x, y int) int {
+		n, lines := sharedLines(a[x:], b[y:])
+		d := max(len(a)-x-len(b)+y, len(b)-y-len(a)+x)
+		if (lines >= syncLines || x+n == len(a) && y+n == len(b)) && (!found || d < skew) {
+			at, found, skew = anchor{i, j, n, lines}, true, d
+		}
+		return lines
 	}
-	for d := 0; d <= searchBound && spent <= steps; d++ {
-		spent += d + 1
-		bestSkew := 0
-		for k := -d; k <= d; k += 2 {
-			var f fork
-			down, right := v[mid+k+1], v[mid+k-1]
-			downOK := down.x >= 0 && down.y < len(b)
-			rightOK := right.x >= 0 && right.x < len(a)
-			switch {
-			case d == 0:
-			case downOK && (!rightOK || right.x < down.x):
-				f = fork{down.x, down.y + lineLen(b[down.y:])}
-			case rightOK:
-				f = fork{right.x + lineLen(a[right.x:]), right.y}
-			default:
-				v[mid+k].x = -1
+	sc.table.reset(0)
+	sc.first = sc.first[:0] // first[s-1][f]: 1 + the first line of file f with symbol s
+	var short anchor        // the last candidate, which shared too few lines
+	for k := 0; !scans[0].done() || !scans[1].done(); k++ {
+		for f, s := range scans {
+			if s.done() {
 				continue
 			}
-			n, lines := sharedLines(a[f.x:], b[f.y:])
-			v[mid+k] = fork{f.x + n, f.y + n}
-			if lines >= syncLines || (f.x+n == len(a) && f.y+n == len(b)) {
-				// Of anchors equally near, take the one that leaves the
-				// files closest in length: in a file that repeats itself,
-				// that tells the block that was deleted from the block
-				// that could be inserted to the same end.
-				skew := (len(a) - f.x) - (len(b) - f.y)
-				if skew < 0 {
-					skew = -skew
-				}
-				if !ok || skew < bestSkew {
-					at, bestSkew, ok = anchor{f.x, f.y, n, lines}, skew, true
-				}
+			sym := s.read(&sc.table)
+			if sym > len(sc.first) {
+				sc.first = append(sc.first, [2]int32{})
 			}
+			e := &sc.first[sym-1]
+			if e[f] == 0 {
+				e[f] = int32(k + 1)
+			}
+			i, j := k, int(e[1-f])-1
+			if f == 1 {
+				i, j = j, k
+			}
+			if d := i - short.i; min(i, j) < 0 || d > 0 && d < short.lines && j-short.j == d {
+				continue // not in the other file yet, or inside a run found too short
+			}
+			short = anchor{i: i, j: j, lines: offer(i, j, scans[0].off[i], scans[1].off[j])}
 		}
-		if ok {
-			return at, spent, true
+		if found {
+			return at
 		}
 	}
-	return anchor{}, spent, false
+	s := commonSuffixLines(a, b)
+	i, _ := slices.BinarySearch(scans[0].off, len(a)-s)
+	j, _ := slices.BinarySearch(scans[1].off, len(b)-s)
+	return anchor{i: i, j: j, n: s}
 }
 
-// lineLen returns the length of the first line of s, newline included.
-func lineLen(s []byte) int {
-	if i := bytes.IndexByte(s, '\n'); i >= 0 {
-		return i + 1
+// scan is one file after a mismatch, split into lines as far as the anchor
+// search has read it.
+type scan struct {
+	text []byte
+	off  []int // where each line read starts, then where the last one ends
+	sym  []int // the symbol of each line read
+}
+
+func (s *scan) reset(text []byte) *scan {
+	s.text, s.off, s.sym = text, append(s.off[:0], 0), s.sym[:0]
+	return s
+}
+
+func (s *scan) done() bool { return s.off[len(s.off)-1] == len(s.text) }
+
+// read reads the next line and returns its symbol in t.
+func (s *scan) read(t *lineTable) int {
+	at, end := s.off[len(s.off)-1], len(s.text)
+	if i := bytes.IndexByte(s.text[at:], '\n'); i >= 0 {
+		end = at + i + 1
 	}
-	return len(s)
+	sym := int(t.sym(s.text[at:end]))
+	s.off, s.sym = append(s.off, end), append(s.sym, sym)
+	return sym
 }
 
 // sharedLines returns the length in bytes of the whole lines a and b share at
@@ -159,9 +164,9 @@ func sharedLines(a, b []byte) (n, lines int) {
 }
 
 // commonPrefixLen returns the number of leading bytes a and b share: word by
-// word over the first few lines, where the search's comparisons nearly all
-// end, then in blocks that shrink at the first difference, so a long shared
-// stretch goes by at the speed of bytes.Equal.
+// word over the first few lines, where most comparisons end, then in blocks
+// that shrink at the first difference, so a long shared stretch goes by at
+// the speed of bytes.Equal.
 func commonPrefixLen(a, b []byte) int {
 	n, i := min(len(a), len(b)), 0
 	for ; i+8 <= n && i < 256; i += 8 {

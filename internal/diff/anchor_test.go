@@ -19,15 +19,22 @@ import (
 // the engine alone: both files split whole and handed to the LCS engine, which
 // is what Compute did before the front end existed.
 
-var lcsEngines = map[Algorithm]func(a, b [][]byte) []match{
+var lcsEngines = map[Algorithm]func(sc *hmScratch, a, b []int, nsym int) []match{
 	HuntMcIlroy: huntMcIlroyMatches,
 	Myers:       myersMatches,
+}
+
+// lineMatches interns two files' lines and runs engine on them.
+func lineMatches(engine func(sc *hmScratch, a, b []int, nsym int) []match, a, b [][]byte) []match {
+	sc := new(hmScratch)
+	sa, sb, nsym := sc.internBoth(JoinLines(a), JoinLines(b))
+	return engine(sc, sa, sb, nsym)
 }
 
 // engineOps is the delta's ops with no front end.
 func engineOps(alg Algorithm, base, target []byte) []Op {
 	a, b := SplitLines(base), SplitLines(target)
-	ops := appendOps(nil, lcsEngines[alg](a, b), len(a), b, 0)
+	ops := appendOps(nil, lineMatches(lcsEngines[alg], a, b), len(a), b, 0)
 	slices.Reverse(ops)
 	return ops
 }
@@ -126,18 +133,19 @@ func editBlocks(rng *benchRNG, content []byte, blocks, maxBlock int) []byte {
 
 func TestAnchoredOpsEqualEngineOps(t *testing.T) {
 	cases := 0
-	for seed := uint64(1); seed <= 24; seed++ {
+	for seed := uint64(1); seed <= 30; seed++ {
 		rng := benchRNG(seed * 0x9E3779B97F4A7C15)
-		size := []int{2 << 10, 8 << 10, 64 << 10, 256 << 10}[seed%4]
+		size := []int{2 << 10, 8 << 10, 32 << 10, 64 << 10, 256 << 10}[seed%5]
 		for _, base := range [][]byte{genFile(&rng, size), benchFile(size, seed)} {
 			for name, target := range map[string][]byte{
 				"inplace-1pct":  benchInplace(base, 1, seed),
+				"inplace-2pct":  benchInplace(base, 2, seed),
 				"inplace-5pct":  benchInplace(base, 5, seed),
 				"moved-1pct":    benchMoved(base, 1, seed),
 				"moved-3pct":    benchMoved(base, 3, seed),
 				"blocks":        editBlocks(&rng, base, 3, 12),
-				"blocks-wide":   editBlocks(&rng, base, 2, 70), // past the search bound
-				"mixed-20pct":   benchModify(base, 20, seed),   // too dense to anchor
+				"blocks-wide":   editBlocks(&rng, base, 2, 70), // gaps of up to 70 lines a side
+				"mixed-20pct":   benchModify(base, 20, seed),   // few 16-line runs left
 				"tail-no-nl":    bytes.TrimSuffix(benchInplace(base, 1, seed), nlByte),
 				"tail-appended": append(bytes.Clone(base), "unterminated"...),
 			} {
@@ -252,26 +260,38 @@ func TestAnchoredEdgeCases(t *testing.T) {
 }
 
 // TestAnchoredCostFollowsTheEdit is the front end's claim without a clock: on
-// a 256 KiB file with 1% of its lines rewritten, the engine sees at most four
-// lines (two per side would be the floor) for each line edited.
+// every file shape the benchmark edits (bench/workloads.go), with runs of up
+// to eight lines rewritten in place at random, the engine sees at most four
+// lines (two per side would be the floor) for each line edited, in all but
+// 1% of 500 cycles.
 func TestAnchoredCostFollowsTheEdit(t *testing.T) {
+	const cycles = 500
+	for _, shape := range []struct{ size, pct int }{{8 << 10, 5}, {32 << 10, 5}, {64 << 10, 2}, {256 << 10, 1}} {
+		rng := benchRNG(7)
+		base := genFile(&rng, shape.size)
+		edited := countLines(base) * shape.pct / 100
+		over, handedAll := 0, 0
+		for c := uint64(0); c < cycles; c++ {
+			ops, handed := anchoredOps(base, benchInplace(base, shape.pct, 2*c+1), huntMcIlroyMatches, new(hmScratch))
+			if len(ops) == 0 || handed == 0 {
+				t.Fatalf("%d KiB cycle %d: %d ops, %d lines handed: the edit went unseen", shape.size>>10, c, len(ops), handed)
+			}
+			if handed > 4*edited {
+				over++
+			}
+			handedAll += handed
+		}
+		if over > cycles/100 {
+			t.Errorf("%d KiB, %d%%: %d of %d cycles handed the engine more than %d lines", shape.size>>10, shape.pct, over, cycles, 4*edited)
+		}
+		t.Logf("%d KiB, %d%%: %d lines, %d edited, %.1f handed a cycle, %d cycles over 4x", shape.size>>10, shape.pct,
+			countLines(base), edited, float64(handedAll)/cycles, over)
+	}
+	// Dense edits leave few anchors: nearly everything goes to the engine.
 	rng := benchRNG(7)
 	base := genFile(&rng, 256<<10)
-	target := benchInplace(base, 1, 7)
-	edited := countLines(base) / 100
-	for alg, engine := range lcsEngines {
-		ops, handed := anchoredOps(base, target, engine, new([][]byte))
-		if len(ops) == 0 || handed == 0 {
-			t.Fatalf("%v: %d ops, %d lines handed: the edit went unseen", alg, len(ops), handed)
-		}
-		if handed > 4*edited {
-			t.Errorf("%v: engine handed %d lines for %d edited of %d", alg, handed, edited, countLines(base))
-		}
-		t.Logf("%v: %d of %d lines edited, %d handed to the engine, %d ops", alg, edited, countLines(base), handed, len(ops))
-	}
-	// Dense edits exhaust the search and hand over (nearly) everything.
 	dense := benchModify(base, 20, 7)
-	if _, handed := anchoredOps(base, dense, huntMcIlroyMatches, new([][]byte)); handed < countLines(base) {
+	if _, handed := anchoredOps(base, dense, huntMcIlroyMatches, new(hmScratch)); handed < countLines(base) {
 		t.Errorf("20%% edit handed only %d of %d+%d lines: the fallback did not run", handed, countLines(base), countLines(dense))
 	}
 }

@@ -319,14 +319,14 @@ func TestHuntFallbackMatchesMyers(t *testing.T) {
 	b := SplitLines([]byte("head-b\n" + mid + mid + "tail-b\n"))
 
 	// Confirm this input really takes the fallback.
-	sa, sb, nsym := new(hmScratch).internBoth(a, b)
+	sa, sb, nsym := new(hmScratch).internBoth(JoinLines(a), JoinLines(b))
 	prefix, suffix := commonAffixes(sa, sb)
 	if _, ok := huntMiddle(sa[prefix:len(sa)-suffix], sb[prefix:len(sb)-suffix], nsym, new(hmScratch)); ok {
 		t.Fatal("test input did not trigger the density fallback")
 	}
 
-	hunt := huntMcIlroyMatches(a, b)
-	myers := myersMatches(a, b)
+	hunt := lineMatches(huntMcIlroyMatches, a, b)
+	myers := lineMatches(myersMatches, a, b)
 	if len(hunt) != len(myers) {
 		t.Fatalf("fallback matches differ: hunt %d runs, myers %d runs", len(hunt), len(myers))
 	}
@@ -364,7 +364,7 @@ func TestInternHashCollisions(t *testing.T) {
 	}
 	a := SplitLines([]byte(sbA.String()))
 	b := SplitLines([]byte(sbB.String()))
-	sa, sb, nsym := new(hmScratch).internBoth(a, b)
+	sa, sb, nsym := new(hmScratch).internBoth(JoinLines(a), JoinLines(b))
 	// Distinct lines must get distinct symbols and equal lines equal ones.
 	bySym := make(map[int][]byte, nsym)
 	check := func(lines [][]byte, syms []int) {

@@ -119,26 +119,42 @@ func benchMoved(content []byte, pct int, seed uint64) []byte {
 	return JoinLines(lines)
 }
 
-// benchCases: the 1pct cells and the two 256k shapes the end-to-end workloads
-// exercise are the sparse edits the front end (anchoredOps) is for; the dense
-// 20pct cells exhaust its search and guard the fallback to the engine.
-var benchCases = []struct {
+// benchCases: the 1pct cells and the in-place and moved shapes the end-to-end
+// workloads exercise are the sparse edits the front end (anchoredOps) is for;
+// the dense 20pct cells leave it few anchors and guard its cost where the
+// engine does nearly all the work. The 8k and 32k cells are edit-small's and
+// cluster-2's files (bench/workloads.go) in the benchmark's own line shape
+// (genFile): one edited region in 8 KiB, four in 32 KiB.
+var benchCases = []benchCase{
+	{"10k/1pct", 10 << 10, false, func(c []byte) []byte { return benchModify(c, 1, 0xBEEF) }},
+	{"100k/1pct", 100 << 10, false, func(c []byte) []byte { return benchModify(c, 1, 0xBEEF) }},
+	{"100k/20pct", 100 << 10, false, func(c []byte) []byte { return benchModify(c, 20, 0xBEEF) }},
+	{"500k/20pct", 500 << 10, false, func(c []byte) []byte { return benchModify(c, 20, 0xBEEF) }},
+	{"8k/5pct-inplace", 8 << 10, true, func(c []byte) []byte { return benchInplace(c, 5, 0xBEEF) }},
+	{"32k/5pct-multiregion", 32 << 10, true, func(c []byte) []byte { return benchInplace(c, 5, 0xBEEF) }},
+	{"256k/1pct-inplace", 256 << 10, false, func(c []byte) []byte { return benchInplace(c, 1, 0xBEEF) }},
+	{"256k/1pct-moved", 256 << 10, false, func(c []byte) []byte { return benchMoved(c, 1, 0xBEEF) }},
+}
+
+type benchCase struct {
 	name   string
 	size   int
+	gen    bool // genFile's lines rather than benchFile's
 	modify func(content []byte) []byte
-}{
-	{"10k/1pct", 10 << 10, func(c []byte) []byte { return benchModify(c, 1, 0xBEEF) }},
-	{"100k/1pct", 100 << 10, func(c []byte) []byte { return benchModify(c, 1, 0xBEEF) }},
-	{"100k/20pct", 100 << 10, func(c []byte) []byte { return benchModify(c, 20, 0xBEEF) }},
-	{"500k/20pct", 500 << 10, func(c []byte) []byte { return benchModify(c, 20, 0xBEEF) }},
-	{"256k/1pct-inplace", 256 << 10, func(c []byte) []byte { return benchInplace(c, 1, 0xBEEF) }},
-	{"256k/1pct-moved", 256 << 10, func(c []byte) []byte { return benchMoved(c, 1, 0xBEEF) }},
+}
+
+func (tc benchCase) base() []byte {
+	if tc.gen {
+		rng := benchRNG(0xC0FFEE)
+		return genFile(&rng, tc.size)
+	}
+	return benchFile(tc.size, 0xC0FFEE)
 }
 
 func BenchmarkDiffCompute(b *testing.B) {
 	for _, alg := range allAlgorithms {
 		for _, tc := range benchCases {
-			base := benchFile(tc.size, 0xC0FFEE)
+			base := tc.base()
 			target := tc.modify(base)
 			b.Run(fmt.Sprintf("%v/%s", alg, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -156,7 +172,7 @@ func BenchmarkDiffCompute(b *testing.B) {
 func BenchmarkDiffApply(b *testing.B) {
 	for _, alg := range allAlgorithms {
 		for _, tc := range benchCases {
-			base := benchFile(tc.size, 0xC0FFEE)
+			base := tc.base()
 			target := tc.modify(base)
 			d, err := Compute(alg, base, target)
 			if err != nil {

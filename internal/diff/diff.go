@@ -172,16 +172,15 @@ func ComputeSummed(algorithm Algorithm, base, target []byte, baseSum, targetSum 
 		TargetSum: targetSum,
 		kind:      kindEdit,
 	}
-	table := baseLinesPool.Get().(*[][]byte)
-	defer releaseBaseLines(table)
+	sc := hmPool.Get().(*hmScratch)
+	defer sc.release()
 	switch algorithm {
 	case HuntMcIlroy:
-		d.Ops, _ = anchoredOps(base, target, huntMcIlroyMatches, table)
+		d.Ops, _ = anchoredOps(base, target, huntMcIlroyMatches, sc)
 	case Myers:
-		d.Ops, _ = anchoredOps(base, target, myersMatches, table)
+		d.Ops, _ = anchoredOps(base, target, myersMatches, sc)
 	case TichyBlockMove:
-		*table = appendSplitLines(*table, base)
-		d.Ops = tichyOps(*table, SplitLines(target))
+		d.Ops = tichyOps(sc, base, target)
 		d.kind = kindBlockMove
 	default:
 		return nil, fmt.Errorf("diff: unknown algorithm %v", algorithm)

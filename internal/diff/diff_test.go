@@ -317,12 +317,12 @@ func TestPropertyLCSMatchesAreCommonSubsequence(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := SplitLines(randomDoc(rng, 30))
 		b := SplitLines(randomDoc(rng, 30))
-		for name, fn := range map[string]func(x, y [][]byte) []match{
+		for name, fn := range map[string]func(sc *hmScratch, x, y []int, nsym int) []match{
 			"hunt":  huntMcIlroyMatches,
 			"myers": myersMatches,
 		} {
 			prevA, prevB := -1, -1
-			for _, m := range fn(a, b) {
+			for _, m := range lineMatches(fn, a, b) {
 				if m.ai <= prevA || m.bi <= prevB || m.n <= 0 {
 					t.Fatalf("%s trial %d: non-ascending match %+v", name, trial, m)
 				}
@@ -349,7 +349,7 @@ func TestMyersNotWorseThanNaive(t *testing.T) {
 		b := SplitLines(randomDoc(rng, 12))
 		want := naiveLCSLen(a, b)
 		got := 0
-		for _, m := range myersMatches(a, b) {
+		for _, m := range lineMatches(myersMatches, a, b) {
 			got += m.n
 		}
 		if got != want {
@@ -365,7 +365,7 @@ func TestHuntFindsMaximalLCS(t *testing.T) {
 		b := SplitLines(randomDoc(rng, 12))
 		want := naiveLCSLen(a, b)
 		got := 0
-		for _, m := range huntMcIlroyMatches(a, b) {
+		for _, m := range lineMatches(huntMcIlroyMatches, a, b) {
 			got += m.n
 		}
 		if got != want {

@@ -13,7 +13,8 @@ import (
 // delta and for its wire form. Two short arbitrary inputs seldom share a line,
 // let alone an anchor, so the same property is also checked on a long file
 // grown from base and a structural edit of it scripted by target: the shape
-// that takes the front end's walk, search, gaps and fallback.
+// that takes the front end's walk, search, gaps and fallback. The seeds
+// include multi-region edits of 8 to 64 KiB files.
 func FuzzComputeApply(f *testing.F) {
 	f.Add([]byte("a\nb\nc\n"), []byte("a\nX\nc\n"))
 	f.Add([]byte(""), []byte("x"))
@@ -21,8 +22,15 @@ func FuzzComputeApply(f *testing.F) {
 	f.Add([]byte("\n\n\n"), []byte("\n"))
 	f.Add([]byte("one\ntwo\nthree\n"), []byte{1, 0, 40, 7, 2, 128, 3, 0, 3, 200, 60, 1, 1, 250, 9, 0})
 	f.Add([]byte("same\n"), []byte{0, 2, 100, 30, 1, 10, 2, 3, 90, 5})
+	// The benchmark's file shapes, edited in runs of up to eight lines at
+	// several places: a gap and an anchor for each run.
+	for _, shape := range []struct{ size, pct int }{{8 << 10, 5}, {32 << 10, 5}, {64 << 10, 2}} {
+		rng := benchRNG(shape.size)
+		base := genFile(&rng, shape.size)
+		f.Add(base, benchInplace(base, shape.pct, uint64(shape.pct)))
+	}
 	f.Fuzz(func(t *testing.T, base, target []byte) {
-		if len(base) > 1<<16 || len(target) > 1<<16 {
+		if len(base) > 1<<17 || len(target) > 1<<17 {
 			return
 		}
 		roundTripAll(t, base, target)

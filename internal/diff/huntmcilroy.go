@@ -2,14 +2,17 @@ package diff
 
 import "sync"
 
-// hmScratch carries the per-Compute working arrays: the intern table and both
-// symbol sequences every algorithm uses, and Hunt–McIlroy's CSR equivalence
-// classes, candidate arena and backtrack buffers. A steady-state Compute
-// reuses all of it from a pool, leaving only the outputs (the ops and the
-// target lines they alias) on the heap.
+// hmScratch carries the per-Compute working arrays: the intern table and the
+// two files' line starts and symbol sequences every algorithm uses (the
+// anchor search's two scans, with the first line of each symbol), and
+// Hunt–McIlroy's CSR equivalence classes, candidate arena and backtrack
+// buffers. A steady-state Compute reuses all of it from a pool,
+// leaving only the outputs (the ops and the target lines they alias) on the
+// heap.
 type hmScratch struct {
 	table    lineTable
-	sa, sb   []int
+	scans    [2]scan
+	first    [][2]int32
 	bstart   []int32
 	pos      []int32
 	bcur     []int32
@@ -21,50 +24,51 @@ type hmScratch struct {
 
 var hmPool = sync.Pool{New: func() any { return new(hmScratch) }}
 
-// maxPooledScratch bounds the scratch a diff hands back to its pool. The
+// maxPooledScratch bounds the scratch a Compute hands back to its pool. The
 // gaps between anchors, which are what a steady edit cycle diffs, need a few
-// KB, and a whole 32 KiB file about 120 KB. The scratch of a whole-file diff
-// of a larger file (about 1 MB for 256 KiB) is let go with the call: pooled,
-// it would be handed to every small diff after it and go back with them, and
-// whether the heap holds it at a given moment would depend on when the
-// collector last found it idle.
-const maxPooledScratch = 128 << 10
+// KB. The scratch of a whole-file diff (where no anchor is found, 113 KB for
+// 32 KiB, and every block-move diff, 46 KB for 10 KiB) is let go with the
+// call: pooled, it would be handed to every small diff after it and go back
+// with them, and whether the heap holds it at a given moment would depend on
+// when the collector last found it idle.
+const maxPooledScratch = 32 << 10
 
 // footprint returns the bytes the scratch's arrays hold.
 func (sc *hmScratch) footprint() int {
-	ints := cap(sc.sa) + cap(sc.sb) + cap(sc.ais) + cap(sc.bis)
-	int32s := cap(sc.bstart) + cap(sc.pos) + cap(sc.bcur) + cap(sc.thresh) + cap(sc.link)
+	ints := cap(sc.ais) + cap(sc.bis)
+	for _, s := range sc.scans {
+		ints += cap(s.off) + cap(s.sym)
+	}
+	int32s := cap(sc.bstart) + cap(sc.pos) + cap(sc.bcur) + cap(sc.thresh) + cap(sc.link) + 2*cap(sc.first)
 	return 8*ints + 4*int32s + 12*cap(sc.arena) + // a cand is three int32s
-		4*cap(sc.table.slots) + 8*cap(sc.table.hashes) + 24*cap(sc.table.lines)
+		8*cap(sc.table.slots) + 4*cap(sc.table.tags) + 24*cap(sc.table.lines)
 }
 
 // release returns the scratch to the pool, unless it has grown past
 // maxPooledScratch, and reports whether it did. It first drops references
-// into caller data: the intern table's representative lines point into the
-// files being compared.
+// into caller data: the intern table and the scans point into the files being
+// compared.
 func (sc *hmScratch) release() (pooled bool) {
 	if sc.footprint() > maxPooledScratch {
 		return false
 	}
-	clear(sc.table.lines)
-	sc.table.lines = sc.table.lines[:0]
+	sc.table.reset(0)
+	sc.scans[0].text, sc.scans[1].text = nil, nil
 	hmPool.Put(sc)
 	return true
 }
 
-// huntMcIlroyMatches computes an LCS of a and b as maximal runs of matching
-// lines using the Hunt–McIlroy candidate-threshold technique (Hunt & McIlroy,
-// "An Algorithm for Differential File Comparison", Bell Labs CSTR 41, 1975).
+// huntMcIlroyMatches computes an LCS of two files, given as interned line
+// symbols (1..nsym), as maximal runs of matching lines using the Hunt–McIlroy
+// candidate-threshold technique (Hunt & McIlroy, "An Algorithm for
+// Differential File Comparison", Bell Labs CSTR 41, 1975).
 //
-// Lines are interned to integer symbols, a common prefix and suffix are
-// trimmed (they are always part of some LCS), and the middle is solved in
-// O((R+N) log N) where R is the number of matching line pairs. For degenerate
-// inputs where R explodes (files of near-identical lines) the middle goes to
-// the Myers algorithm instead, which bounds work by edit distance.
-func huntMcIlroyMatches(a, b [][]byte) []match {
-	sc := hmPool.Get().(*hmScratch)
-	defer sc.release()
-	sa, sb, nsym := sc.internBoth(a, b)
+// A common prefix and suffix are trimmed (they are always part of some LCS),
+// and the middle is solved in O((R+N) log N) where R is the number of matching
+// line pairs. For degenerate inputs where R explodes (files of near-identical
+// lines) the middle goes to the Myers algorithm instead, which bounds work by
+// edit distance.
+func huntMcIlroyMatches(sc *hmScratch, sa, sb []int, nsym int) []match {
 	prefix, suffix := commonAffixes(sa, sb)
 	ma := sa[prefix : len(sa)-suffix]
 	mb := sb[prefix : len(sb)-suffix]

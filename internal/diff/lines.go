@@ -3,7 +3,7 @@ package diff
 import (
 	"bytes"
 	"encoding/binary"
-	"sync"
+	"slices"
 )
 
 // SplitLines splits content into lines, each retaining its trailing newline.
@@ -15,7 +15,16 @@ func SplitLines(content []byte) [][]byte {
 		return nil
 	}
 	// Count lines first so one allocation fits.
-	return appendSplitLines(make([][]byte, 0, countLines(content)), content)
+	dst := make([][]byte, 0, countLines(content))
+	for len(content) > 0 {
+		i := bytes.IndexByte(content, '\n')
+		if i < 0 {
+			return append(dst, content)
+		}
+		dst = append(dst, content[:i+1])
+		content = content[i+1:]
+	}
+	return dst
 }
 
 // countLines returns len(SplitLines(content)) without building the table.
@@ -25,38 +34,6 @@ func countLines(content []byte) int {
 		n++
 	}
 	return n
-}
-
-// appendSplitLines appends content's lines to dst.
-func appendSplitLines(dst [][]byte, content []byte) [][]byte {
-	for len(content) > 0 {
-		i := bytes.IndexByte(content, '\n')
-		if i < 0 {
-			dst = append(dst, content)
-			break
-		}
-		dst = append(dst, content[:i+1])
-		content = content[i+1:]
-	}
-	return dst
-}
-
-// baseLinesPool recycles Compute's base-side line table. Nothing a Compute
-// returns points into it — ops alias only the target's table — so it is
-// cleared (it would otherwise pin the base content) and reused, where the
-// target's table must stay a fresh allocation per call.
-var baseLinesPool = sync.Pool{New: func() any { return new([][]byte) }}
-
-// releaseBaseLines clears a base-side line table and returns it to the pool,
-// unless it has grown past maxPooledScratch, and reports whether it did.
-func releaseBaseLines(table *[][]byte) (pooled bool) {
-	if 24*cap(*table) > maxPooledScratch {
-		return false
-	}
-	clear(*table)
-	*table = (*table)[:0]
-	baseLinesPool.Put(table)
-	return true
 }
 
 var nlByte = []byte{'\n'}
@@ -80,73 +57,81 @@ func JoinLines(lines [][]byte) []byte {
 // mirroring the equivalence-class construction in Hunt & McIlroy (1975).
 //
 // Interning is hash-first: every line hashes to a uint64 and lookups probe an
-// open-addressed table keyed by that hash; the byte-by-byte comparison runs
-// only when two hashes land in the same slot. The table is sized up front for
-// the full input, so the lookup path allocates nothing — line contents are
-// referenced, not copied (callers keep the backing file buffers alive for the
-// duration of a Compute).
+// open-addressed table by its high half, which each slot keeps beside its
+// symbol; the byte-by-byte comparison runs only when two lines agree there.
+// The table doubles when half full, entering each symbol again by its kept
+// half, so the lookup path allocates nothing once the scratch has grown —
+// line contents are referenced, not copied (callers keep the backing file
+// buffers alive for the duration of a Compute).
 type lineTable struct {
-	mask   uint64   // len(slots)-1; len is a power of two
-	slots  []int32  // 0 = empty, else a 1-based symbol
-	hashes []uint64 // hash of the line behind slots[i]
-	lines  [][]byte // symbol-1 -> representative line
+	mask  uint64   // len(slots)-1; len is a power of two
+	slots []uint64 // 0 = empty, else a line's hash in the high half, its symbol in the low
+	tags  []uint32 // symbol-1 -> the high half of its line's hash
+	lines [][]byte // symbol-1 -> representative line
 }
 
 // sym returns the symbol for l, assigning the next free one on first sight.
 func (t *lineTable) sym(l []byte) int32 {
-	h := hashLine(l)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s == 0 {
-			t.lines = append(t.lines, l)
-			s = int32(len(t.lines))
-			t.slots[i] = s
-			t.hashes[i] = h
-			return s
+	if 2*len(t.lines) >= len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	tag := uint32(hashLine(l) >> 32)
+	for i := uint64(tag) & t.mask; ; i = (i + 1) & t.mask {
+		e := t.slots[i]
+		if e == 0 {
+			t.lines, t.tags = append(t.lines, l), append(t.tags, tag)
+			t.slots[i] = uint64(tag)<<32 | uint64(len(t.lines))
+			return int32(len(t.lines))
 		}
-		if t.hashes[i] == h && bytes.Equal(t.lines[s-1], l) {
-			return s
+		if uint32(e>>32) == tag && bytes.Equal(t.lines[uint32(e)-1], l) {
+			return int32(uint32(e))
 		}
 	}
 }
 
-// internInto appends each line's symbol to out, returning the grown slice.
-func (t *lineTable) internInto(out []int, lines [][]byte) []int {
-	for _, l := range lines {
-		out = append(out, int(t.sym(l)))
-	}
-	return out
+// reset empties the table and sizes it for n symbols; the storage of the
+// last use is kept, its references into the files dropped.
+func (t *lineTable) reset(n int) {
+	clear(t.lines)
+	t.lines, t.tags = slices.Grow(t.lines[:0], n), slices.Grow(t.tags[:0], n)
+	t.resize(2*n + 1)
 }
 
-// internBoth interns both files in a shared table and returns their symbol
-// sequences plus the number of distinct symbols. Symbols are dense (1..nsym),
-// so callers can bucket by symbol with a flat slice instead of a map. The
-// table's storage and both sequences live in the pooled scratch, so a
-// steady-state Compute interns without allocating.
-func (sc *hmScratch) internBoth(a, b [][]byte) (sa, sb []int, nsym int) {
-	capacity := len(a) + len(b)
-	size := 16
-	for size < 2*capacity {
-		size <<= 1
+// resize gives the table at least size slots, a power of two, and enters the
+// symbols it holds again.
+func (t *lineTable) resize(size int) {
+	n := 16
+	for n < size {
+		n <<= 1
 	}
-	t := &sc.table
-	if cap(t.slots) >= size {
-		t.slots = t.slots[:size]
-		clear(t.slots) // hashes need no clearing: slot 0 guards them
-		t.hashes = t.hashes[:size]
-	} else {
-		t.slots = make([]int32, size)
-		t.hashes = make([]uint64, size)
+	clear(grow(&t.slots, n))
+	t.mask = uint64(n - 1)
+	for s, tag := range t.tags {
+		i := uint64(tag) & t.mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slots[i] = uint64(tag)<<32 | uint64(s+1)
 	}
-	t.mask = uint64(size - 1)
-	if cap(t.lines) < capacity {
-		t.lines = make([][]byte, 0, capacity)
-	} else {
-		t.lines = t.lines[:0]
+}
+
+// internBoth interns the lines of both files in a shared table and returns
+// their symbol sequences plus the number of distinct symbols; sc.scans holds
+// where each line starts. Symbols are dense (1..nsym), so callers can bucket
+// by symbol with a flat slice instead of a map. The table's storage and both
+// scans live in the pooled scratch, so a steady-state Compute interns without
+// allocating.
+func (sc *hmScratch) internBoth(a, b []byte) (sa, sb []int, nsym int) {
+	n := [2]int{countLines(a), countLines(b)}
+	sc.table.reset(n[0] + n[1])
+	for f, text := range [2][]byte{a, b} {
+		s := sc.scans[f].reset(text)
+		s.off, s.sym = slices.Grow(s.off, n[f]), slices.Grow(s.sym, n[f])
+		for !s.done() {
+			s.read(&sc.table)
+		}
 	}
-	sc.sa = t.internInto(sc.sa[:0], a)
-	sc.sb = t.internInto(sc.sb[:0], b)
-	return sc.sa, sc.sb, len(t.lines)
+	return sc.scans[0].sym, sc.scans[1].sym, len(sc.table.lines)
 }
 
 // hashLine hashes a line 8 bytes at a time (xxhash/splitmix-style mixing).

@@ -73,7 +73,7 @@ func TestSplitLinesEveryLineTerminatedExceptLast(t *testing.T) {
 func TestInternBoth(t *testing.T) {
 	a := SplitLines([]byte("x\ny\nx\n"))
 	b := SplitLines([]byte("y\nz\n"))
-	sa, sb, nsym := new(hmScratch).internBoth(a, b)
+	sa, sb, nsym := new(hmScratch).internBoth(JoinLines(a), JoinLines(b))
 	if nsym != 3 {
 		t.Errorf("nsym = %d, want 3 distinct lines", nsym)
 	}
@@ -145,9 +145,9 @@ func TestCommonAffixesNeverOverlap(t *testing.T) {
 	}
 }
 
-// TestScratchKeepOrDrop: the scratch of a diff the size of an edit's gap,
-// or of a whole 32 KiB file, goes back to its pool; the scratch of a whole
-// 256 KiB file does not, and neither does its base line table.
+// TestScratchKeepOrDrop: the scratch of a diff the size of an edit's gap goes
+// back to its pool; that of a whole-file diff of a 32 KiB file or larger, which
+// only a file with no anchor takes, does not.
 func TestScratchKeepOrDrop(t *testing.T) {
 	content := func(n int, edit string) []byte {
 		var b bytes.Buffer
@@ -162,18 +162,37 @@ func TestScratchKeepOrDrop(t *testing.T) {
 	for _, c := range []struct {
 		lines int
 		keep  bool
-	}{{40, true}, {32 << 10 / 40, true}, {256 << 10 / 40, false}} {
-		a, b := SplitLines(content(c.lines, "a")), SplitLines(content(c.lines, "b"))
+	}{{40, true}, {32 << 10 / 40, false}, {256 << 10 / 40, false}} {
 		sc := new(hmScratch)
-		sa, sb, nsym := sc.internBoth(a, b)
-		huntMiddle(sa, sb, nsym, sc)
+		base, target := content(c.lines, "a"), content(c.lines, "b")
+		sc.nextAnchor(base, target)
+		sa, sb, nsym := sc.internBoth(base, target)
+		huntMcIlroyMatches(sc, sa, sb, nsym)
 		size := sc.footprint()
 		if got := sc.release(); got != c.keep {
 			t.Errorf("%d lines: diff scratch of %d bytes pooled = %v, want %v", c.lines, size, got, c.keep)
 		}
-		table := appendSplitLines(nil, content(c.lines, "a"))
-		if got := releaseBaseLines(&table); got != c.keep {
-			t.Errorf("%d lines: base line table pooled = %v, want %v", c.lines, got, c.keep)
+	}
+}
+
+// TestScratchReleaseDropsFileReferences: a scratch goes back to its pool
+// holding no line of the files it compared — neither the last search's nor
+// those of a longer search before it in the same Compute — or it would keep
+// alive a file version the version store has let go of.
+func TestScratchReleaseDropsFileReferences(t *testing.T) {
+	rng := benchRNG(3)
+	base := genFile(&rng, 32<<10)
+	sc := new(hmScratch)
+	anchoredOps(base, benchInplace(base, 5, 3), huntMcIlroyMatches, sc)
+	if !sc.release() {
+		t.Fatalf("a scratch of %d bytes was not pooled", sc.footprint())
+	}
+	for i, l := range sc.table.lines[:cap(sc.table.lines)] {
+		if l != nil {
+			t.Fatalf("intern table entry %d still holds %q", i, l)
 		}
+	}
+	if sc.scans[0].text != nil || sc.scans[1].text != nil {
+		t.Fatal("a scan still holds its file")
 	}
 }

@@ -1,14 +1,12 @@
 package diff
 
-// myersMatches computes an LCS of a and b as maximal runs of matching lines
-// using the linear-space divide-and-conquer form of Myers' O(ND) algorithm
-// (Myers, "An O(ND) Difference Algorithm and Its Variations", Algorithmica
-// 1986; the paper cites the closely related Miller–Myers file comparison
-// program). Memory is O(N+M); time is O((N+M)·D).
-func myersMatches(a, b [][]byte) []match {
-	sc := hmPool.Get().(*hmScratch)
-	defer sc.release()
-	sa, sb, _ := sc.internBoth(a, b)
+// myersMatches computes an LCS of two files, given as interned line symbols,
+// as maximal runs of matching lines using the linear-space divide-and-conquer
+// form of Myers' O(ND) algorithm (Myers, "An O(ND) Difference Algorithm and
+// Its Variations", Algorithmica 1986; the paper cites the closely related
+// Miller–Myers file comparison program). Memory is O(N+M); time is
+// O((N+M)·D).
+func myersMatches(_ *hmScratch, sa, sb []int, _ int) []match {
 	return myersMiddle(sa, sb)
 }
 

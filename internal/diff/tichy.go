@@ -11,10 +11,9 @@ package diff
 // To keep worst-case cost bounded on low-entropy inputs, at most
 // maxTichyCandidates base occurrences are tried per target line; this can
 // make the delta slightly non-minimal but never incorrect.
-func tichyOps(a, b [][]byte) []Op {
-	sc := hmPool.Get().(*hmScratch)
-	defer sc.release()
-	sa, sb, nsym := sc.internBoth(a, b)
+func tichyOps(sc *hmScratch, base, target []byte) []Op {
+	sa, sb, nsym := sc.internBoth(base, target)
+	off := sc.scans[1].off // where each target line starts
 	// Index base occurrences CSR-style: astart[s]..astart[s+1] delimits
 	// symbol s's ascending positions in sa.
 	astart := make([]int32, nsym+2)
@@ -66,7 +65,7 @@ func tichyOps(a, b [][]byte) []Op {
 			}
 		}
 		if bestLen == 0 {
-			pendingInsert = append(pendingInsert, b[j])
+			pendingInsert = append(pendingInsert, target[off[j]:off[j+1]])
 			j++
 			continue
 		}
