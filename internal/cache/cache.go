@@ -222,7 +222,7 @@ func (c *Cache) Params() chunk.Params { return c.params }
 // recency. The content is assembled from the chunk store into a fresh
 // buffer the caller owns.
 //
-// Get, GetInto and GetAtLeast are the lookups Stats counts: a hit is an entry
+// Get, GetAtLeast and View are the lookups Stats counts: a hit is an entry
 // that was there — as the content itself or as the base the next delta or
 // manifest builds on — a miss one that was not. Version, Peek, Manifest and
 // Fingerprint plan or inspect and count nothing.
@@ -230,19 +230,13 @@ func (c *Cache) Get(id naming.ShadowID) (Entry, bool) {
 	return c.GetAtLeast(nil, id, 0)
 }
 
-// GetInto is Get assembling the content into dst's backing array (from its
-// start; a larger one is allocated if it is too small) instead of a fresh
-// buffer, for callers that only read the content and recycle the buffer —
-// the delta arrival path drops its base as soon as the delta is applied.
-func (c *Cache) GetInto(dst []byte, id naming.ShadowID) (Entry, bool) {
-	return c.GetAtLeast(dst, id, 0)
-}
-
-// GetAtLeast is GetInto for a reader that can only use version min or newer
-// (a job gathering its inputs): an older entry is reported — it is a hit, and
-// its recency is refreshed, exactly as Get would — but with nil Content,
-// because assembling a file nobody will read costs a file-sized allocation
-// and copy. The version test and the assembly happen under one shard lock.
+// GetAtLeast is Get assembling the content into dst's backing array (from
+// its start; a larger one is allocated if it is too small), for a reader that
+// can only use version min or newer (a job gathering its inputs): an older
+// entry is reported — it is a hit, and its recency is refreshed, exactly as
+// Get would — but with nil Content, because assembling a file nobody will
+// read costs a file-sized allocation and copy. The version test and the
+// assembly happen under one shard lock.
 func (c *Cache) GetAtLeast(dst []byte, id naming.ShadowID, min uint64) (Entry, bool) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
@@ -260,6 +254,41 @@ func (c *Cache) GetAtLeast(dst []byte, id naming.ShadowID, min uint64) (Entry, b
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	return e, true
+}
+
+// View calls read with the content of id's entry, if it is version, as the
+// chunk store's own bytes in manifest order — nothing is assembled or copied
+// — and reports whether it did. It counts and refreshes recency as Get does:
+// an entry of another version is a hit that read never sees. read runs under
+// the shard lock, which pins the manifest's chunks (eviction and replacement
+// take the same lock), so it must return promptly, must not keep or modify
+// the segments, and must not call back into the cache. The segment list is
+// built in segs's backing array and comes back emptied, for the caller to
+// reuse. This is how the delta arrival path reads a delta's base where the
+// base lives.
+func (c *Cache) View(segs [][]byte, id naming.ShadowID, version uint64, read func(content [][]byte)) ([][]byte, bool) {
+	sh := c.shardOf(id)
+	sh.mu.Lock()
+	s, ok := sh.entries[id]
+	if !ok {
+		sh.mu.Unlock()
+		c.misses.Add(1)
+		return segs, false
+	}
+	s.lastUsed = c.seq.Add(1)
+	hit := s.version == version
+	if hit {
+		segs, ok = c.store.AppendSegments(segs[:0], s.manifest)
+		if !ok {
+			// Unreachable unless refcounts are broken; fail loudly in tests.
+			panic(fmt.Sprintf("cache: entry %d lost chunks", id))
+		}
+		read(segs)
+	}
+	sh.mu.Unlock()
+	c.hits.Add(1)
+	clear(segs) // keep no chunk alive past its release
+	return segs[:0], hit
 }
 
 // Peek is Get without touching recency or hit statistics.
@@ -350,7 +379,7 @@ func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
 		return ErrTooLarge
 	}
 	m := c.store.AddManifest(content, c.params)
-	c.install(id, version, m, size, true)
+	c.install(id, version, m, size, true, nil)
 	return nil
 }
 
@@ -366,7 +395,7 @@ func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) err
 // new manifest is derived from the resident one — unchanged chunks keep their
 // refs, only what an edit touched is cut and hashed again (chunk.Resplit) —
 // and is identical to the one Put would compute, as are the chunk store's
-// put/dup counts. Anything else is stored by a full split exactly as Put
+// put/dup/free counts. Anything else is stored by a full split exactly as Put
 // does: nil spans (the delta gave no account of its edits), a resident
 // version that is no longer base (evicted or replaced since the caller read
 // it), a resident manifest the cache did not split itself (PutManifest took
@@ -374,25 +403,44 @@ func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) err
 // would copy them unchecked), spans that do not fit.
 //
 // The derivation runs outside the shard lock on the resident manifest, which
-// is immutable once installed. Should that entry be released meanwhile, its
-// chunks are simply stored again from content: PutChunks references a
-// resident chunk and re-creates a missing one, so the references the new
-// manifest holds never depend on the old entry surviving.
+// is immutable once installed; install then takes the new manifest's
+// references under the lock, where it can tell whether that manifest is
+// still the entry's (see install).
 func (c *Cache) PutFromBase(id naming.ShadowID, base, version uint64, content []byte, spans []chunk.Span) error {
 	size := int64(len(content))
 	if spans != nil && (c.capacity <= 0 || size <= c.capacity) {
-		if resident, ok := c.splitManifest(id, base); ok {
-			if m, ok := chunk.Resplit(resident, content, spans, c.params); ok {
-				if raceEnabled && !slices.Equal(m, chunk.Split(content, c.params)) {
-					panic(fmt.Sprintf("cache: entry %d: manifest derived from v%d differs from a full split", id, base))
-				}
-				c.store.PutChunks(m, content)
-				c.install(id, version, m, size, true)
-				return nil
-			}
+		if d, ok := c.derive(id, base, content, spans); ok {
+			c.install(id, version, d.m, size, true, &d)
+			return nil
 		}
 	}
 	return c.Put(id, version, content)
+}
+
+// derived is a manifest m for content that PutFromBase derived from the
+// resident manifest base, with from, Resplit's account of the base ref each
+// ref of m copies.
+type derived struct {
+	base, m chunk.Manifest
+	from    []int32
+	content []byte
+}
+
+// derive is PutFromBase's derivation: ok is false when the resident entry is
+// not version base as the cache split it, or Resplit refuses the spans.
+func (c *Cache) derive(id naming.ShadowID, base uint64, content []byte, spans []chunk.Span) (derived, bool) {
+	resident, ok := c.splitManifest(id, base)
+	if !ok {
+		return derived{}, false
+	}
+	m, from, ok := chunk.Resplit(resident, content, spans, c.params)
+	if !ok {
+		return derived{}, false
+	}
+	if raceEnabled && !slices.Equal(m, chunk.Split(content, c.params)) {
+		panic(fmt.Sprintf("cache: entry %d: manifest derived from v%d differs from a full split", id, base))
+	}
+	return derived{base: resident, m: m, from: from, content: content}, true
 }
 
 // splitManifest returns the resident manifest of id if it is version base and
@@ -413,27 +461,41 @@ func (c *Cache) splitManifest(id naming.ShadowID, base uint64) (chunk.Manifest, 
 // arrival path holds those refs from resolving and receiving the transfer).
 // The manifest must not be used by the caller afterwards.
 func (c *Cache) PutManifest(id naming.ShadowID, version uint64, m chunk.Manifest) {
-	c.install(id, version, m, m.TotalLen(), false)
+	c.install(id, version, m, m.TotalLen(), false, nil)
 }
 
-// install replaces the entry for id and enforces the capacity bound. split
-// says the cache computed m itself (see slot.split).
-func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, size int64, split bool) {
-	sh := c.shardOf(id)
-	if c.capacity <= 0 {
-		// Unbounded: fully shard-local.
-		sh.mu.Lock()
-		old := c.storeLocked(sh, id, version, m, size, split)
-		sh.mu.Unlock()
-		c.store.ReleaseManifest(old)
-		return
+// install replaces the entry for id with m and enforces the capacity bound.
+// split says the cache computed m itself (see slot.split). The caller holds
+// m's references, unless from says how m was derived: then install takes
+// them under the shard lock. While the entry still holds from's base
+// manifest, the base's references pass to m where m copies its refs
+// (chunk.Store.Rebase) and the replaced manifest is not released again;
+// otherwise — the base was replaced or evicted after the derivation — m's
+// chunks are stored from the content, as Put stores them.
+func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, size int64, split bool, from *derived) {
+	if c.capacity > 0 {
+		c.evictMu.Lock()
+		defer c.evictMu.Unlock()
 	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
+	sh := c.shardOf(id)
 	sh.mu.Lock()
+	handedOver := false
+	if from != nil {
+		if s, ok := sh.entries[id]; ok && sameManifest(s.manifest, from.base) {
+			c.store.Rebase(from.base, m, from.from, from.content)
+			handedOver = true
+		} else {
+			c.store.PutChunks(m, from.content)
+		}
+	}
 	old := c.storeLocked(sh, id, version, m, size, split)
 	sh.mu.Unlock()
-	c.store.ReleaseManifest(old)
+	if !handedOver {
+		c.store.ReleaseManifest(old)
+	}
+	if c.capacity <= 0 {
+		return
+	}
 	// Only install (under evictMu) grows unique bytes, so the loop cannot
 	// be starved by concurrent growth.
 	for c.store.UniqueBytes() > c.capacity {
@@ -441,6 +503,13 @@ func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, si
 			break
 		}
 	}
+}
+
+// sameManifest reports whether a and b are one installed manifest, not
+// merely equal ones: an entry replaced by the same content holds references
+// of its own.
+func sameManifest(a, b chunk.Manifest) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // reject counts a failed Put and drops any stale old version of id.

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -373,8 +375,8 @@ func TestEvictHookObservesEveryRemoval(t *testing.T) {
 	}
 }
 
-// TestLookupAccounting pins which lookups Stats counts. Get, GetInto and
-// GetAtLeast are consumers asking for a file: an entry that is there is a hit
+// TestLookupAccounting pins which lookups Stats counts. Get, GetAtLeast and
+// View are consumers asking for a file: an entry that is there is a hit
 // — also when it is older than the reader can use, because it is still the
 // base the next delta builds on — and an absent one a miss. Version, Peek,
 // Manifest and Fingerprint plan or inspect and count nothing.
@@ -403,8 +405,21 @@ func TestLookupAccounting(t *testing.T) {
 		t.Fatal("GetAtLeast found an absent entry")
 	}
 	c.Get(1)
-	c.GetInto(nil, 2)
-	if st := c.Stats(); st.Hits != 3 || st.Misses != 2 {
-		t.Fatalf("hits %d, misses %d; want 3 and 2", st.Hits, st.Misses)
+	var seen [][]byte
+	segs, ok := c.View(nil, 1, 5, func(content [][]byte) { seen = slices.Clone(content) })
+	if !ok || string(bytes.Join(seen, nil)) != "five\n" {
+		t.Fatalf("View(cached version) read %q", seen)
+	}
+	if len(segs) != 0 || cap(segs) == 0 || segs[:1][0] != nil {
+		t.Fatal("View did not hand its emptied, cleared segment list back")
+	}
+	if _, ok := c.View(segs, 1, 4, func([][]byte) { t.Fatal("View read another version") }); ok {
+		t.Fatal("View(other version) reported a read")
+	}
+	if _, ok := c.View(segs, 2, 1, func([][]byte) { t.Fatal("View read an absent entry") }); ok {
+		t.Fatal("View found an absent entry")
+	}
+	if st := c.Stats(); st.Hits != 5 || st.Misses != 2 {
+		t.Fatalf("hits %d, misses %d; want 5 and 2", st.Hits, st.Misses)
 	}
 }

@@ -223,18 +223,112 @@ func TestPutFromBaseDistrustsInstalledManifest(t *testing.T) {
 	}
 }
 
+// TestPutFromBaseHandOverCountsLikePut replaces or evicts the base between
+// PutFromBase's derivation and its install, the window the reference
+// hand-over must notice. Whatever happened there, the entry holds the put
+// content under the full split, no chunk is lost, and the store reads — its
+// puts, dups, frees, chunks and bytes — exactly as in a cache that did the
+// same with a full Put; evicting everything then empties it.
+func TestPutFromBaseHandOverCountsLikePut(t *testing.T) {
+	g := workload.NewGenerator(12)
+	base := g.File(64 << 10)
+	target, spans := editedVersion(t, g, base, 2)
+	other := g.File(48 << 10)
+	// reshaped has base's chunk count, one chunk's bytes differing: a
+	// flipped first byte of a chunk is outside every boundary decision.
+	reshaped := bytes.Clone(base)
+	reshaped[chunk.Split(base, chunk.DefaultParams)[0].Len] ^= 0xFF
+	if len(chunk.Split(reshaped, chunk.DefaultParams)) != len(chunk.Split(base, chunk.DefaultParams)) {
+		t.Fatal("the reshaped base splits into another number of chunks")
+	}
+	between := map[string]func(c *Cache){
+		"replaced, same chunk count": func(c *Cache) { _ = c.Put(1, 2, reshaped) },
+		"nothing":                    func(*Cache) {},
+		"replaced":                   func(c *Cache) { _ = c.Put(1, 2, other) },
+		"replaced by the same bytes": func(c *Cache) { _ = c.Put(1, 1, base) },
+		"evicted":                    func(c *Cache) { c.Evict(1) },
+		"evicted, target elsewhere":  func(c *Cache) { c.Evict(1); _ = c.Put(2, 1, target) },
+		"base shared elsewhere":      func(c *Cache) { _ = c.Put(2, 1, base) },
+		"flushed":                    func(c *Cache) { c.Flush() },
+	}
+	for name, meanwhile := range between {
+		for _, capacity := range []int64{0, 1 << 20} {
+			delta, full := New(capacity, LRU), New(capacity, LRU)
+			for _, c := range []*Cache{delta, full} {
+				if err := c.Put(1, 1, base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, ok := delta.derive(1, 1, target, spans)
+			if !ok {
+				t.Fatalf("%s: no derivation from the resident base", name)
+			}
+			meanwhile(delta)
+			meanwhile(full)
+			delta.install(1, 3, d.m, int64(len(target)), true, &d)
+			if err := full.Put(1, 3, target); err != nil {
+				t.Fatal(err)
+			}
+			ds, fs := delta.Stats(), full.Stats()
+			if ds.ChunkPuts != fs.ChunkPuts || ds.ChunkDups != fs.ChunkDups || ds.ChunkFrees != fs.ChunkFrees ||
+				ds.Chunks != fs.Chunks || ds.Bytes != fs.Bytes || ds.LogicalBytes != fs.LogicalBytes {
+				t.Fatalf("%s, capacity %d: hand-over stats %+v, full put %+v", name, capacity, ds, fs)
+			}
+			if e, ok := delta.Get(1); !ok || e.Version != 3 || !bytes.Equal(e.Content, target) {
+				t.Fatalf("%s: cache does not hold the put content", name)
+			}
+			if _, m, _ := delta.Manifest(1); !slices.Equal(m, chunk.Split(target, delta.Params())) {
+				t.Fatalf("%s: manifest is not the full split", name)
+			}
+			delta.Flush()
+			if n, b := delta.ChunkStore().Len(), delta.Bytes(); n != 0 || b != 0 {
+				t.Fatalf("%s, capacity %d: flush left %d chunks, %d bytes behind", name, capacity, n, b)
+			}
+		}
+	}
+}
+
+// TestPutFromBaseEmptyBaseReplacedByDescribedManifest: every empty manifest
+// looks like every other, so an empty base replaced by a described empty
+// file (PutManifest) between derivation and install must not pass for the
+// base the derivation read.
+func TestPutFromBaseEmptyBaseReplacedByDescribedManifest(t *testing.T) {
+	target, spans := []byte("one line\n"), []chunk.Span{{TargetEnd: 9}}
+	c := New(0, LRU)
+	if err := c.Put(1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	d, ok := c.derive(1, 1, target, spans)
+	if !ok {
+		t.Fatal("no derivation from the empty base")
+	}
+	c.PutManifest(1, 2, nil)
+	c.install(1, 3, d.m, int64(len(target)), true, &d)
+	if e, ok := c.Get(1); !ok || e.Version != 3 || !bytes.Equal(e.Content, target) {
+		t.Fatalf("cache holds %+v", e)
+	}
+	c.Flush()
+	if n := c.ChunkStore().Len(); n != 0 {
+		t.Fatalf("flush left %d chunks behind", n)
+	}
+}
+
 // TestPutFromBaseRacesReplacement replaces and evicts the base while delta
-// puts derive from it. Whichever put lands last, the entry must be one of the
-// written contents in full and the refcounts must balance.
+// puts derive from it and readers view it in place, with a second entry
+// sharing its chunks. Whichever put lands last, the entry must be one of the
+// written contents in full, no view may see a chunk go missing, the store's
+// counts must agree with what it holds, and evicting everything must empty
+// it.
 func TestPutFromBaseRacesReplacement(t *testing.T) {
 	g := workload.NewGenerator(10)
 	base := g.File(64 << 10)
 	target, spans := editedVersion(t, g, base, 2)
 	other := g.File(48 << 10)
+	want := map[uint64][]byte{1: base, 2: target, 3: other}
 	c := New(0, LRU)
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
-		wg.Add(2)
+		wg.Add(4)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
@@ -251,15 +345,33 @@ func TestPutFromBaseRacesReplacement(t *testing.T) {
 				c.Evict(1)
 			}
 		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				_ = c.Put(2, uint64(i+1), want[uint64(1+i%3)])
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var segs [][]byte
+			for i := 0; i < 600; i++ {
+				v := uint64(1 + i%3)
+				segs, _ = c.View(segs, 1, v, func(content [][]byte) {
+					if !bytes.Equal(bytes.Join(content, nil), want[v]) {
+						t.Errorf("view of v%d read other bytes", v)
+					}
+				})
+			}
+		}()
 	}
 	wg.Wait()
-	if e, ok := c.Peek(1); ok {
-		want := map[uint64][]byte{1: base, 2: target, 3: other}[e.Version]
-		if !bytes.Equal(e.Content, want) {
-			t.Fatalf("entry v%d holds %d bytes that are not what was put", e.Version, len(e.Content))
-		}
-		c.Evict(1)
+	if st := c.Stats(); st.ChunkPuts-st.ChunkFrees != int64(st.Chunks) {
+		t.Fatalf("counts disagree with the store: %+v", st)
 	}
+	if e, ok := c.Peek(1); ok && !bytes.Equal(e.Content, want[e.Version]) {
+		t.Fatalf("entry v%d holds %d bytes that are not what was put", e.Version, len(e.Content))
+	}
+	c.Flush()
 	if n, b := c.ChunkStore().Len(), c.Bytes(); n != 0 || b != 0 {
 		t.Fatalf("race left %d chunks, %d bytes behind", n, b)
 	}

@@ -57,7 +57,7 @@ func BenchmarkResplit(b *testing.B) {
 			b.SetBytes(int64(len(target)))
 			for i := 0; i < b.N; i++ {
 				var ok bool
-				if sink, ok = chunk.Resplit(m, target, spans, chunk.DefaultParams); !ok {
+				if sink, _, ok = chunk.Resplit(m, target, spans, chunk.DefaultParams); !ok {
 					b.Fatal("Resplit refused")
 				}
 			}

@@ -29,15 +29,18 @@ type Span struct {
 // that would also stop the walk from advancing — an empty chunk, which Split
 // never emits — is refused here.
 //
+// from says where each ref of m came from: the index of the base ref it
+// copies, or -1 for a chunk cut and hashed anew. The copied indices ascend.
+//
 // ok is false, and the caller must Split in full, when base has an empty
 // chunk or the spans do not describe an edit from a file of base's length to
 // target: out of order, overlapping, or disagreeing with either length.
-func Resplit(base Manifest, target []byte, spans []Span, p Params) (m Manifest, ok bool) {
+func Resplit(base Manifest, target []byte, spans []Span, p Params) (m Manifest, from []int32, ok bool) {
 	p.validate()
 	baseLen := 0
 	for _, r := range base {
 		if r.Len == 0 {
-			return nil, false
+			return nil, nil, false
 		}
 		baseLen += int(r.Len)
 	}
@@ -48,19 +51,20 @@ func Resplit(base Manifest, target []byte, spans []Span, p Params) (m Manifest, 
 		if s.BaseStart < 0 || s.BaseEnd < s.BaseStart || s.BaseEnd > baseLen ||
 			s.TargetStart != s.BaseStart+shift || s.TargetEnd < s.TargetStart ||
 			(i > 0 && s.BaseStart < spans[i-1].BaseEnd) {
-			return nil, false
+			return nil, nil, false
 		}
 		shift = s.TargetEnd - s.BaseEnd
 	}
 	if baseLen+shift != len(target) {
-		return nil, false
+		return nil, nil, false
 	}
 	if len(target) == 0 {
-		return nil, true
+		return nil, nil, true
 	}
 
 	mask := uint64(p.Avg - 1)
 	m = make(Manifest, 0, len(base)+len(spans)+1)
+	from = make([]int32, 0, cap(m))
 	var (
 		to     int // target bytes covered by m so far
 		si     int // first span not wholly behind to
@@ -89,6 +93,7 @@ func Resplit(base Manifest, target []byte, spans []Span, p Params) (m Manifest, 
 				n := int(base[bi].Len)
 				if bo+n <= untouched && (bi < len(base)-1 || to+n == len(target)) {
 					m = append(m, base[bi])
+					from = append(from, int32(bi))
 					to += n
 					continue
 				}
@@ -96,7 +101,8 @@ func Resplit(base Manifest, target []byte, spans []Span, p Params) (m Manifest, 
 		}
 		n := cut(target[to:], p, mask)
 		m = append(m, Ref{Hash: HashOf(target[to : to+n]), Len: uint32(n)})
+		from = append(from, -1)
 		to += n
 	}
-	return m, true
+	return m, from, true
 }

@@ -116,9 +116,21 @@ func editScript(intn func(int) int, base []byte, m Manifest, p Params) (target [
 
 func checkResplit(t *testing.T, base, target []byte, spans []Span, p Params) {
 	t.Helper()
-	got, ok := Resplit(Split(base, p), target, spans, p)
+	bm := Split(base, p)
+	got, from, ok := Resplit(bm, target, spans, p)
 	if !ok {
 		t.Fatalf("Resplit refused a valid script: base %d target %d spans %v", len(base), len(target), spans)
+	}
+	// from names, in ascending order, a base ref equal to each copied one.
+	if len(from) != len(got) {
+		t.Fatalf("Resplit accounted for %d of %d refs", len(from), len(got))
+	}
+	last := int32(-1)
+	for j, bi := range from {
+		if bi >= 0 && (bi <= last || int(bi) >= len(bm) || bm[bi] != got[j]) {
+			t.Fatalf("ref %d: from %d (previous copy %d) does not name an equal base ref", j, bi, last)
+		}
+		last = max(last, bi)
 	}
 	want := Split(target, p)
 	if len(got) != len(want) {
@@ -221,7 +233,7 @@ func TestResplitReusesUnchangedChunks(t *testing.T) {
 	for i := range marked {
 		marked[i].Hash = Hash{0xff}
 	}
-	got, ok := Resplit(marked, target, spans, DefaultParams)
+	got, _, ok := Resplit(marked, target, spans, DefaultParams)
 	if !ok {
 		t.Fatal("Resplit refused")
 	}
@@ -249,7 +261,7 @@ func TestResplitRejectsInconsistentSpans(t *testing.T) {
 		{{BaseStart: -1, BaseEnd: 0, TargetStart: -1, TargetEnd: 2}},
 	}
 	for i, spans := range bad {
-		if _, ok := Resplit(m, target, spans, DefaultParams); ok {
+		if _, _, ok := Resplit(m, target, spans, DefaultParams); ok {
 			t.Errorf("case %d: inconsistent spans %v accepted", i, spans)
 		}
 	}
@@ -271,7 +283,7 @@ func TestResplitRejectsEmptyBaseChunk(t *testing.T) {
 			lying[i+1].Len += lying[i].Len // keep the total, so only the empty ref is wrong
 		}
 		lying[i].Len = 0
-		if _, ok := Resplit(lying, target, spans, DefaultParams); ok {
+		if _, _, ok := Resplit(lying, target, spans, DefaultParams); ok {
 			t.Fatalf("base with an empty chunk at %d accepted", i)
 		}
 	}

@@ -163,6 +163,40 @@ func (s *Store) PutChunks(m Manifest, content []byte) {
 	}
 }
 
+// Rebase is PutChunks(m, content) followed by ReleaseManifest(base), for a
+// caller that holds base's references and gives them up, without touching
+// the chunks both keep: m is a chunking of content that Resplit derived from
+// base, and from is Resplit's account of it — for each ref of m, the index of
+// the base ref it copies, or -1. A copied ref takes that base ref's reference
+// over; the other refs of m are Put from content, and the base refs nobody
+// took over are released once every Put is done. The counts read exactly as
+// the long way round does: a reference taken over is a dup (PutChunks would
+// have found the chunk resident), a dropped one a release.
+func (s *Store) Rebase(base, m Manifest, from []int32, content []byte) {
+	off, kept := 0, 0
+	for j, r := range m {
+		if from[j] < 0 {
+			s.Put(r.Hash, content[off:off+int(r.Len)])
+		} else {
+			kept++
+		}
+		off += int(r.Len)
+	}
+	s.dups.Add(int64(kept))
+	next := 0 // the first base ref not yet taken over or released
+	for _, bi := range from {
+		if bi >= 0 {
+			for ; next < int(bi); next++ {
+				s.Release(base[next].Hash)
+			}
+			next = int(bi) + 1
+		}
+	}
+	for ; next < len(base); next++ {
+		s.Release(base[next].Hash)
+	}
+}
+
 // ReleaseManifest drops the one-reference-per-entry a manifest holds.
 func (s *Store) ReleaseManifest(m Manifest) {
 	for _, r := range m {
@@ -184,6 +218,22 @@ func (s *Store) AppendAssemble(dst []byte, m Manifest) ([]byte, bool) {
 			return dst, false
 		}
 		dst = append(dst, data...)
+	}
+	return dst, true
+}
+
+// AppendSegments is AppendAssemble without the copy: it appends each chunk's
+// bytes — the store's own, which the caller must not modify — to dst in
+// manifest order. The caller must hold references on every chunk for as long
+// as it reads them, and ok is false on the same conditions: a chunk missing,
+// or not as long as its ref says.
+func (s *Store) AppendSegments(dst [][]byte, m Manifest) ([][]byte, bool) {
+	for _, r := range m {
+		data, ok := s.Get(r.Hash)
+		if !ok || len(data) != int(r.Len) {
+			return dst, false
+		}
+		dst = append(dst, data)
 	}
 	return dst, true
 }

@@ -430,7 +430,7 @@ func (c *Client) commit(filePath string) (NotifyResult, *wire.Notify, error) {
 		return NotifyResult{}, nil, err
 	}
 	// readFile made this buffer for us, so the store takes it as is.
-	version, changed := c.store.CommitOwned(ref, content)
+	version, sum, changed := c.store.CommitOwned(ref, content)
 	res := NotifyResult{File: ref, Version: version}
 	if !changed {
 		return res, nil, nil
@@ -440,7 +440,7 @@ func (c *Client) commit(filePath string) (NotifyResult, *wire.Notify, error) {
 		File:    ref,
 		Version: version,
 		Size:    int64(len(content)),
-		Sum:     diff.Checksum(content),
+		Sum:     sum,
 	}, nil
 }
 

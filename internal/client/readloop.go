@@ -266,12 +266,14 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	}
 	c.delivered = append(c.delivered, m.Job)
 	c.mu.Unlock()
+	// The cycle is counted before the Wait woken below can return, so a
+	// caller reading the histogram after Wait finds it there.
+	if timed {
+		c.cfg.Obs.ObserveCycle(cycleStart)
+	}
 	_ = c.send(&wire.OutputAck{Job: m.Job})
 	if done != nil {
 		close(done)
-	}
-	if timed {
-		c.cfg.Obs.ObserveCycle(cycleStart)
 	}
 	// Output delivered: the cycle is over. Close its root span and move the
 	// trace to the completed ring; the server ends it too after a

@@ -133,36 +133,47 @@ func ApplyDelta(base []byte, fd *wire.FileDelta) ([]byte, error) {
 
 // ApplyDeltaSpans is ApplyDelta that also reports the byte spans the delta
 // rewrote (see diff.Delta.ApplySpans; nil when the delta gives no account of
-// them). The output is a fresh buffer that aliases neither base nor fd, so
-// the caller may recycle base as soon as this returns.
+// them). The output is a fresh buffer that aliases neither base nor fd.
 func ApplyDeltaSpans(base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, error) {
-	return ApplyDeltaInto(nil, base, fd)
+	d, err := DecodeDelta(fd)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, spans, err := d.ApplySpans(base)
+	if err != nil {
+		return nil, nil, DeltaError(fd, err)
+	}
+	return out, spans, nil
 }
 
-// ApplyDeltaInto is ApplyDeltaSpans building the output in dst's backing
-// array when it is big enough (see diff.Delta.ApplyInto), for a receiver that
-// recycles the buffers versions arrive in. dst must not overlap base.
-func ApplyDeltaInto(dst, base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, error) {
+// DecodeDelta unwraps the delta an arriving FileDelta carries, decompressing
+// it first when it travelled compressed: the half of ApplyDelta that needs no
+// base, for a receiver that applies the delta itself (the server reads its
+// base in place, see diff.Delta.ApplyInPlace).
+func DecodeDelta(fd *wire.FileDelta) (*diff.Delta, error) {
 	encoded := fd.Encoded
 	if fd.Compressed {
 		var err error
 		encoded, err = compress.Decode(encoded)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
+			return nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
 		}
 	}
 	d, err := diff.Decode(encoded)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
 	}
-	out, spans, err := d.ApplyInto(dst, base)
-	switch {
-	case errors.Is(err, diff.ErrBaseMismatch):
-		return nil, nil, fmt.Errorf("%w: %s base v%d", ErrStaleBase, fd.File, fd.BaseVersion)
-	case err != nil:
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadTransfer, err)
+	return d, nil
+}
+
+// DeltaError maps a failure to apply fd's delta to the arrival path's
+// errors: ErrStaleBase for a base the delta does not fit, ErrBadTransfer for
+// anything else.
+func DeltaError(fd *wire.FileDelta, err error) error {
+	if errors.Is(err, diff.ErrBaseMismatch) {
+		return fmt.Errorf("%w: %s base v%d", ErrStaleBase, fd.File, fd.BaseVersion)
 	}
-	return out, spans, nil
+	return fmt.Errorf("%w: %v", ErrBadTransfer, err)
 }
 
 // ApplyFull unwraps an arriving FileFull and verifies its checksum.

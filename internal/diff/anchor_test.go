@@ -133,6 +133,18 @@ func editBlocks(rng *benchRNG, content []byte, blocks, maxBlock int) []byte {
 
 func TestAnchoredOpsEqualEngineOps(t *testing.T) {
 	cases := 0
+	eachEngineCase(func(name string, base, target []byte) {
+		checkExact(t, name, base, target)
+		cases++
+	})
+	t.Logf("%d cases, ops identical to the engine's", cases)
+}
+
+// eachEngineCase calls fn with every (base, target) pair of the engine
+// corpus: generated files of 2 to 256 KiB under in-place, moved, block,
+// wide-gap, dense and unterminated-tail edits, and internal/workload's files
+// under its four edit mixes, as the figures use them.
+func eachEngineCase(fn func(name string, base, target []byte)) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := benchRNG(seed * 0x9E3779B97F4A7C15)
 		size := []int{2 << 10, 8 << 10, 32 << 10, 64 << 10, 256 << 10}[seed%5]
@@ -149,24 +161,19 @@ func TestAnchoredOpsEqualEngineOps(t *testing.T) {
 				"tail-no-nl":    bytes.TrimSuffix(benchInplace(base, 1, seed), nlByte),
 				"tail-appended": append(bytes.Clone(base), "unterminated"...),
 			} {
-				checkExact(t, fmt.Sprintf("seed %d size %d %s", seed, size, name), base, target)
-				cases++
+				fn(fmt.Sprintf("seed %d size %d %s", seed, size, name), base, target)
 			}
-			checkExact(t, "base-no-nl", bytes.TrimSuffix(base, nlByte), benchMoved(base, 1, seed))
+			fn("base-no-nl", bytes.TrimSuffix(base, nlByte), benchMoved(base, 1, seed))
 		}
-		// internal/workload's files and its four edit mixes, as the figures
-		// use them.
 		g := workload.NewGenerator(int64(seed))
 		base := g.File(size)
 		for _, kind := range []workload.EditKind{workload.EditReplace, workload.EditMixed, workload.EditInsert, workload.EditDelete} {
 			for _, pct := range []float64{1, 5, 20} {
-				checkExact(t, fmt.Sprintf("workload seed %d size %d kind %d %v%%", seed, size, kind, pct),
+				fn(fmt.Sprintf("workload seed %d size %d kind %d %v%%", seed, size, kind, pct),
 					base, g.Modify(base, pct, kind))
-				cases++
 			}
 		}
 	}
-	t.Logf("%d cases, ops identical to the engine's", cases)
 }
 
 func TestAnchoredRepetitiveCorpus(t *testing.T) {

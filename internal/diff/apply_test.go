@@ -2,8 +2,10 @@ package diff
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,7 +30,7 @@ func TestApplyFastMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: Compute: %v", trial, alg, err)
 			}
-			fast, _, ok := applyEditsFast(nil, d.Ops, base)
+			fast, _, ok := applyEditsFast(nil, nil, d.Ops, [][]byte{base})
 			if !ok {
 				t.Fatalf("trial %d %v: fast path rejected a Compute delta\nops=%v",
 					trial, alg, d.Ops)
@@ -139,7 +141,7 @@ func TestApplyFastRejectsDisorderedOps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, _, ok := applyEditsFast(nil, tt.ops, base); ok {
+			if _, _, ok := applyEditsFast(nil, nil, tt.ops, [][]byte{base}); ok {
 				t.Fatal("fast path accepted disordered ops")
 			}
 			got, err := ApplyOps(tt.ops, base)
@@ -207,7 +209,7 @@ func TestApplyFastBoundaryAdjacency(t *testing.T) {
 			if string(seq) != tt.want {
 				t.Fatalf("sequential = %q, want %q (bad test expectation)", seq, tt.want)
 			}
-			fast, _, ok := applyEditsFast(nil, tt.ops, base)
+			fast, _, ok := applyEditsFast(nil, nil, tt.ops, [][]byte{base})
 			if !ok {
 				t.Skip("fast path declined; sequential fallback covers it")
 			}
@@ -383,4 +385,114 @@ func TestInternHashCollisions(t *testing.T) {
 	if len(bySym) != nsym {
 		t.Fatalf("nsym %d != distinct symbols %d", nsym, len(bySym))
 	}
+}
+
+// segmentations cuts base into segments several ways, each one a base
+// ApplyInto must treat exactly as the contiguous bytes: cuts at random
+// places (mostly inside lines), one segment per line (cuts on newlines),
+// chunk-shaped cuts as the server's cache holds a file, empty segments
+// between pieces, and — for small files — one byte per segment.
+func segmentations(rng *rand.Rand, base []byte) map[string][][]byte {
+	cut := func(next func(rest []byte) int) [][]byte {
+		var segs [][]byte
+		for rest := base; len(rest) > 0; {
+			n := min(max(next(rest), 1), len(rest))
+			segs = append(segs, rest[:n])
+			rest = rest[n:]
+		}
+		return segs
+	}
+	out := map[string][][]byte{
+		"random": cut(func([]byte) int { return 1 + rng.Intn(200) }),
+		"lines":  SplitLines(base),
+		"chunks": cut(func(rest []byte) int { return 256 + rng.Intn(4096-256) }),
+		"with-empty": func() [][]byte {
+			segs := [][]byte{{}}
+			for _, s := range cut(func([]byte) int { return 1 + rng.Intn(3000) }) {
+				segs = append(segs, s, base[:0])
+			}
+			return segs
+		}(),
+	}
+	if len(base) <= 8<<10 {
+		out["bytes"] = cut(func([]byte) int { return 1 })
+	}
+	return out
+}
+
+// checkSegmented applies d to every segmentation of base and requires what
+// the one-segment apply gives: the same output, spans and error.
+func checkSegmented(t testing.TB, name string, d *Delta, base []byte, segs map[string][][]byte) {
+	t.Helper()
+	want, wantSpans, wantErr := d.ApplyInto(nil, [][]byte{base})
+	for how, s := range segs {
+		got, spans, err := d.ApplyInto(nil, s)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%s, %s segments: error %v, contiguous %v", name, how, err, wantErr)
+		}
+		if !bytes.Equal(got, want) || !reflect.DeepEqual(spans, wantSpans) {
+			t.Fatalf("%s, %s segments: %d bytes, spans %v; contiguous %d bytes, spans %v",
+				name, how, len(got), spans, len(want), wantSpans)
+		}
+	}
+}
+
+// TestApplySegmentedMatchesContiguous: a base in segments — the server
+// applies deltas straight from its cached chunks — gives the output, spans
+// and errors the contiguous base gives, over the engine corpus for every
+// algorithm, against a wrong base, and for hand-built scripts that take the
+// sequential fallback or fail.
+func TestApplySegmentedMatchesContiguous(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cases := 0
+	eachEngineCase(func(name string, base, target []byte) {
+		segs := segmentations(rng, base)
+		for _, alg := range allAlgorithms {
+			d, err := Compute(alg, base, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSegmented(t, fmt.Sprintf("%s %v", name, alg), d, base, segs)
+		}
+		if len(base) > 0 {
+			wrong := bytes.Clone(base)
+			wrong[rng.Intn(len(wrong))] ^= 1
+			d, _ := Compute(HuntMcIlroy, base, target)
+			checkSegmented(t, name+" wrong base", d, wrong, segmentations(rng, wrong))
+		}
+		cases++
+	})
+	for _, base := range []string{"", "x", "\n", "a\nb", "a\nb\n", "a\n\nb\n\n", "unterminated\nlast line"} {
+		for _, target := range []string{"", "a\n", "b\nc", "a\nX\nb\n", base + "tail\n"} {
+			d, err := Compute(HuntMcIlroy, []byte(base), []byte(target))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSegmented(t, fmt.Sprintf("%q -> %q", base, target), d, []byte(base), segmentations(rng, []byte(base)))
+			cases++
+		}
+	}
+	for _, base := range [][]byte{[]byte("a\nb\nc\nd\ne"), []byte("a\nb\nc\nd\ne\n")} {
+		for name, ops := range map[string][]Op{
+			"ascending":        {{Kind: OpDelete, BaseStart: 1, BaseEnd: 1}, {Kind: OpDelete, BaseStart: 2, BaseEnd: 2}},
+			"overlapping":      {{Kind: OpChange, BaseStart: 2, BaseEnd: 4, Lines: [][]byte{[]byte("X\n")}}, {Kind: OpChange, BaseStart: 1, BaseEnd: 2, Lines: [][]byte{[]byte("Y\n")}}},
+			"delete past end":  {{Kind: OpDelete, BaseStart: 5, BaseEnd: 6}},
+			"insert past end":  {{Kind: OpInsert, BaseStart: 6, Lines: [][]byte{[]byte("f\n")}}},
+			"change last line": {{Kind: OpChange, BaseStart: 5, BaseEnd: 5, Lines: [][]byte{[]byte("E\n")}}},
+			"append at end":    {{Kind: OpInsert, BaseStart: 5, Lines: [][]byte{[]byte("\nf")}}},
+			"bad kind":         {{Kind: OpKind(9), BaseStart: 1, BaseEnd: 1}},
+		} {
+			// The reference is ed's semantics, op by op: the fast path must
+			// take only what it would rebuild the same way.
+			want, seqErr := applyEditsSequential(ops, SplitLines(base))
+			d := &Delta{Ops: ops, BaseLen: len(base), BaseSum: Checksum(base), TargetLen: len(want), TargetSum: Checksum(want)}
+			got, _, err := d.ApplyInto(nil, [][]byte{base})
+			if seqErr != nil && !errors.Is(err, ErrCorruptDelta) || seqErr == nil && (err != nil || !bytes.Equal(got, want)) {
+				t.Fatalf("%s on %q: %q, %v; ed semantics give %q, %v", name, base, got, err, want, seqErr)
+			}
+			checkSegmented(t, name, d, base, segmentations(rng, base))
+			cases++
+		}
+	}
+	t.Logf("%d cases", cases)
 }

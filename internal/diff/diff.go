@@ -140,6 +140,10 @@ var (
 	// ErrVerifyFailed reports that applying a delta produced bytes whose
 	// checksum differs from the recorded target checksum.
 	ErrVerifyFailed = errors.New("diff: applied result fails target checksum")
+
+	// ErrNeedsWholeBase reports that ApplyInPlace left the delta to
+	// ApplyWhole.
+	ErrNeedsWholeBase = errors.New("diff: delta needs the base in one piece")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -207,29 +211,97 @@ func (d *Delta) Apply(base []byte) ([]byte, error) {
 // takes the sequential fallback. A well-formed edit script always yields a
 // non-nil slice, empty when it has no ops. The output never aliases base.
 func (d *Delta) ApplySpans(base []byte) (out []byte, spans []chunk.Span, err error) {
-	return d.ApplyInto(nil, base)
+	return d.ApplyInto(nil, [][]byte{base})
 }
 
-// ApplyInto is ApplySpans building the target in dst's backing array (from
-// its start; a larger one is allocated when it is too small), for a caller
-// that recycles target buffers. dst must not overlap base. On error dst's
-// contents are unspecified.
-func (d *Delta) ApplyInto(dst, base []byte) (out []byte, spans []chunk.Span, err error) {
-	if len(base) != d.BaseLen || Checksum(base) != d.BaseSum {
-		return nil, nil, ErrBaseMismatch
+// ApplyInto is ApplySpans for a base given as segments — the base is their
+// concatenation, in order; a contiguous base is one segment — building the
+// target in dst's backing array (from its start; a larger one is allocated
+// when it is too small). It serves a receiver that holds the base in pieces
+// (the server's cached chunks) and recycles target buffers: the unchanged
+// stretches are copied once, segment to output. The base checks read the
+// segments themselves, so they cover exactly the bytes the target is built
+// from. dst must not overlap base. On error dst's contents are unspecified.
+func (d *Delta) ApplyInto(dst []byte, base [][]byte) (out []byte, spans []chunk.Span, err error) {
+	out, spans, err = d.ApplyInPlace(dst, nil, base)
+	if err == ErrNeedsWholeBase {
+		out, err = d.ApplyWhole(contiguous(base))
 	}
-	if d.isBlockMove() {
-		out, err = applyBlockMove(d.Ops, SplitLines(base))
-	} else {
-		out, spans, err = applyEdits(dst, d.Ops, base)
+	if err == nil {
+		err = d.CheckTarget(out)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(out) != d.TargetLen || Checksum(out) != d.TargetSum {
-		return nil, nil, ErrVerifyFailed
-	}
 	return out, spans, nil
+}
+
+// ApplyInPlace is the part of ApplyInto that reads the base, for a caller
+// that lends the base only briefly (the server's cache lends its chunks under
+// a lock): it checks the base's length and checksum and applies an in-order
+// edit script segment by segment, reporting the spans in spans' backing array
+// when it is big enough. It fails with ErrNeedsWholeBase, the base
+// checked, when the delta needs the base in one piece — a block move, or an
+// edit script the in-order pass declines — for the caller to finish with
+// ApplyWhole on a copy. Either way the target is still to be checked
+// (CheckTarget).
+func (d *Delta) ApplyInPlace(dst []byte, spans []chunk.Span, base [][]byte) ([]byte, []chunk.Span, error) {
+	if segsLen(base) != d.BaseLen || segsChecksum(base) != d.BaseSum {
+		return nil, nil, ErrBaseMismatch
+	}
+	if !d.isBlockMove() {
+		if out, spans, ok := applyEditsFast(dst, spans, d.Ops, base); ok {
+			return out, spans, nil
+		}
+	}
+	return nil, nil, ErrNeedsWholeBase
+}
+
+// ApplyWhole finishes an apply ApplyInPlace declined, on a contiguous base it
+// has checked: a block move, or the literal op-by-op ed semantics. Neither
+// reports spans. The output never aliases base.
+func (d *Delta) ApplyWhole(base []byte) ([]byte, error) {
+	if d.isBlockMove() {
+		return applyBlockMove(d.Ops, SplitLines(base))
+	}
+	return applyEditsSequential(d.Ops, SplitLines(base))
+}
+
+// CheckTarget verifies an applied result against the target's length and
+// checksum.
+func (d *Delta) CheckTarget(out []byte) error {
+	if len(out) != d.TargetLen || Checksum(out) != d.TargetSum {
+		return ErrVerifyFailed
+	}
+	return nil
+}
+
+// segsLen returns the length of a base given as segments.
+func segsLen(segs [][]byte) int {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	return n
+}
+
+// segsChecksum is Checksum of the segments' concatenation, chained over them.
+func segsChecksum(segs [][]byte) uint32 {
+	var sum uint32
+	for _, s := range segs {
+		sum = crc32.Update(sum, crcTable, s)
+	}
+	return sum
+}
+
+// contiguous returns a base given as segments in one slice, for the rare
+// paths that index its lines as a whole: the segment itself when there is
+// one, a joined copy otherwise.
+func contiguous(segs [][]byte) []byte {
+	if len(segs) == 1 {
+		return segs[0]
+	}
+	return JoinLines(segs)
 }
 
 // WireSize returns the encoded size of the delta in bytes, the quantity the
@@ -296,70 +368,159 @@ func (d *Delta) isBlockMove() bool {
 // Well-formed deltas — ops strictly descending over disjoint base regions,
 // every address in bounds, exactly what Compute and Decode produce — take a
 // single forward pass that emits straight into one pre-sized output buffer
-// and reports the spans it rewrote. Anything else (hand-built or corrupt ops)
-// falls back to the literal op-by-op ed semantics, which rebuilds the line
-// slice per op but preserves the historical behavior exactly; it reports no
-// spans.
-func applyEdits(dst []byte, ops []Op, base []byte) ([]byte, []chunk.Span, error) {
-	if out, spans, ok := applyEditsFast(dst, ops, base); ok {
-		return out, spans, nil
+// (applyEditsFast, which also serves Delta.ApplyInPlace). Anything else
+// (hand-built or corrupt ops) falls back to the literal op-by-op ed
+// semantics, which rebuilds the line slice per op but preserves the
+// historical behavior exactly.
+func applyEdits(ops []Op, base []byte) ([]byte, error) {
+	if out, _, ok := applyEditsFast(nil, nil, ops, [][]byte{base}); ok {
+		return out, nil
 	}
-	out, err := applyEditsSequential(ops, SplitLines(base))
-	return out, nil, err
+	return applyEditsSequential(ops, SplitLines(base))
 }
 
-// lineCursor finds line starts in ascending order by scanning for newlines
-// as it goes, so addressing the k lines an edit script names costs one pass
+// segPos is a forward-only position in a base given as segments: index i of
+// segment cur, which starts at base offset start; segs are the segments after
+// cur.
+type segPos struct {
+	segs     [][]byte
+	cur      []byte
+	i, start int
+}
+
+// off returns the position's base offset.
+func (p *segPos) off() int { return p.start + p.i }
+
+// next steps into the following non-empty segment once cur is exhausted,
+// and reports whether bytes remain at the position.
+func (p *segPos) next() bool {
+	for p.i == len(p.cur) {
+		if len(p.segs) == 0 {
+			return false
+		}
+		p.start += len(p.cur)
+		p.cur, p.segs, p.i = p.segs[0], p.segs[1:], 0
+	}
+	return true
+}
+
+// appendTo appends the base bytes from the position up to offset to (nothing
+// when to is behind it) and moves there.
+func (p *segPos) appendTo(out []byte, to int) []byte {
+	for p.off() < to && p.next() {
+		n := min(len(p.cur)-p.i, to-p.off())
+		out = append(out, p.cur[p.i:p.i+n]...)
+		p.i += n
+	}
+	return out
+}
+
+// skipTo is appendTo without the copy.
+func (p *segPos) skipTo(to int) {
+	for p.off() < to && p.next() {
+		p.i += min(len(p.cur)-p.i, to-p.off())
+	}
+}
+
+// Far from its target, lineCursor counts newlines a block at a time and
+// skips the blocks that fall short; it walks line by line only within the
+// block that holds the target, or once at most walkLines lines remain.
+const (
+	countBlock = 1 << 10
+	walkLines  = 32
+)
+
+// lineCursor finds line starts in ascending order over a base given as
+// segments, so addressing the k lines an edit script names costs one pass
 // over the base and no line table.
 type lineCursor struct {
-	base      []byte
-	line, off int // 0-based line `line` starts at byte off
+	segPos
+	line int  // newlines before the position: it starts 0-based line `line` after a seek
+	tail bool // the base ends in a line with no newline
+}
+
+func newLineCursor(segs [][]byte) lineCursor {
+	c := lineCursor{segPos: segPos{segs: segs}}
+	for i := len(segs) - 1; i >= 0; i-- {
+		if s := segs[i]; len(s) > 0 {
+			c.tail = s[len(s)-1] != '\n'
+			break
+		}
+	}
+	return c
 }
 
 // seek returns the byte offset at which 0-based line `to` starts; to must be
-// at least the line of the previous call and at most the line count (where
-// it yields len(base), also for a last line that has no newline).
-func (c *lineCursor) seek(to int) int {
+// at least the line of the previous call. ok is false when the base has fewer
+// than `to` lines; at exactly that many it yields the base's length, also for
+// a last line that has no newline.
+func (c *lineCursor) seek(to int) (off int, ok bool) {
 	for c.line < to {
-		if i := bytes.IndexByte(c.base[c.off:], '\n'); i >= 0 {
-			c.off += i + 1
-		} else {
-			c.off = len(c.base)
+		if !c.next() {
+			if c.tail && c.line+1 == to {
+				c.line++
+				return c.off(), true
+			}
+			return 0, false
 		}
-		c.line++
+		if need := to - c.line; need > walkLines {
+			blk := c.cur[c.i:min(len(c.cur), c.i+countBlock)]
+			if n := bytes.Count(blk, nlByte); n < need {
+				c.line += n
+				c.i += len(blk)
+				continue
+			}
+		}
+		// The target is near, or in the block just counted: walk to it, or
+		// to the end of the segment.
+		cur, i, line := c.cur, c.i, c.line
+		for line < to {
+			j := bytes.IndexByte(cur[i:], '\n')
+			if j < 0 {
+				i = len(cur)
+				break
+			}
+			line++
+			i += j + 1
+		}
+		c.i, c.line = i, line
 	}
-	return c.off
+	return c.off(), true
 }
 
 // applyEditsFast validates the ops and resolves them to byte spans in one
 // reverse scan (ascending base order), then emits the base stretches between
 // spans and the op lines into a single exactly-sized buffer — dst's backing
-// array when it is big enough. ok is false when the ops are not strictly
+// array when it is big enough, as spans' is for the spans. ok is false when
+// the ops are not strictly
 // descending, overlap, or address out-of-bounds lines — those cases belong to
 // the sequential path.
-func applyEditsFast(dst []byte, ops []Op, base []byte) (out []byte, spans []chunk.Span, ok bool) {
-	nlines := countLines(base)
-	spans = make([]chunk.Span, 0, len(ops))
-	cur := lineCursor{base: base}
+func applyEditsFast(dst []byte, spans []chunk.Span, ops []Op, base [][]byte) (out []byte, _ []chunk.Span, ok bool) {
+	if spans = slices.Grow(spans[:0], len(ops)); spans == nil {
+		spans = []chunk.Span{} // a well-formed script with no ops still gives an account
+	}
+	cur := newLineCursor(base)
 	shift := 0 // target minus base offset of the bytes after the last span
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := &ops[i]
 		var s chunk.Span
+		okStart, okEnd := false, false
 		switch op.Kind {
 		case OpDelete, OpChange:
-			if op.BaseStart < 1 || op.BaseEnd < op.BaseStart ||
-				op.BaseEnd > nlines || op.BaseStart-1 < cur.line {
+			if op.BaseStart < 1 || op.BaseEnd < op.BaseStart || op.BaseStart-1 < cur.line {
 				return nil, nil, false
 			}
-			s.BaseStart, s.BaseEnd = cur.seek(op.BaseStart-1), cur.seek(op.BaseEnd)
+			s.BaseStart, okStart = cur.seek(op.BaseStart - 1)
+			s.BaseEnd, okEnd = cur.seek(op.BaseEnd)
 		case OpInsert:
-			if op.BaseStart < 0 || op.BaseStart > nlines || op.BaseStart < cur.line {
+			if op.BaseStart < 0 || op.BaseStart < cur.line {
 				return nil, nil, false
 			}
-			s.BaseStart = cur.seek(op.BaseStart)
-			s.BaseEnd = s.BaseStart
-		default:
-			return nil, nil, false
+			s.BaseStart, okStart = cur.seek(op.BaseStart)
+			s.BaseEnd, okEnd = s.BaseStart, okStart
+		}
+		if !okStart || !okEnd {
+			return nil, nil, false // out of bounds, or not an edit op
 		}
 		s.TargetStart = s.BaseStart + shift
 		s.TargetEnd = s.TargetStart
@@ -371,16 +532,17 @@ func applyEditsFast(dst []byte, ops []Op, base []byte) (out []byte, spans []chun
 		shift = s.TargetEnd - s.BaseEnd
 		spans = append(spans, s)
 	}
-	out = slices.Grow(dst[:0], len(base)+shift)
-	copied := 0 // base bytes consumed
+	baseLen := segsLen(base)
+	out = slices.Grow(dst[:0], baseLen+shift)
+	src := segPos{segs: base}
 	for i, s := range spans {
-		out = append(out, base[copied:s.BaseStart]...)
+		out = src.appendTo(out, s.BaseStart)
 		if op := &ops[len(ops)-1-i]; op.Kind != OpDelete {
 			out = appendLines(out, op.Lines)
 		}
-		copied = s.BaseEnd
+		src.skipTo(s.BaseEnd) // past the bytes the op replaced
 	}
-	return append(out, base[copied:]...), spans, true
+	return src.appendTo(out, baseLen), spans, true
 }
 
 // applyEditsSequential is the reference ed semantics: each op addresses the

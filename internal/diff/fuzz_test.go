@@ -14,7 +14,9 @@ import (
 // let alone an anchor, so the same property is also checked on a long file
 // grown from base and a structural edit of it scripted by target: the shape
 // that takes the front end's walk, search, gaps and fallback. The seeds
-// include multi-region edits of 8 to 64 KiB files.
+// include multi-region edits of 8 to 64 KiB files. Each delta is also
+// applied to its base cut into segments at places the input picks, which
+// must change nothing.
 func FuzzComputeApply(f *testing.F) {
 	f.Add([]byte("a\nb\nc\n"), []byte("a\nX\nc\n"))
 	f.Add([]byte(""), []byte("x"))
@@ -35,8 +37,39 @@ func FuzzComputeApply(f *testing.F) {
 		}
 		roundTripAll(t, base, target)
 		long := fuzzGrow(base, len(target)%2 == 0)
-		roundTripAll(t, long, fuzzEdit(long, target))
+		edited := fuzzEdit(long, target)
+		roundTripAll(t, long, edited)
+		for _, pair := range [][2][]byte{{base, target}, {long, edited}} {
+			segs := map[string][][]byte{"fuzz": fuzzSegments(pair[0], target)}
+			for _, alg := range allAlgorithms {
+				d, err := Compute(alg, pair[0], pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSegmented(t, alg.String(), d, pair[0], segs)
+			}
+		}
 	})
+}
+
+// fuzzSegments cuts content into segments whose lengths cycle through the
+// bytes of seed (a zero byte is an empty segment and then a one-byte one),
+// one byte each when seed is empty.
+func fuzzSegments(content, seed []byte) [][]byte {
+	var segs [][]byte
+	for k := 0; len(content) > 0; k++ {
+		n := 1
+		if len(seed) > 0 {
+			if n = int(seed[k%len(seed)]); n == 0 {
+				segs = append(segs, content[:0])
+				n = 1
+			}
+		}
+		n = min(n, len(content))
+		segs = append(segs, content[:n])
+		content = content[n:]
+	}
+	return segs
 }
 
 // fuzzGrow repeats seed's lines out to a file of some 600 lines, numbering

@@ -203,6 +203,13 @@ func (e *execution) input(name string) ([]byte, error) {
 	return content, nil
 }
 
+// writeLine writes l and a newline to stdout: fmt.Fprintln's output without
+// its formatting machinery, which the line commands would pay once a line.
+func (e *execution) writeLine(l string) {
+	e.stdout.WriteString(l)
+	e.stdout.WriteByte('\n')
+}
+
 // lines splits content into lines without terminators.
 func lines(content []byte) []string {
 	s := string(content)
@@ -298,7 +305,7 @@ func (e *execution) grep(args []string) error {
 		}
 		for _, l := range lines(content) {
 			if re.MatchString(l) {
-				fmt.Fprintln(e.stdout, l)
+				e.writeLine(l)
 			}
 		}
 	}
@@ -316,8 +323,9 @@ func (e *execution) sortCmd(args []string) error {
 	ls := lines(content)
 	sort.Strings(ls)
 	e.cpu += time.Duration(len(ls)) * 10 * time.Microsecond
+	e.stdout.Grow(len(content) + 1) // the same lines, each with its newline
 	for _, l := range ls {
-		fmt.Fprintln(e.stdout, l)
+		e.writeLine(l)
 	}
 	return nil
 }
@@ -334,7 +342,7 @@ func (e *execution) uniq(args []string) error {
 	first := true
 	for _, l := range lines(content) {
 		if first || l != prev {
-			fmt.Fprintln(e.stdout, l)
+			e.writeLine(l)
 		}
 		prev, first = l, false
 	}
@@ -374,7 +382,7 @@ func (e *execution) headTail(args []string, head bool) error {
 		sel = ls[len(ls)-n:]
 	}
 	for _, l := range sel {
-		fmt.Fprintln(e.stdout, l)
+		e.writeLine(l)
 	}
 	return nil
 }
@@ -388,8 +396,9 @@ func (e *execution) rev(args []string) error {
 		return err
 	}
 	ls := lines(content)
+	e.stdout.Grow(len(content) + 1) // the same lines, each with its newline
 	for i := len(ls) - 1; i >= 0; i-- {
-		fmt.Fprintln(e.stdout, ls[i])
+		e.writeLine(ls[i])
 	}
 	return nil
 }

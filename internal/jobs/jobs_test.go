@@ -292,3 +292,38 @@ func TestExecuteStallOccupiesWallClock(t *testing.T) {
 		t.Fatal("excessive stall accepted")
 	}
 }
+
+// TestLineCommandsGolden pins every line command's output byte for byte:
+// blank lines, repeated lines, a last line without a newline, a file that is
+// only newlines, and an empty file.
+func TestLineCommandsGolden(t *testing.T) {
+	inputs := map[string][]byte{
+		"f":      []byte("b\na\n\nb\nb\nc\nunterminated"),
+		"blanks": []byte("\n\n"),
+		"empty":  nil,
+	}
+	for script, want := range map[string]string{
+		"sort f":           "\na\nb\nb\nb\nc\nunterminated\n",
+		"uniq f":           "b\na\n\nb\nc\nunterminated\n",
+		"grep ^[bu] f":     "b\nb\nb\nunterminated\n",
+		"grep ^$ f blanks": "\n\n\n",
+		"head f":           "b\na\n\nb\nb\nc\nunterminated\n",
+		"head -2 f":        "b\na\n",
+		"tail -3 f":        "b\nc\nunterminated\n",
+		"tail -0 f":        "",
+		"rev f":            "unterminated\nc\nb\nb\n\na\nb\n",
+		"echo a  b":        "a b\n",
+		"sort blanks":      "\n\n",
+		"uniq blanks":      "\n",
+		"rev blanks":       "\n\n",
+		"sort empty":       "",
+		"rev empty":        "",
+		"uniq empty":       "",
+		"head empty":       "",
+	} {
+		res := run(t, script, inputs)
+		if res.ExitCode != 0 || string(res.Stdout) != want {
+			t.Errorf("%s: exit %d, stdout %q; want %q (stderr %q)", script, res.ExitCode, res.Stdout, want, res.Stderr)
+		}
+	}
+}

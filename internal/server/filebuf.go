@@ -3,6 +3,8 @@ package server
 import (
 	"sync"
 	"sync/atomic"
+
+	"shadowedit/internal/chunk"
 )
 
 // fileBuf is one file version's bytes — assembled from chunks, built by a
@@ -15,6 +17,11 @@ type fileBuf struct {
 	b    []byte
 	refs atomic.Int32
 	home *bufPool
+	// segs and spans are room for the apply that builds a delta's result in
+	// b (cache.View's segment list, diff.Delta.ApplyInPlace's spans), kept
+	// with the buffer so a warm apply allocates neither.
+	segs  [][]byte
+	spans []chunk.Span
 }
 
 // bufPool is a server's free list of file buffers: the few most recently

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"shadowedit/internal/chunk"
+	"shadowedit/internal/core"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/jobs"
 	"shadowedit/internal/netsim"
@@ -440,5 +442,80 @@ func assertNothingBehind(t *testing.T, s *Server) {
 	s.deltaMu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d forwarding deltas outlived their cache entries", n)
+	}
+}
+
+// TestApplyDeltaEveryPath drives applyDelta through each way a delta meets
+// its cached base: the in-place apply, the two deltas that take a copy of the
+// base (a block move, an edit script out of ed order), and the failures — a
+// base of another version or other bytes, a result failing its checksum.
+// A delta that applies leaves its target in the cache; one that fails leaves
+// the base.
+func TestApplyDeltaEveryPath(t *testing.T) {
+	base := bytes.Repeat([]byte("alpha\nbeta\ngamma\ndelta\n"), 400)
+	target := bytes.Clone(base)
+	copy(target[6:], "BETA")
+	copy(target[len(target)-6:], "DELTA")
+	hm, err := diff.Compute(diff.HuntMcIlroy, base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tichy, err := diff.Compute(diff.TichyBlockMove, base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same two changes, first line first: ed order reversed, which the
+	// in-place pass declines and the op-by-op semantics still apply right.
+	n := bytes.Count(base, []byte("\n"))
+	ascending := *hm
+	ascending.Ops = []diff.Op{
+		{Kind: diff.OpChange, BaseStart: 2, BaseEnd: 2, Lines: [][]byte{[]byte("BETA\n")}},
+		{Kind: diff.OpChange, BaseStart: n, BaseEnd: n, Lines: [][]byte{[]byte("DELTA\n")}},
+	}
+	corrupt := *hm
+	corrupt.TargetSum++
+	wrongBase := *hm
+	wrongBase.BaseSum++
+	for _, tc := range []struct {
+		name    string
+		d       *diff.Delta
+		base    uint64 // the version the delta names as its base
+		wantErr error
+	}{
+		{"in place", hm, 1, nil},
+		{"block move", tichy, 1, nil},
+		{"out of ed order", &ascending, 1, nil},
+		{"target checksum", &corrupt, 1, core.ErrBadTransfer},
+		{"base checksum", &wrongBase, 1, core.ErrStaleBase},
+		{"base version", hm, 7, core.ErrStaleBase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Defaults("apply"))
+			fd := &wire.FileDelta{File: wire.FileRef{Domain: "apply", FileID: "f"}, BaseVersion: tc.base, Version: tc.base + 1, Encoded: tc.d.Encode()}
+			id := s.dir.Intern(fd.File)
+			if err := s.cache.Put(id, 1, base); err != nil {
+				t.Fatal(err)
+			}
+			fb, err := s.applyDelta(id, fd, false)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err %v, want %v", err, tc.wantErr)
+				}
+				if e, ok := s.cache.Get(id); !ok || e.Version != 1 || !bytes.Equal(e.Content, base) {
+					t.Fatal("a failed apply disturbed the cached base")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fb.b, target) {
+				t.Fatal("applyDelta built other bytes than the target")
+			}
+			fb.release()
+			if e, ok := s.cache.Get(id); !ok || e.Version != 2 || !bytes.Equal(e.Content, target) {
+				t.Fatal("the cache does not hold the target")
+			}
+		})
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"shadowedit/internal/cache"
+	"shadowedit/internal/chunk"
 	"shadowedit/internal/core"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/naming"
@@ -720,11 +722,16 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 
 // applyDelta upgrades the cached copy of id from fd.BaseVersion to
 // fd.Version and returns the new content in a buffer on loan from the free list,
-// which the caller hands on (arrived) or releases. The base is assembled into
-// a borrowed buffer too: it is read once, by the apply, whose output aliases
-// nothing, so it goes back as soon as the apply returns.
-// The work is proportional to the edit: the spans the delta rewrote let the
-// cache derive the new chunk manifest from the base's instead of splitting
+// which the caller hands on (arrived) or releases. The delta is applied where
+// its base lives: the cache lends the base's chunks in place, under the lock
+// that pins them, for the base checks and the in-order apply, and the
+// unchanged stretches are copied once, chunk to output (cache.View,
+// diff.Delta.ApplyInPlace). Everything else runs outside that lock: decoding
+// the delta, checking the target, storing the result, and the fallbacks for a
+// delta that needs the base in one piece, which get a copy of it.
+// The work is proportional to the edit plus one read of the file: the spans
+// the delta rewrote let the cache derive the new chunk manifest from the
+// base's, handing the unchanged chunks' references over instead of splitting
 // and hashing the whole file (cache.PutFromBase).
 // core.ErrStaleBase means the cache no longer holds the base (or holds
 // different bytes under its version); caching the result is best effort.
@@ -736,20 +743,41 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 // capacity drops the stale entry — fires the evict hook, which must find the
 // delta there to drop, or it would outlive the entry it shadows.
 func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool) (*fileBuf, error) {
-	base := s.bufs.borrow()
-	defer base.release()
-	e, ok := s.cache.GetInto(base.b, id)
-	if !ok || e.Version != fd.BaseVersion {
-		return nil, fmt.Errorf("%w: %s base v%d", core.ErrStaleBase, fd.File, fd.BaseVersion)
-	}
-	base.b = e.Content
-	out := s.bufs.borrow()
-	content, spans, err := core.ApplyDeltaInto(out.b, base.b, fd)
+	d, err := core.DecodeDelta(fd)
 	if err != nil {
-		out.release()
 		return nil, err
 	}
+	out := s.bufs.borrow()
+	var (
+		content []byte
+		spans   []chunk.Span
+		whole   []byte // the base copied out, for a delta that needs it in one piece
+		ok      bool
+	)
+	out.segs, ok = s.cache.View(out.segs, id, fd.BaseVersion, func(base [][]byte) {
+		content, spans, err = d.ApplyInPlace(out.b, out.spans, base)
+		if err == diff.ErrNeedsWholeBase {
+			whole = slices.Concat(base...)
+		}
+	})
+	if !ok {
+		out.release()
+		return nil, fmt.Errorf("%w: %s base v%d", core.ErrStaleBase, fd.File, fd.BaseVersion)
+	}
+	if err == diff.ErrNeedsWholeBase {
+		content, err = d.ApplyWhole(whole)
+	}
+	if err == nil {
+		err = d.CheckTarget(content)
+	}
+	if err != nil {
+		out.release()
+		return nil, core.DeltaError(fd, err)
+	}
 	out.b = content
+	if spans != nil {
+		out.spans = spans
+	}
 	if forward {
 		s.notePeerDelta(id, fd, len(content))
 	}
@@ -985,6 +1013,10 @@ func (ss *session) handleSubmit(m *wire.Submit, tc wire.TraceContext) error {
 	if err := ss.sendTraced(&wire.SubmitOK{Job: j.id}, tc); err != nil {
 		return err
 	}
+	// The span ends at the ack (SUBMIT received → job created and acked):
+	// gathering inputs has spans of its own, and on a simulated clock an
+	// answer to the pulls it issues could otherwise land inside this one.
+	sp.Finish()
 	ss.srv.cfg.Obs.ObserveSubmitAck(ackStart)
 	if ss.srv.cfg.Obs.LogEnabled(slog.LevelInfo) {
 		ss.srv.cfg.Obs.Log(slog.LevelInfo, "job submitted",

@@ -30,7 +30,10 @@ func BenchmarkCommit(b *testing.B) {
 			commit func(*Store, wire.FileRef, []byte) (uint64, bool)
 		}{
 			{"copy", (*Store).Commit},
-			{"owned", (*Store).CommitOwned},
+			{"owned", func(s *Store, ref wire.FileRef, content []byte) (uint64, bool) {
+				v, _, changed := s.CommitOwned(ref, content)
+				return v, changed
+			}},
 		} {
 			b.Run(tc.name+"/"+mode.name, func(b *testing.B) {
 				s := NewStore(1)

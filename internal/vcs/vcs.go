@@ -101,18 +101,21 @@ func (s *Store) SetRetain(n int) {
 // number. Committing bytes identical to the current head creates no new
 // version and reports changed=false. The store keeps a private copy.
 func (s *Store) Commit(ref wire.FileRef, content []byte) (version uint64, changed bool) {
-	return s.commit(ref, content, false)
+	version, _, changed = s.commit(ref, content, false)
+	return version, changed
 }
 
 // CommitOwned is Commit for a caller handing over a buffer nothing else
 // references or will write — a file just read for this commit: the store
 // keeps content itself as the version's immutable bytes instead of copying
-// it.
-func (s *Store) CommitOwned(ref wire.FileRef, content []byte) (version uint64, changed bool) {
+// it. It also returns the content's Checksum, which the caller announcing
+// the version needs and the store has just computed.
+func (s *Store) CommitOwned(ref wire.FileRef, content []byte) (version uint64, sum uint32, changed bool) {
 	return s.commit(ref, content, true)
 }
 
-func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version uint64, changed bool) {
+func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version uint64, sum uint32, changed bool) {
+	sum = diff.Checksum(content) // a whole-file pass; not under the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.files[ref]
@@ -120,11 +123,10 @@ func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version ui
 		h = &history{ref: ref}
 		s.files[ref] = h
 	}
-	sum := diff.Checksum(content)
 	if n := len(h.versions); n > 0 {
 		head := h.versions[n-1]
 		if head.Sum == sum && len(head.Content) == len(content) {
-			return head.Number, false
+			return head.Number, sum, false
 		}
 	}
 	next := uint64(1)
@@ -137,7 +139,7 @@ func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version ui
 	h.versions = append(h.versions, Version{Number: next, Content: content, Sum: sum})
 	s.committed++
 	s.pruneLocked(h)
-	return next, true
+	return next, sum, true
 }
 
 // CommitAtLeast is Commit for a client whose store was freshly created (for
