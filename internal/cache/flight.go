@@ -38,11 +38,12 @@ type flight struct {
 // PendingFetch is one released in-flight retrieval: the file, the version
 // that was being fetched when its owning session died, and the trace
 // context of the cycle that initiated the fetch — a re-issued pull stays
-// part of the original causal trace.
+// part of the original causal trace. List also names the owning session.
 type PendingFetch struct {
-	Ref  wire.FileRef
-	Want uint64
-	TC   wire.TraceContext
+	Ref   wire.FileRef
+	Want  uint64
+	TC    wire.TraceContext
+	Owner uint64
 }
 
 // NewFlights returns an empty flight table.
@@ -113,14 +114,25 @@ func (f *Flights) Release(id naming.ShadowID, owner uint64) {
 // ReleaseOwner removes every flight owned by a (dead) session and returns
 // the fetches that were outstanding so they can be re-issued elsewhere.
 func (f *Flights) ReleaseOwner(owner uint64) []PendingFetch {
+	return f.collect(func(fl flight) bool { return fl.owner == owner }, true)
+}
+
+// List returns every in-flight fetch (introspection).
+func (f *Flights) List() []PendingFetch {
+	return f.collect(func(flight) bool { return true }, false)
+}
+
+func (f *Flights) collect(match func(flight) bool, remove bool) []PendingFetch {
 	var out []PendingFetch
 	for i := range f.shards {
 		sh := &f.shards[i]
 		sh.mu.Lock()
 		for id, fl := range sh.m {
-			if fl.owner == owner {
-				out = append(out, PendingFetch{Ref: fl.ref, Want: fl.want, TC: fl.tc})
-				delete(sh.m, id)
+			if match(fl) {
+				out = append(out, PendingFetch{Ref: fl.ref, Want: fl.want, TC: fl.tc, Owner: fl.owner})
+				if remove {
+					delete(sh.m, id)
+				}
 			}
 		}
 		sh.mu.Unlock()

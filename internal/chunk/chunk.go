@@ -60,18 +60,6 @@ func (m Manifest) TotalLen() int64 {
 	return n
 }
 
-// Contains reports whether the manifest references h. Manifests are short
-// (tens of entries), so a linear scan beats building a map — and allocates
-// nothing.
-func (m Manifest) Contains(h Hash) bool {
-	for _, r := range m {
-		if r.Hash == h {
-			return true
-		}
-	}
-	return false
-}
-
 // Fingerprint condenses the manifest into one content address: the hash of
 // its refs in order (each ref's hash and length). Two files have equal
 // fingerprints exactly when their chunkings — and therefore, for one set of

@@ -245,3 +245,15 @@ func FuzzSplitStability(f *testing.F) {
 		}
 	})
 }
+
+// Contains reports whether the manifest references h. Manifests are short
+// (tens of entries), so a linear scan beats building a map — and allocates
+// nothing.
+func (m Manifest) Contains(h Hash) bool {
+	for _, r := range m {
+		if r.Hash == h {
+			return true
+		}
+	}
+	return false
+}

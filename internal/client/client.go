@@ -381,9 +381,6 @@ func (c *Client) Backlog() (awaiting, untaken int) {
 	return max(len(c.jobMeta), len(c.jobDone), len(c.cycleStart), len(c.cycleSpan)), len(c.delivered)
 }
 
-// Environment returns the active shadow environment.
-func (c *Client) Environment() env.Environment { return c.cfg.Env }
-
 // CommitAndNotify registers the current content of the named local file as a
 // new version and notifies the server (the shadow editor's postprocessor
 // calls this at the end of every editing session). Unchanged content sends

@@ -539,3 +539,6 @@ func TestTracedCycleSpanNotReparked(t *testing.T) {
 		t.Fatalf("cycle histogram count = %d, want 200", n)
 	}
 }
+
+// Environment returns the active shadow environment.
+func (c *Client) Environment() env.Environment { return c.cfg.Env }

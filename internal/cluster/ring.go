@@ -84,22 +84,6 @@ func (r *Ring) Add(member string) {
 	})
 }
 
-// Remove deletes a member. Removing an absent member is a no-op.
-func (r *Ring) Remove(member string) {
-	i := sort.SearchStrings(r.members, member)
-	if i == len(r.members) || r.members[i] != member {
-		return
-	}
-	r.members = append(r.members[:i], r.members[i+1:]...)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Members returns the current member names in sorted order. The slice is a
 // copy.
 func (r *Ring) Members() []string {

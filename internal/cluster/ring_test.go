@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -132,4 +133,20 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := r.Members(); len(got) != 1 || got[0] != "solo" {
 		t.Errorf("Members = %v", got)
 	}
+}
+
+// Remove deletes a member. Removing an absent member is a no-op.
+func (r *Ring) Remove(member string) {
+	i := sort.SearchStrings(r.members, member)
+	if i == len(r.members) || r.members[i] != member {
+		return
+	}
+	r.members = append(r.members[:i], r.members[i+1:]...)
+	kept := r.points[:0]
+	for _, p := range r.points {
+		if p.member != member {
+			kept = append(kept, p)
+		}
+	}
+	r.points = kept
 }

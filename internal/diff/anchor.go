@@ -156,18 +156,18 @@ func (s *scan) read(t *lineTable) int {
 // their start, and how many they are. A last line without a newline is shared
 // only when it ends both.
 func sharedLines(a, b []byte) (n, lines int) {
-	n = commonPrefixLen(a, b)
+	n = CommonPrefixLen(a, b)
 	if n > 0 && (n < len(a) || n < len(b)) {
 		n = bytes.LastIndexByte(a[:n], '\n') + 1
 	}
 	return n, bytes.Count(a[:n], nlByte)
 }
 
-// commonPrefixLen returns the number of leading bytes a and b share: word by
+// CommonPrefixLen returns the number of leading bytes a and b share: word by
 // word over the first few lines, where most comparisons end, then in blocks
 // that shrink at the first difference, so a long shared stretch goes by at
-// the speed of bytes.Equal.
-func commonPrefixLen(a, b []byte) int {
+// the speed of bytes.Equal. The job interpreter's sort uses it too.
+func CommonPrefixLen(a, b []byte) int {
 	n, i := min(len(a), len(b)), 0
 	for ; i+8 <= n && i < 256; i += 8 {
 		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {

@@ -107,12 +107,6 @@ func (db *JobDB) recordLocked(k jobKey) *JobRecord {
 	return rec
 }
 
-// SetOutput stores copies of a job's delivered results and marks it delivered.
-func (db *JobDB) SetOutput(server string, id uint64, state wire.JobState, exitCode int32, stdout, stderr []byte) {
-	db.Deliver(JobRecord{Server: server, ID: id, State: state, ExitCode: exitCode,
-		Stdout: append([]byte(nil), stdout...), Stderr: append([]byte(nil), stderr...)})
-}
-
 // Deliver marks a job delivered with rec's state, exit code and output; the
 // database keeps rec.Stdout and rec.Stderr themselves, which the caller must
 // not modify afterwards. File names rec leaves empty keep what an earlier
@@ -192,18 +186,6 @@ func (db *JobDB) List() []JobRecord {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out
-}
-
-// Pending returns the jobs not yet in a terminal state.
-func (db *JobDB) Pending() []JobRecord {
-	all := db.List()
-	var out []JobRecord
-	for _, rec := range all {
-		if !rec.State.Terminal() {
-			out = append(out, rec)
-		}
-	}
 	return out
 }
 

@@ -170,3 +170,21 @@ func TestJobDBDeliverTakesTheBytes(t *testing.T) {
 		t.Fatal("Get aliases stored output")
 	}
 }
+
+// SetOutput stores copies of a job's delivered results and marks it delivered.
+func (db *JobDB) SetOutput(server string, id uint64, state wire.JobState, exitCode int32, stdout, stderr []byte) {
+	db.Deliver(JobRecord{Server: server, ID: id, State: state, ExitCode: exitCode,
+		Stdout: append([]byte(nil), stdout...), Stderr: append([]byte(nil), stderr...)})
+}
+
+// Pending returns the jobs not yet in a terminal state.
+func (db *JobDB) Pending() []JobRecord {
+	all := db.List()
+	var out []JobRecord
+	for _, rec := range all {
+		if !rec.State.Terminal() {
+			out = append(out, rec)
+		}
+	}
+	return out
+}

@@ -13,7 +13,7 @@ import (
 // TestFleetEveryShape drives the one harness on every deployment it can
 // build: each transport with one server, and netsim with a two-member
 // cluster. Every job's output must equal a local execution of the same
-// script on the same bytes, no fetch may be left in flight, and closing the
+// script on the same bytes, every fetch must end (settle), and closing the
 // fleet must leave no goroutine behind.
 func TestFleetEveryShape(t *testing.T) {
 	const sessions, cycles = 2, 3
@@ -77,10 +77,8 @@ func TestFleetEveryShape(t *testing.T) {
 					}
 				}
 			}
-			for i, srv := range f.servers {
-				if n := srv.InFlightFetches(); n != 0 {
-					t.Fatalf("server %d: %d fetches still in flight after the run", i, n)
-				}
+			if err := f.settle(); err != nil {
+				t.Fatal(err)
 			}
 			f.close()
 			closed = true
@@ -93,6 +91,42 @@ func TestFleetEveryShape(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Bounds on settle's wait: a second of virtual time is hundreds of LAN round
+// trips, and nothing that ends takes seconds of wall time on a netsim link.
+const (
+	settleVirtual = time.Second
+	settleWall    = 5 * time.Second
+)
+
+// settle waits, before the fleet closes, for the fetches still in flight on
+// every server to end. On a cluster one can lawfully outlive the last output:
+// the file's owner pulls the version its client notified, while the executing
+// member, declined by the owner that had not pulled it yet, fetched the same
+// version from the client itself and ran the job first. The owner's answer
+// lands a round trip later. A fetch still open after settleWall, or one that
+// ends only after settleVirtual has passed on its server's simulated clock,
+// is a fetch that never ends, and settle names it.
+func (f *fleet) settle() error {
+	deadline := time.Now().Add(settleWall)
+	for i, srv := range f.servers {
+		clock := func() time.Duration { return 0 } // a stream transport has no simulated clock
+		if f.cluster != nil {
+			clock = f.cluster.Network.Host(f.names[i]).Now
+		}
+		start := clock()
+		for srv.InFlightFetches() > 0 {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("server %d: fetches still in flight after the run: %q", i, srv.DescribeFetches())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if d := clock() - start; d > settleVirtual {
+			return fmt.Errorf("server %d: a fetch in flight after the run ended %v of virtual time later", i, d)
+		}
+	}
+	return nil
 }
 
 // TestFleetRefusesWhatOnlyNetsimBuilds: a cluster or a virtual clock on a

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // ErrBadScript reports an unparsable or unsupported job command file.
@@ -205,19 +206,35 @@ func (e *execution) input(name string) ([]byte, error) {
 
 // writeLine writes l and a newline to stdout: fmt.Fprintln's output without
 // its formatting machinery, which the line commands would pay once a line.
-func (e *execution) writeLine(l string) {
-	e.stdout.WriteString(l)
+func (e *execution) writeLine(l []byte) {
+	e.stdout.Write(l)
 	e.stdout.WriteByte('\n')
 }
 
-// lines splits content into lines without terminators.
-func lines(content []byte) []string {
-	s := string(content)
-	s = strings.TrimSuffix(s, "\n")
-	if s == "" {
+// span is one line of an input, content[start:end], without its newline.
+type span struct{ start, end int }
+
+func (sp span) len() int { return sp.end - sp.start }
+
+// lineSpans indexes content's lines in place, for every line command. A
+// final newline ends the last line rather than starting an empty one, so an
+// input that is empty or only one newline has no lines.
+func lineSpans(content []byte) []span {
+	if n := len(content); n > 0 && content[n-1] == '\n' {
+		content = content[:n-1]
+	}
+	if len(content) == 0 {
 		return nil
 	}
-	return strings.Split(s, "\n")
+	out := make([]span, 0, bytes.Count(content, []byte{'\n'})+1)
+	for start := 0; ; {
+		i := bytes.IndexByte(content[start:], '\n')
+		if i < 0 {
+			return append(out, span{start, len(content)})
+		}
+		out = append(out, span{start, start + i})
+		start += i + 1
+	}
 }
 
 func (e *execution) run(cmd Command) error {
@@ -303,8 +320,8 @@ func (e *execution) grep(args []string) error {
 		if err != nil {
 			return err
 		}
-		for _, l := range lines(content) {
-			if re.MatchString(l) {
+		for _, sp := range lineSpans(content) {
+			if l := content[sp.start:sp.end]; re.Match(l) {
 				e.writeLine(l)
 			}
 		}
@@ -320,12 +337,12 @@ func (e *execution) sortCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	ls := lines(content)
-	sort.Strings(ls)
+	ls := lineSpans(content)
 	e.cpu += time.Duration(len(ls)) * 10 * time.Microsecond
 	e.stdout.Grow(len(content) + 1) // the same lines, each with its newline
-	for _, l := range ls {
-		e.writeLine(l)
+	for _, r := range sortLines(content, ls) {
+		sp := ls[r.line]
+		e.writeLine(content[sp.start:sp.end])
 	}
 	return nil
 }
@@ -338,13 +355,13 @@ func (e *execution) uniq(args []string) error {
 	if err != nil {
 		return err
 	}
-	var prev string
-	first := true
-	for _, l := range lines(content) {
-		if first || l != prev {
+	e.stdout.Grow(len(content) + 1) // at most the same lines
+	var prev []byte
+	for i, sp := range lineSpans(content) {
+		if l := content[sp.start:sp.end]; i == 0 || !bytes.Equal(l, prev) {
 			e.writeLine(l)
+			prev = l
 		}
-		prev, first = l, false
 	}
 	return nil
 }
@@ -371,18 +388,15 @@ func (e *execution) headTail(args []string, head bool) error {
 	if err != nil {
 		return err
 	}
-	ls := lines(content)
-	if n > len(ls) {
-		n = len(ls)
-	}
-	var sel []string
+	ls := lineSpans(content)
+	n = min(n, len(ls))
 	if head {
-		sel = ls[:n]
+		ls = ls[:n]
 	} else {
-		sel = ls[len(ls)-n:]
+		ls = ls[len(ls)-n:]
 	}
-	for _, l := range sel {
-		e.writeLine(l)
+	for _, sp := range ls {
+		e.writeLine(content[sp.start:sp.end])
 	}
 	return nil
 }
@@ -395,10 +409,10 @@ func (e *execution) rev(args []string) error {
 	if err != nil {
 		return err
 	}
-	ls := lines(content)
+	ls := lineSpans(content)
 	e.stdout.Grow(len(content) + 1) // the same lines, each with its newline
 	for i := len(ls) - 1; i >= 0; i-- {
-		e.writeLine(ls[i])
+		e.writeLine(content[ls[i].start:ls[i].end])
 	}
 	return nil
 }
@@ -519,21 +533,27 @@ func (e *execution) stall(args []string) error {
 }
 
 // numericFields extracts the float64 value of every whitespace-separated
-// token that parses as a number, line by line.
+// token (the fields strings.Fields would give) that parses as a number, line
+// by line; with column > 0, only of each line's column-th token.
 func numericFields(content []byte, column int) []float64 {
 	var out []float64
-	for _, l := range lines(content) {
-		fields := strings.Fields(l)
-		if column > 0 {
-			if column > len(fields) {
-				continue
+	for _, sp := range lineSpans(content) {
+		l := content[sp.start:sp.end]
+		for col := 1; column == 0 || col <= column; col++ {
+			l = bytes.TrimLeftFunc(l, unicode.IsSpace)
+			end := bytes.IndexFunc(l, unicode.IsSpace)
+			if end < 0 {
+				end = len(l)
 			}
-			fields = fields[column-1 : column]
-		}
-		for _, f := range fields {
-			if v, err := strconv.ParseFloat(f, 64); err == nil {
-				out = append(out, v)
+			if end == 0 {
+				break
 			}
+			if column == 0 || col == column {
+				if v, err := strconv.ParseFloat(string(l[:end]), 64); err == nil {
+					out = append(out, v)
+				}
+			}
+			l = l[end:]
 		}
 	}
 	return out

@@ -203,12 +203,6 @@ type Snapshot struct {
 	FileTouches int64
 }
 
-// TotalBytes sums all payload bytes.
-func (s Snapshot) TotalBytes() int64 {
-	return s.DeltaBytes + s.FullBytes + s.ControlBytes + s.OutputBytes +
-		s.ManifestBytes + s.ChunkBytes
-}
-
 // FileBytes sums the payload bytes of file-content transfers (delta, full,
 // manifest and chunk frames) — the quantity chunk-level dedup reduces.
 func (s Snapshot) FileBytes() int64 {

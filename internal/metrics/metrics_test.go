@@ -73,3 +73,9 @@ func TestMergeSumsEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TotalBytes sums all payload bytes.
+func (s Snapshot) TotalBytes() int64 {
+	return s.DeltaBytes + s.FullBytes + s.ControlBytes + s.OutputBytes +
+		s.ManifestBytes + s.ChunkBytes
+}

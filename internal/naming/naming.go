@@ -273,14 +273,6 @@ func (fs *FS) Symlink(link, target string) {
 	fs.mu.Unlock()
 }
 
-// HardLink records that linkPath is an additional name (hard link) for
-// canonicalPath; resolution reduces it to the canonical ("basic") name.
-func (fs *FS) HardLink(linkPath, canonicalPath string) {
-	fs.mu.Lock()
-	fs.aliases[path.Clean(linkPath)] = path.Clean(canonicalPath)
-	fs.mu.Unlock()
-}
-
 // resolveLocal expands symlinks component by component and lexically cleans
 // the path, charging each expansion against budget.
 func (fs *FS) resolveLocal(p string, budget *int) (string, error) {
@@ -460,18 +452,6 @@ func (d *Directory) IDsUnder(domain, prefix string) (rels []string, ids []Shadow
 		}
 	}
 	return rels, ids
-}
-
-// Domains lists the known domain ids, sorted.
-func (d *Directory) Domains() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.domains))
-	for dom := range d.domains {
-		out = append(out, dom)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Len returns the total number of interned files across domains.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path"
+	"sort"
 	"testing"
 
 	"shadowedit/internal/wire"
@@ -445,4 +447,24 @@ func TestWriteFileInPlace(t *testing.T) {
 			t.Fatalf("after writing %d bytes read %d, %v", len(content), len(got), err)
 		}
 	}
+}
+
+// HardLink records that linkPath is an additional name (hard link) for
+// canonicalPath; resolution reduces it to the canonical ("basic") name.
+func (fs *FS) HardLink(linkPath, canonicalPath string) {
+	fs.mu.Lock()
+	fs.aliases[path.Clean(linkPath)] = path.Clean(canonicalPath)
+	fs.mu.Unlock()
+}
+
+// Domains lists the known domain ids, sorted.
+func (d *Directory) Domains() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]string, 0, len(d.domains))
+	for dom := range d.domains {
+		out = append(out, dom)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -41,11 +41,6 @@ func (u *Universe) DefineTree(absName, host, rootPath string) {
 	u.trees().define(absName, Name{Host: host, Path: path.Clean(rootPath)})
 }
 
-// TreeRoot returns the current root of a tilde tree.
-func (u *Universe) TreeRoot(absName string) (Name, bool) {
-	return u.trees().root(absName)
-}
-
 func (u *Universe) trees() *treeRegistry {
 	u.mu.Lock()
 	defer u.mu.Unlock()

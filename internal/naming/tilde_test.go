@@ -172,11 +172,11 @@ func TestTildeMountUnderTree(t *testing.T) {
 
 func TestTreeRoot(t *testing.T) {
 	u, _ := tildeRig()
-	root, ok := u.TreeRoot("cs.proj.solver")
+	root, ok := u.trees().root("cs.proj.solver")
 	if !ok || root.Host != "alpha" {
 		t.Fatalf("TreeRoot = %v, %v", root, ok)
 	}
-	if _, ok := u.TreeRoot("nope"); ok {
+	if _, ok := u.trees().root("nope"); ok {
 		t.Fatal("TreeRoot found undefined tree")
 	}
 }

@@ -37,13 +37,6 @@ func (l *Link) SetDown(down bool) {
 	l.mu.Unlock()
 }
 
-// Down reports whether the line is currently failed.
-func (l *Link) Down() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.down
-}
-
 // transmit schedules a message of n bytes in the given direction starting no
 // earlier than now, returning its virtual arrival time at the far end.
 func (l *Link) transmit(dir int, now time.Duration, n int) (time.Duration, error) {

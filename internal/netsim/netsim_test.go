@@ -661,3 +661,10 @@ func TestMultiHopMidLinkOutage(t *testing.T) {
 		t.Fatalf("send over failed backbone = %v, want ErrLinkDown", err)
 	}
 }
+
+// Down reports whether the line is currently failed.
+func (l *Link) Down() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.down
+}

@@ -176,28 +176,6 @@ func (s *HistogramSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Min returns the lower bound of the first occupied bucket (0 when empty).
-func (s *HistogramSnapshot) Min() time.Duration {
-	for i, c := range s.Counts {
-		if c > 0 {
-			lo, _ := bucketBounds(i)
-			return time.Duration(lo)
-		}
-	}
-	return 0
-}
-
-// Max returns the upper bound of the last occupied bucket (0 when empty).
-func (s *HistogramSnapshot) Max() time.Duration {
-	for i := NumBuckets - 1; i >= 0; i-- {
-		if s.Counts[i] > 0 {
-			_, hi := bucketBounds(i)
-			return time.Duration(hi)
-		}
-	}
-	return 0
-}
-
 // String renders the count and the classic percentile trio.
 func (s *HistogramSnapshot) String() string {
 	return fmt.Sprintf("n=%d p50=%v p90=%v p99=%v",

@@ -227,3 +227,25 @@ func TestPow2BucketsEdges(t *testing.T) {
 		t.Fatalf("top bucket count = %d, want 2", full[63].Count)
 	}
 }
+
+// Min returns the lower bound of the first occupied bucket (0 when empty).
+func (s *HistogramSnapshot) Min() time.Duration {
+	for i, c := range s.Counts {
+		if c > 0 {
+			lo, _ := bucketBounds(i)
+			return time.Duration(lo)
+		}
+	}
+	return 0
+}
+
+// Max returns the upper bound of the last occupied bucket (0 when empty).
+func (s *HistogramSnapshot) Max() time.Duration {
+	for i := NumBuckets - 1; i >= 0; i-- {
+		if s.Counts[i] > 0 {
+			_, hi := bucketBounds(i)
+			return time.Duration(hi)
+		}
+	}
+	return 0
+}

@@ -168,12 +168,3 @@ func (o *Observer) Log(level slog.Level, msg string, attrs ...slog.Attr) {
 	}
 	o.logger.LogAttrs(context.Background(), level, msg, attrs...)
 }
-
-// Logger returns the underlying structured logger (nil when logging is
-// disabled or the observer is nil).
-func (o *Observer) Logger() *slog.Logger {
-	if o == nil {
-		return nil
-	}
-	return o.logger
-}

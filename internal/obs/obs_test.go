@@ -158,3 +158,12 @@ func TestObserverTracerHooks(t *testing.T) {
 	}
 	n.EndTrace(root.Context())
 }
+
+// Logger returns the underlying structured logger (nil when logging is
+// disabled or the observer is nil).
+func (o *Observer) Logger() *slog.Logger {
+	if o == nil {
+		return nil
+	}
+	return o.logger
+}

@@ -575,6 +575,27 @@ func (s *Server) Sessions() []SessionInfo {
 // outstanding across all sessions.
 func (s *Server) InFlightFetches() int { return s.flights.Len() }
 
+// DescribeFetches names each outstanding retrieval: the file and version,
+// the session that owns it and, for a peer fetch, the member it asks.
+func (s *Server) DescribeFetches() []string {
+	var out []string
+	live := s.sessions.snapshot()
+	for _, p := range s.flights.List() {
+		who := fmt.Sprintf("session %d (gone)", p.Owner)
+		for _, ss := range live {
+			switch {
+			case ss.id != p.Owner:
+			case ss.link != nil:
+				who = fmt.Sprintf("peer fetch from %s over session %d", ss.link.member, ss.id)
+			default:
+				who = fmt.Sprintf("client session %d", ss.id)
+			}
+		}
+		out = append(out, fmt.Sprintf("%s v%d, %s", p.Ref, p.Want, who))
+	}
+	return out
+}
+
 // Acceptor yields inbound protocol connections; it abstracts the transport
 // (netsim listener, TCP listener).
 type Acceptor interface {
@@ -603,17 +624,6 @@ func (s *Server) Serve(a Acceptor) error {
 			return nil
 		}
 	}
-}
-
-// ServeConn serves a single pre-established connection (in-process setups);
-// it returns when the session ends.
-func (s *Server) ServeConn(conn wire.Conn) {
-	if s.startSession(conn, nil) == nil {
-		_ = conn.Close()
-		return
-	}
-	// startSession spawned the handler; nothing else to do. The method
-	// exists so callers don't depend on session internals.
 }
 
 // startSession registers a session on conn and starts its loops, or returns

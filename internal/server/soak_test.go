@@ -25,8 +25,8 @@ import (
 var soakScale = flag.Int("soak", 1, "multiply the soak test's cycle counts")
 
 // soakDeployment is one server and its clients joined by in-process pipes,
-// served as ServeConn serves any connection. Clients redial through dial, so
-// submissions carry idempotency tags as a daemon's clients' do.
+// each served as Serve serves an accepted connection. Clients redial through
+// dial, so submissions carry idempotency tags as a daemon's clients' do.
 type soakDeployment struct {
 	srv      *Server
 	universe *naming.Universe
@@ -40,7 +40,9 @@ func deploySoak(t testing.TB, sessions int) *soakDeployment {
 	d := &soakDeployment{srv: New(cfg), universe: naming.NewUniverse("soak")}
 	dial := func() (wire.Conn, error) {
 		c1, c2 := net.Pipe()
-		d.srv.ServeConn(wire.NewStreamConn(c2))
+		if d.srv.startSession(wire.NewStreamConn(c2), nil) == nil {
+			c2.Close()
+		}
 		return wire.NewStreamConn(c1), nil
 	}
 	for i := 0; i < sessions; i++ {

@@ -383,21 +383,6 @@ func (s *Store) pruneLocked(h *history) {
 	h.versions = kept
 }
 
-// Versions returns the retained version numbers of ref, ascending.
-func (s *Store) Versions(ref wire.FileRef) []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.files[ref]
-	if !ok {
-		return nil
-	}
-	out := make([]uint64, len(h.versions))
-	for i, v := range h.versions {
-		out[i] = v.Number
-	}
-	return out
-}
-
 // Files returns the refs with at least one retained version.
 func (s *Store) Files() []wire.FileRef {
 	s.mu.Lock()
@@ -409,13 +394,6 @@ func (s *Store) Files() []wire.FileRef {
 		}
 	}
 	return out
-}
-
-// Forget drops all state for ref.
-func (s *Store) Forget(ref wire.FileRef) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.files, ref)
 }
 
 // Stats returns a snapshot of store counters.

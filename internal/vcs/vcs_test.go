@@ -320,3 +320,25 @@ func TestConcurrentCommitsDistinctFiles(t *testing.T) {
 		}
 	}
 }
+
+// Forget drops all state for ref.
+func (s *Store) Forget(ref wire.FileRef) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.files, ref)
+}
+
+// Versions returns the retained version numbers of ref, ascending.
+func (s *Store) Versions(ref wire.FileRef) []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h, ok := s.files[ref]
+	if !ok {
+		return nil
+	}
+	out := make([]uint64, len(h.versions))
+	for i, v := range h.versions {
+		out[i] = v.Number
+	}
+	return out
+}

@@ -92,22 +92,6 @@ func lineStart(buf *bytes.Buffer) int {
 	return i + 1
 }
 
-// Table generates a columned numeric data file of the given shape: rows
-// lines, each with a row label and cols floating-point values. The shape
-// suits the jobs package's stats/colsum commands and mimics instrument or
-// simulation output.
-func (g *Generator) Table(rows, cols int) []byte {
-	var buf bytes.Buffer
-	for r := 0; r < rows; r++ {
-		fmt.Fprintf(&buf, "r%05d", r)
-		for c := 0; c < cols; c++ {
-			fmt.Fprintf(&buf, " %9.4f", g.rng.Float64()*1000)
-		}
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
 // EditKind selects the mix of edit operations Modify applies.
 type EditKind int
 
@@ -296,28 +280,6 @@ func (g *Generator) SharedVariant(common []byte, redundancy float64) []byte {
 	return out
 }
 
-// ModifiedFraction reports the fraction of bytes of b that are not part of a
-// longest common subsequence with a — a measure of how much Modify actually
-// changed. It is O(lines²) and intended for tests, not production.
-func ModifiedFraction(a, b []byte) float64 {
-	if len(b) == 0 {
-		return 0
-	}
-	la, lb := splitLines(a), splitLines(b)
-	common := make(map[string]int, len(la))
-	for _, l := range la {
-		common[string(l)]++
-	}
-	matched := 0
-	for _, l := range lb {
-		if common[string(l)] > 0 {
-			common[string(l)]--
-			matched += len(l)
-		}
-	}
-	return 1 - float64(matched)/float64(len(b))
-}
-
 func splitLines(content []byte) [][]byte {
 	if len(content) == 0 {
 		return nil
@@ -396,17 +358,4 @@ func (g *Generator) SparseEdit(n, k int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// JobScript returns a small job command file exercising the executor over the
-// named data files — the "set of commands" a paper user submits with a job.
-func JobScript(files ...string) []byte {
-	var buf bytes.Buffer
-	for _, f := range files {
-		fmt.Fprintf(&buf, "wc %s\n", f)
-	}
-	if len(files) > 0 {
-		fmt.Fprintf(&buf, "checksum %s\n", files[0])
-	}
-	return buf.Bytes()
 }
