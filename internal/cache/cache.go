@@ -385,7 +385,7 @@ func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
 
 // PutOwned is Put; the cache copies chunk data into the store and never
 // retains content, so there is nothing for it to take ownership of. The name
-// survives for the benchmark's replay.
+// survives for bench/replay.go, which calls it.
 func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) error {
 	return c.Put(id, version, content)
 }

@@ -239,6 +239,7 @@ func (s *Store) AppendSegments(dst [][]byte, m Manifest) ([][]byte, bool) {
 }
 
 // Assemble reconstructs the manifest's content into a fresh buffer.
+// bench/replay.go calls it.
 func (s *Store) Assemble(m Manifest) ([]byte, bool) {
 	out, ok := s.AppendAssemble(make([]byte, 0, m.TotalLen()), m)
 	if !ok {

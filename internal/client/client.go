@@ -374,7 +374,9 @@ func (c *Client) Metrics() metrics.Snapshot { return c.counters.Snapshot() }
 // Backlog reports what the client is holding per job: awaiting counts the
 // jobs whose output has not arrived (the size of the largest per-job map),
 // untaken the delivered jobs no Wait, WaitAny or Fetch has returned yet. Both
-// are zero on an idle client whose caller collects what it submits.
+// are zero on an idle client whose caller collects what it submits. The
+// retention tests of client and server read it to check that a client
+// forgets what it has delivered.
 func (c *Client) Backlog() (awaiting, untaken int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

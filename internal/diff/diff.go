@@ -194,7 +194,9 @@ func ComputeSummed(algorithm Algorithm, base, target []byte, baseSum, targetSum 
 
 // Apply reconstructs the target version from the base version. It verifies
 // the base checksum before applying and the target checksum afterwards, so a
-// non-nil error means the result must be discarded.
+// non-nil error means the result must be discarded. The product applies with
+// ApplySpans and ApplyInPlace; Apply is the plain form the package example
+// and the round-trip tests of diff, vcs, client and shadow call.
 func (d *Delta) Apply(base []byte) ([]byte, error) {
 	out, _, err := d.ApplySpans(base)
 	return out, err

@@ -4,9 +4,8 @@
 //
 // The environment is set up automatically with defaults, and the user may
 // customize it (default host, editor, version retention, delta algorithm,
-// compression, output routing). It persists as a simple line-oriented
-// key=value text format so it survives across sessions and is editable by
-// hand, in the spirit of the original UNIX prototype.
+// compression, output routing). `shadow env` prints it in a line-oriented
+// key=value text form, in the spirit of the original UNIX prototype.
 package env
 
 import (
@@ -19,7 +18,7 @@ import (
 	"shadowedit/internal/diff"
 )
 
-// ErrBadEnvironment reports an unparsable or invalid environment.
+// ErrBadEnvironment reports an invalid environment.
 var ErrBadEnvironment = errors.New("env: bad environment")
 
 // Environment is one user's customization record.
@@ -91,7 +90,8 @@ func expand(tmpl string, job uint64) string {
 	return strings.ReplaceAll(tmpl, "%J", strconv.FormatUint(job, 10))
 }
 
-// Marshal renders the environment in its text form.
+// Marshal renders the environment in its text form, as `shadow env` prints
+// it.
 func (e Environment) Marshal() []byte {
 	kv := map[string]string{
 		"user":         e.User,
@@ -115,66 +115,6 @@ func (e Environment) Marshal() []byte {
 		fmt.Fprintf(&sb, "%s=%s\n", k, kv[k])
 	}
 	return []byte(sb.String())
-}
-
-// Parse reads the text form back. Unknown keys are rejected so typos do not
-// silently disable customization; missing keys keep their defaults.
-func Parse(data []byte) (Environment, error) {
-	e := Default("")
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, value, found := strings.Cut(line, "=")
-		if !found {
-			return Environment{}, fmt.Errorf("%w: line %d: no '='", ErrBadEnvironment, ln+1)
-		}
-		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		switch key {
-		case "user":
-			e.User = value
-		case "default-host":
-			e.DefaultHost = value
-		case "editor":
-			e.Editor = value
-		case "retain":
-			n, err := strconv.Atoi(value)
-			if err != nil {
-				return Environment{}, fmt.Errorf("%w: retain: %v", ErrBadEnvironment, err)
-			}
-			e.RetainVersions = n
-		case "algorithm":
-			alg, err := ParseAlgorithm(value)
-			if err != nil {
-				return Environment{}, err
-			}
-			e.Algorithm = alg
-		case "compress":
-			b, err := strconv.ParseBool(value)
-			if err != nil {
-				return Environment{}, fmt.Errorf("%w: compress: %v", ErrBadEnvironment, err)
-			}
-			e.Compress = b
-		case "output-file":
-			e.OutputFile = value
-		case "error-file":
-			e.ErrorFile = value
-		case "output-delta":
-			b, err := strconv.ParseBool(value)
-			if err != nil {
-				return Environment{}, fmt.Errorf("%w: output-delta: %v", ErrBadEnvironment, err)
-			}
-			e.WantOutputDelta = b
-		default:
-			return Environment{}, fmt.Errorf("%w: unknown key %q", ErrBadEnvironment, key)
-		}
-	}
-	if err := e.Validate(); err != nil {
-		return Environment{}, err
-	}
-	return e, nil
 }
 
 // ParseAlgorithm maps an algorithm name to its identifier.

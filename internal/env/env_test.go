@@ -21,73 +21,6 @@ func TestDefaultValid(t *testing.T) {
 	}
 }
 
-func TestMarshalParseRoundTrip(t *testing.T) {
-	e := Default("yavatkar")
-	e.DefaultHost = "cyber205"
-	e.Editor = "vi"
-	e.RetainVersions = 3
-	e.Algorithm = diff.TichyBlockMove
-	e.Compress = true
-	e.OutputFile = "res-%J.txt"
-	e.ErrorFile = "res-%J.err"
-	e.WantOutputDelta = true
-
-	got, err := Parse(e.Marshal())
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if got != e {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, e)
-	}
-}
-
-func TestParsePartialKeepsDefaults(t *testing.T) {
-	got, err := Parse([]byte("user=griffioen\ndefault-host=cray\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.User != "griffioen" || got.DefaultHost != "cray" {
-		t.Fatalf("parsed = %+v", got)
-	}
-	def := Default("")
-	if got.Editor != def.Editor || got.Algorithm != def.Algorithm {
-		t.Fatal("unspecified keys lost their defaults")
-	}
-}
-
-func TestParseIgnoresCommentsAndBlanks(t *testing.T) {
-	text := "# a comment\n\nuser=x\n   \n# another\n"
-	got, err := Parse([]byte(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.User != "x" {
-		t.Fatalf("user = %q", got.User)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		give string
-	}{
-		{name: "no equals", give: "user=x\njunk line\n"},
-		{name: "unknown key", give: "user=x\ncolour=blue\n"},
-		{name: "bad retain", give: "user=x\nretain=lots\n"},
-		{name: "negative retain", give: "user=x\nretain=-2\n"},
-		{name: "bad bool", give: "user=x\ncompress=sometimes\n"},
-		{name: "bad algorithm", give: "user=x\nalgorithm=psychic\n"},
-		{name: "empty user", give: "user=\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Parse([]byte(tt.give)); !errors.Is(err, ErrBadEnvironment) {
-				t.Fatalf("Parse = %v, want ErrBadEnvironment", err)
-			}
-		})
-	}
-}
-
 func TestParseAlgorithmAliases(t *testing.T) {
 	tests := []struct {
 		give string

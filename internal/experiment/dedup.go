@@ -63,15 +63,14 @@ func (f *DedupFigure) CacheReduction() float64 {
 	return float64(f.Baseline.LogicalCacheBytes) / float64(f.Chunked.UniqueCacheBytes)
 }
 
-// RunDedupFigure runs the three cells over transport. Labels mark the rows in
-// BENCH_server.json: "dedup-baseline", "dedup-chunked", "dedup-pressure".
-func RunDedupFigure(transport string, seed int64) (*DedupFigure, error) {
+// RunDedupFigure runs the three cells over loopback TCP. Labels mark the rows
+// in BENCH_server.json: "dedup-baseline", "dedup-chunked", "dedup-pressure".
+func RunDedupFigure(seed int64) (*DedupFigure, error) {
 	cell := func(label string, chunked bool, capacity int64) (ServerBenchResult, error) {
 		res, err := RunServerBench(ServerBenchConfig{
 			Sessions:      dedupSessions,
 			Cycles:        dedupCycles,
 			FileSize:      dedupFileSize,
-			Transport:     transport,
 			Seed:          seed,
 			Redundancy:    dedupRedundancy,
 			Chunked:       chunked,

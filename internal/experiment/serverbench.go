@@ -1,15 +1,13 @@
-// Server throughput benchmark: K concurrent sessions driving the full
-// notify→pull→delta→job→output cycle against one server, measuring
-// wall-clock cycle throughput and latency percentiles. Unlike the paper
-// figures (virtual seconds on simulated links), this benchmark measures the
-// server *implementation* — lock contention, syscalls, allocation — so the
-// perf trajectory of the concurrent server core is tracked run over run in
-// BENCH_server.json.
+// Multi-session server runs: K concurrent sessions driving the full
+// notify→pull→delta→job→output cycle against one server. The dedup and
+// capacity figures measure such runs and record them as rows of
+// BENCH_server.json; the server figure replays each session alone in virtual
+// time for deterministic cycle-latency percentiles. Wall-clock throughput of
+// the server on real TCP is bench/'s to measure, not this package's.
 package experiment
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -18,7 +16,6 @@ import (
 	"shadowedit/internal/metrics"
 	"shadowedit/internal/obs"
 	"shadowedit/internal/server"
-	"shadowedit/internal/trace"
 	"shadowedit/internal/workload"
 )
 
@@ -34,14 +31,6 @@ type ServerBenchConfig struct {
 	Cycles int
 	// FileSize is the data file size in bytes.
 	FileSize int
-	// Transport selects "tcp" (real loopback TCP), "netsim" (in-process
-	// simulated LAN links; wall-clock is still what is measured) or "pipe"
-	// (synchronous in-process net.Pipe streams — no file descriptors, so
-	// session counts can scale past RLIMIT_NOFILE for capacity runs).
-	Transport string
-	// Jobs bounds concurrent job execution at the server; 0 means one
-	// slot per session so the job pool never serializes the cycle.
-	Jobs int
 	// Seed makes the workload reproducible.
 	Seed int64
 	// Chunked opts every client into chunk transfers; off, the
@@ -60,13 +49,6 @@ type ServerBenchConfig struct {
 	// bases, so only content-addressing — not line deltas — can exploit the
 	// overlap.
 	Redundancy float64
-	// Tracer turns on full cycle tracing (every cycle sampled): the server
-	// and every client observer share one tracer, so the run measures the
-	// worst-case tracing overhead, flight recorders included.
-	Tracer bool
-	// ChromeOut, with Tracer set, writes the slowest completed trace as
-	// Chrome trace-event JSON to this path after the run.
-	ChromeOut string
 }
 
 func (c ServerBenchConfig) withDefaults() ServerBenchConfig {
@@ -78,12 +60,6 @@ func (c ServerBenchConfig) withDefaults() ServerBenchConfig {
 	}
 	if c.FileSize <= 0 {
 		c.FileSize = 8 * 1024
-	}
-	if c.Transport == "" {
-		c.Transport = "tcp"
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = c.Sessions
 	}
 	if c.Seed == 0 {
 		c.Seed = 1987
@@ -105,19 +81,8 @@ type ServerBenchResult struct {
 	P50Ms         float64 `json:"p50_ms"`
 	P90Ms         float64 `json:"p90_ms"`
 	P99Ms         float64 `json:"p99_ms"`
-	// Server-side leg percentiles, from the obs latency histograms the
-	// run's Observer recorded (submit→ack and job queue→complete).
-	SubmitAckP50Ms float64 `json:"submit_ack_p50_ms"`
-	SubmitAckP99Ms float64 `json:"submit_ack_p99_ms"`
-	JobP50Ms       float64 `json:"job_p50_ms"`
-	JobP99Ms       float64 `json:"job_p99_ms"`
-	// Virtual-time cycle percentiles, netsim transport only: a separate
-	// deterministic pass replays each session's exact workload on its own
-	// simulated network, stamping cycles with the workstation's virtual
-	// clock — so these fields are byte-identical across repeated runs.
-	VirtualP50Ms   float64 `json:"p50_virtual_ms,omitempty"`
-	VirtualP90Ms   float64 `json:"p90_virtual_ms,omitempty"`
-	VirtualP99Ms   float64 `json:"p99_virtual_ms,omitempty"`
+	// AllocsPerCycle is the whole process's heap allocation count over the
+	// measured cycles, client rigs included, per cycle.
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
 	CacheHits      int64   `json:"cache_hits"`
 	CacheMisses    int64   `json:"cache_misses"`
@@ -185,50 +150,26 @@ type ServerBenchResult struct {
 	PeerNegatives     int64   `json:"peer_negatives,omitempty"`
 	OwnerMisses       int64   `json:"owner_misses,omitempty"`
 	RingRebalances    int64   `json:"ring_rebalances,omitempty"`
-	// Traced marks a run with full cycle tracing on; TraceCompleted and
-	// TraceSpans summarize what the shared tracer assembled. Comparing a
-	// traced run's cycles_per_sec against an untraced twin (labels
-	// "trace-off"/"trace-all") yields the tracing overhead.
-	Traced         bool  `json:"traced,omitempty"`
-	TraceCompleted int64 `json:"trace_completed,omitempty"`
-	TraceSpans     int64 `json:"trace_spans,omitempty"`
+	// BusiestMemberJobs counts the measured jobs the member that ran the
+	// most of them ran.
+	BusiestMemberJobs int `json:"busiest_member_jobs,omitempty"`
 }
 
-// String renders the one-line summary the benchmark prints.
-func (r ServerBenchResult) String() string {
-	s := fmt.Sprintf("%s: %d sessions x %d cycles: %.1f cycles/sec (p50 %.2fms, p90 %.2fms, p99 %.2fms, %.0f allocs/cycle; submit-ack p99 %.3fms, job p99 %.2fms)",
-		r.Transport, r.Sessions, r.CyclesPerSess, r.CyclesPerSec, r.P50Ms, r.P90Ms, r.P99Ms, r.AllocsPerCycle, r.SubmitAckP99Ms, r.JobP99Ms)
-	if r.VirtualP99Ms > 0 {
-		s += fmt.Sprintf(" [virtual p50 %.2fms, p90 %.2fms, p99 %.2fms]", r.VirtualP50Ms, r.VirtualP90Ms, r.VirtualP99Ms)
-	}
-	if r.Traced {
-		s += fmt.Sprintf(" [traced: %d traces, %d spans]", r.TraceCompleted, r.TraceSpans)
-	}
-	return s
-}
-
-// spec is the fleet one benchmark run drives: one server, cfg.Sessions
-// sessions each editing its own file or, with Redundancy set, each submitting
-// its own variant of the cycle's common file. With a tracer every client gets
-// an observer minting its cycle traces there.
-func (c ServerBenchConfig) spec(tracer *trace.Tracer) fleetSpec {
+// spec is the fleet one benchmark run drives over transport: one server,
+// cfg.Sessions sessions each editing its own file or, with Redundancy set,
+// each submitting its own variant of the cycle's common file.
+func (c ServerBenchConfig) spec(transport string) fleetSpec {
 	scfg := server.Defaults("bench")
-	scfg.MaxConcurrentJobs = c.Jobs
+	scfg.MaxConcurrentJobs = c.Sessions // the job pool never serializes the cycle
 	scfg.CacheCapacity = c.CacheCapacity
 	spec := fleetSpec{
-		transport: c.Transport,
+		transport: transport,
 		server:    scfg,
 		sessions:  c.Sessions,
 		seed:      c.Seed,
 		script:    jobScript,
 		content:   editing(c.FileSize, editPercent),
-		client: func(_ *fleetSession, cc *client.Config) {
-			cc.Chunked = c.Chunked
-			if tracer != nil {
-				cc.Obs = obs.New(nil, nil)
-				cc.Obs.SetTracer(tracer)
-			}
-		},
+		client:    func(_ *fleetSession, cc *client.Config) { cc.Chunked = c.Chunked },
 	}
 	if c.Redundancy > 0 {
 		// The shared-content workload: one common file per cycle (plus one
@@ -248,45 +189,19 @@ func (c ServerBenchConfig) spec(tracer *trace.Tracer) fleetSpec {
 	return spec
 }
 
-// RunServerBench runs the multi-session throughput benchmark.
+// RunServerBench drives cfg's sessions concurrently over loopback TCP and
+// returns what the run measured. The server has an observer, as shadowd's
+// always does.
 func RunServerBench(cfg ServerBenchConfig) (ServerBenchResult, error) {
 	cfg = cfg.withDefaults()
-	// Tracing-on runs share one tracer between the server and every client
-	// observer: maximum span traffic, maximum contention — the honest
-	// overhead number.
-	var tracer *trace.Tracer
-	if cfg.Tracer {
-		tracer = trace.New(trace.Config{})
-	}
-	spec := cfg.spec(tracer)
+	spec := cfg.spec("tcp")
 	spec.server.Obs = obs.New(nil, nil)
-	spec.server.Obs.SetTracer(tracer)
 	res, err := runBench(spec, cfg.Cycles, nil)
 	if err != nil {
 		return ServerBenchResult{}, fmt.Errorf("serverbench: %w", err)
 	}
 	res.FileSize = cfg.FileSize
 	res.Chunked, res.Redundancy, res.CacheCapacity = cfg.Chunked, cfg.Redundancy, cfg.CacheCapacity
-	if cfg.Transport == "netsim" {
-		vsnap, err := runVirtualPass(cfg)
-		if err != nil {
-			return ServerBenchResult{}, fmt.Errorf("serverbench: virtual pass: %w", err)
-		}
-		res.VirtualP50Ms = ms(vsnap.Quantile(0.50))
-		res.VirtualP90Ms = ms(vsnap.Quantile(0.90))
-		res.VirtualP99Ms = ms(vsnap.Quantile(0.99))
-	}
-	if tracer != nil {
-		ts := tracer.Stats()
-		res.Traced = true
-		res.TraceCompleted = ts.Completed
-		res.TraceSpans = ts.Spans
-		if cfg.ChromeOut != "" {
-			if err := writeSlowestChrome(tracer, cfg.ChromeOut); err != nil {
-				return ServerBenchResult{}, fmt.Errorf("serverbench: chrome export: %w", err)
-			}
-		}
-	}
 	return res, nil
 }
 
@@ -320,8 +235,6 @@ func runBench(spec fleetSpec, cycles int, primed func()) (ServerBenchResult, err
 	}
 	srv := f.servers[0]
 	cstats := srv.Cache().Stats()
-	ackSnap := spec.server.Obs.SubmitAck.Snapshot()
-	jobSnap := spec.server.Obs.JobLifetime.Snapshot()
 	res := counterRow(srv.Metrics())
 	res.Transport = spec.transport
 	res.Sessions = spec.sessions
@@ -330,10 +243,6 @@ func runBench(spec fleetSpec, cycles int, primed func()) (ServerBenchResult, err
 	res.ElapsedSec = run.elapsed.Seconds()
 	res.CyclesPerSec = float64(total) / run.elapsed.Seconds()
 	res.P50Ms, res.P90Ms, res.P99Ms = pct(0.50), pct(0.90), pct(0.99)
-	res.SubmitAckP50Ms = ms(ackSnap.Quantile(0.50))
-	res.SubmitAckP99Ms = ms(ackSnap.Quantile(0.99))
-	res.JobP50Ms = ms(jobSnap.Quantile(0.50))
-	res.JobP99Ms = ms(jobSnap.Quantile(0.99))
 	res.AllocsPerCycle = float64(run.mallocs) / float64(max(total, 1))
 	res.GoMaxProcs = runtime.GOMAXPROCS(0)
 	res.UniqueCacheBytes = cstats.Bytes
@@ -369,39 +278,23 @@ func counterRow(s metrics.Snapshot) ServerBenchResult {
 	}
 }
 
-// writeSlowestChrome exports the slowest completed trace as Chrome
-// trace-event JSON (the CI artifact proving traces load in Perfetto).
-func writeSlowestChrome(tracer *trace.Tracer, path string) error {
-	recs := tracer.Slowest(1)
-	if len(recs) == 0 {
-		return fmt.Errorf("no completed traces to export")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, recs[0]); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ms converts a duration to float milliseconds for the JSON schema.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runVirtualPass measures cycle latency in *virtual* time, deterministically.
-// The concurrent wall-clock run cannot yield reproducible virtual latencies:
-// all sessions share the server host's clock, so goroutine interleaving
-// shifts which arrival advances it. Instead each session's exact workload
-// (same index, so same names, seed and edit sequence) is replayed alone on a
-// fresh simulated network whose clocks only this session drives, its cycles
-// corked and stamped with the workstation's virtual clock. The per-session
-// latencies land in one histogram, so repeated runs are byte-identical.
-func runVirtualPass(cfg ServerBenchConfig) (obs.HistogramSnapshot, error) {
+// RunVirtualLatency is the server figure: cycle latency in *virtual* time,
+// deterministically. A concurrent run cannot yield reproducible virtual
+// latencies: all sessions share the server host's clock, so goroutine
+// interleaving shifts which arrival advances it. Instead each session's exact
+// workload (same index, so same names, seed and edit sequence) is replayed
+// alone on a fresh simulated network whose clocks only this session drives,
+// its cycles corked and stamped with the workstation's virtual clock. The
+// per-session latencies land in one histogram, so repeated runs are
+// byte-identical.
+func RunVirtualLatency(cfg ServerBenchConfig) (obs.HistogramSnapshot, error) {
+	cfg = cfg.withDefaults()
 	var h obs.Histogram
 	for i := 0; i < cfg.Sessions; i++ {
-		spec := cfg.spec(nil)
+		spec := cfg.spec("netsim")
 		spec.sessions, spec.first, spec.virtual = 1, i, true
 		f, run, err := drive(spec, cfg.Cycles, nil)
 		if err != nil {

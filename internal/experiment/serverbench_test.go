@@ -4,22 +4,21 @@ import (
 	"testing"
 )
 
-// TestVirtualPassDeterministic: the netsim virtual-latency pass must be
+// TestVirtualPassDeterministic: the server figure's virtual latencies must be
 // byte-identical run over run — that is the whole point of replaying each
 // session alone on its own simulated network.
 func TestVirtualPassDeterministic(t *testing.T) {
 	cfg := ServerBenchConfig{
-		Sessions:  2,
-		Cycles:    3,
-		FileSize:  4 * 1024,
-		Transport: "netsim",
-	}.withDefaults()
+		Sessions: 2,
+		Cycles:   3,
+		FileSize: 4 * 1024,
+	}
 
-	a, err := runVirtualPass(cfg)
+	a, err := RunVirtualLatency(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runVirtualPass(cfg)
+	b, err := RunVirtualLatency(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,29 +39,19 @@ func TestVirtualPassDeterministic(t *testing.T) {
 	}
 }
 
-// TestServerBenchNetsimEmitsVirtualPercentiles: a netsim bench run must
-// populate the deterministic virtual percentile fields alongside the
-// wall-clock ones.
+// TestServerBenchNetsimEmitsVirtualPercentiles: the server figure yields
+// ordered, nonzero virtual percentiles, one observation per cycle.
 func TestServerBenchNetsimEmitsVirtualPercentiles(t *testing.T) {
-	res, err := RunServerBench(ServerBenchConfig{
-		Sessions:  2,
-		Cycles:    3,
-		FileSize:  4 * 1024,
-		Transport: "netsim",
+	snap, err := RunVirtualLatency(ServerBenchConfig{
+		Sessions: 2,
+		Cycles:   3,
+		FileSize: 4 * 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VirtualP50Ms <= 0 || res.VirtualP90Ms <= 0 || res.VirtualP99Ms <= 0 {
-		t.Fatalf("virtual percentiles missing: %+v", res)
-	}
-	if res.VirtualP50Ms > res.VirtualP99Ms {
-		t.Fatalf("virtual p50 %v > p99 %v", res.VirtualP50Ms, res.VirtualP99Ms)
-	}
-	if res.P50Ms <= 0 || res.P90Ms <= 0 || res.P99Ms <= 0 {
-		t.Fatalf("wall percentiles missing: %+v", res)
-	}
-	if res.SubmitAckP50Ms < 0 || res.JobP50Ms < 0 {
-		t.Fatalf("server-side histograms missing: %+v", res)
+	p50, p90, p99 := snap.Quantile(0.50), snap.Quantile(0.90), snap.Quantile(0.99)
+	if snap.Count != 6 || p50 <= 0 || p50 > p90 || p90 > p99 {
+		t.Fatalf("virtual percentiles over %d cycles: p50 %v, p90 %v, p99 %v", snap.Count, p50, p90, p99)
 	}
 }

@@ -226,7 +226,8 @@ func (u *Universe) FilesUnder(host, p string) (Name, []string, error) {
 }
 
 // RemoveFile deletes the file at the canonical location of (host, path).
-// Removing a file that does not exist is not an error.
+// Removing a file that does not exist is not an error. The client's
+// workspace tests call it to model a user deleting a file between syncs.
 func (u *Universe) RemoveFile(host, p string) error {
 	n, err := u.Resolve(host, p)
 	if err != nil {

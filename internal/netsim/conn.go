@@ -30,7 +30,8 @@ var ErrLinkDown = errors.New("netsim: link down")
 // SetDown fails or heals the line. While down, every Send over the link
 // returns ErrLinkDown — modeling a long-haul line outage. Connections are
 // not torn down: when the line heals, existing connections work again (the
-// transport is reliable; only the line below it failed).
+// transport is reliable; only the line below it failed). The outage tests of
+// netsim and shadow call it.
 func (l *Link) SetDown(down bool) {
 	l.mu.Lock()
 	l.down = down
