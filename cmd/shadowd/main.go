@@ -66,7 +66,6 @@ func run(args []string) error {
 		jobsN       = fs.Int("jobs", 2, "maximum concurrent jobs")
 		loadThresh  = fs.Int("load-threshold", 4, "queue depth at which load-aware pulling defers")
 		compress    = fs.Bool("compress", false, "compress output transfers")
-		verbose     = fs.Bool("v", false, "log per-event server activity")
 		adminAddr   = fs.String("admin", "", "admin endpoint address (e.g. :9090); empty disables it")
 		logLevel    = fs.String("log-level", "", "structured event log level: debug, info, warn or error; empty disables")
 		logFormat   = fs.String("log-format", "text", "structured event log format: text or json")
@@ -106,9 +105,6 @@ func run(args []string) error {
 	cfg.MaxConcurrentJobs = *jobsN
 	cfg.LoadThreshold = *loadThresh
 	cfg.Compress = *compress
-	if *verbose {
-		cfg.Logf = log.Printf
-	}
 
 	// The observer is always created so the admin endpoint can render
 	// latency histograms; structured event logging is additionally enabled

@@ -180,23 +180,13 @@ type Client struct {
 	session  uint64
 	awaiting chan wire.Message // live only while a request is outstanding
 	replyCh  chan wire.Message // reused across attempts; drained at install
-	pending  *pendingSubmit    // submit in flight, installed on SUBMIT_OK
+	pending  *awaitedJob       // submit in flight, installed on SUBMIT_OK
 	outPrev  map[uint32][]byte // script checksum -> last received stdout
-	// The four per-job maps hold jobs whose output is still awaited and
-	// nothing else: handleOutput clears a job out of all of them as it
-	// delivers, and from then on the job database is what knows the job
-	// (Wait on a delivered job answers from there). jobDone holds the
-	// channel Wait blocks on, made by whoever asks first.
-	jobMeta map[uint64]jobMeta
-	jobDone map[uint64]chan struct{}
-	// cycleStart stamps when Submit was called for each job still awaiting
-	// output, feeding the full-cycle histogram. Populated only when
-	// cfg.Obs is set; presence in the map means "timed".
-	cycleStart map[uint64]time.Duration
-	// cycleSpan holds each traced cycle's root span until its output is
-	// delivered, keyed by job id like cycleStart. Populated only when the
-	// observer has a tracer and the cycle was sampled.
-	cycleSpan map[uint64]*trace.Span
+	// awaited holds the jobs whose output has not arrived and nothing else:
+	// handleOutput takes a job's record out as it delivers, and from then on
+	// the job database is what knows the job (Wait on a delivered job
+	// answers from there).
+	awaited map[uint64]*awaitedJob
 	// delivered lists the jobs delivered whose record no caller has been
 	// handed yet — what WaitAny returns next. Wait and Fetch take their job
 	// off it, and it holds at most maxUntaken ids: the oldest fall off under
@@ -219,44 +209,46 @@ type Client struct {
 	superDone chan struct{} // supervisor exited
 }
 
-type jobMeta struct {
-	scriptSum  uint32
-	outputFile string
-	errorFile  string
-}
-
-// pendingSubmit carries a submit's metadata from the caller to the read
-// loop, which installs it under the job id the moment SUBMIT_OK arrives.
+// awaitedJob is what the client holds for one job until its output arrives.
+// A submit's record travels from the caller to the read loop as the pending
+// submit, which installs it under the job id the moment SUBMIT_OK arrives.
 // Registration must not wait for the caller to resume: the job's OUTPUT can
 // follow SUBMIT_OK immediately, and an output for an unregistered job would
-// be mistaken for one whose delta base is gone. Output and error file names
-// are kept unexpanded ("" = the environment default with %J = job id),
-// since the job id is unknown until the reply.
-type pendingSubmit struct {
-	scriptSum  uint32
+// be mistaken for one whose delta base is gone. A Wait that comes first
+// makes a record holding only its channel; the job is known once the
+// metadata is installed.
+type awaitedJob struct {
+	known     bool
+	scriptSum uint32
+	// Output and error file names, unexpanded ("" = the environment default
+	// with %J = job id) until the job id is known.
 	outputFile string
 	errorFile  string
-	// cycleStart carries the Submit-call stamp for the full-cycle
-	// histogram; cycleTimed distinguishes a real stamp from an untimed
-	// submission (a virtual clock legitimately reads 0).
+	// cycleStart stamps the Submit call for the full-cycle histogram;
+	// timed distinguishes a real stamp from an untimed submission (a
+	// virtual clock legitimately reads 0).
 	cycleStart time.Duration
-	cycleTimed bool
-	// span is the cycle's root trace span (nil when untraced); the read
-	// loop parks it in cycleSpan under the job id so handleOutput can
-	// close the trace on delivery.
+	timed      bool
+	// span is the cycle's root trace span (nil when untraced), closed on
+	// delivery.
 	span *trace.Span
+	// done is the channel Wait blocks on, made by whoever asks first.
+	done chan struct{}
 }
 
-// expand resolves the metadata against a now-known job id.
-func (p *pendingSubmit) expand(e env.Environment, job uint64) jobMeta {
-	m := jobMeta{scriptSum: p.scriptSum, outputFile: p.outputFile, errorFile: p.errorFile}
-	if m.outputFile == "" {
-		m.outputFile = e.ExpandOutput(job)
+// install makes the job known under id from the pending submit p, expanding
+// the file names against the id.
+func (a *awaitedJob) install(p *awaitedJob, e env.Environment, id uint64) {
+	done := a.done
+	*a = *p
+	a.known, a.done = true, done
+	if a.outputFile == "" {
+		a.outputFile = e.ExpandOutput(id)
 	}
-	if m.errorFile == "" {
-		m.errorFile = e.ExpandError(job)
+	if a.errorFile == "" {
+		a.errorFile = e.ExpandError(id)
 	}
-	return m
+	a.span.SetJob(id)
 }
 
 // Connect establishes a session: it sends HELLO over conn (dialing one via
@@ -305,22 +297,19 @@ func Connect(ctx context.Context, conn wire.Conn, cfg Config) (*Client, error) {
 		}
 	}
 	c := &Client{
-		cfg:        cfg,
-		store:      store,
-		jobdb:      jobdb,
-		counters:   &metrics.Counters{},
-		retry:      cfg.Retry.withDefaults(),
-		outPrev:    make(map[uint32][]byte),
-		jobMeta:    make(map[uint64]jobMeta),
-		jobDone:    make(map[uint64]chan struct{}),
-		cycleStart: make(map[uint64]time.Duration),
-		cycleSpan:  make(map[uint64]*trace.Span),
-		arrivals:   make(chan struct{}, 1),
-		ackSignal:  make(chan struct{}, 1),
-		connDown:   make(chan struct{}),
-		connUp:     make(chan struct{}),
-		done:       make(chan struct{}),
-		superDone:  make(chan struct{}),
+		cfg:       cfg,
+		store:     store,
+		jobdb:     jobdb,
+		counters:  &metrics.Counters{},
+		retry:     cfg.Retry.withDefaults(),
+		outPrev:   make(map[uint32][]byte),
+		awaited:   make(map[uint64]*awaitedJob),
+		arrivals:  make(chan struct{}, 1),
+		ackSignal: make(chan struct{}, 1),
+		connDown:  make(chan struct{}),
+		connUp:    make(chan struct{}),
+		done:      make(chan struct{}),
+		superDone: make(chan struct{}),
 	}
 	c.rng = rand.New(rand.NewSource(c.jitterSeed()))
 	c.lifeCtx, c.lifeStop = context.WithCancel(context.Background())
@@ -372,15 +361,14 @@ func (c *Client) Jobs() *env.JobDB { return c.jobdb }
 func (c *Client) Metrics() metrics.Snapshot { return c.counters.Snapshot() }
 
 // Backlog reports what the client is holding per job: awaiting counts the
-// jobs whose output has not arrived (the size of the largest per-job map),
-// untaken the delivered jobs no Wait, WaitAny or Fetch has returned yet. Both
-// are zero on an idle client whose caller collects what it submits. The
-// retention tests of client and server read it to check that a client
-// forgets what it has delivered.
+// jobs whose output has not arrived, untaken the delivered jobs no Wait,
+// WaitAny or Fetch has returned yet. Both are zero on an idle client whose
+// caller collects what it submits. The retention tests of client and server
+// read it to check that a client forgets what it has delivered.
 func (c *Client) Backlog() (awaiting, untaken int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return max(len(c.jobMeta), len(c.jobDone), len(c.cycleStart), len(c.cycleSpan)), len(c.delivered)
+	return len(c.awaited), len(c.delivered)
 }
 
 // CommitAndNotify registers the current content of the named local file as a
@@ -528,12 +516,12 @@ func (c *Client) submitOnce(ctx context.Context, script []byte, dataPaths []stri
 	// The read loop installs the job metadata as soon as SUBMIT_OK
 	// arrives — before this goroutine resumes — because the job's OUTPUT
 	// can be right behind it on the wire.
-	p := &pendingSubmit{
+	p := &awaitedJob{
 		scriptSum:  diff.Checksum(script),
 		outputFile: opts.OutputFile,
 		errorFile:  opts.ErrorFile,
 		cycleStart: cycleStart,
-		cycleTimed: c.cfg.Obs != nil,
+		timed:      c.cfg.Obs != nil,
 		span:       root,
 	}
 	reply, err := c.attempt(ctx, append(frames, req), root.Context(), p)
@@ -639,15 +627,18 @@ var alreadyDone = func() chan struct{} {
 func (c *Client) waitChan(job uint64) chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if done, ok := c.jobDone[job]; ok {
-		return done
+	a := c.awaited[job]
+	if a == nil {
+		if c.jobdb.Delivered(c.serverName, job) {
+			return alreadyDone
+		}
+		a = &awaitedJob{}
+		c.awaited[job] = a
 	}
-	if c.jobdb.Delivered(c.serverName, job) {
-		return alreadyDone
+	if a.done == nil {
+		a.done = make(chan struct{})
 	}
-	done := make(chan struct{})
-	c.jobDone[job] = done
-	return done
+	return a.done
 }
 
 // take hands a delivered job's record to a caller: it comes off the list
@@ -724,8 +715,11 @@ func (c *Client) Fetch(ctx context.Context, job uint64) (env.JobRecord, error) {
 		// still open, the request carries the cycle's context. A delivery
 		// that slips in before the request costs a duplicate, which
 		// handleOutput recognizes; Wait sees the delivered record either way.
+		var root *trace.Span
 		c.mu.Lock()
-		root := c.cycleSpan[job]
+		if a := c.awaited[job]; a != nil {
+			root = a.span
+		}
 		c.mu.Unlock()
 		if err := c.sendTraced(&wire.OutputFullReq{Job: job}, root.Context()); err != nil {
 			return env.JobRecord{}, err
@@ -895,7 +889,7 @@ func (c *Client) roundTrip(ctx context.Context, req wire.Message) (wire.Message,
 // submit passes its metadata as p: it is the pending submit for exactly as
 // long as this exchange holds reqMu, so the read loop can never register one
 // caller's SUBMIT_OK under another's metadata.
-func (c *Client) attempt(ctx context.Context, frames []wire.Message, tc wire.TraceContext, p *pendingSubmit) (wire.Message, error) {
+func (c *Client) attempt(ctx context.Context, frames []wire.Message, tc wire.TraceContext, p *awaitedJob) (wire.Message, error) {
 	req := frames[len(frames)-1]
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()

@@ -530,10 +530,10 @@ func TestTracedCycleSpanNotReparked(t *testing.T) {
 		}
 	}
 	cl.mu.Lock()
-	spans, stamps := len(cl.cycleSpan), len(cl.cycleStart)
+	held := len(cl.awaited)
 	cl.mu.Unlock()
-	if spans != 0 || stamps != 0 {
-		t.Fatalf("after every output was delivered: %d root spans and %d cycle stamps still parked", spans, stamps)
+	if held != 0 {
+		t.Fatalf("after every output was delivered: %d awaited-job records (root spans, cycle stamps) still parked", held)
 	}
 	if n := cl.cfg.Obs.Cycle.Snapshot().Count; n != 200 {
 		t.Fatalf("cycle histogram count = %d, want 200", n)

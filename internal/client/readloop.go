@@ -69,17 +69,15 @@ func (c *Client) routeReply(msg wire.Message) {
 		// resuming) would re-park a span the read loop has already
 		// finished. A job the database has as delivered was registered, and
 		// cleared, before.
-		if _, known := c.jobMeta[ok.Job]; !known && !c.jobdb.Delivered(c.serverName, ok.Job) {
-			meta := c.pending.expand(c.cfg.Env, ok.Job)
-			c.jobMeta[ok.Job] = meta
+		a := c.awaited[ok.Job]
+		if (a == nil || !a.known) && !c.jobdb.Delivered(c.serverName, ok.Job) {
+			if a == nil {
+				a = c.pending
+				c.awaited[ok.Job] = a
+			}
+			a.install(c.pending, c.cfg.Env, ok.Job)
 			c.jobdb.Record(env.JobRecord{Server: c.serverName, ID: ok.Job, State: wire.JobQueued,
-				OutputFile: meta.outputFile, ErrorFile: meta.errorFile})
-			if c.pending.cycleTimed {
-				c.cycleStart[ok.Job] = c.pending.cycleStart
-			}
-			if c.pending.span != nil {
-				c.cycleSpan[ok.Job] = c.pending.span.SetJob(ok.Job)
-			}
+				OutputFile: a.outputFile, ErrorFile: a.errorFile})
 		}
 		c.pending = nil
 	}
@@ -182,15 +180,19 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	dsp := c.cfg.Obs.StartSpan(tc, "client.deliver").SetJob(m.Job)
 	defer dsp.Finish()
 	c.mu.Lock()
-	meta, known := c.jobMeta[m.Job]
+	var meta awaitedJob
+	if a := c.awaited[m.Job]; a != nil && a.known {
+		meta = *a
+	}
+	known := meta.known
 	var prev []byte
 	if known {
 		prev = c.outPrev[meta.scriptSum]
 	}
 	c.mu.Unlock()
 	// A duplicate delivery must not rewrite result files or job records:
-	// the first delivery already surfaced them to the user (and cleared the
-	// job out of jobMeta, so without this it would pass for routed output).
+	// the first delivery already surfaced them to the user (and took the
+	// job's record out, so without this it would pass for routed output).
 	if !known && c.jobdb.Delivered(c.serverName, m.Job) {
 		dsp.Annotate("duplicate")
 		_ = c.send(&wire.OutputAck{Job: m.Job})
@@ -226,10 +228,8 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	} else {
 		// Routed output from a job submitted elsewhere; store under
 		// default names.
-		meta = jobMeta{
-			outputFile: fmt.Sprintf("routed-job-%d.out", m.Job),
-			errorFile:  fmt.Sprintf("routed-job-%d.err", m.Job),
-		}
+		meta.outputFile = fmt.Sprintf("routed-job-%d.out", m.Job)
+		meta.errorFile = fmt.Sprintf("routed-job-%d.err", m.Job)
 	}
 
 	// Store results where the user asked ("optional arguments allow the
@@ -247,20 +247,18 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	// Delivered: under one lock the record is marked (it takes the received
 	// bytes as they are — the message owns them, outPrev only ever reads
 	// them — so an output is held once here and once on disk, and after a
-	// few more deliveries on disk only), the job leaves every per-job map,
+	// few more deliveries on disk only), the job's record leaves awaited,
 	// and it joins the list WaitAny serves. A Wait that comes later finds
 	// the record delivered and the job listed; one already blocked holds the
 	// channel closed below.
 	c.mu.Lock()
 	c.jobdb.Deliver(env.JobRecord{Server: c.serverName, ID: m.Job, State: m.State, ExitCode: m.ExitCode,
 		Stdout: stdout, Stderr: m.Stderr, OutputFile: meta.outputFile, ErrorFile: meta.errorFile})
-	cycleStart, timed := c.cycleStart[m.Job]
-	root := c.cycleSpan[m.Job]
-	done := c.jobDone[m.Job]
-	delete(c.jobMeta, m.Job)
-	delete(c.cycleStart, m.Job)
-	delete(c.cycleSpan, m.Job)
-	delete(c.jobDone, m.Job)
+	var done chan struct{}
+	if a := c.awaited[m.Job]; a != nil {
+		done = a.done
+		delete(c.awaited, m.Job)
+	}
 	if len(c.delivered) == maxUntaken {
 		c.delivered = slices.Delete(c.delivered, 0, 1)
 	}
@@ -268,8 +266,8 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	c.mu.Unlock()
 	// The cycle is counted before the Wait woken below can return, so a
 	// caller reading the histogram after Wait finds it there.
-	if timed {
-		c.cfg.Obs.ObserveCycle(cycleStart)
+	if meta.timed {
+		c.cfg.Obs.ObserveCycle(meta.cycleStart)
 	}
 	_ = c.send(&wire.OutputAck{Job: m.Job})
 	if done != nil {
@@ -278,10 +276,10 @@ func (c *Client) handleOutput(m *wire.Output, tc wire.TraceContext) {
 	// Output delivered: the cycle is over. Close its root span and move the
 	// trace to the completed ring; the server ends it too after a
 	// successful send, and completion is idempotent.
-	if root != nil {
-		root.Annotate("delivered").Finish()
+	if meta.span != nil {
+		meta.span.Annotate("delivered").Finish()
 	}
-	c.cfg.Obs.EndTrace(ctxOr(root, tc))
+	c.cfg.Obs.EndTrace(ctxOr(meta.span, tc))
 	select {
 	case c.arrivals <- struct{}{}:
 	default:

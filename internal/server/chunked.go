@@ -19,20 +19,18 @@ package server
 // Server lock order, outermost first — as the code has it, checked against
 // every acquisition in the package:
 //
-//	waitMu → j.mu
+//	ss.mu → a files shard → j.mu, a cache shard (park)
+//	ss.mu → chunkFl.mu, a chunk-store shard
 //	a jobs-table shard (read; JobCounts, JobStats) → j.mu
-//	peerWaitMu → a flights shard
-//	ss.mu → chunkFl.mu, a chunk-store shard, a flights shard
 //	deliverMu → a sessions-table shard (read)
 //	tagMu → a jobs-table shard
 //	peerMu → startMu (read) → a sessions-table shard
 //
-// Nothing else nests. j.mu, deltaMu, flightMu, scriptMu, chunkFl.mu and the
-// flights, chunk-store and table shards are leaves (deltaMu is also taken
-// from the cache's evict hook, which the cache calls with none of its own
-// locks held and the server calls into with none of these held); startMu's
-// write side (Close) is held alone; the tracer's own mutex, outside this
-// package, is a leaf under ss.mu and j.mu where spans start and finish.
+// Nothing else nests. j.mu, flightMu, scriptMu, chunkFl.mu and the chunk-store,
+// cache and table shards are leaves (a files shard is also taken from the
+// cache's evict hook, which the cache calls with none of its own locks held);
+// startMu's write side (Close) is held alone; the tracer's own mutex, outside
+// this package, is a leaf under ss.mu and j.mu where spans start and finish.
 // peerMu is the one lock held across blocking I/O — a first-use dial and
 // handshake — so nothing is ever acquired before it. Two rules carry the
 // rest:

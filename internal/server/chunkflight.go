@@ -8,7 +8,7 @@ import (
 )
 
 // chunkFlights coalesces concurrent chunk fetches across sessions — the
-// chunk-granularity sibling of cache.Flights. When several users upload
+// chunk-granularity sibling of the file table's flights. When several users upload
 // near-identical content at once, every session's manifest is missing the
 // same chunks; without coalescing the server would ask each client for all
 // of them and receive the shared content once per user. Instead, the first

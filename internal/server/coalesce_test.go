@@ -127,7 +127,7 @@ func TestConcurrentNotifyBurstCoalescesPulls(t *testing.T) {
 	if snap.PullsIssued != 1 || snap.PullsCoalesced != k-1 {
 		t.Fatalf("pulls issued=%d coalesced=%d, want 1 and %d", snap.PullsIssued, snap.PullsCoalesced, k-1)
 	}
-	if n := r.srv.flights.Len(); n != 1 {
+	if n := r.srv.InFlightFetches(); n != 1 {
 		t.Fatalf("flights in flight = %d, want 1", n)
 	}
 
@@ -144,7 +144,7 @@ func TestConcurrentNotifyBurstCoalescesPulls(t *testing.T) {
 	} else if ack, ok := m.(*wire.FileAck); !ok || ack.Version != 1 {
 		t.Fatalf("ack = %#v", m)
 	}
-	if n := r.srv.flights.Len(); n != 0 {
+	if n := r.srv.InFlightFetches(); n != 0 {
 		t.Fatalf("flights after arrival = %d, want 0", n)
 	}
 
@@ -199,10 +199,10 @@ func TestDeadOwnerReleasesFlight(t *testing.T) {
 	// Kill the owner without answering. Its flights must be released.
 	_ = r.conns[0].Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for r.srv.SessionCount() != 1 || r.srv.flights.Len() != 0 {
+	for r.srv.SessionCount() != 1 || r.srv.InFlightFetches() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("flight not released after owner death: sessions=%d flights=%d",
-				r.srv.SessionCount(), r.srv.flights.Len())
+				r.srv.SessionCount(), r.srv.InFlightFetches())
 		}
 		runtime.Gosched()
 	}

@@ -383,16 +383,15 @@ func assertNothingBehind(t *testing.T, s *Server) {
 	t.Helper()
 	var why string
 	quiet := func() bool {
-		if n := s.flights.Len(); n != 0 {
-			why = fmt.Sprintf("%d flights", n)
+		if why = fileTableBusy(s); why != "" {
 			return false
 		}
 		for _, ss := range s.sessions.snapshot() {
 			ss.mu.Lock()
-			a, p, at, sp := len(ss.assembling), len(ss.pulled), len(ss.pulledAt), len(ss.pullSpan)
+			a, p := len(ss.assembling), len(ss.pulls)
 			ss.mu.Unlock()
-			if a+p+at+sp != 0 {
-				why = fmt.Sprintf("session %d: %d assemblies, %d pulled, %d pulledAt, %d pull spans", ss.id, a, p, at, sp)
+			if a+p != 0 {
+				why = fmt.Sprintf("session %d: %d assemblies, %d open pulls", ss.id, a, p)
 				return false
 			}
 		}
@@ -401,20 +400,6 @@ func assertNothingBehind(t *testing.T, s *Server) {
 		s.chunkFl.mu.Unlock()
 		if n != 0 {
 			why = fmt.Sprintf("%d chunk flights", n)
-			return false
-		}
-		s.waitMu.Lock()
-		n = 0
-		for _, list := range s.waiters {
-			n += len(list)
-		}
-		s.waitMu.Unlock()
-		if n != 0 {
-			why = fmt.Sprintf("%d waiting jobs", n)
-			return false
-		}
-		if n := parkedPeerWaiters(s); n != 0 {
-			why = fmt.Sprintf("%d parked peer requests", n)
 			return false
 		}
 		s.tagMu.Lock()
@@ -437,11 +422,8 @@ func assertNothingBehind(t *testing.T, s *Server) {
 	if n, b := s.cache.ChunkStore().Len(), s.cache.Bytes(); n != 0 || b != 0 {
 		t.Fatalf("chunk store holds %d chunks, %d bytes after every file was evicted", n, b)
 	}
-	s.deltaMu.Lock()
-	n := len(s.lastDeltas)
-	s.deltaMu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d forwarding deltas outlived their cache entries", n)
+	if why := fileTableBusy(s); why != "" {
+		t.Fatalf("after every file was evicted: %s", why)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 
-	"shadowedit/internal/cache"
 	"shadowedit/internal/core"
 	"shadowedit/internal/jobs"
 	"shadowedit/internal/naming"
@@ -24,96 +23,59 @@ func (j *job) initInputs(dir *naming.Directory) {
 	}
 }
 
-// addWaiter indexes a job under the file it is waiting for, so the file's
-// arrival touches exactly the jobs that want it.
-func (s *Server) addWaiter(id naming.ShadowID, j *job) {
-	s.waitMu.Lock()
-	s.waiters[id] = append(s.waiters[id], j)
-	s.waitMu.Unlock()
-}
-
-// feedFromCache feeds the jobs waiting for id from the cached copy, if it is
+// feedFromCache feeds what waits on id from the cached copy, if it is
 // version want or newer: the re-check for waits registered just as the
 // content arrived, and for fetches whose session died after the content
 // landed. It reports whether the cache had such a version. Nothing is
-// assembled unless a job is waiting.
+// assembled unless a job is waiting; one that starts waiting after the look
+// re-checks through its own pull.
 func (s *Server) feedFromCache(id naming.ShadowID, want uint64) bool {
 	have, ok := s.cache.Version(id)
 	if !ok || have < want {
 		return false
 	}
-	s.waitMu.Lock()
-	waited := len(s.waiters[id]) > 0
-	s.waitMu.Unlock()
-	if !waited {
-		s.feedPeerWaiters(id, have)
-		return true
+	var content *fileBuf
+	sh, r := s.files.lock(id)
+	waited := len(r.jobs) > 0
+	sh.unlock(id, r)
+	if waited {
+		e, ok := s.cache.Peek(id)
+		if !ok || e.Version < want {
+			return false // evicted between the two looks
+		}
+		have, content = e.Version, s.bufs.owned(e.Content)
 	}
-	e, ok := s.cache.Peek(id)
-	if !ok || e.Version < want {
-		return false // evicted between the two looks
-	}
-	s.feedWaitingJobs(id, e.Version, s.bufs.owned(e.Content))
+	s.feed(id, have, content)
 	return true
 }
 
-// feedWaitingJobs delivers a freshly arrived file version to every job still
-// waiting for it, and takes over the caller's reference on content: each job
-// fed borrows the buffer until its run ends, and when none was waiting it
-// goes straight back to the pool. A newer version than requested also
-// satisfies the wait: the cache holds only the latest version, and by
-// connection ordering a newer version means the user resubmitted meanwhile —
-// running with fresher input matches what a new submit would see. The waiters
-// index makes this O(jobs waiting for this file), not O(all jobs ever
-// submitted). The file is named by its interned id (callers always hold it
-// already; taking it avoids a re-intern on this per-arrival path).
-func (s *Server) feedWaitingJobs(id naming.ShadowID, version uint64, content *fileBuf) {
-	defer content.release()
-	// Peer requests parked on this arrival are answered first (a no-op
-	// outside a cluster): the owner that pulled once now forwards the
-	// version to every instance that asked while the pull was in flight.
-	s.feedPeerWaiters(id, version)
-	s.waitMu.Lock()
-	list := s.waiters[id]
-	if len(list) == 0 {
-		s.waitMu.Unlock()
-		return
-	}
+// feed delivers a file version that just arrived (or was found cached) to
+// everything waiting for it, and takes over the caller's reference on
+// content, if any: each job fed borrows the buffer until its run ends. A
+// newer version than requested also satisfies a wait: the cache holds only
+// the latest version, and by connection ordering a newer version means the
+// user resubmitted meanwhile. Parked peer requests are answered first (none
+// outside a cluster), and those no fetch covers any more declined: a parked
+// request always ends in an answer, or the requester's jobs hang on a healthy
+// link.
+func (s *Server) feed(id naming.ShadowID, version uint64, content *fileBuf) {
 	// Nearly always one job waits per arrival; the stack array keeps the
 	// common case allocation-free.
 	var readyArr [4]*job
-	ready := readyArr[:0]
-	remaining := list[:0]
-	for _, j := range list {
-		fed, short := false, false
-		j.mu.Lock()
-		for i := range j.ins {
-			in := &j.ins[i]
-			switch {
-			case in.id != id || !in.waiting:
-			case version >= in.want:
-				in.waiting, in.buf = false, content.retain()
-				fed = true
-			default:
-				short = true // still needs a newer version
-			}
-		}
-		j.mu.Unlock()
-		if fed {
-			ready = append(ready, j)
-		}
-		if short {
-			remaining = append(remaining, j)
+	ready, answer, decline := s.files.arrive(id, version, content, readyArr[:0])
+	if content != nil {
+		content.release()
+	}
+	for _, w := range answer {
+		if !s.answerPeer(id, w) {
+			// The arrival satisfied the wait but the content has already
+			// moved on or out of the cache; decline, the peer re-pulls.
+			decline = append(decline, w)
 		}
 	}
-	// Keep the (empty) slice in the map rather than deleting the entry: a
-	// file is waited on again every cycle, and retaining the slice's
-	// capacity makes the next addWaiter append allocation-free. Growth is
-	// bounded by the number of distinct files, like the directory itself.
-	// The vacated tail is cleared so it does not pin jobs long retired.
-	clear(list[len(remaining):])
-	s.waiters[id] = remaining
-	s.waitMu.Unlock()
+	for _, w := range decline {
+		s.declinePeer(w)
+	}
 	for _, j := range ready {
 		s.maybeSchedule(j)
 	}
@@ -180,9 +142,6 @@ func (s *Server) runJob(j *job) {
 	waitSpan.Finish()
 	runSpan := s.cfg.Obs.StartSpan(j.tc, "server.job-run").SetJob(j.id)
 
-	if s.cfg.Logf != nil {
-		s.logf("job %d: running for %s@%s", j.id, j.owner.user, j.owner.host)
-	}
 	res := jobs.Execute(jobs.Request{Script: script, Commands: cmds, Inputs: inputs})
 	s.cfg.Clock.Process(res.CPUTime)
 	if runSpan != nil {
@@ -206,9 +165,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	if stamped {
 		s.cfg.Obs.ObserveJobLifetime(queuedAt)
-	}
-	if s.cfg.Logf != nil {
-		s.logf("job %d: done (exit %d, %d output bytes, %v cpu)", j.id, res.ExitCode, len(res.Stdout), res.CPUTime)
 	}
 	if s.cfg.Obs.LogEnabled(slog.LevelInfo) {
 		s.cfg.Obs.Log(slog.LevelInfo, "job done",
@@ -341,10 +297,10 @@ func (s *Server) repullWaitingInputs(ss *session) {
 // to another member) owned: any job still waiting for one of the released
 // files gets the pull re-issued through its own (surviving) session, so
 // pulls that coalesced behind the dead session do not strand live jobs.
-func (s *Server) repullPending(deadID uint64, pending []cache.PendingFetch) {
+func (s *Server) repullPending(deadID uint64, pending []pendingFetch) {
 	for _, p := range pending {
-		id := s.dir.Intern(p.Ref)
-		if s.feedFromCache(id, p.Want) {
+		id := s.dir.Intern(p.ref)
+		if s.feedFromCache(id, p.want) {
 			continue
 		}
 		tried := map[uint64]bool{deadID: true}
@@ -366,22 +322,23 @@ func (s *Server) repullPending(deadID uint64, pending []cache.PendingFetch) {
 				// No live session for any waiter: the fetch is
 				// dropped here, and the owner's next hello re-pulls
 				// it (repullWaitingInputs). Peers parked on the
-				// abandoned flight are declined now — their links are
-				// healthy, so no teardown would ever answer them —
-				// and fall back to pulling from their own clients.
-				s.declinePeerWaiters(id)
+				// abandoned flight and covered by no other are
+				// declined now — their links are healthy, so no
+				// teardown would ever answer them — and fall back to
+				// pulling from their own clients.
+				s.feed(id, 0, nil)
 				break
 			}
-			if target.pullFile(p.Ref, p.Want, p.TC) == nil {
+			if target.pullFile(p.ref, p.want, p.tc) == nil {
 				break
 			}
 			// The chosen session died between being picked and the
-			// send. Its own ReleaseOwner pass may already have run and
+			// send. Its own teardown sweep may already have run and
 			// missed the flight our pull just registered on it, so
 			// undo that registration ourselves and try the next
 			// candidate.
 			tried[target.id] = true
-			s.flights.Release(id, target.id)
+			s.files.release(id, target.id)
 		}
 	}
 }
@@ -391,10 +348,10 @@ func (s *Server) repullPending(deadID uint64, pending []cache.PendingFetch) {
 // waiters' owner identities so the caller can fall back to any live session
 // of the same client.
 func (s *Server) repullTarget(id naming.ShadowID, skip map[uint64]bool) (*session, []identity) {
-	s.waitMu.Lock()
-	defer s.waitMu.Unlock()
+	sh, r := s.files.lock(id)
+	defer sh.unlock(id, r)
 	var owners []identity
-	for _, j := range s.waiters[id] {
+	for _, j := range r.jobs {
 		j.mu.Lock()
 		_, waiting := j.waitsFor(id)
 		sess := j.sess

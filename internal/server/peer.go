@@ -25,13 +25,14 @@ package server
 //     falls back to pulling from the client. Full file bodies never cross a
 //     peer link; there is no peer full-file frame at all.
 //
-// The flight table extends single-winner coalescing across the cluster: a
-// peer fetch is a flight owned by the link's session id, so local demand
-// coalesces onto one PEER_NOTIFY exactly as client pulls coalesce onto one
-// PULL, and a dying link re-homes its flights through dropSession like any
-// dying session does. An owner that is itself still pulling the wanted
-// version parks the peer's request (peerWaiters) and answers on arrival — a
-// file hot on many instances crosses the client-server edge exactly once.
+// The file table (files.go) extends single-winner coalescing across the
+// cluster: a peer fetch is a flight owned by the link's session id, so local
+// demand coalesces onto one PEER_NOTIFY exactly as client pulls coalesce onto
+// one PULL, and a dying link re-homes its flights through dropSession like
+// any dying session does. An owner that is itself still pulling the wanted
+// version parks the peer's request on the file's record and answers on
+// arrival — a file hot on many instances crosses the client-server edge
+// exactly once.
 //
 // Peer traffic is traced like client traffic: PEER_NOTIFY, PEER_DELTA,
 // PEER_CHUNK and the gap-fill CHUNK_REQ/CHUNK_DATA frames all carry the
@@ -44,6 +45,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync/atomic"
 
@@ -83,17 +85,17 @@ type clusterState struct {
 // before Serve; a server that never joins behaves exactly as before (every
 // file is "owned" locally and no peer traffic exists).
 func (s *Server) JoinCluster(spec ClusterSpec) {
-	// The peer maps themselves were already initialized by New, so peer
-	// frames are map-safe even on a server that never joins. Dropping each
-	// retained peer delta in lockstep with its cache entry bounds the
-	// forwarding state by the cache's own footprint.
-	s.cache.SetEvictHook(s.dropPeerDelta)
+	// A file leaving the cache takes its retained forwarding delta with it,
+	// so the deltas can never outlive (or outgrow) the cache contents they
+	// shadow.
+	s.cache.SetEvictHook(func(id naming.ShadowID) { s.files.setDelta(id, nil) })
 	s.clusterCfg.Store(&clusterState{
 		ring:     cluster.NewRing(cluster.DefaultVirtualNodes, spec.Members...),
 		instance: spec.Instance,
 		dial:     spec.Dial,
 	})
-	s.logf("joined cluster as %s (%d members, %d vnodes)", spec.Instance, len(spec.Members), cluster.DefaultVirtualNodes)
+	s.cfg.Obs.Log(slog.LevelInfo, "joined cluster", slog.String("instance", spec.Instance),
+		slog.Int("members", len(spec.Members)), slog.Int("vnodes", cluster.DefaultVirtualNodes))
 }
 
 // Clustered reports whether the server has joined a cluster.
@@ -131,34 +133,13 @@ func (s *Server) notePeerDelta(id naming.ShadowID, m *wire.FileDelta, fullLen in
 	if s.clusterCfg.Load() == nil {
 		return
 	}
-	s.deltaMu.Lock()
-	s.lastDeltas[id] = &storedDelta{
+	s.files.setDelta(id, &storedDelta{
 		base:       m.BaseVersion,
 		version:    m.Version,
 		encoded:    m.Encoded,
 		compressed: m.Compressed,
 		fullLen:    fullLen,
-	}
-	s.deltaMu.Unlock()
-}
-
-func (s *Server) peerDeltaFor(id naming.ShadowID) *storedDelta {
-	if s.clusterCfg.Load() == nil {
-		return nil
-	}
-	s.deltaMu.Lock()
-	d := s.lastDeltas[id]
-	s.deltaMu.Unlock()
-	return d
-}
-
-// dropPeerDelta is the cache's eviction hook: a file leaving the cache takes
-// its retained forwarding delta with it, so lastDeltas can never outlive (or
-// outgrow) the cache contents it shadows.
-func (s *Server) dropPeerDelta(id naming.ShadowID) {
-	s.deltaMu.Lock()
-	delete(s.lastDeltas, id)
-	s.deltaMu.Unlock()
+	})
 }
 
 // peerWant is one parked peer request: a peer session awaiting a version
@@ -173,122 +154,31 @@ type peerWant struct {
 	sp   *trace.Span
 }
 
-func (s *Server) addPeerWaiter(id naming.ShadowID, w peerWant) {
-	s.peerWaitMu.Lock()
-	s.peerWaiters[id] = append(s.peerWaiters[id], w)
-	s.peerWaitMu.Unlock()
+// park parks w on id's flight if the fetch in flight covers its want. The
+// flight and the cache are looked at in the same critical section as the
+// arrival's: cached reports that the version the request wants is already
+// here (its arrival beat the park), and neither result means no fetch covers
+// it.
+func (s *Server) park(id naming.ShadowID, w peerWant) (parked, cached bool) {
+	sh, r := s.files.lock(id)
+	if v, ok := s.cache.Version(id); ok && v >= w.want {
+		cached = true
+	} else if r.fetching && r.flight.want >= w.want {
+		r.peers = append(r.peers, w)
+		parked = true
+	}
+	sh.unlock(id, r)
+	return parked, cached
 }
 
-// feedPeerWaiters answers parked peer requests that an arrival satisfies.
-// Called from feedWaitingJobs, so it rides the same arrival path jobs do.
-// Waiters the arrival falls short of stay parked only while a fetch still
-// covers their want; otherwise they are declined on the spot — a parked
-// request must always end in an answer, or the requester's jobs hang on a
-// healthy link forever.
-func (s *Server) feedPeerWaiters(id naming.ShadowID, version uint64) {
-	if s.clusterCfg.Load() == nil {
-		return
-	}
-	s.peerWaitMu.Lock()
-	list := s.peerWaiters[id]
-	if len(list) == 0 {
-		s.peerWaitMu.Unlock()
-		return
-	}
-	pending, inFlight := s.flights.Pending(id)
-	var ready, stranded []peerWant
-	remaining := list[:0]
-	for _, w := range list {
-		switch {
-		case version >= w.want:
-			ready = append(ready, w)
-		case inFlight && pending >= w.want:
-			remaining = append(remaining, w)
-		default:
-			stranded = append(stranded, w)
-		}
-	}
-	if len(remaining) == 0 {
-		delete(s.peerWaiters, id)
-	} else {
-		s.peerWaiters[id] = remaining
-	}
-	s.peerWaitMu.Unlock()
-	for _, w := range ready {
-		if s.answerPeer(w.ss, id, w.ref, w.have, w.want, w.tc, w.sp) {
-			w.ss.peerServed.Add(1)
-			w.sp.Finish()
-			s.cfg.Obs.EndTrace(w.tc)
-		} else {
-			// The arrival satisfied the wait but the content has already
-			// moved on or out of the cache; decline, the peer re-pulls.
-			s.declinePeer(w.ss, w.ref, w.tc, w.sp)
-		}
-	}
-	for _, w := range stranded {
-		// The arrival fell short and no in-flight fetch covers the want any
-		// more: decline now rather than park on a fetch that will never run.
-		s.declinePeer(w.ss, w.ref, w.tc, w.sp)
-	}
-}
-
-// declinePeer sends the negative answer and closes the serve span, with the
-// per-session and fleet counters that go with it.
-func (s *Server) declinePeer(ss *session, ref wire.FileRef, tc wire.TraceContext, sp *trace.Span) {
+// declinePeer sends w the negative answer and closes its serve span, with
+// the per-session and fleet counters that go with it.
+func (s *Server) declinePeer(w peerWant) {
 	s.counters.AddPeerNegative()
-	ss.peerDeclined.Add(1)
-	sp.Annotate("declined").Finish()
-	_ = ss.sendTraced(&wire.PeerDelta{File: ref}, ctxOr(sp, tc))
-	s.cfg.Obs.EndTrace(tc)
-}
-
-// declinePeerWaiters negatively answers every parked peer request for id.
-// Called when the fetch the waiters were parked on is abandoned with no
-// replacement (repullPending finding no live session): the requesters' own
-// links are healthy, so nothing else would ever answer them, and a negative
-// delta sends each one back to its client pull — the documented degradation.
-func (s *Server) declinePeerWaiters(id naming.ShadowID) {
-	if s.clusterCfg.Load() == nil {
-		return
-	}
-	s.peerWaitMu.Lock()
-	list := s.peerWaiters[id]
-	delete(s.peerWaiters, id)
-	s.peerWaitMu.Unlock()
-	for _, w := range list {
-		s.declinePeer(w.ss, w.ref, w.tc, w.sp)
-	}
-}
-
-// purgePeerWaiters drops a dead peer session's parked requests (its own
-// server re-homes the fetches the link owned; an answer to a dead session
-// would go nowhere).
-func (s *Server) purgePeerWaiters(dead *session) {
-	if s.clusterCfg.Load() == nil || !dead.peer.Load() {
-		return
-	}
-	s.peerWaitMu.Lock()
-	var dropped []peerWant
-	for id, list := range s.peerWaiters {
-		kept := list[:0]
-		for _, w := range list {
-			if w.ss != dead {
-				kept = append(kept, w)
-			} else {
-				dropped = append(dropped, w)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.peerWaiters, id)
-		} else {
-			s.peerWaiters[id] = kept
-		}
-	}
-	s.peerWaitMu.Unlock()
-	for _, w := range dropped {
-		w.sp.Annotate("requester-gone").Finish()
-		s.cfg.Obs.EndTrace(w.tc)
-	}
+	w.ss.peerDeclined.Add(1)
+	w.sp.Annotate("declined").Finish()
+	_ = w.ss.sendTraced(&wire.PeerDelta{File: w.ref}, ctxOr(w.sp, w.tc))
+	s.cfg.Obs.EndTrace(w.tc)
 }
 
 // handlePeerHello marks the session server-to-server.
@@ -305,7 +195,7 @@ func (ss *session) handlePeerHello(m *wire.PeerHello) error {
 	ss.peerInstance = m.Instance
 	ss.mu.Unlock()
 	ss.peer.Store(true)
-	ss.srv.logf("session %d: peer hello from instance %s", ss.id, m.Instance)
+	ss.srv.cfg.Obs.Log(slog.LevelInfo, "peer hello", slog.Uint64("session", ss.id), slog.String("instance", m.Instance))
 	return nil
 }
 
@@ -325,80 +215,69 @@ func (ss *session) handlePeerNotify(m *wire.PeerNotify, tc wire.TraceContext) er
 	if sp != nil {
 		sp.SetFile(m.File.String())
 	}
-	if s.answerPeer(ss, id, m.File, m.HaveVersion, m.WantVersion, tc, sp) {
-		ss.peerServed.Add(1)
-		sp.Finish()
-		// The owner's share of a propagated trace is done once the answer is
-		// out (a chunk gap-fill lands as late spans); without this the record
-		// never completes on an owner with its own tracer, since only the
-		// executing member reaches the job-delivery EndTrace. Idempotent, so
-		// a shared tracer (netsim) is unaffected beyond completing earlier.
-		s.cfg.Obs.EndTrace(tc)
+	w := peerWant{ss: ss, ref: m.File, have: m.HaveVersion, want: m.WantVersion, tc: tc, sp: sp}
+	if s.answerPeer(id, w) {
 		return nil
 	}
 	// Not servable right now. If a fetch covering the want is already in
 	// flight here, park the request on the arrival instead of declining —
 	// the cross-cluster half of flight coalescing. The span parks with it:
-	// its duration then covers the wait the requester actually experienced.
-	if want, ok := s.flights.Pending(id); ok && want >= m.WantVersion {
-		sp.Annotate("parked")
-		s.addPeerWaiter(id, peerWant{ss: ss, ref: m.File, have: m.HaveVersion, want: m.WantVersion, tc: tc, sp: sp})
-		// The arrival may have beaten the registration; re-check so the
-		// request cannot park forever on a retired flight.
-		if v, ok := s.cache.Version(id); ok && v >= m.WantVersion {
-			s.feedPeerWaiters(id, v)
-		}
-		return nil
+	// its duration then covers the wait the requester actually experienced
+	// (annotated first: once parked, the span is the arrival's to finish).
+	sp.Annotate("parked")
+	if parked, cached := s.park(id, w); !parked && !(cached && s.answerPeer(id, w)) {
+		s.declinePeer(w)
 	}
-	s.declinePeer(ss, m.File, tc, sp)
 	return nil
 }
 
-// answerPeer tries to serve (have → want-or-newer) of id to a peer session
-// from local state, reporting whether an answer went out. Preference order:
-// forward the client's delta verbatim, else send a chunk manifest. Send
-// failures still count as answered — the dying session's teardown handles
-// the rest. sp is the caller's peer.serve span: the answer frame carries
-// its context (so the requester's downstream spans nest under it) and the
-// annotation records which answer form won; the caller finishes it.
-func (s *Server) answerPeer(ss *session, id naming.ShadowID, ref wire.FileRef, have, want uint64, tc wire.TraceContext, sp *trace.Span) bool {
-	if d := s.peerDeltaFor(id); d != nil && have != 0 && d.base == have && d.version >= want {
+// answerPeer tries to serve w — (have → want-or-newer) of id — from local
+// state, reporting whether an answer went out. Preference order: forward the
+// client's delta verbatim, else send a chunk manifest. Send failures still
+// count as answered — the dying session's teardown handles the rest. The
+// answer frame carries the context of w's peer.serve span (so the
+// requester's downstream spans nest under it), whose annotation records which
+// answer form won. An answered request is finished here: the span closes and
+// the owner's share of a propagated trace is done (a chunk gap-fill lands as
+// late spans); without that the record never completes on an owner with its
+// own tracer, since only the executing member reaches the job-delivery
+// EndTrace. Idempotent, so a shared tracer (netsim) only completes earlier.
+func (s *Server) answerPeer(id naming.ShadowID, w peerWant) bool {
+	sh, r := s.files.lock(id)
+	d := r.delta
+	sh.unlock(id, r)
+	var answer wire.Message
+	if d != nil && w.have != 0 && d.base == w.have && d.version >= w.want {
 		// A delta can encode larger than the content it produces (tiny
 		// files, incompressible edits); the saved-bytes counter is a fleet
 		// observable and must never go backwards, so clamp at zero.
-		saved := d.fullLen - len(d.encoded)
-		if saved < 0 {
-			saved = 0
-		}
 		s.counters.AddPeerDelta(len(d.encoded))
-		s.counters.AddPeerForward(saved)
-		sp.Annotate("delta-forward")
-		_ = ss.sendTraced(&wire.PeerDelta{
-			File:        ref,
-			BaseVersion: d.base,
-			Version:     d.version,
-			Encoded:     d.encoded,
-			Compressed:  d.compressed,
-		}, ctxOr(sp, tc))
-		return true
+		s.counters.AddPeerForward(max(d.fullLen-len(d.encoded), 0))
+		w.sp.Annotate("delta-forward")
+		answer = &wire.PeerDelta{File: w.ref, BaseVersion: d.base, Version: d.version, Encoded: d.encoded, Compressed: d.compressed}
+	} else {
+		ver, man, ok := s.cache.Manifest(id)
+		if !ok || ver < w.want {
+			return false
+		}
+		e, ok := s.cache.Peek(id)
+		if !ok || e.Version != ver {
+			return false // racing replacement; the peer falls back to the client
+		}
+		refs := make([]wire.ChunkRef, len(man))
+		for i, r := range man {
+			refs[i] = wire.ChunkRef{Hash: r.Hash, Len: r.Len}
+		}
+		pc := &wire.PeerChunk{File: w.ref, Version: ver, Sum: diff.Checksum(e.Content), Chunks: refs}
+		s.counters.AddPeerManifest(pc.PayloadLen())
+		s.counters.AddPeerForward(len(e.Content))
+		w.sp.Annotate("manifest")
+		answer = pc
 	}
-	ver, man, ok := s.cache.Manifest(id)
-	if !ok || ver < want {
-		return false
-	}
-	e, ok := s.cache.Peek(id)
-	if !ok || e.Version != ver {
-		return false // racing replacement; the peer falls back to the client
-	}
-	refs := make([]wire.ChunkRef, len(man))
-	for i, r := range man {
-		refs[i] = wire.ChunkRef{Hash: r.Hash, Len: r.Len}
-	}
-	pc := &wire.PeerChunk{File: ref, Version: ver, Sum: diff.Checksum(e.Content), Chunks: refs}
-	s.counters.AddPeerManifest(pc.PayloadLen())
-	s.counters.AddPeerForward(len(e.Content))
-	sp.Annotate("manifest")
-	_ = ss.sendTraced(pc, ctxOr(sp, tc))
+	_ = w.ss.sendTraced(answer, ctxOr(w.sp, w.tc))
+	w.ss.peerServed.Add(1)
+	w.sp.Finish()
+	s.cfg.Obs.EndTrace(w.tc)
 	return true
 }
 
@@ -447,12 +326,13 @@ func (ss *session) fetchInput(ref wire.FileRef, want uint64, tc wire.TraceContex
 			return nil
 		}
 		// The link died under the request. Its own teardown may already have
-		// swept the flight table and missed the flight this pull just
+		// swept the file table and missed the flight this pull just
 		// registered, so undo that registration here.
-		s.flights.Release(s.dir.Intern(ref), link.id)
+		s.files.release(s.dir.Intern(ref), link.id)
 	}
 	s.counters.AddOwnerMiss()
-	s.logf("peer fetch %s v%d: owner %s unreachable (%v); pulling from client", ref, want, owner, err)
+	s.cfg.Obs.Log(slog.LevelDebug, "owner unreachable; pulling from client", slog.String("file", ref.String()),
+		slog.String("owner", owner), slog.Any("error", err))
 	return ss.pullFile(ref, want, tc)
 }
 
@@ -504,7 +384,7 @@ func (s *Server) peerLinkTo(member string) (*session, error) {
 		return nil, errSessionGone // shutting down
 	}
 	s.peerLinks[member] = l
-	s.logf("peer %s: link up (session %d)", member, l.id)
+	s.cfg.Obs.Log(slog.LevelInfo, "peer link up", slog.String("member", member), slog.Uint64("session", l.id))
 	return l, nil
 }
 
@@ -539,11 +419,11 @@ func (s *Server) dropLink(l *session) {
 	}
 	s.peerMu.Unlock()
 	l.mu.Lock()
-	spans := l.pullSpan
-	l.pullSpan = make(map[naming.ShadowID]*trace.Span)
+	pulls := l.pulls
+	l.pulls = make(map[naming.ShadowID]openPull)
 	l.mu.Unlock()
-	for _, sp := range spans {
-		sp.Annotate("link-down").Finish()
+	for _, p := range pulls {
+		p.span.Annotate("link-down").Finish()
 	}
 }
 

@@ -55,11 +55,14 @@ func helloOn(t *testing.T, conn *netsim.Conn) {
 
 // parkedPeerWaiters counts the parked peer requests across all files.
 func parkedPeerWaiters(s *Server) int {
-	s.peerWaitMu.Lock()
-	defer s.peerWaitMu.Unlock()
 	n := 0
-	for _, list := range s.peerWaiters {
-		n += len(list)
+	for i := range s.files.shards {
+		sh := &s.files.shards[i]
+		sh.mu.Lock()
+		for _, r := range sh.m {
+			n += len(r.peers)
+		}
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -139,6 +142,7 @@ func TestPeerWaiterDeclinedWhenFlightAbandoned(t *testing.T) {
 	if parkedPeerWaiters(r.srv) != 0 {
 		t.Fatal("declined waiter still parked")
 	}
+	assertFilesIdle(t, r.srv)
 }
 
 // TestDeadPeerSessionPurgedFromWaiters: a peer session that disconnects
@@ -168,6 +172,7 @@ func TestDeadPeerSessionPurgedFromWaiters(t *testing.T) {
 
 	// The pull's arrival finds no stale waiter and installs normally.
 	r.sendFull(t, testRef, 1, []byte("late\n"))
+	assertFilesIdle(t, r.srv)
 }
 
 // TestPeerForwardBytesSavedClamped: a delta that encodes larger than the
@@ -209,7 +214,7 @@ func TestPeerForwardBytesSavedClamped(t *testing.T) {
 }
 
 // TestPeerDeltaDroppedWithCacheEntry: the retained forwarding delta must
-// leave with its cache entry, keeping lastDeltas bounded by the cache.
+// leave with its cache entry, keeping the deltas bounded by the cache.
 func TestPeerDeltaDroppedWithCacheEntry(t *testing.T) {
 	srv := New(Defaults("super"))
 	defer srv.Close()
@@ -219,15 +224,16 @@ func TestPeerDeltaDroppedWithCacheEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.notePeerDelta(id, &wire.FileDelta{File: testRef, BaseVersion: 1, Version: 2, Encoded: []byte("e")}, 6)
-	if srv.peerDeltaFor(id) == nil {
+	if keptDelta(srv, id) == nil {
 		t.Fatal("delta not retained")
 	}
 	if !srv.cache.Evict(id) {
 		t.Fatal("evict reported the entry missing")
 	}
-	if srv.peerDeltaFor(id) != nil {
+	if keptDelta(srv, id) != nil {
 		t.Fatal("retained peer delta survived its cache entry's eviction")
 	}
+	assertFilesIdle(t, srv)
 }
 
 // TestPeerDeltaDroppedWhenResultDoesNotFit: a client delta whose result is
@@ -255,9 +261,10 @@ func TestPeerDeltaDroppedWhenResultDoesNotFit(t *testing.T) {
 	if _, ok := r.srv.cache.Version(id); ok {
 		t.Fatal("test premise: the over-capacity put should have emptied the entry")
 	}
-	if r.srv.peerDeltaFor(id) != nil {
+	if keptDelta(r.srv, id) != nil {
 		t.Fatal("retained peer delta outlived the cache entry it shadows")
 	}
+	assertFilesIdle(t, r.srv)
 }
 
 // TestCloseWaitsForLinkTeardown: a link is a session, so it is in the server's
@@ -279,11 +286,11 @@ func TestCloseWaitsForLinkTeardown(t *testing.T) {
 	for _, name := range []string{"a", "b"} {
 		name := name
 		cfg := Defaults(name)
-		cfg.Logf = func(string, ...any) {
+		cfg.Obs = logTo(func([]byte) {
 			if closed.Load() {
 				late.Add(1)
 			}
-		}
+		})
 		srv := New(cfg)
 		srv.JoinCluster(ClusterSpec{
 			Instance: name,

@@ -241,9 +241,9 @@ func TestFetchRegisteredAfterEarlyDropIsSwept(t *testing.T) {
 	if p, ok := r.recv(t).(*wire.Pull); !ok || p.WantVersion != 1 {
 		t.Fatalf("notify answered with %#v, want PULL", p)
 	}
-	if r.srv.flights.Len() != 1 {
-		t.Fatalf("%d flights after the late notify, want the one it registered", r.srv.flights.Len())
+	if r.srv.InFlightFetches() != 1 {
+		t.Fatalf("%d flights after the late notify, want the one it registered", r.srv.InFlightFetches())
 	}
 	_ = r.conn.Close()
-	eventually(t, "the late flight swept when the receive loop ended", func() bool { return r.srv.flights.Len() == 0 })
+	eventually(t, "the late flight swept when the receive loop ended", func() bool { return r.srv.InFlightFetches() == 0 })
 }

@@ -22,6 +22,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,14 +93,11 @@ type Config struct {
 	// Clock receives job CPU charges (the supercomputer's virtual clock
 	// in simulations). Nil means no charging.
 	Clock core.Clock
-	// Logf, when set, receives one line per notable server event
-	// (sessions, pulls, transfers, job transitions) — the operational
-	// log a daemon writes. Nil disables logging.
-	Logf func(format string, args ...any)
 	// Obs, when set, records latency histograms (submit→ack,
-	// pull→arrival, job queue→complete) and structured per-session
-	// events. Nil keeps every instrumentation point down to one pointer
-	// test with no allocation — hot paths stay as fast as before.
+	// pull→arrival, job queue→complete) and writes the operational log as
+	// structured events: session and cluster lifecycle at Info, per-pull
+	// and per-job detail at Debug. Nil keeps every instrumentation point
+	// down to one pointer test with no allocation.
 	Obs *obs.Observer
 }
 
@@ -237,7 +235,7 @@ type Server struct {
 	cfg      Config
 	dir      *naming.Directory
 	cache    *cache.Cache
-	flights  *cache.Flights
+	files    fileTable // per-file flights, waiting jobs, parked peers, deltas (files.go)
 	chunkFl  *chunkFlights
 	pool     *jobs.Pool
 	bufs     bufPool // recycled file buffers (filebuf.go)
@@ -247,14 +245,6 @@ type Server struct {
 	nextJob     atomic.Uint64
 	sessions    sessionTable
 	jobs        jobTable
-
-	// waitMu guards waiters, the file-keyed index of jobs whose waiting
-	// set references that file. feedWaitingJobs consults only the jobs
-	// that actually want the arrived file — O(waiters), not O(all jobs).
-	// Keyed by interned file id so the hot arrival path never builds a
-	// string key.
-	waitMu  sync.Mutex
-	waiters map[naming.ShadowID][]*job
 
 	// scriptMu guards scripts, the checksum-keyed cache of parsed job
 	// scripts. Submissions repeat the same script across cycles (that is
@@ -298,20 +288,13 @@ type Server struct {
 	flightMu    sync.Mutex
 	flightDumps []FlightDump
 
-	// Cluster peering (see peer.go; all empty outside a cluster): the
-	// immutable cluster view installed by JoinCluster, the outbound
-	// peer links (sessions in the dialing role) by member name, peer
-	// requests parked on in-flight fetches, and the last client delta per
-	// file kept for verbatim peer forwarding. The maps are initialized by
-	// New — never nil while the server runs — so a stray peer frame on an
-	// unclustered server can be refused without ever touching a nil map.
-	clusterCfg  atomic.Pointer[clusterState]
-	peerMu      sync.Mutex
-	peerLinks   map[string]*session
-	peerWaitMu  sync.Mutex
-	peerWaiters map[naming.ShadowID][]peerWant
-	deltaMu     sync.Mutex
-	lastDeltas  map[naming.ShadowID]*storedDelta
+	// Cluster peering (see peer.go; empty outside a cluster): the
+	// immutable cluster view installed by JoinCluster and the outbound
+	// peer links (sessions in the dialing role) by member name. Parked
+	// peer requests and forwardable deltas live in the file table.
+	clusterCfg atomic.Pointer[clusterState]
+	peerMu     sync.Mutex
+	peerLinks  map[string]*session
 
 	// heat counts per-file demand (notifies received, job inputs gathered,
 	// peer requests served) for the ring-heat telemetry on /clusterz.
@@ -359,7 +342,8 @@ func (s *Server) recordFlightDump(ss *session, reason string) {
 		s.flightDumps = s.flightDumps[len(s.flightDumps)-maxFlightDumps:]
 	}
 	s.flightMu.Unlock()
-	s.logf("session %d: flight recorder dumped (%s, %d events)", ss.id, reason, len(d.Events))
+	s.cfg.Obs.Log(slog.LevelInfo, "flight recorder dumped", slog.Uint64("session", ss.id),
+		slog.String("reason", reason), slog.Int("events", len(d.Events)))
 }
 
 // FlightDumps returns the retained dumps, oldest first.
@@ -402,13 +386,6 @@ func (s *Server) FlowStats() (issued, deferred int64) {
 	return s.pullsIssued.Load(), s.pullsDeferred.Load()
 }
 
-// logf emits one operational log line if logging is configured.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // New creates a server from cfg.
 func New(cfg Config) *Server {
 	if cfg.MaxConcurrentJobs < 1 {
@@ -424,22 +401,19 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		dir:         naming.NewDirectory(),
 		cache:       cache.New(cfg.CacheCapacity, cfg.CachePolicy),
-		flights:     cache.NewFlights(),
 		chunkFl:     newChunkFlights(),
 		pool:        jobs.NewPool(cfg.MaxConcurrentJobs),
 		counters:    &metrics.Counters{},
-		waiters:     make(map[naming.ShadowID][]*job),
 		scripts:     make(map[uint32]*scriptEntry),
 		routed:      make(map[string][]uint64),
 		undelivered: make(map[identity][]uint64),
 		submitTags:  make(map[identity]map[uint64]uint64),
 		peerLinks:   make(map[string]*session),
-		peerWaiters: make(map[naming.ShadowID][]peerWant),
-		lastDeltas:  make(map[naming.ShadowID]*storedDelta),
 		heat:        cluster.NewHeat(),
 	}
 	s.sessions.init()
 	s.jobs.init()
+	s.files.init()
 	return s
 }
 
@@ -562,7 +536,7 @@ func (s *Server) Sessions() []SessionInfo {
 		info.User, info.ClientHost, info.Domain = ss.user, ss.clientHost, ss.domain
 		s.deliverMu.Unlock()
 		ss.mu.Lock()
-		info.PullsInFlight = len(ss.pulled)
+		info.PullsInFlight = len(ss.pulls)
 		info.DeferredNotifies = len(ss.deferred)
 		ss.mu.Unlock()
 		out = append(out, info)
@@ -573,25 +547,25 @@ func (s *Server) Sessions() []SessionInfo {
 
 // InFlightFetches reports how many coalesced file retrievals are currently
 // outstanding across all sessions.
-func (s *Server) InFlightFetches() int { return s.flights.Len() }
+func (s *Server) InFlightFetches() int { return len(s.files.fetches()) }
 
 // DescribeFetches names each outstanding retrieval: the file and version,
 // the session that owns it and, for a peer fetch, the member it asks.
 func (s *Server) DescribeFetches() []string {
 	var out []string
 	live := s.sessions.snapshot()
-	for _, p := range s.flights.List() {
-		who := fmt.Sprintf("session %d (gone)", p.Owner)
+	for _, p := range s.files.fetches() {
+		who := fmt.Sprintf("session %d (gone)", p.owner)
 		for _, ss := range live {
 			switch {
-			case ss.id != p.Owner:
+			case ss.id != p.owner:
 			case ss.link != nil:
 				who = fmt.Sprintf("peer fetch from %s over session %d", ss.link.member, ss.id)
 			default:
 				who = fmt.Sprintf("client session %d", ss.id)
 			}
 		}
-		out = append(out, fmt.Sprintf("%s v%d, %s", p.Ref, p.Want, who))
+		out = append(out, fmt.Sprintf("%s v%d, %s", p.ref, p.want, who))
 	}
 	return out
 }
@@ -646,14 +620,15 @@ func (s *Server) startSession(conn wire.Conn, link *peerLink) *session {
 	go func() {
 		defer s.wg.Done()
 		sess.run()
-		s.logf("session %d: closed", sess.id)
+		s.cfg.Obs.Log(slog.LevelInfo, "session closed", slog.Uint64("session", sess.id))
 	}()
 	return sess
 }
 
 // dropSession unregisters a session — a client's, a peer's or a link — and
 // re-homes any file retrievals it owned: pulls that coalesced behind this
-// session's fetches would otherwise wait forever on a dead connection.
+// session's fetches would otherwise wait forever on a dead connection. A
+// peer's parked requests go with it; an answer would go nowhere.
 //
 // It is called when the session's receive loop ends, and earlier by a
 // delivery that found the session's writer dead (deliverOrHold, sendHeld).
@@ -664,14 +639,17 @@ func (s *Server) startSession(conn wire.Conn, link *peerLink) *session {
 // flight. So the sweep runs on every call, the unregistering on the first.
 func (s *Server) dropSession(sess *session) {
 	first := s.sessions.remove(sess.id)
-	s.purgePeerWaiters(sess)
-	pending := s.flights.ReleaseOwner(sess.id)
+	pending, orphans := s.files.dropSession(sess)
+	for _, w := range orphans {
+		w.sp.Annotate("requester-gone").Finish()
+		s.cfg.Obs.EndTrace(w.tc)
+	}
 	if first && sess.link != nil {
 		s.dropLink(sess)
 		for range pending {
 			s.counters.AddRingRebalance()
 		}
-		s.logf("peer %s: link down; re-homing %d fetches", sess.link.member, len(pending))
+		s.cfg.Obs.Log(slog.LevelInfo, "peer link down", slog.String("member", sess.link.member), slog.Int("rehomed", len(pending)))
 	}
 	if len(pending) > 0 {
 		s.repullPending(sess.id, pending)
@@ -798,7 +776,7 @@ type job struct {
 // for a version to arrive, or in hand.
 type jobInput struct {
 	id naming.ShadowID
-	// waiting marks an input registered in the server's waiters index; want
+	// waiting marks an input registered in the file table's job list; want
 	// is the version that satisfies it.
 	waiting bool
 	want    uint64

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"shadowedit/internal/cache"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/netsim"
+	"shadowedit/internal/obs"
 	"shadowedit/internal/wire"
 )
 
@@ -109,8 +111,8 @@ func TestHelloWrongProtocolRejected(t *testing.T) {
 			r.srv.deliverMu.Lock()
 			held := len(r.srv.routed) + len(r.srv.undelivered)
 			r.srv.deliverMu.Unlock()
-			if held != 0 || r.srv.flights.Len() != 0 {
-				t.Fatalf("refused hello left state behind: %d hold queues, %d flights", held, r.srv.flights.Len())
+			if held != 0 || r.srv.InFlightFetches() != 0 {
+				t.Fatalf("refused hello left state behind: %d hold queues, %d flights", held, r.srv.InFlightFetches())
 			}
 		})
 	}
@@ -597,15 +599,29 @@ func TestCacheCapacityConfigHonored(t *testing.T) {
 	}
 }
 
-func TestLogfReceivesEvents(t *testing.T) {
+// logTo returns an observer whose structured log, at every level, goes to
+// write, one line per call.
+func logTo(write func(line []byte)) *obs.Observer {
+	h := slog.NewTextHandler(writerFunc(func(p []byte) (int, error) { write(p); return len(p), nil }),
+		&slog.HandlerOptions{Level: slog.LevelDebug})
+	return obs.New(slog.New(h), nil)
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestLogReceivesEvents: the server's operational log is the observer's
+// structured one — a session's hello at Info, each pull at Debug.
+func TestLogReceivesEvents(t *testing.T) {
 	var mu sync.Mutex
-	var lines []string
+	var lines strings.Builder
 	cfg := Defaults("super")
-	cfg.Logf = func(format string, args ...any) {
+	cfg.Obs = logTo(func(line []byte) {
 		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
+		lines.Write(line)
 		mu.Unlock()
-	}
+	})
 	r := newRig(t, cfg)
 	r.hello(t)
 	r.send(t, &wire.Notify{File: testRef, Version: 1, Size: 4, Sum: 1})
@@ -614,10 +630,9 @@ func TestLogfReceivesEvents(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"hello from u@ws", "pull"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("log missing %q:\n%s", want, joined)
+	for _, want := range []string{`level=INFO msg="session hello" session=1 user=u host=ws`, `level=DEBUG msg="pull issued"`} {
+		if !strings.Contains(lines.String(), want) {
+			t.Fatalf("log missing %q:\n%s", want, lines.String())
 		}
 	}
 }

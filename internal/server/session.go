@@ -62,11 +62,11 @@ type session struct {
 	// interning is two map probes, while the string key costs a fresh
 	// concatenation on every hot-path lookup.)
 	deferred map[naming.ShadowID]deferredNotify
-	// pulled tracks the highest version already requested per file, so
-	// notify+submit bursts do not issue duplicate pulls (a duplicate
-	// delta would look stale on arrival and trigger a wasteful full
+	// pulls holds the session's open pull per file. Its version keeps
+	// notify+submit bursts from issuing duplicate pulls (a duplicate delta
+	// would look stale on arrival and trigger a wasteful full
 	// retransmission).
-	pulled map[naming.ShadowID]uint64
+	pulls map[naming.ShadowID]openPull
 	// trees caches the workspace summaries built for reconciliation
 	// walks, keyed by workspace root. Each is a snapshot taken at
 	// TREE_HEAD time and discarded when the walk's BATCH_NOTIFY lands.
@@ -79,12 +79,6 @@ type session struct {
 	// arrival admits the next queued entry (see pumpBatch).
 	batchQueue    []batchEntry
 	batchInflight map[naming.ShadowID]struct{}
-	// pulledAt stamps when each in-flight pull was issued, feeding the
-	// pull→arrival histogram. Only populated when observability is on.
-	pulledAt map[naming.ShadowID]time.Duration
-	// pullSpan holds the open server.pull span per file, finished when the
-	// content arrives. Only populated when tracing is on.
-	pullSpan map[naming.ShadowID]*trace.Span
 	// outPrev maps script checksum -> last acknowledged delivered stdout,
 	// the base for reverse shadow processing.
 	outPrev map[uint32][]byte
@@ -128,6 +122,15 @@ type session struct {
 	dumpOnce sync.Once
 }
 
+// openPull is a pull the session issued and has not seen answered: the
+// version asked for, when it was asked (on the observer's clock, for the
+// pull→arrival histogram) and its open server.pull span (nil untraced).
+type openPull struct {
+	want uint64
+	at   time.Duration
+	span *trace.Span
+}
+
 // deferredNotify is a postponed pull: the notify and its trace context.
 type deferredNotify struct {
 	m  *wire.Notify
@@ -141,11 +144,9 @@ func newSession(srv *Server, conn wire.Conn, id uint64) *session {
 		conn:          conn,
 		id:            id,
 		deferred:      make(map[naming.ShadowID]deferredNotify),
-		pulled:        make(map[naming.ShadowID]uint64),
+		pulls:         make(map[naming.ShadowID]openPull),
 		trees:         make(map[string]*tree.Tree),
 		batchInflight: make(map[naming.ShadowID]struct{}),
-		pulledAt:      make(map[naming.ShadowID]time.Duration),
-		pullSpan:      make(map[naming.ShadowID]*trace.Span),
 		outPrev:       make(map[uint32][]byte),
 		assembling:    make(map[naming.ShadowID]*pendingAssembly),
 		out:           make(chan outbound, outQueueDepth),
@@ -402,7 +403,8 @@ func (ss *session) dispatch(msg wire.Message, tc wire.TraceContext) error {
 	case *wire.ErrorMsg:
 		// Never answered: two servers reporting errors about each other's
 		// error reports would not stop.
-		ss.srv.logf("session %d: remote error %d: %s", ss.id, m.Code, m.Text)
+		ss.srv.cfg.Obs.Log(slog.LevelInfo, "remote error", slog.Uint64("session", ss.id),
+			slog.Uint64("code", uint64(m.Code)), slog.String("text", m.Text))
 		return nil
 	case *wire.Bye:
 		return errSessionGone
@@ -503,8 +505,8 @@ func (ss *session) handleHello(m *wire.Hello) error {
 	// acknowledged are re-sent too: the output or its ack may have died
 	// with that connection (the client deduplicates).
 	held = append(held, ss.srv.unackedDone(ss.identity(), held)...)
-	ss.srv.logf("session %d: hello from %s@%s (domain %s), %d held outputs",
-		ss.id, ss.user, ss.clientHost, ss.domain, len(held))
+	ss.srv.cfg.Obs.Log(slog.LevelInfo, "session hello", slog.Uint64("session", ss.id), slog.String("user", ss.user),
+		slog.String("host", ss.clientHost), slog.String("domain", ss.domain), slog.Int("held_outputs", len(held)))
 	if err := ss.send(&wire.HelloOK{Session: ss.id, ServerName: ss.srv.cfg.Name, Protocol: wire.ProtocolVersion}); err != nil {
 		return err
 	}
@@ -585,8 +587,8 @@ func (ss *session) deferNotify(m *wire.Notify, tc wire.TraceContext) {
 // we hold: a client with PULL, the owner a link dialed with PEER_NOTIFY (under
 // a peer.fetch span, which the owner's peer.serve nests beneath) — the frame
 // and the span name are all that differ. Pulls already in flight for the same
-// or a newer version are not repeated: the session's own pulled map suppresses
-// same-session duplicates, and the server-wide flight table coalesces fetches
+// or a newer version are not repeated: the session's own open pulls suppress
+// same-session duplicates, and the server's file table coalesces fetches
 // across sessions and links — many clients notifying the same file, or many
 // jobs here needing one file another member owns, cost one transfer.
 func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext) error {
@@ -604,11 +606,11 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 		}
 	}
 	ss.mu.Lock()
-	if ss.pulled[id] >= want {
+	if ss.pulls[id].want >= want {
 		ss.mu.Unlock()
 		return nil // a pull covering this version is in flight
 	}
-	if !ss.srv.flights.Begin(id, ref, want, ss.id, tc) {
+	if !ss.srv.files.begin(id, pendingFetch{ref: ref, want: want, owner: ss.id, tc: tc}, false) {
 		delete(ss.deferred, id)
 		ss.mu.Unlock()
 		// Another session is already fetching this version; its arrival
@@ -630,19 +632,10 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 	if sp != nil {
 		sp.SetFile(ref.String())
 	}
-	ss.pulled[id] = want
-	if ss.srv.cfg.Obs != nil {
-		ss.pulledAt[id] = ss.srv.cfg.Obs.Now()
-	}
-	if sp != nil {
-		ss.pullSpan[id] = sp
-	}
+	ss.pulls[id] = openPull{want: want, at: ss.srv.cfg.Obs.Now(), span: sp}
 	delete(ss.deferred, id)
 	ss.mu.Unlock()
 	ss.srv.pullsIssued.Add(1)
-	if ss.srv.cfg.Logf != nil {
-		ss.srv.logf("session %d: pull %s v%d (have v%d)", ss.id, ref, want, have)
-	}
 	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
 		ss.srv.cfg.Obs.Log(slog.LevelDebug, "pull issued",
 			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
@@ -801,39 +794,30 @@ func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool
 func (ss *session) refetch(ref wire.FileRef, want uint64, tc wire.TraceContext, why string) error {
 	id := ss.srv.dir.Intern(ref)
 	ss.mu.Lock()
-	old := ss.pullSpan[id]
-	delete(ss.pullSpan, id)
+	old := ss.pulls[id].span
 	if ss.link != nil {
-		delete(ss.pulled, id)
-		delete(ss.pulledAt, id)
+		delete(ss.pulls, id)
 		ss.mu.Unlock()
 		old.Annotate("fallback: " + why).Finish()
 		ss.link.fallbacks.Add(1)
 		ss.record("fault", "fallback", tc, why)
 		ss.srv.recordFlightDump(ss, "fallback: "+why) // every fallback dumps, not only the first
-		pending, ok := ss.srv.flights.Pending(id)
-		if !ok {
-			return nil
+		if f, ok := ss.srv.files.release(id, ss.id); ok {
+			f.tc = ctxOr(old, tc)
+			ss.srv.repullPending(ss.id, []pendingFetch{f})
 		}
-		ss.srv.flights.Release(id, ss.id)
-		ss.srv.logf("peer %s: cannot serve %s v%d (%s); pulling from client", ss.link.member, ref, pending, why)
-		ss.srv.repullPending(ss.id, []cache.PendingFetch{{Ref: ref, Want: pending, TC: ctxOr(old, tc)}})
 		return nil
 	}
 	// The superseded pull span (if any) ends here: its answer proved
 	// unusable, and the fallback gets its own span.
 	old.Annotate("superseded: " + why).Finish()
-	ss.pulled[id] = want
-	if ss.srv.cfg.Obs != nil {
-		ss.pulledAt[id] = ss.srv.cfg.Obs.Now()
-	}
 	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.pull-full").SetSession(ss.id)
 	if sp != nil {
 		sp.SetFile(ref.String())
-		ss.pullSpan[id] = sp
 	}
+	ss.pulls[id] = openPull{want: want, at: ss.srv.cfg.Obs.Now(), span: sp}
 	ss.mu.Unlock()
-	ss.srv.flights.Force(id, ref, want, ss.id, tc)
+	ss.srv.files.begin(id, pendingFetch{ref: ref, want: want, owner: ss.id, tc: tc}, true)
 	ss.srv.pullsIssued.Add(1)
 	return ss.sendTraced(&wire.Pull{File: ref, HaveVersion: 0, WantVersion: want}, ctxOr(sp, tc))
 }
@@ -871,7 +855,6 @@ func (ss *session) handleFileFull(m *wire.FileFull, tc wire.TraceContext) error 
 // virtual time a span left open across the ack would end at whatever instant
 // other sessions had meanwhile advanced the shared clock to.
 func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64, content *fileBuf, tc wire.TraceContext, apply *trace.Span) error {
-	ss.srv.flights.Done(id, version)
 	ss.closePull(id, version)
 	apply.Finish()
 	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
@@ -886,7 +869,7 @@ func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64,
 	// disconnected right after sending), but the content is here and jobs
 	// waiting for it must proceed.
 	err := ss.ack(ref, version, tc)
-	ss.srv.feedWaitingJobs(id, version, content)
+	ss.srv.feed(id, version, content)
 	return err
 }
 
@@ -894,20 +877,15 @@ func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64,
 // its span finishes and its pull→arrival time is observed.
 func (ss *session) closePull(id naming.ShadowID, version uint64) {
 	ss.mu.Lock()
-	if ss.pulled[id] > version {
+	p, ok := ss.pulls[id]
+	if !ok || p.want > version {
 		ss.mu.Unlock()
 		return
 	}
-	issuedAt, timed := ss.pulledAt[id]
-	psp := ss.pullSpan[id]
-	delete(ss.pulled, id)
-	delete(ss.pulledAt, id)
-	delete(ss.pullSpan, id)
+	delete(ss.pulls, id)
 	ss.mu.Unlock()
-	psp.Finish()
-	if timed {
-		ss.srv.cfg.Obs.ObservePullArrival(issuedAt)
-	}
+	p.span.Finish()
+	ss.srv.cfg.Obs.ObservePullArrival(p.at)
 }
 
 // ack acknowledges a version to the client that supplied (or already
@@ -954,7 +932,8 @@ func (ss *session) handleSubmit(m *wire.Submit, tc wire.TraceContext) error {
 		ss.srv.tagMu.Lock()
 		if id, ok := ss.srv.submitTags[owner][m.ClientTag]; ok {
 			ss.srv.tagMu.Unlock()
-			ss.srv.logf("session %d: duplicate submit tag %d -> job %d", ss.id, m.ClientTag, id)
+			ss.srv.cfg.Obs.Log(slog.LevelDebug, "duplicate submit tag", slog.Uint64("session", ss.id),
+				slog.Uint64("tag", m.ClientTag), slog.Uint64("job", id))
 			sp.SetJob(id).Annotate("duplicate-tag")
 			if err := ss.sendTraced(&wire.SubmitOK{Job: id}, tc); err != nil {
 				return err
@@ -1067,7 +1046,7 @@ func (ss *session) gatherInputs(j *job, tc wire.TraceContext) error {
 			j.ins[i].waiting, j.ins[i].want = true, in.Version
 			j.mu.Unlock()
 			if !indexed {
-				ss.srv.addWaiter(id, j)
+				ss.srv.files.addJob(id, j)
 			}
 		}
 		// Pull even when a wait was already registered: on a re-drive the

@@ -224,15 +224,21 @@ func TestSoakOneDeploymentStaysFlat(t *testing.T) {
 	if ring > summaryRingSize || tags != tagged || tags == 0 {
 		t.Errorf("%d idempotency tags for %d tagged summaries (ring of %d): a tag lives exactly as long as its summary", tags, tagged, ring)
 	}
-	s.waitMu.Lock()
-	for id, list := range s.waiters {
-		for _, j := range list[:cap(list)] {
-			if j != nil {
-				t.Errorf("waiters[%d] still pins job %d", id, j.id)
+	if why := fileTableBusy(s); why != "" {
+		t.Errorf("at idle: %s", why)
+	}
+	for i := range s.files.shards {
+		sh := &s.files.shards[i]
+		sh.mu.Lock()
+		for id, r := range sh.m {
+			for _, j := range r.jobs[:cap(r.jobs)] {
+				if j != nil {
+					t.Errorf("file %d's record still pins job %d", id, j.id)
+				}
 			}
 		}
+		sh.mu.Unlock()
 	}
-	s.waitMu.Unlock()
 	s.deliverMu.Lock()
 	if n := len(s.undelivered) + len(s.routed); n != 0 {
 		t.Errorf("%d hold queues at idle", n)

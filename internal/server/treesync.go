@@ -135,8 +135,10 @@ func (ss *session) handleBatchNotify(m *wire.BatchNotify, tc wire.TraceContext) 
 	ss.mu.Lock()
 	clear(ss.trees)
 	ss.mu.Unlock()
-	ss.srv.logf("session %d: batch notify: %d files, %d removed (%d evicted)",
-		ss.id, len(m.Notifies), len(m.Removed), evicted)
+	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
+		ss.srv.cfg.Obs.Log(slog.LevelDebug, "batch notify", slog.Uint64("session", ss.id),
+			slog.Int("files", len(m.Notifies)), slog.Int("removed", len(m.Removed)), slog.Int("evicted", evicted))
+	}
 	return ss.pumpBatch()
 }
 
@@ -198,7 +200,7 @@ func (ss *session) pumpBatch() error {
 			return err
 		}
 		ss.mu.Lock()
-		issued := ss.pulled[id] >= e.ne.Version
+		issued := ss.pulls[id].want >= e.ne.Version
 		if issued {
 			// This session's own pull (new or already in flight) covers
 			// the entry; its arrival opens the next window slot.
