@@ -242,8 +242,8 @@ func waitForWaiters(t *testing.T, srv *Server, n int) {
 	for i := 0; i < 5000; i++ {
 		srv.chunkFl.mu.Lock()
 		waited := 0
-		for _, fl := range srv.chunkFl.pending {
-			if len(fl.waiters) > 0 {
+		for _, ws := range srv.chunkFl.pending {
+			if len(ws) > 0 {
 				waited++
 			}
 		}

@@ -45,31 +45,31 @@ func TestFlightsBeginCoalesces(t *testing.T) {
 		{"begin after the arrival wins again", true, 3, 12, true, 1},
 	} {
 		if step.begin {
-			if won := f.begin(1, fetchOf(0, step.want, step.owner), false); won != step.won {
+			if _, won := f.begin(1, fetchOf(0, step.want, step.owner), false, nil); won != step.won {
 				t.Fatalf("%s: begin reported %v", step.what, won)
 			}
 		} else {
 			f.arrive(1, step.want, nil, nil)
 		}
-		if n := len(f.fetches()); n != step.inFlight {
-			t.Fatalf("%s: %d fetches in flight, want %d", step.what, n, step.inFlight)
+		if fs, _ := f.fetches(); len(fs) != step.inFlight {
+			t.Fatalf("%s: %d fetches in flight, want %d", step.what, len(fs), step.inFlight)
 		}
 	}
 }
 
 func TestFlightsForceReplaces(t *testing.T) {
 	f := newFileTable()
-	if !f.begin(2, fetchOf(1, 9, 1), false) {
+	if _, won := f.begin(2, fetchOf(1, 9, 1), false, nil); !won {
 		t.Fatal("begin should win")
 	}
 	// A forced begin re-homes the fetch at a lower version (the full-repull
 	// path).
-	if !f.begin(2, fetchOf(1, 1, 2), true) {
+	if _, won := f.begin(2, fetchOf(1, 1, 2), true, nil); !won {
 		t.Fatal("a forced begin should win")
 	}
 	f.arrive(2, 1, nil, nil)
-	if n := len(f.fetches()); n != 0 {
-		t.Fatalf("%d fetches in flight, want 0: force should have replaced want", n)
+	if fs, _ := f.fetches(); len(fs) != 0 {
+		t.Fatalf("%d fetches in flight, want 0: force should have replaced want", len(fs))
 	}
 }
 
@@ -85,7 +85,7 @@ func TestFlightsConcurrentSingleWinner(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if f.begin(id, fetchOf(round, 1, uint64(g)), false) {
+				if _, won := f.begin(id, fetchOf(round, 1, uint64(g)), false, nil); won {
 					winners.Add(1)
 				}
 			}(g)
@@ -100,12 +100,12 @@ func TestFlightsConcurrentSingleWinner(t *testing.T) {
 func TestFlightsReleaseOwner(t *testing.T) {
 	f := newFileTable()
 	for i := 0; i < 10; i++ {
-		if !f.begin(naming.ShadowID(i+1), fetchOf(i, uint64(i+1), uint64(1+i%2)), false) {
+		if _, won := f.begin(naming.ShadowID(i+1), fetchOf(i, uint64(i+1), uint64(1+i%2)), false, nil); !won {
 			t.Fatalf("begin %d should win", i)
 		}
 	}
 	dead := &session{id: 1}
-	released, _ := f.dropSession(dead)
+	released, _, _ := f.dropSession(dead)
 	if len(released) != 5 {
 		t.Fatalf("dropSession returned %d fetches, want 5", len(released))
 	}
@@ -114,27 +114,34 @@ func TestFlightsReleaseOwner(t *testing.T) {
 			t.Fatalf("released fetch incomplete: %+v", p)
 		}
 	}
-	if n := len(f.fetches()); n != 5 {
-		t.Fatalf("%d fetches in flight after the release, want 5", n)
+	if fs, _ := f.fetches(); len(fs) != 5 {
+		t.Fatalf("%d fetches in flight after the release, want 5", len(fs))
 	}
-	if again, _ := f.dropSession(dead); len(again) != 0 {
+	if again, _, _ := f.dropSession(dead); len(again) != 0 {
 		t.Fatalf("second dropSession returned %d fetches, want 0", len(again))
 	}
 }
 
 // fileTableBusy says what the file table still holds when the server should
-// be idle, or "" when every record is idle — no flight, no waiting job, no
-// parked peer request — and no more forwardable deltas are kept than files
-// are cached. Parked requests no flight covers are counted apart: nothing
-// would ever answer them.
+// be idle, or "" when every record is idle — no flight (the open pull with
+// it), no chunk assembly, no waiting job, no parked peer request, no owed
+// acknowledgement — and no more forwardable deltas are kept than files are
+// cached. Parked requests no flight covers are counted apart: nothing would
+// ever answer them.
 func fileTableBusy(s *Server) string {
-	var flights, jobs, peers, uncovered, deltas int
+	var flights, spans, asms, jobs, peers, uncovered, acks, deltas int
 	for i := range s.files.shards {
 		sh := &s.files.shards[i]
 		sh.mu.Lock()
 		for _, r := range sh.m {
 			if r.fetching {
 				flights++
+				if r.flight.span != nil {
+					spans++
+				}
+			}
+			if r.asm != nil {
+				asms++
 			}
 			jobs += len(r.jobs)
 			peers += len(r.peers)
@@ -143,15 +150,16 @@ func fileTableBusy(s *Server) string {
 					uncovered++
 				}
 			}
+			acks += len(r.acks)
 			if r.delta != nil {
 				deltas++
 			}
 		}
 		sh.mu.Unlock()
 	}
-	if cached := s.cache.Len(); flights+jobs+peers != 0 || deltas > cached {
-		return fmt.Sprintf("file table: %d flights, %d waiting jobs, %d parked peer requests (%d with no covering flight), %d deltas for %d cached files",
-			flights, jobs, peers, uncovered, deltas, cached)
+	if cached := s.cache.Len(); flights+asms+jobs+peers+acks != 0 || deltas > cached {
+		return fmt.Sprintf("file table: %d flights (%d open pull spans), %d assemblies, %d waiting jobs, %d parked peer requests (%d with no covering flight), %d owed acks, %d deltas for %d cached files",
+			flights, spans, asms, jobs, peers, uncovered, acks, deltas, cached)
 	}
 	return ""
 }

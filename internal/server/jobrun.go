@@ -45,40 +45,8 @@ func (s *Server) feedFromCache(id naming.ShadowID, want uint64) bool {
 		}
 		have, content = e.Version, s.bufs.owned(e.Content)
 	}
-	s.feed(id, have, content)
+	_ = s.arrived(nil, wire.FileRef{}, id, have, content, wire.TraceContext{}, nil)
 	return true
-}
-
-// feed delivers a file version that just arrived (or was found cached) to
-// everything waiting for it, and takes over the caller's reference on
-// content, if any: each job fed borrows the buffer until its run ends. A
-// newer version than requested also satisfies a wait: the cache holds only
-// the latest version, and by connection ordering a newer version means the
-// user resubmitted meanwhile. Parked peer requests are answered first (none
-// outside a cluster), and those no fetch covers any more declined: a parked
-// request always ends in an answer, or the requester's jobs hang on a healthy
-// link.
-func (s *Server) feed(id naming.ShadowID, version uint64, content *fileBuf) {
-	// Nearly always one job waits per arrival; the stack array keeps the
-	// common case allocation-free.
-	var readyArr [4]*job
-	ready, answer, decline := s.files.arrive(id, version, content, readyArr[:0])
-	if content != nil {
-		content.release()
-	}
-	for _, w := range answer {
-		if !s.answerPeer(id, w) {
-			// The arrival satisfied the wait but the content has already
-			// moved on or out of the cache; decline, the peer re-pulls.
-			decline = append(decline, w)
-		}
-	}
-	for _, w := range decline {
-		s.declinePeer(w)
-	}
-	for _, j := range ready {
-		s.maybeSchedule(j)
-	}
 }
 
 // maybeSchedule queues the job for execution once every input is in hand.
@@ -326,7 +294,7 @@ func (s *Server) repullPending(deadID uint64, pending []pendingFetch) {
 				// declined now — their links are healthy, so no
 				// teardown would ever answer them — and fall back to
 				// pulling from their own clients.
-				s.feed(id, 0, nil)
+				_ = s.arrived(nil, p.ref, id, 0, nil, p.tc, nil)
 				break
 			}
 			if target.pullFile(p.ref, p.want, p.tc) == nil {

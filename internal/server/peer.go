@@ -11,8 +11,8 @@ package server
 // A peer link is a session in the dialing role: the dialing server sends a
 // normal HELLO, marks the connection server-to-server with a PEER_HELLO, and
 // from then on runs it as a session like any accepted one — same receive
-// loop, writer, flight recorder, pull bookkeeping, chunk assembly and
-// teardown. PEER_NOTIFY is its PULL. The owner (this file's other half)
+// loop, writer, flight recorder and teardown, its fetches and assemblies in
+// the file table. PEER_NOTIFY is its PULL. The owner (this file's other half)
 // answers with the smallest thing that works:
 //
 //   - a PeerDelta forwarding the very FILE_DELTA body the client sent it,
@@ -328,7 +328,9 @@ func (ss *session) fetchInput(ref wire.FileRef, want uint64, tc wire.TraceContex
 		// The link died under the request. Its own teardown may already have
 		// swept the file table and missed the flight this pull just
 		// registered, so undo that registration here.
-		s.files.release(s.dir.Intern(ref), link.id)
+		if f, ok := s.files.release(s.dir.Intern(ref), link.id); ok {
+			f.span.Annotate("link-down").Finish()
+		}
 	}
 	s.counters.AddOwnerMiss()
 	s.cfg.Obs.Log(slog.LevelDebug, "owner unreachable; pulling from client", slog.String("file", ref.String()),
@@ -410,21 +412,13 @@ func peerHandshake(conn wire.Conn, instance string) error {
 }
 
 // dropLink is dropSession's extra step for a link: forget it, so the next
-// fetch redials, and close whatever peer.fetch spans are still open — the
-// re-homed client pulls mint their own under the original context.
+// fetch redials.
 func (s *Server) dropLink(l *session) {
 	s.peerMu.Lock()
 	if s.peerLinks[l.link.member] == l {
 		delete(s.peerLinks, l.link.member)
 	}
 	s.peerMu.Unlock()
-	l.mu.Lock()
-	pulls := l.pulls
-	l.pulls = make(map[naming.ShadowID]openPull)
-	l.mu.Unlock()
-	for _, p := range pulls {
-		p.span.Annotate("link-down").Finish()
-	}
 }
 
 // handlePeerDelta takes a link's PEER_DELTA answer: a decline, or the
@@ -462,7 +456,8 @@ type PeerLinkInfo struct {
 	ID     uint64
 	// State is "up" or "dead".
 	State string
-	// Fetching counts manifest assemblies awaiting a chunk answer.
+	// Fetching counts the chunk assemblies whose gaps are asked of the link
+	// (file table).
 	Fetching int
 	// Answer accounting, requester side: positive deltas, chunk manifests
 	// and negative answers received, plus fetches that degraded to the
@@ -479,6 +474,7 @@ func (s *Server) PeerLinks() []PeerLinkInfo {
 		links = append(links, l)
 	}
 	s.peerMu.Unlock()
+	_, asms := s.files.fetches()
 	out := make([]PeerLinkInfo, 0, len(links))
 	for _, l := range links {
 		info := PeerLinkInfo{
@@ -489,13 +485,11 @@ func (s *Server) PeerLinks() []PeerLinkInfo {
 			ChunksIn:    l.link.chunksIn.Load(),
 			NegativesIn: l.link.negativesIn.Load(),
 			Fallbacks:   l.link.fallbacks.Load(),
+			Fetching:    asms[l.id],
 		}
 		if l.dead.Load() {
 			info.State = "dead"
 		}
-		l.mu.Lock()
-		info.Fetching = len(l.assembling)
-		l.mu.Unlock()
 		out = append(out, info)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Member < out[b].Member })

@@ -513,8 +513,8 @@ type SessionInfo struct {
 	// User, ClientHost and Domain identify the client (empty until its
 	// HELLO arrives).
 	User, ClientHost, Domain string
-	// PullsInFlight counts file retrievals this session has issued whose
-	// content has not arrived yet.
+	// PullsInFlight counts file retrievals this session owns in the file
+	// table whose content has not arrived yet.
 	PullsInFlight int
 	// DeferredNotifies counts notifies whose pulls the pull policy
 	// postponed.
@@ -529,14 +529,19 @@ type SessionInfo struct {
 // all.
 func (s *Server) Sessions() []SessionInfo {
 	live := s.sessions.snapshot()
+	fetches, _ := s.files.fetches()
 	out := make([]SessionInfo, 0, len(live))
 	for _, ss := range live {
 		info := SessionInfo{ID: ss.id, QueuedWrites: len(ss.out)}
+		for _, f := range fetches {
+			if f.owner == ss.id {
+				info.PullsInFlight++
+			}
+		}
 		s.deliverMu.Lock()
 		info.User, info.ClientHost, info.Domain = ss.user, ss.clientHost, ss.domain
 		s.deliverMu.Unlock()
 		ss.mu.Lock()
-		info.PullsInFlight = len(ss.pulls)
 		info.DeferredNotifies = len(ss.deferred)
 		ss.mu.Unlock()
 		out = append(out, info)
@@ -547,14 +552,18 @@ func (s *Server) Sessions() []SessionInfo {
 
 // InFlightFetches reports how many coalesced file retrievals are currently
 // outstanding across all sessions.
-func (s *Server) InFlightFetches() int { return len(s.files.fetches()) }
+func (s *Server) InFlightFetches() int {
+	fetches, _ := s.files.fetches()
+	return len(fetches)
+}
 
 // DescribeFetches names each outstanding retrieval: the file and version,
 // the session that owns it and, for a peer fetch, the member it asks.
 func (s *Server) DescribeFetches() []string {
 	var out []string
 	live := s.sessions.snapshot()
-	for _, p := range s.files.fetches() {
+	fetches, _ := s.files.fetches()
+	for _, p := range fetches {
 		who := fmt.Sprintf("session %d (gone)", p.owner)
 		for _, ss := range live {
 			switch {
@@ -628,7 +637,11 @@ func (s *Server) startSession(conn wire.Conn, link *peerLink) *session {
 // dropSession unregisters a session — a client's, a peer's or a link — and
 // re-homes any file retrievals it owned: pulls that coalesced behind this
 // session's fetches would otherwise wait forever on a dead connection. A
-// peer's parked requests go with it; an answer would go nowhere.
+// link's open peer.fetch spans close as link-down; the re-homed client pulls
+// mint their own under the original context. The chunk assemblies it was the
+// source of release their pins — a dead session must not pin anything — and
+// their claimed chunk fetches fail over to the waiters. A peer's parked
+// requests go with it; an answer would go nowhere.
 //
 // It is called when the session's receive loop ends, and earlier by a
 // delivery that found the session's writer dead (deliverOrHold, sendHeld).
@@ -639,10 +652,18 @@ func (s *Server) startSession(conn wire.Conn, link *peerLink) *session {
 // flight. So the sweep runs on every call, the unregistering on the first.
 func (s *Server) dropSession(sess *session) {
 	first := s.sessions.remove(sess.id)
-	pending, orphans := s.files.dropSession(sess)
+	pending, orphans, asms := s.files.dropSession(sess)
+	for _, pa := range asms {
+		s.poke(pa.drop(s))
+	}
 	for _, w := range orphans {
 		w.sp.Annotate("requester-gone").Finish()
 		s.cfg.Obs.EndTrace(w.tc)
+	}
+	if sess.link != nil {
+		for _, p := range pending {
+			p.span.Annotate("link-down").Finish()
+		}
 	}
 	if first && sess.link != nil {
 		s.dropLink(sess)

@@ -24,13 +24,14 @@ import (
 // the peer is not draining and backpressure is the right behavior.
 const outQueueDepth = 256
 
-// outbound is one queued wire message. errc, when non-nil, makes the send
-// synchronous: the writer puts it on the wire and reports the transport
-// result — output delivery needs the error to trigger hold-and-requeue
-// semantics.
+// outbound is one queued wire message. sent, when non-nil, makes the send
+// synchronous: the writer puts it on the wire and reports whether the
+// transport took it — output delivery needs the failure to trigger
+// hold-and-requeue semantics. (A channel of a pointer-free element is one
+// allocation.)
 type outbound struct {
 	msg  wire.Message
-	errc chan error
+	sent chan bool
 	// tc is the trace context the frame carries (zero = untraced frame,
 	// byte-identical to the version-1 encoding).
 	tc wire.TraceContext
@@ -52,8 +53,9 @@ type session struct {
 	domain     string
 	clientHost string
 
-	// mu guards the maps below: the session goroutine and pool workers
-	// (job completion → drainDeferred/sendOutput) both touch them.
+	// mu guards the maps below and peerInstance: the session goroutine and
+	// pool workers (job completion → drainDeferred/sendOutput) both touch
+	// them. It is a leaf: nothing is locked while it is held.
 	mu sync.Mutex
 	// deferred holds notifies whose pulls the load-aware policy postponed,
 	// keyed by interned file id, each with the trace context it arrived
@@ -62,11 +64,6 @@ type session struct {
 	// interning is two map probes, while the string key costs a fresh
 	// concatenation on every hot-path lookup.)
 	deferred map[naming.ShadowID]deferredNotify
-	// pulls holds the session's open pull per file. Its version keeps
-	// notify+submit bursts from issuing duplicate pulls (a duplicate delta
-	// would look stale on arrival and trigger a wasteful full
-	// retransmission).
-	pulls map[naming.ShadowID]openPull
 	// trees caches the workspace summaries built for reconciliation
 	// walks, keyed by workspace root. Each is a snapshot taken at
 	// TREE_HEAD time and discarded when the walk's BATCH_NOTIFY lands.
@@ -82,10 +79,6 @@ type session struct {
 	// outPrev maps script checksum -> last acknowledged delivered stdout,
 	// the base for reverse shadow processing.
 	outPrev map[uint32][]byte
-	// assembling holds this session's in-progress chunked arrivals (one per
-	// file), each pinning the chunks it has resolved so far. Released on
-	// completion, supersession, or session death.
-	assembling map[naming.ShadowID]*pendingAssembly
 
 	// The pipelined writer: every outbound message is enqueued on out and
 	// written by one writer goroutine, which gathers a burst into one write
@@ -122,15 +115,6 @@ type session struct {
 	dumpOnce sync.Once
 }
 
-// openPull is a pull the session issued and has not seen answered: the
-// version asked for, when it was asked (on the observer's clock, for the
-// pull→arrival histogram) and its open server.pull span (nil untraced).
-type openPull struct {
-	want uint64
-	at   time.Duration
-	span *trace.Span
-}
-
 // deferredNotify is a postponed pull: the notify and its trace context.
 type deferredNotify struct {
 	m  *wire.Notify
@@ -144,11 +128,9 @@ func newSession(srv *Server, conn wire.Conn, id uint64) *session {
 		conn:          conn,
 		id:            id,
 		deferred:      make(map[naming.ShadowID]deferredNotify),
-		pulls:         make(map[naming.ShadowID]openPull),
 		trees:         make(map[string]*tree.Tree),
 		batchInflight: make(map[naming.ShadowID]struct{}),
 		outPrev:       make(map[uint32][]byte),
-		assembling:    make(map[naming.ShadowID]*pendingAssembly),
 		out:           make(chan outbound, outQueueDepth),
 		quit:          make(chan struct{}),
 		writerDone:    make(chan struct{}),
@@ -207,9 +189,6 @@ func (ss *session) run() {
 	defer ss.srv.dropSession(ss)
 	defer ss.dumpFlight("disconnect")
 	defer ss.shutdownWriter()
-	// In-flight chunked assemblies pin their chunks; a dead session must
-	// not pin anything.
-	defer ss.releaseAssemblies()
 	// A session whose receive loop has exited can never converse again,
 	// even if its writer never saw a send fail. Mark it dead first
 	// (deferred last) so concurrent re-homing — repullPending choosing a
@@ -284,13 +263,9 @@ func (ss *session) writer() {
 				fail(err)
 			}
 		}
-		if ob.errc != nil {
+		if ob.sent != nil {
 			flush()
-			if sticky != nil {
-				ob.errc <- errSessionGone
-			} else {
-				ob.errc <- nil
-			}
+			ob.sent <- sticky == nil
 		}
 	}
 	for {
@@ -443,12 +418,6 @@ func (ss *session) stamped(ob outbound) outbound {
 	return ob
 }
 
-// errcPool recycles sendSync's single-use result channels. A channel is
-// only returned to the pool once its answer has been received — an
-// unanswered channel (writer raced out) is abandoned to the GC so a late
-// reply can never leak into the next borrower.
-var errcPool = sync.Pool{New: func() any { return make(chan error, 1) }}
-
 // sendSync enqueues a message and waits for the writer to put it (and
 // everything queued before it) on the wire, reporting the transport result.
 // Output delivery uses it: a failed send must requeue the output for the
@@ -457,29 +426,27 @@ func (ss *session) sendSync(m wire.Message, tc wire.TraceContext) error {
 	if ss.dead.Load() {
 		return errSessionGone
 	}
-	errc := errcPool.Get().(chan error)
-	ob := ss.stamped(outbound{msg: m, errc: errc, tc: tc})
+	ob := ss.stamped(outbound{msg: m, sent: make(chan bool, 1), tc: tc})
 	select {
 	case ss.out <- ob:
 	case <-ss.quit:
-		errcPool.Put(errc) // never enqueued, still clean
 		return errSessionGone
 	}
+	var sent bool
 	select {
-	case err := <-ob.errc:
-		errcPool.Put(errc)
-		return err
+	case sent = <-ob.sent:
 	case <-ss.writerDone:
 		// The writer exited while we waited; it answered if it drained
 		// our message before returning.
 		select {
-		case err := <-ob.errc:
-			errcPool.Put(errc)
-			return err
+		case sent = <-ob.sent:
 		default:
-			return errSessionGone
 		}
 	}
+	if !sent {
+		return errSessionGone
+	}
+	return nil
 }
 
 func (ss *session) sendError(code uint32, text string) error {
@@ -587,10 +554,11 @@ func (ss *session) deferNotify(m *wire.Notify, tc wire.TraceContext) {
 // we hold: a client with PULL, the owner a link dialed with PEER_NOTIFY (under
 // a peer.fetch span, which the owner's peer.serve nests beneath) — the frame
 // and the span name are all that differ. Pulls already in flight for the same
-// or a newer version are not repeated: the session's own open pulls suppress
-// same-session duplicates, and the server's file table coalesces fetches
-// across sessions and links — many clients notifying the same file, or many
-// jobs here needing one file another member owns, cost one transfer.
+// or a newer version are not repeated: the server's file table keeps one
+// flight per file, so a notify+submit burst on one session costs one pull (a
+// duplicate delta would look stale on arrival and trigger a wasteful full
+// retransmission), and many clients notifying the same file, or many jobs here
+// needing one file another member owns, cost one transfer.
 func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext) error {
 	id := ss.srv.dir.Intern(ref)
 	var have uint64
@@ -605,14 +573,25 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 			return nil
 		}
 	}
-	ss.mu.Lock()
-	if ss.pulls[id].want >= want {
-		ss.mu.Unlock()
-		return nil // a pull covering this version is in flight
+	name := "server.pull"
+	if ss.link != nil {
+		name = "peer.fetch"
 	}
-	if !ss.srv.files.begin(id, pendingFetch{ref: ref, want: want, owner: ss.id, tc: tc}, false) {
-		delete(ss.deferred, id)
-		ss.mu.Unlock()
+	var sp *trace.Span
+	cur, won := ss.srv.files.begin(id, pendingFetch{ref: ref, want: want, owner: ss.id, tc: tc}, false, func() (time.Duration, *trace.Span) {
+		sp = ss.srv.cfg.Obs.StartSpan(tc, name).SetSession(ss.id)
+		if sp != nil {
+			sp.SetFile(ref.String())
+		}
+		return ss.srv.cfg.Obs.Now(), sp
+	})
+	if !won && cur.owner == ss.id {
+		return nil // this session's pull covering the version is in flight
+	}
+	ss.mu.Lock()
+	delete(ss.deferred, id)
+	ss.mu.Unlock()
+	if !won {
 		// Another session is already fetching this version; its arrival
 		// feeds every waiting job, so no second transfer is needed.
 		ss.srv.pullsCoalesced.Add(1)
@@ -624,22 +603,16 @@ func (ss *session) pullFile(ref wire.FileRef, want uint64, tc wire.TraceContext)
 		}
 		return nil
 	}
-	name, req := "server.pull", wire.Message(&wire.Pull{File: ref, HaveVersion: have, WantVersion: want})
-	if ss.link != nil {
-		name, req = "peer.fetch", &wire.PeerNotify{File: ref, HaveVersion: have, WantVersion: want}
-	}
-	sp := ss.srv.cfg.Obs.StartSpan(tc, name).SetSession(ss.id)
-	if sp != nil {
-		sp.SetFile(ref.String())
-	}
-	ss.pulls[id] = openPull{want: want, at: ss.srv.cfg.Obs.Now(), span: sp}
-	delete(ss.deferred, id)
-	ss.mu.Unlock()
+	cur.span.Finish() // a pull of an older version, which this one replaces
 	ss.srv.pullsIssued.Add(1)
 	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
 		ss.srv.cfg.Obs.Log(slog.LevelDebug, "pull issued",
 			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
 			slog.Uint64("want", want), slog.Uint64("have", have))
+	}
+	req := wire.Message(&wire.Pull{File: ref, HaveVersion: have, WantVersion: want})
+	if ss.link != nil {
+		req = &wire.PeerNotify{File: ref, HaveVersion: have, WantVersion: want}
 	}
 	// The request carries the pull span's context, so the answer becomes its
 	// child; without a server tracer the incoming context is forwarded
@@ -693,8 +666,7 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 		// A duplicate or overtaken transfer; what we have is already
 		// at least as new. Re-acknowledge idempotently.
 		sp.Annotate("duplicate")
-		ss.closePull(id, have)
-		return ss.ack(m.File, have, tc)
+		return ss.srv.arrived(ss, m.File, id, have, nil, tc, nil)
 	}
 	if !ok || have != m.BaseVersion {
 		// Our base is gone or different — the best-effort cache at work.
@@ -710,7 +682,7 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 		return fmt.Errorf("apply delta for %s: %w", m.File, err)
 	}
 	sp.Annotate("delta-applied")
-	return ss.arrived(m.File, id, m.Version, fb, tc, sp)
+	return ss.srv.arrived(ss, m.File, id, m.Version, fb, tc, sp)
 }
 
 // applyDelta upgrades the cached copy of id from fd.BaseVersion to
@@ -783,41 +755,34 @@ func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool
 
 // refetch replaces an answer that proved unusable (base gone, chunks
 // missing, assembled bytes failing their checksum). A client is asked for a
-// complete copy, bypassing the duplicate-pull suppression. A link's owner
-// cannot be — no full file crosses a peer link — so the link gives the fetch
-// up and a client session takes it over: the open peer.fetch span closes
-// with the reason and the re-homed pull inherits its context, so the
-// degradation stays inside the one trace, and the link's ring is dumped so
-// the frames leading up to it are inspectable on /flightz. Harmless if the
-// flight has since completed or changed owner: repullPending's pull coalesces
-// onto whatever is in flight.
+// complete copy, bypassing the flight's duplicate-pull suppression; the
+// flight's open span closes as superseded. A link's owner cannot be — no full
+// file crosses a peer link — so the link gives the fetch up and a client
+// session takes it over: the open peer.fetch span closes with the reason and
+// the re-homed pull inherits its context, so the degradation stays inside the
+// one trace, and the link's ring is dumped so the frames leading up to it are
+// inspectable on /flightz. Harmless if the flight has since completed or
+// changed owner: repullPending's pull coalesces onto whatever is in flight.
 func (ss *session) refetch(ref wire.FileRef, want uint64, tc wire.TraceContext, why string) error {
 	id := ss.srv.dir.Intern(ref)
-	ss.mu.Lock()
-	old := ss.pulls[id].span
 	if ss.link != nil {
-		delete(ss.pulls, id)
-		ss.mu.Unlock()
-		old.Annotate("fallback: " + why).Finish()
 		ss.link.fallbacks.Add(1)
 		ss.record("fault", "fallback", tc, why)
 		ss.srv.recordFlightDump(ss, "fallback: "+why) // every fallback dumps, not only the first
 		if f, ok := ss.srv.files.release(id, ss.id); ok {
-			f.tc = ctxOr(old, tc)
+			f.span.Annotate("fallback: " + why).Finish()
+			f.tc = ctxOr(f.span, tc)
 			ss.srv.repullPending(ss.id, []pendingFetch{f})
 		}
 		return nil
 	}
-	// The superseded pull span (if any) ends here: its answer proved
-	// unusable, and the fallback gets its own span.
-	old.Annotate("superseded: " + why).Finish()
 	sp := ss.srv.cfg.Obs.StartSpan(tc, "server.pull-full").SetSession(ss.id)
 	if sp != nil {
 		sp.SetFile(ref.String())
 	}
-	ss.pulls[id] = openPull{want: want, at: ss.srv.cfg.Obs.Now(), span: sp}
-	ss.mu.Unlock()
-	ss.srv.files.begin(id, pendingFetch{ref: ref, want: want, owner: ss.id, tc: tc}, true)
+	f := pendingFetch{ref: ref, want: want, owner: ss.id, tc: tc, at: ss.srv.cfg.Obs.Now(), span: sp}
+	old, _ := ss.srv.files.begin(id, f, true, nil)
+	old.span.Annotate("superseded: " + why).Finish()
 	ss.srv.pullsIssued.Add(1)
 	return ss.sendTraced(&wire.Pull{File: ref, HaveVersion: 0, WantVersion: want}, ctxOr(sp, tc))
 }
@@ -837,55 +802,74 @@ func (ss *session) handleFileFull(m *wire.FileFull, tc wire.TraceContext) error 
 	if have, ok := ss.srv.cache.Version(id); ok && have > m.Version {
 		// Overtaken by a newer version; do not regress the cache.
 		sp.Annotate("overtaken")
-		return ss.ack(m.File, have, tc)
+		return ss.srv.arrived(ss, m.File, id, have, nil, tc, nil)
 	}
 	// Cached best effort. The message owns its bytes and the cache copies
 	// what it keeps, so the content goes on to the waiting jobs as it is.
 	if err := ss.srv.cache.Put(id, m.Version, content); err != nil && !errors.Is(err, cache.ErrTooLarge) {
 		return err
 	}
-	return ss.arrived(m.File, id, m.Version, ss.srv.bufs.owned(content), tc, sp)
+	return ss.srv.arrived(ss, m.File, id, m.Version, ss.srv.bufs.owned(content), tc, sp)
 }
 
-// arrived runs the shared post-store bookkeeping for a version that just
-// landed, by whatever route: close the open pull, feed waiting jobs,
-// acknowledge. It takes over the caller's reference on content, and ends the
-// caller's apply span (nil when there is none) before anything is queued for
-// the other end: the apply is over once the version is stored, and under
-// virtual time a span left open across the ack would end at whatever instant
-// other sessions had meanwhile advanced the shared clock to.
-func (ss *session) arrived(ref wire.FileRef, id naming.ShadowID, version uint64, content *fileBuf, tc wire.TraceContext, apply *trace.Span) error {
-	ss.closePull(id, version)
+// arrived runs the shared bookkeeping for a version of id that landed on
+// session from by whatever route, or that a duplicate answer found cached
+// (content nil); from is nil for a version a re-check found cached and for an
+// abandoned fetch (version 0). The file table settles the arrival, the pull
+// it completes closes and from is acknowledged; then the assembly it overtook
+// is dropped, owed acknowledgements are sent, parked peer requests answered or
+// declined (a parked request always ends in an answer, or the requester's jobs
+// hang on a healthy link), and the jobs it fed — a newer version than wanted
+// satisfies a wait — scheduled. The ack goes first so that FILE_ACK precedes
+// the OUTPUT of a job the arrival completes; the rest runs whatever its fate.
+// arrived takes over the caller's reference on content (each job fed borrows
+// it until its run ends) and ends the caller's apply span (nil when none)
+// before anything is queued: under virtual time a span left open across the
+// ack would end at whatever instant other sessions had advanced the clock to.
+func (s *Server) arrived(from *session, ref wire.FileRef, id naming.ShadowID, version uint64, content *fileBuf, tc wire.TraceContext, apply *trace.Span) error {
+	// Nearly always one job waits per arrival; the stack array keeps the
+	// common case allocation-free.
+	var readyArr [4]*job
+	ready, a := s.files.arrive(id, version, content, readyArr[:0])
+	if a.pull.want != 0 {
+		a.pull.span.Finish()
+		s.cfg.Obs.ObservePullArrival(a.pull.at)
+	}
 	apply.Finish()
-	if ss.srv.cfg.Obs.LogEnabled(slog.LevelDebug) {
-		ss.srv.cfg.Obs.Log(slog.LevelDebug, "file arrived",
-			slog.Uint64("session", ss.id), slog.String("file", ref.String()),
-			slog.Uint64("version", version), slog.Int("bytes", len(content.b)))
+	var err error
+	if from != nil {
+		if content != nil && s.cfg.Obs.LogEnabled(slog.LevelDebug) {
+			s.cfg.Obs.Log(slog.LevelDebug, "file arrived",
+				slog.Uint64("session", from.id), slog.String("file", ref.String()),
+				slog.Uint64("version", version), slog.Int("bytes", len(content.b)))
+		}
+		err = from.ack(ref, version, tc)
 	}
-	// Queue the ack before feeding jobs, so FILE_ACK always precedes the
-	// OUTPUT of a job this arrival completes (a job fed first can finish on
-	// another goroutine and queue its output ahead of the ack). Feed
-	// regardless of the ack's fate: it can fail (the client may have
-	// disconnected right after sending), but the content is here and jobs
-	// waiting for it must proceed.
-	err := ss.ack(ref, version, tc)
-	ss.srv.feed(id, version, content)
+	if content != nil {
+		content.release()
+	}
+	if a.overtaken != nil {
+		s.poke(a.overtaken.drop(s))
+	}
+	for _, w := range a.acks {
+		if w.ss != from {
+			_ = w.ss.ack(w.ref, version, w.tc)
+		}
+	}
+	for _, w := range a.answer {
+		if !s.answerPeer(id, w) {
+			// The arrival satisfied the wait but the content has already
+			// moved on or out of the cache; decline, the peer re-pulls.
+			a.decline = append(a.decline, w)
+		}
+	}
+	for _, w := range a.decline {
+		s.declinePeer(w)
+	}
+	for _, j := range ready {
+		s.maybeSchedule(j)
+	}
 	return err
-}
-
-// closePull ends the session's open pull of id, if version satisfies it:
-// its span finishes and its pull→arrival time is observed.
-func (ss *session) closePull(id naming.ShadowID, version uint64) {
-	ss.mu.Lock()
-	p, ok := ss.pulls[id]
-	if !ok || p.want > version {
-		ss.mu.Unlock()
-		return
-	}
-	delete(ss.pulls, id)
-	ss.mu.Unlock()
-	p.span.Finish()
-	ss.srv.cfg.Obs.ObservePullArrival(p.at)
 }
 
 // ack acknowledges a version to the client that supplied (or already

@@ -199,15 +199,15 @@ func (ss *session) pumpBatch() error {
 		if err := ss.pullFile(e.ne.File, e.ne.Version, e.tc); err != nil {
 			return err
 		}
-		ss.mu.Lock()
-		issued := ss.pulls[id].want >= e.ne.Version
+		sh, r := ss.srv.files.lock(id)
+		issued := r.fetching && r.flight.owner == ss.id && r.flight.want >= e.ne.Version
+		sh.unlock(id, r)
 		if issued {
 			// This session's own pull (new or already in flight) covers
 			// the entry; its arrival opens the next window slot.
+			ss.mu.Lock()
 			ss.batchInflight[id] = struct{}{}
-		}
-		ss.mu.Unlock()
-		if issued {
+			ss.mu.Unlock()
 			continue
 		}
 		// pullFile sent nothing: either the content landed between the
