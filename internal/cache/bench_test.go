@@ -60,7 +60,7 @@ func BenchmarkCachePut(b *testing.B) {
 			b.SetBytes(int64(len(target)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.PutFromBase(1, uint64(i+1), uint64(i+2), versions[i%2], spans[i%2]); err != nil {
+				if err := c.PutFromBase(1, uint64(i+1), uint64(i+2), versions[i%2], diff.Checksum(versions[i%2]), spans[i%2]); err != nil {
 					b.Fatal(err)
 				}
 			}

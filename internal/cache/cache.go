@@ -47,7 +47,9 @@ import (
 	"sync/atomic"
 
 	"shadowedit/internal/chunk"
+	"shadowedit/internal/diff"
 	"shadowedit/internal/naming"
+	"shadowedit/internal/race"
 )
 
 // Policy selects which entry leaves first under pressure.
@@ -165,6 +167,10 @@ type slot struct {
 	// manifest a client or peer described (PutManifest) is checked only for
 	// what its chunks hash and sum to, so nothing is derived from it.
 	split bool
+	// sum is the content's CRC-32C when summed: the one its arrival was
+	// verified against (PutFromBase), or the first View's.
+	sum    uint32
+	summed bool
 }
 
 // shardOf mixes the id (sequential intern order would otherwise map
@@ -258,15 +264,16 @@ func (c *Cache) GetAtLeast(dst []byte, id naming.ShadowID, min uint64) (Entry, b
 
 // View calls read with the content of id's entry, if it is version, as the
 // chunk store's own bytes in manifest order — nothing is assembled or copied
-// — and reports whether it did. It counts and refreshes recency as Get does:
-// an entry of another version is a hit that read never sees. read runs under
-// the shard lock, which pins the manifest's chunks (eviction and replacement
-// take the same lock), so it must return promptly, must not keep or modify
-// the segments, and must not call back into the cache. The segment list is
+// — and its CRC-32C (see slot.sum; race builds check it), and reports whether
+// it did. It counts and refreshes recency as Get does: an entry of another
+// version is a hit that read never sees. read runs under the shard lock,
+// which pins the manifest's chunks (eviction and replacement take the same
+// lock), so it must return promptly, must not keep or modify the segments,
+// and must not call back into the cache. The segment list is
 // built in segs's backing array and comes back emptied, for the caller to
 // reuse. This is how the delta arrival path reads a delta's base where the
 // base lives.
-func (c *Cache) View(segs [][]byte, id naming.ShadowID, version uint64, read func(content [][]byte)) ([][]byte, bool) {
+func (c *Cache) View(segs [][]byte, id naming.ShadowID, version uint64, read func(content [][]byte, sum uint32)) ([][]byte, bool) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
 	s, ok := sh.entries[id]
@@ -283,7 +290,14 @@ func (c *Cache) View(segs [][]byte, id naming.ShadowID, version uint64, read fun
 			// Unreachable unless refcounts are broken; fail loudly in tests.
 			panic(fmt.Sprintf("cache: entry %d lost chunks", id))
 		}
-		read(segs)
+		if !s.summed || race.Enabled {
+			sum := diff.ChecksumSegments(segs)
+			if s.summed && sum != s.sum {
+				panic(fmt.Sprintf("cache: entry %d v%d: content does not match its recorded sum", id, s.version))
+			}
+			s.sum, s.summed = sum, true
+		}
+		read(segs, s.sum)
 	}
 	sh.mu.Unlock()
 	c.hits.Add(1)
@@ -369,6 +383,11 @@ func (c *Cache) assembleLocked(dst []byte, id naming.ShadowID, s *slot) Entry {
 // exceed its bound rather than refuse fresh content. Content bigger than the whole cache is rejected
 // up front with ErrTooLarge, and callers must not treat that as fatal.
 func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
+	return c.put(id, slot{version: version}, content)
+}
+
+// put is Put of the entry e describes: its version and, when summed, its sum.
+func (c *Cache) put(id naming.ShadowID, e slot, content []byte) error {
 	size := int64(len(content))
 	// Content that can never fit is rejected up front — evicting the
 	// whole cache first would sacrifice everyone else's entries for
@@ -378,8 +397,8 @@ func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
 		c.reject(id)
 		return ErrTooLarge
 	}
-	m := c.store.AddManifest(content, c.params)
-	c.install(id, version, m, size, true, nil)
+	e.manifest, e.size, e.split = c.store.AddManifest(content, c.params), size, true
+	c.install(id, e, nil)
 	return nil
 }
 
@@ -391,7 +410,8 @@ func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) err
 }
 
 // PutFromBase is Put for content that is the resident version base of id with
-// the given spans rewritten (what applying an edit-script delta reports). The
+// the given spans rewritten (what applying an edit-script delta reports), and
+// whose CRC-32C the caller verified as sum, which the entry records. The
 // new manifest is derived from the resident one — unchanged chunks keep their
 // refs, only what an edit touched is cut and hashed again (chunk.Resplit) —
 // and is identical to the one Put would compute, as are the chunk store's
@@ -406,15 +426,16 @@ func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) err
 // is immutable once installed; install then takes the new manifest's
 // references under the lock, where it can tell whether that manifest is
 // still the entry's (see install).
-func (c *Cache) PutFromBase(id naming.ShadowID, base, version uint64, content []byte, spans []chunk.Span) error {
-	size := int64(len(content))
-	if spans != nil && (c.capacity <= 0 || size <= c.capacity) {
+func (c *Cache) PutFromBase(id naming.ShadowID, base, version uint64, content []byte, sum uint32, spans []chunk.Span) error {
+	e := slot{version: version, size: int64(len(content)), split: true, sum: sum, summed: true}
+	if spans != nil && (c.capacity <= 0 || e.size <= c.capacity) {
 		if d, ok := c.derive(id, base, content, spans); ok {
-			c.install(id, version, d.m, size, true, &d)
+			e.manifest = d.m
+			c.install(id, e, &d)
 			return nil
 		}
 	}
-	return c.Put(id, version, content)
+	return c.put(id, e, content)
 }
 
 // derived is a manifest m for content that PutFromBase derived from the
@@ -437,7 +458,7 @@ func (c *Cache) derive(id naming.ShadowID, base uint64, content []byte, spans []
 	if !ok {
 		return derived{}, false
 	}
-	if raceEnabled && !slices.Equal(m, chunk.Split(content, c.params)) {
+	if race.Enabled && !slices.Equal(m, chunk.Split(content, c.params)) {
 		panic(fmt.Sprintf("cache: entry %d: manifest derived from v%d differs from a full split", id, base))
 	}
 	return derived{base: resident, m: m, from: from, content: content}, true
@@ -461,18 +482,18 @@ func (c *Cache) splitManifest(id naming.ShadowID, base uint64) (chunk.Manifest, 
 // arrival path holds those refs from resolving and receiving the transfer).
 // The manifest must not be used by the caller afterwards.
 func (c *Cache) PutManifest(id naming.ShadowID, version uint64, m chunk.Manifest) {
-	c.install(id, version, m, m.TotalLen(), false, nil)
+	c.install(id, slot{version: version, manifest: m, size: m.TotalLen()}, nil)
 }
 
-// install replaces the entry for id with m and enforces the capacity bound.
-// split says the cache computed m itself (see slot.split). The caller holds
-// m's references, unless from says how m was derived: then install takes
-// them under the shard lock. While the entry still holds from's base
-// manifest, the base's references pass to m where m copies its refs
-// (chunk.Store.Rebase) and the replaced manifest is not released again;
-// otherwise — the base was replaced or evicted after the derivation — m's
-// chunks are stored from the content, as Put stores them.
-func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, size int64, split bool, from *derived) {
+// install replaces the entry for id with e and enforces the capacity bound.
+// The caller holds e.manifest's references, unless from says how it was
+// derived: then install takes them under the shard lock. While the entry
+// still holds from's base manifest, the base's references pass to the new
+// manifest where it copies the base's refs (chunk.Store.Rebase) and the
+// replaced manifest is not released again; otherwise — the base was replaced
+// or evicted after the derivation — the new manifest's chunks are stored from
+// the content, as Put stores them.
+func (c *Cache) install(id naming.ShadowID, e slot, from *derived) {
 	if c.capacity > 0 {
 		c.evictMu.Lock()
 		defer c.evictMu.Unlock()
@@ -482,13 +503,13 @@ func (c *Cache) install(id naming.ShadowID, version uint64, m chunk.Manifest, si
 	handedOver := false
 	if from != nil {
 		if s, ok := sh.entries[id]; ok && sameManifest(s.manifest, from.base) {
-			c.store.Rebase(from.base, m, from.from, from.content)
+			c.store.Rebase(from.base, e.manifest, from.from, from.content)
 			handedOver = true
 		} else {
-			c.store.PutChunks(m, from.content)
+			c.store.PutChunks(e.manifest, from.content)
 		}
 	}
-	old := c.storeLocked(sh, id, version, m, size, split)
+	old := c.storeLocked(sh, id, e)
 	sh.mu.Unlock()
 	if !handedOver {
 		c.store.ReleaseManifest(old)
@@ -535,26 +556,18 @@ func (c *Cache) reject(id naming.ShadowID) {
 // storeLocked installs the manifest under sh.mu, which must be held, and
 // returns the replaced entry's manifest for the caller to release once the
 // shard lock is dropped.
-func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, version uint64, m chunk.Manifest, size int64, split bool) chunk.Manifest {
-	seq := c.seq.Add(1)
+func (c *Cache) storeLocked(sh *shard, id naming.ShadowID, e slot) chunk.Manifest {
+	e.lastUsed = c.seq.Add(1)
 	if old, ok := sh.entries[id]; ok {
-		c.logicalBytes.Add(size - old.size)
+		c.logicalBytes.Add(e.size - old.size)
 		prev := old.manifest
-		old.version = version
-		old.manifest = m
-		old.size = size
-		old.lastUsed = seq
-		old.split = split
+		*old = e
 		return prev
 	}
-	sh.entries[id] = &slot{
-		version:  version,
-		manifest: m,
-		size:     size,
-		lastUsed: seq,
-		split:    split,
-	}
-	c.logicalBytes.Add(size)
+	fresh := new(slot) // not &e, which would move every install's e to the heap
+	*fresh = e
+	sh.entries[id] = fresh
+	c.logicalBytes.Add(e.size)
 	return nil
 }
 

@@ -406,17 +406,17 @@ func TestLookupAccounting(t *testing.T) {
 	}
 	c.Get(1)
 	var seen [][]byte
-	segs, ok := c.View(nil, 1, 5, func(content [][]byte) { seen = slices.Clone(content) })
+	segs, ok := c.View(nil, 1, 5, func(content [][]byte, _ uint32) { seen = slices.Clone(content) })
 	if !ok || string(bytes.Join(seen, nil)) != "five\n" {
 		t.Fatalf("View(cached version) read %q", seen)
 	}
 	if len(segs) != 0 || cap(segs) == 0 || segs[:1][0] != nil {
 		t.Fatal("View did not hand its emptied, cleared segment list back")
 	}
-	if _, ok := c.View(segs, 1, 4, func([][]byte) { t.Fatal("View read another version") }); ok {
+	if _, ok := c.View(segs, 1, 4, func([][]byte, uint32) { t.Fatal("View read another version") }); ok {
 		t.Fatal("View(other version) reported a read")
 	}
-	if _, ok := c.View(segs, 2, 1, func([][]byte) { t.Fatal("View read an absent entry") }); ok {
+	if _, ok := c.View(segs, 2, 1, func([][]byte, uint32) { t.Fatal("View read an absent entry") }); ok {
 		t.Fatal("View found an absent entry")
 	}
 	if st := c.Stats(); st.Hits != 5 || st.Misses != 2 {

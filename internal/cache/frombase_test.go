@@ -9,6 +9,7 @@ import (
 
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/diff"
+	"shadowedit/internal/race"
 	"shadowedit/internal/workload"
 )
 
@@ -43,7 +44,7 @@ func TestPutFromBaseBalancesRefcounts(t *testing.T) {
 		}
 		for v := uint64(1); v <= 40; v++ {
 			next, spans := editedVersion(t, g, cur, float64(v%4))
-			if err := c.PutFromBase(1, v, v+1, next, spans); err != nil {
+			if err := c.PutFromBase(1, v, v+1, next, diff.Checksum(next), spans); err != nil {
 				t.Fatalf("v%d: PutFromBase: %v", v+1, err)
 			}
 			e, ok := c.Get(1)
@@ -81,7 +82,7 @@ func TestPutFromBaseCountsLikePut(t *testing.T) {
 	if err := full.Put(1, 2, target); err != nil {
 		t.Fatal(err)
 	}
-	if err := delta.PutFromBase(1, 1, 2, target, spans); err != nil {
+	if err := delta.PutFromBase(1, 1, 2, target, diff.Checksum(target), spans); err != nil {
 		t.Fatal(err)
 	}
 	f, d := full.Stats(), delta.Stats()
@@ -117,14 +118,14 @@ func TestPutFromBaseFallsBack(t *testing.T) {
 		c := New(0, LRU)
 		_ = c.Put(1, 1, base)
 		_ = c.Put(1, 2, other) // someone else got there first
-		if err := c.PutFromBase(1, 1, 3, target, spans); err != nil {
+		if err := c.PutFromBase(1, 1, 3, target, diff.Checksum(target), spans); err != nil {
 			t.Fatal(err)
 		}
 		check(t, c, 3, target)
 	})
 	t.Run("base evicted", func(t *testing.T) {
 		c := New(0, LRU)
-		if err := c.PutFromBase(1, 1, 2, target, spans); err != nil {
+		if err := c.PutFromBase(1, 1, 2, target, diff.Checksum(target), spans); err != nil {
 			t.Fatal(err)
 		}
 		check(t, c, 2, target)
@@ -132,7 +133,7 @@ func TestPutFromBaseFallsBack(t *testing.T) {
 	t.Run("no spans", func(t *testing.T) {
 		c := New(0, LRU)
 		_ = c.Put(1, 1, base)
-		if err := c.PutFromBase(1, 1, 2, target, nil); err != nil {
+		if err := c.PutFromBase(1, 1, 2, target, diff.Checksum(target), nil); err != nil {
 			t.Fatal(err)
 		}
 		check(t, c, 2, target)
@@ -142,7 +143,7 @@ func TestPutFromBaseFallsBack(t *testing.T) {
 		_ = c.Put(1, 1, base)
 		bad := append([]chunk.Span(nil), spans...)
 		bad[0].TargetEnd++
-		if err := c.PutFromBase(1, 1, 2, target, bad); err != nil {
+		if err := c.PutFromBase(1, 1, 2, target, diff.Checksum(target), bad); err != nil {
 			t.Fatal(err)
 		}
 		check(t, c, 2, target)
@@ -151,7 +152,7 @@ func TestPutFromBaseFallsBack(t *testing.T) {
 		c := New(1000, LRU)
 		_ = c.Put(1, 1, base[:500])
 		big, bigSpans := editedVersion(t, g, base, 1)
-		if err := c.PutFromBase(1, 1, 2, big, bigSpans); !errors.Is(err, ErrTooLarge) {
+		if err := c.PutFromBase(1, 1, 2, big, diff.Checksum(big), bigSpans); !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("err = %v, want ErrTooLarge", err)
 		}
 		if _, ok := c.Peek(1); ok {
@@ -197,7 +198,7 @@ func TestPutFromBaseDistrustsInstalledManifest(t *testing.T) {
 			c.ChunkStore().PutChunks(m, base)
 			lie(m)
 			c.PutManifest(1, 1, m)
-			if err := c.PutFromBase(1, 1, 2, target, spans); err != nil {
+			if err := c.PutFromBase(1, 1, 2, target, diff.Checksum(target), spans); err != nil {
 				t.Fatal(err)
 			}
 			e, ok := c.Get(1)
@@ -209,7 +210,7 @@ func TestPutFromBaseDistrustsInstalledManifest(t *testing.T) {
 			}
 			// The full split makes v2 a base PutFromBase may derive from.
 			next, nextSpans := editedVersion(t, g, target, 1)
-			if err := c.PutFromBase(1, 2, 3, next, nextSpans); err != nil {
+			if err := c.PutFromBase(1, 2, 3, next, diff.Checksum(next), nextSpans); err != nil {
 				t.Fatal(err)
 			}
 			if e, ok := c.Get(1); !ok || !bytes.Equal(e.Content, next) {
@@ -265,7 +266,7 @@ func TestPutFromBaseHandOverCountsLikePut(t *testing.T) {
 			}
 			meanwhile(delta)
 			meanwhile(full)
-			delta.install(1, 3, d.m, int64(len(target)), true, &d)
+			delta.install(1, slot{version: 3, manifest: d.m, size: int64(len(target)), split: true}, &d)
 			if err := full.Put(1, 3, target); err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +304,7 @@ func TestPutFromBaseEmptyBaseReplacedByDescribedManifest(t *testing.T) {
 		t.Fatal("no derivation from the empty base")
 	}
 	c.PutManifest(1, 2, nil)
-	c.install(1, 3, d.m, int64(len(target)), true, &d)
+	c.install(1, slot{version: 3, manifest: d.m, size: int64(len(target)), split: true}, &d)
 	if e, ok := c.Get(1); !ok || e.Version != 3 || !bytes.Equal(e.Content, target) {
 		t.Fatalf("cache holds %+v", e)
 	}
@@ -333,7 +334,7 @@ func TestPutFromBaseRacesReplacement(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = c.Put(1, 1, base)
-				if err := c.PutFromBase(1, 1, 2, target, spans); err != nil {
+				if err := c.PutFromBase(1, 1, 2, target, diff.Checksum(target), spans); err != nil {
 					t.Error(err)
 				}
 			}
@@ -356,7 +357,7 @@ func TestPutFromBaseRacesReplacement(t *testing.T) {
 			var segs [][]byte
 			for i := 0; i < 600; i++ {
 				v := uint64(1 + i%3)
-				segs, _ = c.View(segs, 1, v, func(content [][]byte) {
+				segs, _ = c.View(segs, 1, v, func(content [][]byte, _ uint32) {
 					if !bytes.Equal(bytes.Join(content, nil), want[v]) {
 						t.Errorf("view of v%d read other bytes", v)
 					}
@@ -374,5 +375,40 @@ func TestPutFromBaseRacesReplacement(t *testing.T) {
 	c.Flush()
 	if n, b := c.ChunkStore().Len(), c.Bytes(); n != 0 || b != 0 {
 		t.Fatalf("race left %d chunks, %d bytes behind", n, b)
+	}
+}
+
+// TestViewHandsTheEntrysSum: View hands its reader the CRC-32C the delta
+// path checks a base by — the sum an arrival was verified against, recorded
+// at install, or, for an entry installed without one, the content's own,
+// taken at the first View. A recorded sum is handed back without reading the
+// chunks again; race builds read them anyway and refuse a sum that does not
+// match.
+func TestViewHandsTheEntrysSum(t *testing.T) {
+	base := bytes.Repeat([]byte("a line of text\n"), 500)
+	c := New(0, LRU)
+	view := func(v uint64) (sum uint32) {
+		if _, ok := c.View(nil, 1, v, func(_ [][]byte, s uint32) { sum = s }); !ok {
+			t.Fatalf("View(v%d) missed", v)
+		}
+		return sum
+	}
+	if err := c.Put(1, 1, base); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := view(1), diff.Checksum(base); got != want {
+		t.Fatalf("unsummed entry: View handed %08x, the content sums to %08x", got, want)
+	}
+	wrong := diff.Checksum(base) ^ 1
+	if err := c.PutFromBase(1, 0, 2, base, wrong, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); (r != nil) != race.Enabled {
+			t.Fatalf("View of a wrong recorded sum: panic %v, race build %v", r, race.Enabled)
+		}
+	}()
+	if got := view(2); got != wrong {
+		t.Fatalf("View handed %08x, not the recorded %08x", got, wrong)
 	}
 }

@@ -17,6 +17,7 @@
 package chunk
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 )
@@ -83,16 +84,6 @@ func (m Manifest) Fingerprint() Hash {
 	return out
 }
 
-// Clone returns an independent copy of the manifest.
-func (m Manifest) Clone() Manifest {
-	if m == nil {
-		return nil
-	}
-	out := make(Manifest, len(m))
-	copy(out, m)
-	return out
-}
-
 // Params bound the splitter's chunk sizes. Avg must be a power of two: it
 // becomes the boundary mask, giving an expected chunk size of Avg bytes on
 // random content.
@@ -131,28 +122,74 @@ var gearTable = func() [256]uint64 {
 	return t
 }()
 
-// Append splits data into content-defined chunks and appends their refs to
-// dst, returning the extended slice. The boundary test consults only the
-// trailing bytes of the rolling window, so equal content always yields equal
-// boundaries regardless of what preceded a forced cut.
-func Append(dst Manifest, data []byte, p Params) Manifest {
-	p.validate()
-	mask := uint64(p.Avg - 1)
-	for len(data) > 0 {
-		n := cut(data, p, mask)
-		dst = append(dst, Ref{Hash: HashOf(data[:n]), Len: uint32(n)})
-		data = data[n:]
-	}
-	return dst
+// Split splits data into content-defined chunks. The boundary test consults
+// only the trailing bytes of the rolling window, so equal content always
+// yields equal boundaries regardless of what preceded a forced cut.
+func Split(data []byte, p Params) Manifest {
+	return SplitFrom(nil, nil, data, p)
 }
 
-// Split is Append into a fresh manifest.
-func Split(data []byte, p Params) Manifest {
+// resyncWindow is how many of prev's unmatched chunks SplitFrom compares a
+// fresh cut with; after a longer deletion the rest is cut and hashed.
+const resyncWindow = 8
+
+// SplitFrom returns Split(data, p), derived from prev = Split(prevData, p) at
+// a cost in proportion to the edit between them (DESIGN.md §6.3). cut decides
+// a chunk's length from its own bytes, so at a boundary of Split(data) a
+// chunk of prev whose bytes come next is Split's next chunk too: it is taken
+// whole, with no cut and no hash. prev's last chunk ends at EOF and is taken
+// only where it ends data too. The walk tries the chunk of prev where it
+// would be had every edit since the last match kept its length; failing
+// that, it cuts as Split does and looks for the cut among the next
+// resyncWindow unmatched chunks of prev. Only a chunk found nowhere is
+// hashed. Resplit is the server's derivation, from an apply's spans.
+func SplitFrom(prev Manifest, prevData, data []byte, p Params) Manifest {
+	p.validate()
 	if len(data) == 0 {
 		return nil
 	}
-	// Pre-size for the expected chunk count to keep Split at one allocation.
-	return Append(make(Manifest, 0, len(data)/p.Avg+2), data, p)
+	mask := uint64(p.Avg - 1)
+	// Pre-sized for the expected chunk count, to stay at one allocation.
+	m := make(Manifest, 0, max(len(data)/p.Avg, len(prev))+2)
+	var (
+		pi, po int // prev's first chunk not yet matched, and its offset in prevData
+		gi, ga int // prev's first chunk at or past off-shift, and its offset
+		shift  int // the data offset minus the prevData offset of the last match's end
+	)
+	for off := 0; off < len(data); {
+		rest := data[off:]
+		for gi < len(prev) && ga < off-shift {
+			ga += int(prev[gi].Len)
+			gi++
+		}
+		if gi < len(prev) && ga == off-shift {
+			n := int(prev[gi].Len)
+			if n <= len(rest) && (gi < len(prev)-1 || n == len(rest)) && bytes.Equal(rest[:n], prevData[ga:ga+n]) {
+				m = append(m, prev[gi])
+				off, gi, ga = off+n, gi+1, ga+n
+				pi, po = gi, ga
+				continue
+			}
+		}
+		n := cut(rest, p, mask)
+		ref, matched := Ref{Len: uint32(n)}, false
+		for j, o := pi, po; j < min(len(prev), pi+resyncWindow); j++ {
+			l := int(prev[j].Len)
+			if l == n && bytes.Equal(rest[:n], prevData[o:o+l]) {
+				ref.Hash, matched = prev[j].Hash, true
+				pi, po = j+1, o+l
+				gi, ga, shift = pi, po, off+n-po
+				break
+			}
+			o += l
+		}
+		if !matched {
+			ref.Hash = HashOf(rest[:n])
+		}
+		m = append(m, ref)
+		off += n
+	}
+	return m
 }
 
 // cut returns the length of the next chunk at the head of data: the first

@@ -158,20 +158,6 @@ func TestBoundaryContentDefined(t *testing.T) {
 	}
 }
 
-func TestAppendExtendsManifest(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randomContent(rng, 8192)
-	b := randomContent(rng, 8192)
-	m := Split(a, DefaultParams)
-	n := len(m)
-	m = Append(m, b, DefaultParams)
-	if len(m) <= n {
-		t.Fatal("Append added no refs")
-	}
-	// The appended region tiles b exactly.
-	reassemble(t, m[n:], b)
-}
-
 func TestManifestHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	content := randomContent(rng, 8192)
@@ -256,4 +242,14 @@ func (m Manifest) Contains(h Hash) bool {
 		}
 	}
 	return false
+}
+
+// Clone returns an independent copy of the manifest.
+func (m Manifest) Clone() Manifest {
+	if m == nil {
+		return nil
+	}
+	out := make(Manifest, len(m))
+	copy(out, m)
+	return out
 }

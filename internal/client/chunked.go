@@ -12,7 +12,6 @@ package client
 import (
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/core"
-	"shadowedit/internal/diff"
 	"shadowedit/internal/trace"
 	"shadowedit/internal/wire"
 )
@@ -22,25 +21,26 @@ import (
 // which case the caller falls back to the classic path (which also handles
 // the restore-from-disk case).
 func (c *Client) answerPullChunked(m *wire.Pull, tc wire.TraceContext, sp *trace.Span) bool {
-	want := m.WantVersion
-	manifest, content, err := c.store.ManifestFor(m.File, want)
+	v, manifest, err := c.store.GetManifest(m.File, m.WantVersion)
 	if err != nil {
 		// The wanted version is gone (pruned past, or the pull raced a
 		// newer commit); answer with the head instead — the server always
 		// converges on the newest version.
 		if head, ok := c.store.HeadShared(m.File); ok {
-			want = head.Number
-			manifest, content, err = c.store.ManifestFor(m.File, want)
+			v, manifest, err = c.store.GetManifest(m.File, head.Number)
 		}
 		if err != nil {
 			return false
 		}
 	}
+	content := v.Content
 	// Chunking cost is charged like diff cost: the manifest split runs over
 	// the same bytes a delta computation would.
 	core.ChargeDiffCost(c.cfg.Clock, len(content))
 
-	fm := &wire.FileManifest{File: m.File, Version: want, Sum: diff.Checksum(content)}
+	// The version's sum is the one it was committed with: its content is
+	// immutable, so it is not checksummed again.
+	fm := &wire.FileManifest{File: m.File, Version: v.Number, Sum: v.Sum}
 	fm.Chunks = make([]wire.ChunkRef, len(manifest))
 
 	// The server's base tells us which chunks it (at worst) already holds;

@@ -173,7 +173,7 @@ func (c *Client) handshake(conn wire.Conn) error {
 // harmless — the server pulls only what it is missing, on demand.
 func (c *Client) resync(conn wire.Conn) error {
 	for _, ref := range c.store.Files() {
-		head, ok := c.store.Head(ref)
+		head, ok := c.store.HeadShared(ref)
 		if !ok {
 			continue
 		}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"shadowedit/internal/diff"
 	"shadowedit/internal/tree"
 	"shadowedit/internal/wire"
 )
@@ -126,7 +125,7 @@ func (w *Workspace) Sync(ctx context.Context) (SyncStats, error) {
 		}
 		ref := wire.FileRef{Domain: domain, FileID: rootID + "/" + rel}
 		version, changed := c.store.Commit(ref, content)
-		m, _, err := c.store.ManifestFor(ref, version)
+		v, m, err := c.store.GetManifest(ref, version)
 		if err != nil {
 			return SyncStats{}, fmt.Errorf("client: sync %s: %w", rel, err)
 		}
@@ -134,7 +133,7 @@ func (w *Workspace) Sync(ctx context.Context) (SyncStats, error) {
 			ref:     ref,
 			version: version,
 			size:    int64(len(content)),
-			sum:     diff.Checksum(content),
+			sum:     v.Sum,
 			changed: changed,
 		}
 		leaves = append(leaves, tree.Leaf{Path: rel, Hash: m.Fingerprint()})

@@ -11,7 +11,7 @@ import (
 var sink []byte
 
 // BenchmarkApplyDelta is the receiver's half of a delta transfer: decode,
-// verify both checksums, rebuild the target and report the rewritten spans.
+// verify both checksums and rebuild the target.
 //
 //	go test -run NONE -bench ApplyDelta -benchmem ./internal/core
 func BenchmarkApplyDelta(b *testing.B) {
@@ -35,9 +35,9 @@ func BenchmarkApplyDelta(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(target)))
 			for i := 0; i < b.N; i++ {
-				out, spans, err := ApplyDeltaSpans(base, fd)
-				if err != nil || spans == nil {
-					b.Fatalf("ApplyDeltaSpans: %d spans, %v", len(spans), err)
+				out, err := ApplyDelta(base, fd)
+				if err != nil {
+					b.Fatal(err)
 				}
 				sink = out
 			}

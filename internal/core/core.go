@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"shadowedit/internal/chunk"
 	"shadowedit/internal/compress"
 	"shadowedit/internal/diff"
 	"shadowedit/internal/vcs"
@@ -125,25 +124,18 @@ func AnswerPull(store *vcs.Store, pull *wire.Pull, algorithm diff.Algorithm, com
 
 // ApplyDelta upgrades base content using an arriving FileDelta, verifying
 // checksums end to end. ErrStaleBase signals the receiver to request a full
-// transfer instead (its cached base no longer matches).
+// transfer instead (its cached base no longer matches). The output is a fresh
+// buffer that aliases neither base nor fd.
 func ApplyDelta(base []byte, fd *wire.FileDelta) ([]byte, error) {
-	out, _, err := ApplyDeltaSpans(base, fd)
-	return out, err
-}
-
-// ApplyDeltaSpans is ApplyDelta that also reports the byte spans the delta
-// rewrote (see diff.Delta.ApplySpans; nil when the delta gives no account of
-// them). The output is a fresh buffer that aliases neither base nor fd.
-func ApplyDeltaSpans(base []byte, fd *wire.FileDelta) ([]byte, []chunk.Span, error) {
 	d, err := DecodeDelta(fd)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out, spans, err := d.ApplySpans(base)
+	out, _, err := d.ApplySpans(base)
 	if err != nil {
-		return nil, nil, DeltaError(fd, err)
+		return nil, DeltaError(fd, err)
 	}
-	return out, spans, nil
+	return out, nil
 }
 
 // DecodeDelta unwraps the delta an arriving FileDelta carries, decompressing

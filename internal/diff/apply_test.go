@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"shadowedit/internal/chunk"
 )
 
 // TestApplyFastMatchesSequential pins the single-pass apply to the reference
@@ -387,8 +389,26 @@ func TestInternHashCollisions(t *testing.T) {
 	}
 }
 
+// applyInto applies d to a base given as segments — their concatenation, in
+// order — the way the server's arrival path does: ApplyInPlace on the
+// segments with their chained sum, ApplyWhole on a joined copy for what it
+// declines, then CheckTarget.
+func applyInto(d *Delta, base [][]byte) ([]byte, []chunk.Span, error) {
+	out, spans, err := d.ApplyInPlace(nil, nil, base, ChecksumSegments(base))
+	if err == ErrNeedsWholeBase {
+		out, err = d.ApplyWhole(JoinLines(base))
+	}
+	if err == nil {
+		err = d.CheckTarget(out)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, spans, nil
+}
+
 // segmentations cuts base into segments several ways, each one a base
-// ApplyInto must treat exactly as the contiguous bytes: cuts at random
+// applyInto must treat exactly as the contiguous bytes: cuts at random
 // places (mostly inside lines), one segment per line (cuts on newlines),
 // chunk-shaped cuts as the server's cache holds a file, empty segments
 // between pieces, and — for small files — one byte per segment.
@@ -424,9 +444,9 @@ func segmentations(rng *rand.Rand, base []byte) map[string][][]byte {
 // the one-segment apply gives: the same output, spans and error.
 func checkSegmented(t testing.TB, name string, d *Delta, base []byte, segs map[string][][]byte) {
 	t.Helper()
-	want, wantSpans, wantErr := d.ApplyInto(nil, [][]byte{base})
+	want, wantSpans, wantErr := applyInto(d, [][]byte{base})
 	for how, s := range segs {
-		got, spans, err := d.ApplyInto(nil, s)
+		got, spans, err := applyInto(d, s)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("%s, %s segments: error %v, contiguous %v", name, how, err, wantErr)
 		}
@@ -486,7 +506,7 @@ func TestApplySegmentedMatchesContiguous(t *testing.T) {
 			// take only what it would rebuild the same way.
 			want, seqErr := applyEditsSequential(ops, SplitLines(base))
 			d := &Delta{Ops: ops, BaseLen: len(base), BaseSum: Checksum(base), TargetLen: len(want), TargetSum: Checksum(want)}
-			got, _, err := d.ApplyInto(nil, [][]byte{base})
+			got, _, err := applyInto(d, [][]byte{base})
 			if seqErr != nil && !errors.Is(err, ErrCorruptDelta) || seqErr == nil && (err != nil || !bytes.Equal(got, want)) {
 				t.Fatalf("%s on %q: %q, %v; ed semantics give %q, %v", name, base, got, err, want, seqErr)
 			}

@@ -213,21 +213,9 @@ func (d *Delta) Apply(base []byte) ([]byte, error) {
 // takes the sequential fallback. A well-formed edit script always yields a
 // non-nil slice, empty when it has no ops. The output never aliases base.
 func (d *Delta) ApplySpans(base []byte) (out []byte, spans []chunk.Span, err error) {
-	return d.ApplyInto(nil, [][]byte{base})
-}
-
-// ApplyInto is ApplySpans for a base given as segments — the base is their
-// concatenation, in order; a contiguous base is one segment — building the
-// target in dst's backing array (from its start; a larger one is allocated
-// when it is too small). It serves a receiver that holds the base in pieces
-// (the server's cached chunks) and recycles target buffers: the unchanged
-// stretches are copied once, segment to output. The base checks read the
-// segments themselves, so they cover exactly the bytes the target is built
-// from. dst must not overlap base. On error dst's contents are unspecified.
-func (d *Delta) ApplyInto(dst []byte, base [][]byte) (out []byte, spans []chunk.Span, err error) {
-	out, spans, err = d.ApplyInPlace(dst, nil, base)
+	out, spans, err = d.ApplyInPlace(nil, nil, [][]byte{base}, Checksum(base))
 	if err == ErrNeedsWholeBase {
-		out, err = d.ApplyWhole(contiguous(base))
+		out, err = d.ApplyWhole(base)
 	}
 	if err == nil {
 		err = d.CheckTarget(out)
@@ -238,17 +226,18 @@ func (d *Delta) ApplyInto(dst []byte, base [][]byte) (out []byte, spans []chunk.
 	return out, spans, nil
 }
 
-// ApplyInPlace is the part of ApplyInto that reads the base, for a caller
+// ApplyInPlace is the part of ApplySpans that reads the base, for a caller
 // that lends the base only briefly (the server's cache lends its chunks under
-// a lock): it checks the base's length and checksum and applies an in-order
-// edit script segment by segment, reporting the spans in spans' backing array
-// when it is big enough. It fails with ErrNeedsWholeBase, the base
-// checked, when the delta needs the base in one piece — a block move, or an
-// edit script the in-order pass declines — for the caller to finish with
-// ApplyWhole on a copy. Either way the target is still to be checked
-// (CheckTarget).
-func (d *Delta) ApplyInPlace(dst []byte, spans []chunk.Span, base [][]byte) ([]byte, []chunk.Span, error) {
-	if segsLen(base) != d.BaseLen || segsChecksum(base) != d.BaseSum {
+// a lock): it checks the base's length and baseSum — the CRC-32C of the
+// segments' concatenation, which the caller vouches for and which is not
+// recomputed here — and applies an in-order edit script segment by segment
+// into dst's backing array, reporting the spans in spans' backing array when
+// it is big enough. It fails with ErrNeedsWholeBase, the base checked, when
+// the delta needs the base in one piece — a block move, or an edit script the
+// in-order pass declines — for the caller to finish with ApplyWhole on a
+// copy. Either way the target is still to be checked (CheckTarget).
+func (d *Delta) ApplyInPlace(dst []byte, spans []chunk.Span, base [][]byte, baseSum uint32) ([]byte, []chunk.Span, error) {
+	if segsLen(base) != d.BaseLen || baseSum != d.BaseSum {
 		return nil, nil, ErrBaseMismatch
 	}
 	if !d.isBlockMove() {
@@ -287,23 +276,14 @@ func segsLen(segs [][]byte) int {
 	return n
 }
 
-// segsChecksum is Checksum of the segments' concatenation, chained over them.
-func segsChecksum(segs [][]byte) uint32 {
+// ChecksumSegments is Checksum of the segments' concatenation, chained over
+// them.
+func ChecksumSegments(segs [][]byte) uint32 {
 	var sum uint32
 	for _, s := range segs {
 		sum = crc32.Update(sum, crcTable, s)
 	}
 	return sum
-}
-
-// contiguous returns a base given as segments in one slice, for the rare
-// paths that index its lines as a whole: the segment itself when there is
-// one, a joined copy otherwise.
-func contiguous(segs [][]byte) []byte {
-	if len(segs) == 1 {
-		return segs[0]
-	}
-	return JoinLines(segs)
 }
 
 // WireSize returns the encoded size of the delta in bytes, the quantity the

@@ -691,7 +691,8 @@ func (ss *session) ingestDelta(m *wire.FileDelta, tc wire.TraceContext, forward 
 // its base lives: the cache lends the base's chunks in place, under the lock
 // that pins them, for the base checks and the in-order apply, and the
 // unchanged stretches are copied once, chunk to output (cache.View,
-// diff.Delta.ApplyInPlace). Everything else runs outside that lock: decoding
+// diff.Delta.ApplyInPlace). The base is checked by its length and the sum the
+// cache recorded when it arrived, not by reading it again. Everything else runs outside that lock: decoding
 // the delta, checking the target, storing the result, and the fallbacks for a
 // delta that needs the base in one piece, which get a copy of it.
 // The work is proportional to the edit plus one read of the file: the spans
@@ -719,8 +720,8 @@ func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool
 		whole   []byte // the base copied out, for a delta that needs it in one piece
 		ok      bool
 	)
-	out.segs, ok = s.cache.View(out.segs, id, fd.BaseVersion, func(base [][]byte) {
-		content, spans, err = d.ApplyInPlace(out.b, out.spans, base)
+	out.segs, ok = s.cache.View(out.segs, id, fd.BaseVersion, func(base [][]byte, sum uint32) {
+		content, spans, err = d.ApplyInPlace(out.b, out.spans, base, sum)
 		if err == diff.ErrNeedsWholeBase {
 			whole = slices.Concat(base...)
 		}
@@ -746,7 +747,7 @@ func (s *Server) applyDelta(id naming.ShadowID, fd *wire.FileDelta, forward bool
 	if forward {
 		s.notePeerDelta(id, fd, len(content))
 	}
-	if err := s.cache.PutFromBase(id, fd.BaseVersion, fd.Version, content, spans); err != nil && !errors.Is(err, cache.ErrTooLarge) {
+	if err := s.cache.PutFromBase(id, fd.BaseVersion, fd.Version, content, d.TargetSum, spans); err != nil && !errors.Is(err, cache.ErrTooLarge) {
 		out.release()
 		return nil, err
 	}
@@ -804,9 +805,10 @@ func (ss *session) handleFileFull(m *wire.FileFull, tc wire.TraceContext) error 
 		sp.Annotate("overtaken")
 		return ss.srv.arrived(ss, m.File, id, have, nil, tc, nil)
 	}
-	// Cached best effort. The message owns its bytes and the cache copies
+	// Cached best effort, with the sum ApplyFull verified (no base, no
+	// spans: a full split). The message owns its bytes and the cache copies
 	// what it keeps, so the content goes on to the waiting jobs as it is.
-	if err := ss.srv.cache.Put(id, m.Version, content); err != nil && !errors.Is(err, cache.ErrTooLarge) {
+	if err := ss.srv.cache.PutFromBase(id, 0, m.Version, content, m.Sum, nil); err != nil && !errors.Is(err, cache.ErrTooLarge) {
 		return err
 	}
 	return ss.srv.arrived(ss, m.File, id, m.Version, ss.srv.bufs.owned(content), tc, sp)

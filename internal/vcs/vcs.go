@@ -20,12 +20,15 @@
 package vcs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/diff"
+	"shadowedit/internal/race"
 	"shadowedit/internal/wire"
 )
 
@@ -44,8 +47,8 @@ type Version struct {
 	Content []byte
 	Sum     uint32
 	// manifest is the version's content-defined chunking, computed lazily
-	// by ManifestFor and memoized with the version; pruning a version drops
-	// its manifest with it. Never set on the copies Get/Head hand out.
+	// (history.manifestAt) and memoized with the version; pruning a version
+	// drops its manifest with it.
 	manifest chunk.Manifest
 }
 
@@ -101,8 +104,7 @@ func (s *Store) SetRetain(n int) {
 // number. Committing bytes identical to the current head creates no new
 // version and reports changed=false. The store keeps a private copy.
 func (s *Store) Commit(ref wire.FileRef, content []byte) (version uint64, changed bool) {
-	version, _, changed = s.commit(ref, content, false)
-	return version, changed
+	return s.CommitAtLeast(ref, content, 0)
 }
 
 // CommitOwned is Commit for a caller handing over a buffer nothing else
@@ -111,10 +113,20 @@ func (s *Store) Commit(ref wire.FileRef, content []byte) (version uint64, change
 // it. It also returns the content's Checksum, which the caller announcing
 // the version needs and the store has just computed.
 func (s *Store) CommitOwned(ref wire.FileRef, content []byte) (version uint64, sum uint32, changed bool) {
-	return s.commit(ref, content, true)
+	return s.commit(ref, content, true, 0)
 }
 
-func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version uint64, sum uint32, changed bool) {
+// CommitAtLeast is Commit for a client whose store was freshly created (for
+// example after a restart without restoring state) while the server already
+// tracks higher version numbers for the file: the new version's number is
+// forced to at least minNumber so the server's notion of "newest" keeps
+// ascending, and content equal to a head below minNumber is committed anew.
+func (s *Store) CommitAtLeast(ref wire.FileRef, content []byte, minNumber uint64) (version uint64, changed bool) {
+	version, _, changed = s.commit(ref, content, false, minNumber)
+	return version, changed
+}
+
+func (s *Store) commit(ref wire.FileRef, content []byte, owned bool, minNumber uint64) (version uint64, sum uint32, changed bool) {
 	sum = diff.Checksum(content) // a whole-file pass; not under the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,15 +135,15 @@ func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version ui
 		h = &history{ref: ref}
 		s.files[ref] = h
 	}
+	next := max(minNumber, 1)
 	if n := len(h.versions); n > 0 {
 		head := h.versions[n-1]
-		if head.Sum == sum && len(head.Content) == len(content) {
+		// A sum match is only a hint: content with the head's CRC may
+		// still differ from it.
+		if head.Number >= minNumber && head.Sum == sum && bytes.Equal(head.Content, content) {
 			return head.Number, sum, false
 		}
-	}
-	next := uint64(1)
-	if n := len(h.versions); n > 0 {
-		next = h.versions[n-1].Number + 1
+		next = max(next, head.Number+1)
 	}
 	if !owned {
 		content = append([]byte(nil), content...)
@@ -142,44 +154,7 @@ func (s *Store) commit(ref wire.FileRef, content []byte, owned bool) (version ui
 	return next, sum, true
 }
 
-// CommitAtLeast is Commit for a client whose store was freshly created (for
-// example after a restart without restoring state) while the server already
-// tracks higher version numbers for the file: the new version's number is
-// forced to at least minNumber so the server's notion of "newest" keeps
-// ascending.
-func (s *Store) CommitAtLeast(ref wire.FileRef, content []byte, minNumber uint64) (version uint64, changed bool) {
-	s.mu.Lock()
-	h, ok := s.files[ref]
-	if ok && len(h.versions) > 0 && h.versions[len(h.versions)-1].Number >= minNumber {
-		s.mu.Unlock()
-		return s.Commit(ref, content)
-	}
-	if !ok {
-		h = &history{ref: ref}
-		s.files[ref] = h
-	}
-	h.versions = append(h.versions, Version{
-		Number:  minNumber,
-		Content: append([]byte(nil), content...),
-		Sum:     diff.Checksum(content),
-	})
-	s.committed++
-	s.pruneLocked(h)
-	s.mu.Unlock()
-	return minNumber, true
-}
-
-// Head returns the newest version of ref. The content is a private copy the
-// caller owns; use HeadShared on paths where the copy matters.
-func (s *Store) Head(ref wire.FileRef) (Version, bool) {
-	v, ok := s.HeadShared(ref)
-	if !ok {
-		return Version{}, false
-	}
-	return cloneVersion(v), true
-}
-
-// HeadShared is Head without the content copy. The returned Content is the
+// HeadShared returns the newest version of ref. The returned Content is the
 // store's own backing array: committed content is immutable (Commit stores a
 // private copy and nothing ever writes it again; pruning only drops
 // references), so the slice stays valid and constant indefinitely — but the
@@ -194,18 +169,8 @@ func (s *Store) HeadShared(ref wire.FileRef) (Version, bool) {
 	return h.versions[len(h.versions)-1], true
 }
 
-// Get returns a specific retained version of ref. The content is a private
-// copy the caller owns; use GetShared on paths where the copy matters.
-func (s *Store) Get(ref wire.FileRef, number uint64) (Version, error) {
-	v, err := s.GetShared(ref, number)
-	if err != nil {
-		return Version{}, err
-	}
-	return cloneVersion(v), nil
-}
-
-// GetShared is Get without the content copy; the same read-only sharing
-// contract as HeadShared applies.
+// GetShared returns a specific retained version of ref; the same read-only
+// sharing contract as HeadShared applies.
 func (s *Store) GetShared(ref wire.FileRef, number uint64) (Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,29 +207,30 @@ func (s *Store) DeltaFrom(ref wire.FileRef, base, want uint64, algorithm diff.Al
 	return diff.ComputeSummed(algorithm, baseV.Content, wantV.Content, baseV.Sum, wantV.Sum)
 }
 
-// ManifestFor returns the content-defined chunk manifest of a retained
-// version together with its shared content, computing and memoizing the
-// manifest on first use. The manifest and content are the store's own —
-// read-only for the caller, valid indefinitely (committed content is
-// immutable and a memoized manifest is never rewritten). ErrVersionGone
-// signals the version was pruned: the v3 transfer path then answers for the
-// head instead, exactly as the delta path falls back.
-func (s *Store) ManifestFor(ref wire.FileRef, number uint64) (chunk.Manifest, []byte, error) {
+// GetManifest is GetShared with the version's content-defined chunk manifest
+// (manifestAt), the store's own: read-only, and never rewritten.
+// ErrVersionGone signals the version was pruned: the v3 transfer path then
+// answers for the head instead, exactly as the delta path falls back.
+func (s *Store) GetManifest(ref wire.FileRef, number uint64) (Version, chunk.Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.files[ref]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownFile, ref)
+		return Version{}, nil, fmt.Errorf("%w: %s", ErrUnknownFile, ref)
 	}
 	for i := range h.versions {
 		if h.versions[i].Number == number {
-			if h.versions[i].manifest == nil {
-				h.versions[i].manifest = chunk.Split(h.versions[i].Content, chunk.DefaultParams)
-			}
-			return h.versions[i].manifest, h.versions[i].Content, nil
+			return h.versions[i], h.manifestAt(i), nil
 		}
 	}
-	return nil, nil, fmt.Errorf("%w: %s v%d", ErrVersionGone, ref, number)
+	return Version{}, nil, fmt.Errorf("%w: %s v%d", ErrVersionGone, ref, number)
+}
+
+// ManifestFor is GetManifest for a caller that needs only the manifest and
+// the content.
+func (s *Store) ManifestFor(ref wire.FileRef, number uint64) (chunk.Manifest, []byte, error) {
+	v, m, err := s.GetManifest(ref, number)
+	return m, v.Content, err
 }
 
 // ChunkByHash looks a chunk up by content address across the retained
@@ -281,19 +247,36 @@ func (s *Store) ChunkByHash(ref wire.FileRef, want chunk.Hash) ([]byte, bool) {
 		return nil, false
 	}
 	for i := len(h.versions) - 1; i >= 0; i-- {
-		v := &h.versions[i]
-		if v.manifest == nil {
-			v.manifest = chunk.Split(v.Content, chunk.DefaultParams)
-		}
 		off := 0
-		for _, r := range v.manifest {
+		for _, r := range h.manifestAt(i) {
 			if r.Hash == want {
-				return v.Content[off : off+int(r.Len)], true
+				return h.versions[i].Content[off : off+int(r.Len)], true
 			}
 			off += int(r.Len)
 		}
 	}
 	return nil, false
+}
+
+// manifestAt returns the manifest of h.versions[i], memoizing it: derived
+// (chunk.SplitFrom) from the nearest older version that has one, so only the
+// edit between them is cut and hashed, else split in full. Race builds check
+// it against a full split.
+func (h *history) manifestAt(i int) chunk.Manifest {
+	v := &h.versions[i]
+	if v.manifest != nil || len(v.Content) == 0 {
+		return v.manifest
+	}
+	var prev chunk.Manifest
+	var prevData []byte
+	for k := i - 1; k >= 0 && prev == nil; k-- {
+		prev, prevData = h.versions[k].manifest, h.versions[k].Content
+	}
+	v.manifest = chunk.SplitFrom(prev, prevData, v.Content, chunk.DefaultParams)
+	if race.Enabled && !slices.Equal(v.manifest, chunk.Split(v.Content, chunk.DefaultParams)) {
+		panic(fmt.Sprintf("vcs: %s v%d: derived manifest differs from a full split", h.ref, v.Number))
+	}
+	return v.manifest
 }
 
 // Ack records that the server has stored version number of ref, then prunes
@@ -412,12 +395,4 @@ func (s *Store) Stats() Stats {
 		}
 	}
 	return st
-}
-
-func cloneVersion(v Version) Version {
-	return Version{
-		Number:  v.Number,
-		Content: append([]byte(nil), v.Content...),
-		Sum:     v.Sum,
-	}
 }

@@ -342,3 +342,31 @@ func (s *Store) Versions(ref wire.FileRef) []uint64 {
 	}
 	return out
 }
+
+// Head returns the newest version of ref. The content is a private copy the
+// caller owns.
+func (s *Store) Head(ref wire.FileRef) (Version, bool) {
+	v, ok := s.HeadShared(ref)
+	if !ok {
+		return Version{}, false
+	}
+	return cloneVersion(v), true
+}
+
+// Get returns a specific retained version of ref. The content is a private
+// copy the caller owns.
+func (s *Store) Get(ref wire.FileRef, number uint64) (Version, error) {
+	v, err := s.GetShared(ref, number)
+	if err != nil {
+		return Version{}, err
+	}
+	return cloneVersion(v), nil
+}
+
+func cloneVersion(v Version) Version {
+	return Version{
+		Number:  v.Number,
+		Content: append([]byte(nil), v.Content...),
+		Sum:     v.Sum,
+	}
+}
