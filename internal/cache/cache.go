@@ -167,10 +167,9 @@ type slot struct {
 	// manifest a client or peer described (PutManifest) is checked only for
 	// what its chunks hash and sum to, so nothing is derived from it.
 	split bool
-	// sum is the content's CRC-32C when summed: the one its arrival was
-	// verified against (PutFromBase), or the first View's.
-	sum    uint32
-	summed bool
+	// sum is the content's CRC-32C: the one its arrival was verified
+	// against (PutFromBase, PutVerifiedManifest), else computed at install.
+	sum uint32
 }
 
 // shardOf mixes the id (sequential intern order would otherwise map
@@ -285,24 +284,27 @@ func (c *Cache) View(segs [][]byte, id naming.ShadowID, version uint64, read fun
 	s.lastUsed = c.seq.Add(1)
 	hit := s.version == version
 	if hit {
-		segs, ok = c.store.AppendSegments(segs[:0], s.manifest)
-		if !ok {
-			// Unreachable unless refcounts are broken; fail loudly in tests.
-			panic(fmt.Sprintf("cache: entry %d lost chunks", id))
-		}
-		if !s.summed || race.Enabled {
-			sum := diff.ChecksumSegments(segs)
-			if s.summed && sum != s.sum {
-				panic(fmt.Sprintf("cache: entry %d v%d: content does not match its recorded sum", id, s.version))
-			}
-			s.sum, s.summed = sum, true
-		}
+		segs = c.segmentsLocked(segs, id, s)
 		read(segs, s.sum)
 	}
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	clear(segs) // keep no chunk alive past its release
 	return segs[:0], hit
+}
+
+// segmentsLocked lists s's chunks in segs's backing array while the shard
+// lock pins them. Race builds check them against the recorded sum.
+func (c *Cache) segmentsLocked(segs [][]byte, id naming.ShadowID, s *slot) [][]byte {
+	segs, ok := c.store.AppendSegments(segs[:0], s.manifest)
+	if !ok {
+		// Unreachable unless refcounts are broken; fail loudly in tests.
+		panic(fmt.Sprintf("cache: entry %d lost chunks", id))
+	}
+	if race.Enabled && diff.ChecksumSegments(segs) != s.sum {
+		panic(fmt.Sprintf("cache: entry %d v%d: content does not match its recorded sum", id, s.version))
+	}
+	return segs
 }
 
 // Peek is Get without touching recency or hit statistics.
@@ -331,19 +333,23 @@ func (c *Cache) Version(id naming.ShadowID) (uint64, bool) {
 	return s.version, true
 }
 
-// Manifest returns the cached version and manifest of id. The manifest is
-// the entry's own — the caller must not modify it, and it is only guaranteed
-// to stay backed by resident chunks while the entry lives (callers that need
-// the chunks past the shard's lifetime take their own refs).
-func (c *Cache) Manifest(id naming.ShadowID) (uint64, chunk.Manifest, bool) {
+// Manifest returns the cached version, manifest and content CRC-32C (as View
+// hands it) of id, of one version, assembling nothing. The manifest is the
+// entry's own — the caller must not modify it, and it is only guaranteed to
+// stay backed by resident chunks while the entry lives (callers that need the
+// chunks past the shard's lifetime take their own refs).
+func (c *Cache) Manifest(id naming.ShadowID) (uint64, chunk.Manifest, uint32, bool) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s, ok := sh.entries[id]
 	if !ok {
-		return 0, nil, false
+		return 0, nil, 0, false
 	}
-	return s.version, s.manifest, true
+	if race.Enabled {
+		c.segmentsLocked(nil, id, s)
+	}
+	return s.version, s.manifest, s.sum, true
 }
 
 // Fingerprint returns the cached version of id and the fingerprint of its
@@ -383,10 +389,10 @@ func (c *Cache) assembleLocked(dst []byte, id naming.ShadowID, s *slot) Entry {
 // exceed its bound rather than refuse fresh content. Content bigger than the whole cache is rejected
 // up front with ErrTooLarge, and callers must not treat that as fatal.
 func (c *Cache) Put(id naming.ShadowID, version uint64, content []byte) error {
-	return c.put(id, slot{version: version}, content)
+	return c.put(id, slot{version: version, sum: diff.Checksum(content)}, content)
 }
 
-// put is Put of the entry e describes: its version and, when summed, its sum.
+// put is Put of the entry e describes: its version and sum.
 func (c *Cache) put(id naming.ShadowID, e slot, content []byte) error {
 	size := int64(len(content))
 	// Content that can never fit is rejected up front — evicting the
@@ -427,7 +433,7 @@ func (c *Cache) PutOwned(id naming.ShadowID, version uint64, content []byte) err
 // references under the lock, where it can tell whether that manifest is
 // still the entry's (see install).
 func (c *Cache) PutFromBase(id naming.ShadowID, base, version uint64, content []byte, sum uint32, spans []chunk.Span) error {
-	e := slot{version: version, size: int64(len(content)), split: true, sum: sum, summed: true}
+	e := slot{version: version, size: int64(len(content)), split: true, sum: sum}
 	if spans != nil && (c.capacity <= 0 || e.size <= c.capacity) {
 		if d, ok := c.derive(id, base, content, spans); ok {
 			e.manifest = d.m
@@ -480,9 +486,17 @@ func (c *Cache) splitManifest(id naming.ShadowID, base uint64) (chunk.Manifest, 
 // PutManifest stores an entry whose chunks are already resident: the caller
 // transfers one reference per manifest entry to the cache (the chunked
 // arrival path holds those refs from resolving and receiving the transfer).
-// The manifest must not be used by the caller afterwards.
+// The manifest must not be used by the caller afterwards. The entry's sum is
+// computed from the chunks.
 func (c *Cache) PutManifest(id naming.ShadowID, version uint64, m chunk.Manifest) {
-	c.install(id, slot{version: version, manifest: m, size: m.TotalLen()}, nil)
+	segs, _ := c.store.AppendSegments(nil, m)
+	c.PutVerifiedManifest(id, version, m, diff.ChecksumSegments(segs))
+}
+
+// PutVerifiedManifest is PutManifest for content the caller verified against
+// sum (an assembly's whole-file check), which the entry records.
+func (c *Cache) PutVerifiedManifest(id naming.ShadowID, version uint64, m chunk.Manifest, sum uint32) {
+	c.install(id, slot{version: version, manifest: m, size: m.TotalLen(), sum: sum}, nil)
 }
 
 // install replaces the entry for id with e and enforces the capacity bound.

@@ -51,7 +51,7 @@ func TestPutFromBaseBalancesRefcounts(t *testing.T) {
 			if !ok || e.Version != v+1 || !bytes.Equal(e.Content, next) {
 				t.Fatalf("v%d: cache does not hold the put content", v+1)
 			}
-			if _, m, _ := c.Manifest(1); !slices.Equal(m, chunk.Split(next, c.Params())) {
+			if _, m, _, _ := c.Manifest(1); !slices.Equal(m, chunk.Split(next, c.Params())) {
 				t.Fatalf("v%d: derived manifest differs from a full split", v+1)
 			}
 			cur = next
@@ -205,7 +205,7 @@ func TestPutFromBaseDistrustsInstalledManifest(t *testing.T) {
 			if !ok || e.Version != 2 || !bytes.Equal(e.Content, target) {
 				t.Fatal("cache does not hold the put content")
 			}
-			if _, got, _ := c.Manifest(1); !slices.Equal(got, chunk.Split(target, c.Params())) {
+			if _, got, _, _ := c.Manifest(1); !slices.Equal(got, chunk.Split(target, c.Params())) {
 				t.Fatal("manifest is not the full split of the content")
 			}
 			// The full split makes v2 a base PutFromBase may derive from.
@@ -266,7 +266,7 @@ func TestPutFromBaseHandOverCountsLikePut(t *testing.T) {
 			}
 			meanwhile(delta)
 			meanwhile(full)
-			delta.install(1, slot{version: 3, manifest: d.m, size: int64(len(target)), split: true}, &d)
+			delta.install(1, slot{version: 3, manifest: d.m, size: int64(len(target)), split: true, sum: diff.Checksum(target)}, &d)
 			if err := full.Put(1, 3, target); err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestPutFromBaseHandOverCountsLikePut(t *testing.T) {
 			if e, ok := delta.Get(1); !ok || e.Version != 3 || !bytes.Equal(e.Content, target) {
 				t.Fatalf("%s: cache does not hold the put content", name)
 			}
-			if _, m, _ := delta.Manifest(1); !slices.Equal(m, chunk.Split(target, delta.Params())) {
+			if _, m, _, _ := delta.Manifest(1); !slices.Equal(m, chunk.Split(target, delta.Params())) {
 				t.Fatalf("%s: manifest is not the full split", name)
 			}
 			delta.Flush()
@@ -304,7 +304,7 @@ func TestPutFromBaseEmptyBaseReplacedByDescribedManifest(t *testing.T) {
 		t.Fatal("no derivation from the empty base")
 	}
 	c.PutManifest(1, 2, nil)
-	c.install(1, slot{version: 3, manifest: d.m, size: int64(len(target)), split: true}, &d)
+	c.install(1, slot{version: 3, manifest: d.m, size: int64(len(target)), split: true, sum: diff.Checksum(target)}, &d)
 	if e, ok := c.Get(1); !ok || e.Version != 3 || !bytes.Equal(e.Content, target) {
 		t.Fatalf("cache holds %+v", e)
 	}
@@ -378,37 +378,56 @@ func TestPutFromBaseRacesReplacement(t *testing.T) {
 	}
 }
 
-// TestViewHandsTheEntrysSum: View hands its reader the CRC-32C the delta
-// path checks a base by — the sum an arrival was verified against, recorded
-// at install, or, for an entry installed without one, the content's own,
-// taken at the first View. A recorded sum is handed back without reading the
-// chunks again; race builds read them anyway and refuse a sum that does not
-// match.
+// TestViewHandsTheEntrysSum: View and Manifest hand the CRC-32C the delta
+// and peer paths check a base by — the sum an arrival was verified against,
+// recorded at install (PutFromBase, PutVerifiedManifest), or the content's
+// own, computed at install (Put, PutManifest). A recorded sum is handed back
+// without reading the chunks again; race builds read them anyway and refuse
+// a sum that does not match.
 func TestViewHandsTheEntrysSum(t *testing.T) {
 	base := bytes.Repeat([]byte("a line of text\n"), 500)
-	c := New(0, LRU)
-	view := func(v uint64) (sum uint32) {
+	view := func(c *Cache, v uint64) (sum uint32) {
 		if _, ok := c.View(nil, 1, v, func(_ [][]byte, s uint32) { sum = s }); !ok {
 			t.Fatalf("View(v%d) missed", v)
 		}
 		return sum
 	}
+	c := New(0, LRU)
 	if err := c.Put(1, 1, base); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := view(1), diff.Checksum(base); got != want {
-		t.Fatalf("unsummed entry: View handed %08x, the content sums to %08x", got, want)
+	if got, want := view(c, 1), diff.Checksum(base); got != want {
+		t.Fatalf("entry Put installed: View handed %08x, the content sums to %08x", got, want)
 	}
+	next := append(slices.Clone(base), "one more line\n"...)
+	c.PutManifest(1, 2, c.ChunkStore().AddManifest(next, c.Params()))
+	if got, want := view(c, 2), diff.Checksum(next); got != want {
+		t.Fatalf("entry installed from a manifest: View handed %08x, the content sums to %08x", got, want)
+	}
+	if _, _, sum, _ := c.Manifest(1); sum != diff.Checksum(next) {
+		t.Fatalf("Manifest handed %08x, the content sums to %08x", sum, diff.Checksum(next))
+	}
+
+	// A recorded sum is handed back as recorded, wrong or not; a panic
+	// leaves the shard locked, so each install gets a cache of its own.
 	wrong := diff.Checksum(base) ^ 1
-	if err := c.PutFromBase(1, 0, 2, base, wrong, nil); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if r := recover(); (r != nil) != race.Enabled {
-			t.Fatalf("View of a wrong recorded sum: panic %v, race build %v", r, race.Enabled)
-		}
-	}()
-	if got := view(2); got != wrong {
-		t.Fatalf("View handed %08x, not the recorded %08x", got, wrong)
+	for name, put := range map[string]func(c *Cache){
+		"PutFromBase": func(c *Cache) { _ = c.PutFromBase(1, 0, 1, base, wrong, nil) },
+		"PutVerifiedManifest": func(c *Cache) {
+			c.PutVerifiedManifest(1, 1, c.ChunkStore().AddManifest(base, c.Params()), wrong)
+		},
+	} {
+		func() {
+			c := New(0, LRU)
+			put(c)
+			defer func() {
+				if r := recover(); (r != nil) != race.Enabled {
+					t.Fatalf("%s: View of a wrong recorded sum: panic %v, race build %v", name, r, race.Enabled)
+				}
+			}()
+			if got := view(c, 1); got != wrong {
+				t.Fatalf("%s: View handed %08x, not the recorded %08x", name, got, wrong)
+			}
+		}()
 	}
 }

@@ -39,7 +39,7 @@ func (c *Client) answerPullChunked(m *wire.Pull, tc wire.TraceContext, sp *trace
 	core.ChargeDiffCost(c.cfg.Clock, len(content))
 
 	// The version's sum is the one it was committed with: its content is
-	// immutable, so it is not checksummed again.
+	// not written while retained or borrowed, so it is not checksummed again.
 	fm := &wire.FileManifest{File: m.File, Version: v.Number, Sum: v.Sum}
 	fm.Chunks = make([]wire.ChunkRef, len(manifest))
 
@@ -95,8 +95,12 @@ func (c *Client) answerPullChunked(m *wire.Pull, tc wire.TraceContext, sp *trace
 // handleChunkReq answers the server's request for specific chunks of a file
 // version, scanning the retained versions for each address. Chunks this
 // store no longer has are omitted; the server treats an incomplete answer by
-// re-pulling, which converges on the current head.
+// re-pulling, which converges on the current head. The chunks alias the
+// version store's bytes until sent, so the answer holds a store borrow, as
+// handlePull's does.
 func (c *Client) handleChunkReq(m *wire.ChunkReq, tc wire.TraceContext) {
+	c.store.Borrow()
+	defer c.store.Release()
 	sp := c.cfg.Obs.StartSpan(tc, "client.answer-chunks")
 	if sp != nil {
 		sp.SetFile(m.File.String())

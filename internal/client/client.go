@@ -412,22 +412,22 @@ func (c *Client) commit(filePath string) (NotifyResult, *wire.Notify, error) {
 	if err != nil {
 		return NotifyResult{}, nil, err
 	}
-	content, err := c.readFile(filePath)
+	v, changed, err := c.store.CommitRead(ref, 0, func(dst []byte) ([]byte, error) {
+		return c.readFile(dst, filePath)
+	})
 	if err != nil {
 		return NotifyResult{}, nil, err
 	}
-	// readFile made this buffer for us, so the store takes it as is.
-	version, sum, changed := c.store.CommitOwned(ref, content)
-	res := NotifyResult{File: ref, Version: version}
+	res := NotifyResult{File: ref, Version: v.Number}
 	if !changed {
 		return res, nil, nil
 	}
 	c.counters.AddControl(0)
 	return res, &wire.Notify{
 		File:    ref,
-		Version: version,
-		Size:    int64(len(content)),
-		Sum:     sum,
+		Version: v.Number,
+		Size:    int64(len(v.Content)),
+		Sum:     v.Sum,
 	}, nil
 }
 
@@ -453,7 +453,7 @@ func (c *Client) Submit(ctx context.Context, scriptPath string, dataPaths []stri
 // submitRetrying is Submit's retry loop, split out so the caller can close
 // the cycle trace on terminal failure.
 func (c *Client) submitRetrying(ctx context.Context, scriptPath string, dataPaths []string, opts SubmitOptions, cycleStart time.Duration, root *trace.Span) (uint64, error) {
-	script, err := c.readFile(scriptPath)
+	script, err := c.readFile(nil, scriptPath)
 	if err != nil {
 		return 0, fmt.Errorf("client: read script: %w", err)
 	}
@@ -984,13 +984,14 @@ func (c *Client) refFor(filePath string) (wire.FileRef, error) {
 	return c.cfg.Universe.FileRef(c.cfg.Host, filePath)
 }
 
-// readFile reads a local file by ordinary or tilde name.
-func (c *Client) readFile(filePath string) ([]byte, error) {
+// readFile reads a local file by ordinary or tilde name into dst's backing
+// array (naming.Universe.ReadFileInto).
+func (c *Client) readFile(dst []byte, filePath string) ([]byte, error) {
 	if naming.IsTilde(filePath) {
 		if c.cfg.Tilde == nil {
 			return nil, fmt.Errorf("client: tilde name %q but no tilde space configured", filePath)
 		}
-		return c.cfg.Tilde.ReadFile(filePath)
+		return c.cfg.Tilde.ReadFileInto(dst, filePath)
 	}
-	return c.cfg.Universe.ReadFile(c.cfg.Host, filePath)
+	return c.cfg.Universe.ReadFileInto(dst, c.cfg.Host, filePath)
 }

@@ -33,6 +33,15 @@ func newPair(t *testing.T) (*Client, *fakeServer, *naming.Universe) {
 
 func newPairObserved(t *testing.T, o *obs.Observer) (*Client, *fakeServer, *naming.Universe) {
 	t.Helper()
+	universe := naming.NewUniverse("dom")
+	universe.AddHost("ws")
+	cl, fs := newPairConfig(t, Config{User: "u", Universe: universe, Host: "ws", Obs: o})
+	return cl, fs, universe
+}
+
+// newPairConfig connects a client configured by cfg to a fresh fake server.
+func newPairConfig(t *testing.T, cfg Config) (*Client, *fakeServer) {
+	t.Helper()
 	nw := netsim.New()
 	wsHost := nw.Host("ws")
 	srvHost := nw.Host("super")
@@ -56,16 +65,11 @@ func newPairObserved(t *testing.T, o *obs.Observer) (*Client, *fakeServer, *nami
 		t.Fatal(err)
 	}
 
-	universe := naming.NewUniverse("dom")
-	universe.AddHost("ws")
-
 	// Serve the hello by hand before Connect returns.
 	done := make(chan *Client, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		cl, err := Connect(context.Background(), conn, Config{
-			User: "u", Universe: universe, Host: "ws", Obs: o,
-		})
+		cl, err := Connect(context.Background(), conn, cfg)
 		if err != nil {
 			errCh <- err
 			return
@@ -81,10 +85,10 @@ func newPairObserved(t *testing.T, o *obs.Observer) (*Client, *fakeServer, *nami
 	select {
 	case cl := <-done:
 		t.Cleanup(func() { _ = cl.Close() })
-		return cl, fs, universe
+		return cl, fs
 	case err := <-errCh:
 		t.Fatal(err)
-		return nil, nil, nil
+		return nil, nil
 	}
 }
 

@@ -115,7 +115,12 @@ func (c *Client) handleError(m *wire.ErrorMsg) {
 // the background while the user is modifying the second file" (§5.1).
 // A traced pull (tc valid) gets a "client.answer-pull" span, and the reply
 // frame propagates the cycle's context back so the server's apply joins it.
+// The reply shares the version store's bytes until it is sent, so the whole
+// answer runs under a store borrow: an acknowledgement pruning the version
+// meanwhile (on another session of a ClusterClient) cannot recycle them.
 func (c *Client) handlePull(m *wire.Pull, tc wire.TraceContext) {
+	c.store.Borrow()
+	defer c.store.Release()
 	sp := c.cfg.Obs.StartSpan(tc, "client.answer-pull")
 	if sp != nil {
 		sp.SetFile(m.File.String())
@@ -132,8 +137,9 @@ func (c *Client) handlePull(m *wire.Pull, tc wire.TraceContext) {
 		// from disk and register it at (at least) the version the
 		// server expects; transparency means the user never has to
 		// repair this by hand.
-		if content, rerr := c.cfg.Universe.ReadFileRef(m.File); rerr == nil {
-			c.store.CommitAtLeast(m.File, content, m.WantVersion)
+		if _, _, rerr := c.store.CommitRead(m.File, m.WantVersion, func(dst []byte) ([]byte, error) {
+			return c.cfg.Universe.ReadFileRef(dst, m.File)
+		}); rerr == nil {
 			reply, err = core.AnswerPull(c.store, m, c.cfg.Env.Algorithm, c.cfg.Env.Compress, c.cfg.Clock)
 			sp.Annotate("restored from disk")
 		}

@@ -119,20 +119,21 @@ func (w *Workspace) Sync(ctx context.Context) (SyncStats, error) {
 	files := make(map[string]syncFile, len(rels))
 	leaves := make([]tree.Leaf, 0, len(rels))
 	for _, rel := range rels {
-		content, err := c.cfg.Universe.ReadFile(rootName.Host, rootName.Path+"/"+rel)
+		ref := wire.FileRef{Domain: domain, FileID: rootID + "/" + rel}
+		v, changed, err := c.store.CommitRead(ref, 0, func(dst []byte) ([]byte, error) {
+			return c.cfg.Universe.ReadFileInto(dst, rootName.Host, rootName.Path+"/"+rel)
+		})
 		if err != nil {
 			return SyncStats{}, fmt.Errorf("client: sync %s: %w", rel, err)
 		}
-		ref := wire.FileRef{Domain: domain, FileID: rootID + "/" + rel}
-		version, changed := c.store.Commit(ref, content)
-		v, m, err := c.store.GetManifest(ref, version)
+		_, m, err := c.store.GetManifest(ref, v.Number)
 		if err != nil {
 			return SyncStats{}, fmt.Errorf("client: sync %s: %w", rel, err)
 		}
 		files[rel] = syncFile{
 			ref:     ref,
-			version: version,
-			size:    int64(len(content)),
+			version: v.Number,
+			size:    int64(len(v.Content)),
 			sum:     v.Sum,
 			changed: changed,
 		}

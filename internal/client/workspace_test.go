@@ -3,6 +3,8 @@ package client
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"shadowedit/internal/env"
@@ -126,6 +128,37 @@ func TestWorkspaceSyncUploadsAndConverges(t *testing.T) {
 	}
 	if got := r.conn.frames - before; got != 2 {
 		t.Fatalf("identical resync used %d frames, want exactly 2", got)
+	}
+}
+
+// TestWorkspaceResyncAllocatesNoFile: re-syncing an unchanged tree reads
+// every file into the version store's one spare buffer, which an unchanged
+// read goes back to, so the whole re-sync allocates less than the files
+// weigh; reading each into a fresh buffer would allocate all of them.
+func TestWorkspaceResyncAllocatesNoFile(t *testing.T) {
+	r := newWorkspaceRig(t, false)
+	const files = 50
+	total := 0
+	for i := 0; i < files; i++ {
+		content := strings.Repeat(fmt.Sprintf("line of file %02d\n", i), 256+8*i) // 4–10 KiB
+		r.write(fmt.Sprintf("%s/d%d/f%02d.dat", wsRoot, i%5, i), content)
+		total += len(content)
+	}
+	ws := r.cl.Workspace(wsRoot)
+	if stats := r.sync(ws); stats.Changed != files {
+		t.Fatalf("first sync: %+v", stats)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats := r.sync(ws)
+	runtime.ReadMemStats(&after)
+	if !stats.InSync {
+		t.Fatalf("unchanged re-sync not in sync: %+v", stats)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("re-syncing %d unchanged files (%d B) allocated %d B", files, total, got)
+	if got >= uint64(total) {
+		t.Fatalf("re-syncing %d unchanged files (%d B) allocated %d B", files, total, got)
 	}
 }
 

@@ -70,8 +70,9 @@ var (
 // wanted version).
 func AnswerPull(store *vcs.Store, pull *wire.Pull, algorithm diff.Algorithm, compressOn bool, clock Clock) (wire.Message, error) {
 	// Shared (non-cloning) reads: the pull path only ever diffs, encodes
-	// and frames the content, so the store's immutable backing bytes are
-	// used directly instead of paying a full copy per lookup.
+	// and frames the content, so the store's backing bytes are used directly
+	// instead of paying a full copy per lookup. The reply aliases them: the
+	// caller holds a store borrow until it is sent (vcs.Store.Borrow).
 	want, err := store.GetShared(pull.File, pull.WantVersion)
 	if err != nil {
 		// The wanted version may itself have been superseded; fall

@@ -157,9 +157,10 @@ func (u *Universe) FileRef(host, p string) (wire.FileRef, error) {
 // writes through any alias or mount hit one copy. A rewrite that fits the
 // file's buffer (and fills at least a quarter of it) overwrites it in place:
 // nothing outside this package ever holds that buffer — every reader copies
-// out under the lock (ReadFile, and through it ReadFileRef and the tilde
-// names; FilesUnder reads names only) — and an editor saving a file of about
-// the same size every cycle should not cost a file-sized allocation each time.
+// out under the lock (ReadFileInto, and through it ReadFile, ReadFileRef and
+// the tilde names; FilesUnder reads names only) — and an editor saving a file
+// of about the same size every cycle should not cost a file-sized allocation
+// each time.
 func (u *Universe) WriteFile(host, p string, content []byte) error {
 	n, err := u.Resolve(host, p)
 	if err != nil {
@@ -181,6 +182,13 @@ func (u *Universe) WriteFile(host, p string, content []byte) error {
 
 // ReadFile reads the content at the canonical location of (host, path).
 func (u *Universe) ReadFile(host, p string) ([]byte, error) {
+	return u.ReadFileInto(nil, host, p)
+}
+
+// ReadFileInto is ReadFile reading into dst's backing array from its start,
+// a larger one allocated only if it is too small — for a reader recycling a
+// buffer it has finished with (the client's version store, vcs.CommitRead).
+func (u *Universe) ReadFileInto(dst []byte, host, p string) ([]byte, error) {
 	n, err := u.Resolve(host, p)
 	if err != nil {
 		return nil, err
@@ -195,7 +203,7 @@ func (u *Universe) ReadFile(host, p string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, n)
 	}
-	return append([]byte(nil), content...), nil
+	return append(dst[:0], content...), nil
 }
 
 // FilesUnder resolves (host, p) as a directory and returns its canonical

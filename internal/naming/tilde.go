@@ -145,8 +145,9 @@ func (ts *TildeSpace) FileRef(name string) (wire.FileRef, error) {
 // reference — the inverse of FileRef/Universe.FileRef. It understands both
 // ordinary ("host:/path") and tilde ("~tree:/path") file ids; the client
 // uses it to answer server pulls for files its version store no longer (or
-// never) retained, for example after a restart.
-func (u *Universe) ReadFileRef(ref wire.FileRef) ([]byte, error) {
+// never) retained, for example after a restart. Like ReadFileInto it reads
+// into dst's backing array.
+func (u *Universe) ReadFileRef(dst []byte, ref wire.FileRef) ([]byte, error) {
 	if ref.Domain != u.domain {
 		return nil, fmt.Errorf("naming: ref %s belongs to domain %q, not %q", ref, ref.Domain, u.domain)
 	}
@@ -159,22 +160,23 @@ func (u *Universe) ReadFileRef(ref wire.FileRef) ([]byte, error) {
 		if !found {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownTree, absTree)
 		}
-		return u.ReadFile(root.Host, path.Join(root.Path, sub))
+		return u.ReadFileInto(dst, root.Host, path.Join(root.Path, sub))
 	}
 	host, p, ok := strings.Cut(ref.FileID, ":")
 	if !ok {
 		return nil, fmt.Errorf("naming: malformed file id %q", ref.FileID)
 	}
-	return u.ReadFile(host, p)
+	return u.ReadFileInto(dst, host, p)
 }
 
-// ReadFile reads a file by tilde name.
-func (ts *TildeSpace) ReadFile(name string) ([]byte, error) {
+// ReadFileInto reads a file by tilde name into dst's backing array, as
+// Universe.ReadFileInto does.
+func (ts *TildeSpace) ReadFileInto(dst []byte, name string) ([]byte, error) {
 	n, err := ts.Resolve(name)
 	if err != nil {
 		return nil, err
 	}
-	return ts.universe.ReadFile(n.Host, n.Path)
+	return ts.universe.ReadFileInto(dst, n.Host, n.Path)
 }
 
 // WriteFile writes a file by tilde name.

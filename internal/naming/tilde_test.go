@@ -99,7 +99,7 @@ func TestTildeReadWrite(t *testing.T) {
 	if err != nil || string(got) != "42\n" {
 		t.Fatalf("cross-view read = %q, %v", got, err)
 	}
-	back, err := ts.ReadFile("~solver/data.in")
+	back, err := ts.ReadFileInto(nil, "~solver/data.in")
 	if err != nil || string(back) != "42\n" {
 		t.Fatalf("tilde read = %q, %v", back, err)
 	}
@@ -116,7 +116,7 @@ func TestTildeMigrationMovesView(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.DefineTree("cs.proj.solver", "beta", "/disk2/solver")
-	got, err := ts.ReadFile("~solver/f")
+	got, err := ts.ReadFileInto(nil, "~solver/f")
 	if err != nil || string(got) != "on beta\n" {
 		t.Fatalf("post-migration read = %q, %v", got, err)
 	}

@@ -430,7 +430,7 @@ func (ss *session) finishAssembly(id naming.ShadowID, pa *pendingAssembly, apply
 	if pa.fetched {
 		ss.srv.counters.AddRehydration()
 	}
-	ss.srv.cache.PutManifest(id, pa.version, pa.manifest)
+	ss.srv.cache.PutVerifiedManifest(id, pa.version, pa.manifest, pa.sum)
 	pa.held = nil // references now belong to the cache entry
 	return ss.srv.arrived(ss, pa.ref, id, pa.version, content, pa.tc, apply)
 }

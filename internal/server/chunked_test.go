@@ -439,7 +439,7 @@ func TestDeltaOnClientManifestSplitsInFull(t *testing.T) {
 	if e, ok := r.srv.cache.Get(id); !ok || !bytes.Equal(e.Content, target) {
 		t.Fatal("cache does not hold the applied content")
 	}
-	if _, m, _ := r.srv.cache.Manifest(id); !slices.Equal(m, chunk.Split(target, chunk.DefaultParams)) {
+	if _, m, _, _ := r.srv.cache.Manifest(id); !slices.Equal(m, chunk.Split(target, chunk.DefaultParams)) {
 		t.Fatal("v2's manifest is not the server's own split")
 	}
 }

@@ -51,7 +51,6 @@ import (
 
 	"shadowedit/internal/chunk"
 	"shadowedit/internal/cluster"
-	"shadowedit/internal/diff"
 	"shadowedit/internal/naming"
 	"shadowedit/internal/trace"
 	"shadowedit/internal/wire"
@@ -256,21 +255,19 @@ func (s *Server) answerPeer(id naming.ShadowID, w peerWant) bool {
 		w.sp.Annotate("delta-forward")
 		answer = &wire.PeerDelta{File: w.ref, BaseVersion: d.base, Version: d.version, Encoded: d.encoded, Compressed: d.compressed}
 	} else {
-		ver, man, ok := s.cache.Manifest(id)
+		// Version, manifest and sum come from one locked lookup, so they
+		// describe one version, and the file is never assembled.
+		ver, man, sum, ok := s.cache.Manifest(id)
 		if !ok || ver < w.want {
 			return false
-		}
-		e, ok := s.cache.Peek(id)
-		if !ok || e.Version != ver {
-			return false // racing replacement; the peer falls back to the client
 		}
 		refs := make([]wire.ChunkRef, len(man))
 		for i, r := range man {
 			refs[i] = wire.ChunkRef{Hash: r.Hash, Len: r.Len}
 		}
-		pc := &wire.PeerChunk{File: w.ref, Version: ver, Sum: diff.Checksum(e.Content), Chunks: refs}
+		pc := &wire.PeerChunk{File: w.ref, Version: ver, Sum: sum, Chunks: refs}
 		s.counters.AddPeerManifest(pc.PayloadLen())
-		s.counters.AddPeerForward(len(e.Content))
+		s.counters.AddPeerForward(int(man.TotalLen()))
 		w.sp.Annotate("manifest")
 		answer = pc
 	}

@@ -348,3 +348,47 @@ func TestCloseWaitsForLinkTeardown(t *testing.T) {
 		t.Fatalf("%d log lines written after Close returned", n)
 	}
 }
+
+// TestPeerChunkCarriesTheContentsSum: a PEER_CHUNK answer takes its Sum from
+// the cache entry, without assembling the file, and it is the CRC-32C of the
+// content for an entry a FILE_FULL installed, one a delta derived, and one
+// installed from a bare manifest.
+func TestPeerChunkCarriesTheContentsSum(t *testing.T) {
+	r := newRig(t, Config{})
+	joinTestCluster(r.srv)
+	r.hello(t)
+	peer := r.dialSecond(t)
+	helloOn(t, peer)
+	sendOn(t, peer, &wire.PeerHello{Instance: "other"})
+	ask := func(what string, version uint64, content []byte) {
+		t.Helper()
+		sendOn(t, peer, &wire.PeerNotify{File: testRef, WantVersion: version})
+		m := recvWithin(t, peer, 5*time.Second)
+		pc, ok := m.(*wire.PeerChunk)
+		if !ok || pc.Version != version {
+			t.Fatalf("%s: peer answer = %#v, want a PEER_CHUNK of v%d", what, m, version)
+		}
+		if want := diff.Checksum(content); pc.Sum != want {
+			t.Fatalf("%s: PEER_CHUNK sum %08x, the content sums to %08x", what, pc.Sum, want)
+		}
+	}
+	v1 := bytes.Repeat([]byte("a line of the first version\n"), 400)
+	r.sendFull(t, testRef, 1, v1)
+	ask("fresh", 1, v1)
+
+	v2 := append(bytes.Clone(v1), "an appended line\n"...)
+	d, err := diff.Compute(diff.HuntMcIlroy, v1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.send(t, &wire.FileDelta{File: testRef, BaseVersion: 1, Version: 2, Encoded: d.Encode()})
+	if ack, ok := r.recv(t).(*wire.FileAck); !ok || ack.Version != 2 {
+		t.Fatalf("ack = %#v", ack)
+	}
+	ask("delta-derived", 2, v2)
+
+	v3 := bytes.Repeat([]byte("a line of the third version\n"), 300)
+	c := r.srv.cache
+	c.PutManifest(r.srv.dir.Intern(testRef), 3, c.ChunkStore().AddManifest(v3, c.Params()))
+	ask("manifest-installed", 3, v3)
+}

@@ -263,10 +263,9 @@ func TestSoakOneDeploymentStaysFlat(t *testing.T) {
 
 // TestWarmCycleAllocationBudget keeps the allocation diet from regressing
 // silently: a warm edit–submit–fetch cycle on an 8 KiB file, both ends in
-// this process, allocates at most 2.5 times the file (it was about 5 times
-// when the file was allocated four times a cycle; the client's read of the
-// file into the version store is the one file-sized allocation left), in at
-// most maxWarmCycleAllocs allocations.
+// this process, allocates at most 1.5 times the file — no file-sized buffer:
+// the client reads each version into the one the last acknowledgement
+// retired (vcs.CommitRead) — in at most maxWarmCycleAllocs allocations.
 func TestWarmCycleAllocationBudget(t *testing.T) {
 	// Measured: 81.3 allocations per warm cycle, the same in every run (Go
 	// 1.24, linux/amd64). The 15 % headroom is what the loopback TCP fleet
@@ -290,8 +289,9 @@ func TestWarmCycleAllocationBudget(t *testing.T) {
 	perCycle := float64(after.TotalAlloc-before.TotalAlloc) / measured
 	allocs := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("%.0f B and %.1f allocations per warm cycle (file: %d B; the test's own oracle and edit included)", perCycle, allocs, len(f.content))
-	if limit := 2.5 * float64(len(f.content)); perCycle > limit {
-		t.Errorf("a warm cycle allocates %.0f B, over the budget of %.0f (2.5 x the %d B file)", perCycle, limit, len(f.content))
+	// Measured: 9 518 B for the 8 250 B file.
+	if limit := 1.5 * float64(len(f.content)); perCycle > limit {
+		t.Errorf("a warm cycle allocates %.0f B, over the budget of %.0f (1.5 x the %d B file)", perCycle, limit, len(f.content))
 	}
 	if allocs > maxWarmCycleAllocs {
 		t.Errorf("a warm cycle makes %.1f allocations, over the budget of %.1f", allocs, maxWarmCycleAllocs)

@@ -61,22 +61,13 @@ func TestCommitSameSumNewContent(t *testing.T) {
 	if diff.Checksum(forged) != diff.Checksum(base) || len(forged) != len(base) || string(forged) == string(base) {
 		t.Fatal("forgeCollision did not forge a same-length collision")
 	}
-	for _, owned := range []bool{false, true} {
-		s := NewStore(1)
-		v1, _ := s.Commit(ref, base)
-		var v2 uint64
-		var changed bool
-		if owned {
-			v2, _, changed = s.CommitOwned(ref, slices.Clone(forged))
-		} else {
-			v2, changed = s.Commit(ref, forged)
-		}
-		if !changed || v2 != v1+1 {
-			t.Fatalf("owned=%v: colliding edit committed as v%d, changed=%v; want v%d", owned, v2, changed, v1+1)
-		}
-		if head, _ := s.HeadShared(ref); string(head.Content) != string(forged) {
-			t.Fatalf("owned=%v: head holds the old bytes", owned)
-		}
+	s := NewStore(1)
+	v1, _ := s.Commit(ref, base)
+	if v2, changed := s.Commit(ref, forged); !changed || v2 != v1+1 {
+		t.Fatalf("colliding edit committed as v%d, changed=%v; want v%d", v2, changed, v1+1)
+	}
+	if head, _ := s.HeadShared(ref); string(head.Content) != string(forged) {
+		t.Fatal("head holds the old bytes")
 	}
 }
 
@@ -124,21 +115,21 @@ func TestManifestsEqualSplitUnderRetention(t *testing.T) {
 	}
 }
 
-// TestCommitAtLeast: a restored client's commit takes at least the number the
-// server expects, even for bytes equal to its head; at or past that number it
-// is an ordinary commit.
+// TestCommitAtLeast: a restored client's commit (CommitRead with a floor)
+// takes at least the number the server expects, even for bytes equal to its
+// head; at or past that number it is an ordinary commit.
 func TestCommitAtLeast(t *testing.T) {
 	s := NewStore(1)
-	if v, changed := s.CommitAtLeast(ref, []byte("a\n"), 7); v != 7 || !changed {
+	if v, changed := commitRead(s, ref, []byte("a\n"), 7); v != 7 || !changed {
 		t.Fatalf("first commit at least 7: v%d, changed %v", v, changed)
 	}
-	if v, changed := s.CommitAtLeast(ref, []byte("a\n"), 9); v != 9 || !changed {
+	if v, changed := commitRead(s, ref, []byte("a\n"), 9); v != 9 || !changed {
 		t.Fatalf("same bytes at least 9: v%d, changed %v", v, changed)
 	}
-	if v, changed := s.CommitAtLeast(ref, []byte("a\n"), 9); v != 9 || changed {
+	if v, changed := commitRead(s, ref, []byte("a\n"), 9); v != 9 || changed {
 		t.Fatalf("same bytes at least 9 again: v%d, changed %v", v, changed)
 	}
-	if v, changed := s.CommitAtLeast(ref, []byte("b\n"), 2); v != 10 || !changed {
+	if v, changed := commitRead(s, ref, []byte("b\n"), 2); v != 10 || !changed {
 		t.Fatalf("new bytes at least 2: v%d, changed %v", v, changed)
 	}
 }

@@ -73,6 +73,10 @@ type Store struct {
 	files     map[wire.FileRef]*history
 	committed int64
 	pruned    int64
+	// spare is a buffer no reader holds, for the next commit to read into:
+	// one per store, not per file. borrows counts open Borrow brackets.
+	spare   []byte
+	borrows int
 }
 
 type history struct {
@@ -104,30 +108,29 @@ func (s *Store) SetRetain(n int) {
 // number. Committing bytes identical to the current head creates no new
 // version and reports changed=false. The store keeps a private copy.
 func (s *Store) Commit(ref wire.FileRef, content []byte) (version uint64, changed bool) {
-	return s.CommitAtLeast(ref, content, 0)
+	v, changed, _ := s.CommitRead(ref, 0, func(dst []byte) ([]byte, error) {
+		return append(dst[:0], content...), nil
+	})
+	return v.Number, changed
 }
 
-// CommitOwned is Commit for a caller handing over a buffer nothing else
-// references or will write — a file just read for this commit: the store
-// keeps content itself as the version's immutable bytes instead of copying
-// it. It also returns the content's Checksum, which the caller announcing
-// the version needs and the store has just computed.
-func (s *Store) CommitOwned(ref wire.FileRef, content []byte) (version uint64, sum uint32, changed bool) {
-	return s.commit(ref, content, true, 0)
-}
-
-// CommitAtLeast is Commit for a client whose store was freshly created (for
-// example after a restart without restoring state) while the server already
-// tracks higher version numbers for the file: the new version's number is
-// forced to at least minNumber so the server's notion of "newest" keeps
-// ascending, and content equal to a head below minNumber is committed anew.
-func (s *Store) CommitAtLeast(ref wire.FileRef, content []byte, minNumber uint64) (version uint64, changed bool) {
-	version, _, changed = s.commit(ref, content, false, minNumber)
-	return version, changed
-}
-
-func (s *Store) commit(ref wire.FileRef, content []byte, owned bool, minNumber uint64) (version uint64, sum uint32, changed bool) {
-	sum = diff.Checksum(content) // a whole-file pass; not under the lock
+// CommitRead is Commit of the bytes read returns, which read appends to
+// dst[:0] — the store's spare buffer, nil when it has none — and hands over:
+// they become the new version, returned with its sum (Content is the store's:
+// read-only), or, equal to the head, the spare again. The version number is
+// at least minNumber, and content equal to a head below it is committed anew:
+// a client whose store was freshly created (after a restart without restoring
+// state) keeps the numbers the server tracks for the file ascending.
+func (s *Store) CommitRead(ref wire.FileRef, minNumber uint64, read func(dst []byte) ([]byte, error)) (Version, bool, error) {
+	s.mu.Lock()
+	content := s.spare
+	s.spare = nil
+	s.mu.Unlock()
+	content, err := read(content)
+	if err != nil {
+		return Version{}, false, err
+	}
+	sum := diff.Checksum(content) // a whole-file pass; not under the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.files[ref]
@@ -141,24 +144,47 @@ func (s *Store) commit(ref wire.FileRef, content []byte, owned bool, minNumber u
 		// A sum match is only a hint: content with the head's CRC may
 		// still differ from it.
 		if head.Number >= minNumber && head.Sum == sum && bytes.Equal(head.Content, content) {
-			return head.Number, sum, false
+			s.spareLocked(content) // read for this call only: nobody saw it
+			return head, false, nil
 		}
 		next = max(next, head.Number+1)
 	}
-	if !owned {
-		content = append([]byte(nil), content...)
-	}
-	h.versions = append(h.versions, Version{Number: next, Content: content, Sum: sum})
+	v := Version{Number: next, Content: content, Sum: sum}
+	h.versions = append(h.versions, v)
 	s.committed++
 	s.pruneLocked(h)
-	return next, sum, true
+	return v, true, nil
+}
+
+// Borrow opens a read of shared content (HeadShared, GetShared, DeltaFrom,
+// GetManifest, ChunkByHash) that may outlast its version — a pull answered
+// while an acknowledgement prunes it. Until the matching Release no pruned
+// buffer is recycled. The count is the store's, across goroutines.
+func (s *Store) Borrow() {
+	s.mu.Lock()
+	s.borrows++
+	s.mu.Unlock()
+}
+
+// Release closes a Borrow.
+func (s *Store) Release() {
+	s.mu.Lock()
+	s.borrows--
+	s.mu.Unlock()
+}
+
+// spareLocked offers b, which no reader holds, as the spare; the larger stays.
+func (s *Store) spareLocked(b []byte) {
+	if cap(b) > cap(s.spare) {
+		s.spare = b
+	}
 }
 
 // HeadShared returns the newest version of ref. The returned Content is the
-// store's own backing array: committed content is immutable (Commit stores a
-// private copy and nothing ever writes it again; pruning only drops
-// references), so the slice stays valid and constant indefinitely — but the
-// caller must treat it as read-only.
+// store's own backing array, read-only: nothing writes it while its version
+// is retained, and once a prune drops the version the buffer may be read
+// into again (CommitRead). So it stays valid while the version is retained,
+// or while the caller holds a Borrow taken before the read.
 func (s *Store) HeadShared(ref wire.FileRef) (Version, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,7 +196,7 @@ func (s *Store) HeadShared(ref wire.FileRef) (Version, bool) {
 }
 
 // GetShared returns a specific retained version of ref; the same read-only
-// sharing contract as HeadShared applies.
+// contract as HeadShared applies: valid while retained or borrowed.
 func (s *Store) GetShared(ref wire.FileRef, number uint64) (Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,10 +217,11 @@ func (s *Store) GetShared(ref wire.FileRef, number uint64) (Version, error) {
 // the signal to fall back to a FileFull transfer.
 //
 // The returned delta's inserted lines alias the stored content of the want
-// version (see diff.Compute); since committed content is immutable, the
-// delta stays valid until encoded, which is all the pull path does with it.
-// Immutable too are the sums every version was stored with, so the delta
-// carries those instead of checksumming both files again.
+// version (see diff.Compute), so it is valid as HeadShared's content is:
+// while that version is retained, or under a Borrow — the pull path takes one
+// until the encoded delta is sent. The sums every version was stored with do
+// not change, so the delta carries those instead of checksumming both files
+// again.
 func (s *Store) DeltaFrom(ref wire.FileRef, base, want uint64, algorithm diff.Algorithm) (*diff.Delta, error) {
 	baseV, err := s.GetShared(ref, base)
 	if err != nil {
@@ -208,7 +235,8 @@ func (s *Store) DeltaFrom(ref wire.FileRef, base, want uint64, algorithm diff.Al
 }
 
 // GetManifest is GetShared with the version's content-defined chunk manifest
-// (manifestAt), the store's own: read-only, and never rewritten.
+// (manifestAt), the store's own: read-only, and never rewritten. The content
+// is valid while retained or borrowed, as GetShared's is.
 // ErrVersionGone signals the version was pruned: the v3 transfer path then
 // answers for the head instead, exactly as the delta path falls back.
 func (s *Store) GetManifest(ref wire.FileRef, number uint64) (Version, chunk.Manifest, error) {
@@ -236,7 +264,8 @@ func (s *Store) ManifestFor(ref wire.FileRef, number uint64) (chunk.Manifest, []
 // ChunkByHash looks a chunk up by content address across the retained
 // versions of ref, newest first (the freshest copy of shared content is the
 // most likely to stay retained). The returned bytes alias the store's
-// immutable version content — read-only, but valid indefinitely. It reports
+// version content — read-only, and valid while that version is retained or
+// the caller holds a Borrow (see HeadShared). It reports
 // ok=false when no retained version contains the chunk, the cue to answer a
 // ChunkReq without that chunk.
 func (s *Store) ChunkByHash(ref wire.FileRef, want chunk.Hash) ([]byte, bool) {
@@ -354,6 +383,9 @@ func (s *Store) pruneLocked(h *history) {
 		if !protected(v) && drop > 0 {
 			drop--
 			s.pruned++
+			if s.borrows == 0 {
+				s.spareLocked(v.Content)
+			}
 			continue
 		}
 		kept = append(kept, v)
